@@ -268,9 +268,6 @@ class LaurentPolynomial:
         """True iff every coefficient is an integer."""
         return all(c.denominator == 1 for c in self.terms.values())
 
-    def is_unit_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def as_constant(self):
         """The rational value of a constant polynomial (raises otherwise)."""
         if self.is_zero:
@@ -432,14 +429,6 @@ class LaurentPolynomial:
             kk = k[:i] + (0,) + k[i + 1:]
             out.setdefault(d, {})[kk] = c
         return out
-
-    def coefficient_of(self, name: str, degree: int) -> "LaurentPolynomial":
-        i = self.table.index(name)
-        acc = {}
-        for k, c in self.terms.items():
-            if k[i] == degree:
-                acc[k[:i] + (0,) + k[i + 1:]] = c
-        return LaurentPolynomial(self.table, acc, _canonical=True)
 
     # -- substitution -------------------------------------------------------
 

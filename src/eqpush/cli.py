@@ -117,6 +117,10 @@ def cmd_verify(args) -> int:
     trials = args.trials if args.trials is not None else 20
     seed = args.seed if args.seed is not None else 0
     max_exp = args.max_exp if args.max_exp is not None else 3
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+    if max_exp < 0:
+        raise ValueError(f"--max-exp must be at least 0, got {max_exp}")
     lines, failures = run_campaign(space, trials, seed, max_exp)
     _write(args, "\n".join(lines))
     return 0 if failures == 0 else 1

@@ -4,14 +4,14 @@ Grammar: integer literals, variables from the active table, unary minus,
 binary + - * / and ^ with a literal (possibly negative) integer exponent,
 parentheses, and the macros G[a,b], S[a,b], U, Uz, Ut, A, B which expand to
 the corresponding classes at parse time.  Division is exact division and
-fails on inexact quotients.
+is rejected like a syntax error when the quotient is not exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LaurentPolynomial, VariableTable, exact_divide
+from .algebra import LaurentPolynomial, NotDivisible, VariableTable, exact_divide
 
 
 class ExpressionSyntaxError(ValueError):
@@ -93,12 +93,14 @@ class BinOp:
     op: str
     left: object
     right: object
+    offset: int  # of the operator, for evaluation errors
 
 
 @dataclass(frozen=True)
 class Pow:
     base: object
     exponent: int
+    offset: int  # of the caret
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -138,14 +140,14 @@ class Parser:
             tok = self.peek()
             if tok.kind == "^":
                 self.advance()
-                left = Pow(left, self.integer_exponent())
+                left = Pow(left, self.integer_exponent(), tok.offset)
                 continue
             prec = _PREC.get(tok.kind)
             if prec is None or prec <= min_prec:
                 break
             self.advance()
             right = self.expression(prec)
-            left = BinOp(tok.kind, left, right)
+            left = BinOp(tok.kind, left, right, tok.offset)
         return left
 
     def integer_exponent(self) -> int:
@@ -288,7 +290,12 @@ def evaluate(node, table: VariableTable) -> LaurentPolynomial:
         if isinstance(node, Neg):
             return -ev(node.operand)
         if isinstance(node, Pow):
-            return ev(node.base) ** node.exponent
+            base = ev(node.base)
+            try:
+                return base ** node.exponent
+            except NotDivisible:
+                raise ExpressionSyntaxError(node.offset, {"a monomial base for a negative power"},
+                                            render_expression(node.base)) from None
         if isinstance(node, BinOp):
             left, right = ev(node.left), ev(node.right)
             if node.op == "+":
@@ -298,9 +305,11 @@ def evaluate(node, table: VariableTable) -> LaurentPolynomial:
             if node.op == "*":
                 return left * right
             if node.op == "/":
-                if right.is_zero:
-                    raise ZeroDivisionError("division by zero in expression")
-                return exact_divide(left, right)
+                try:
+                    return exact_divide(left, right)
+                except (NotDivisible, ZeroDivisionError):
+                    raise ExpressionSyntaxError(node.offset, {"an exact divisor"},
+                                                render_expression(node.right)) from None
         raise TypeError(f"not an expression node: {node!r}")
 
     return ev(node)

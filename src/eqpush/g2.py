@@ -6,16 +6,16 @@ fundamental class by exact linear elimination.
 
 from __future__ import annotations
 
-import itertools
+from functools import lru_cache
 
 from .algebra import (LaurentPolynomial, Monomial, RationalExpression,
                       parameter_table)
-from .characters import CharacterList, bracket
+from .characters import bracket
 from .elimination import bareiss_determinant, bareiss_solve
 from .polyfam import (complement_partition, grothendieck_pair,
                       rectangle_partitions)
-from .spaces import (FixedPoint, LocalizationEngine, SpaceDescriptor,
-                     localization_pushforward, residue_pushforward)
+from .spaces import (SpaceDescriptor, _calc, localization_pushforward,
+                     residue_pushforward)
 from . import g2core
 
 GT = g2core.g2_table()
@@ -64,70 +64,34 @@ def grothendieck_table() -> dict:
 # -- ambient Grassmannian with the seven restricted weights ---------------------
 
 
-class _AmbientCalc:
-    """Localization on the ambient 21-point Grassmannian of two-planes, with the
-    seven torus weights of the defining representation as ambient characters.
-
-    Push-forwards are linear over the torus ring, so values are cached per
-    symmetrized auxiliary monomial.
-    """
-
-    def __init__(self):
-        weights = g2core.seven_weights().entries
-        points = []
-        substs = []
-        for i, j in itertools.combinations(range(7), 2):
-            a, b = weights[i], weights[j]
-            rest = [weights[r] for r in range(7) if r not in (i, j)]
-            tangent = CharacterList(tuple(c / w for w in (a, b) for c in rest))
-            substs.append({"z1": a, "z2": b})
-            points.append(FixedPoint((("z1", a), ("z2", b)), tangent))
-        self.substs = substs
-        self.engine = LocalizationEngine(GT, points)
-        self.values: dict = {}
-
-    def class_value(self, p: int, q: int) -> LaurentPolynomial:
-        """Push-forward of z1^p z2^q + z1^q z2^p (halved on the diagonal)."""
-        key = (p, q)
-        got = self.values.get(key)
-        if got is None:
-            numerators = []
-            for sub in self.substs:
-                a, b = sub["z1"], sub["z2"]
-                mono1 = (a ** p) * (b ** q)
-                mono2 = (a ** q) * (b ** p)
-                val = mono1.as_polynomial()
-                if mono2.exps != mono1.exps:
-                    val = val + mono2.as_polynomial()
-                numerators.append(val)
-            got = self.engine.sum_values(numerators)
-            self.values[key] = got
-        return got
-
-    def pushforward(self, f: LaurentPolynomial) -> LaurentPolynomial:
-        """Exact push-forward of a class symmetric in the two auxiliary variables."""
-        total = LaurentPolynomial.zero(GT)
-        i1, i2 = GT.index("z1"), GT.index("z2")
-        for key, c in f.terms.items():
-            p, q = key[i1], key[i2]
-            if p < q:
-                continue
-            tkey = list(key)
-            tkey[i1] = tkey[i2] = 0
-            coeff = LaurentPolynomial(GT, {tuple(tkey): c}, _canonical=True)
-            total = total + coeff * self.class_value(p, q)
-        return total
+AMBIENT_SPACE = SpaceDescriptor("gr", 2, 7)
 
 
-_AMBIENT = None
+@lru_cache(maxsize=None)
+def _ambient_class(p: int, q: int) -> LaurentPolynomial:
+    """Push-forward of z1^p z2^q + z1^q z2^p (once on the diagonal) along the
+    ambient Grassmannian: the gr:2,7 value, then t1..t7 -> the seven weights.
+    Only the specialized value is cached, so no orbit is held twice."""
+    calc = _calc(AMBIENT_SPACE)
+    value = calc.engine.sum_values(calc.orbit_sum((p, q)))
+    weights = {f"t{i + 1}": w.as_polynomial() for i, w in enumerate(g2core.seven_weights())}
+    return value.substitute_polynomials(weights, target=GT)
 
 
 def ambient_pushforward(f: LaurentPolynomial) -> LaurentPolynomial:
-    """Push-forward along the ambient Grassmannian of two-planes (21 fixed points)."""
-    global _AMBIENT
-    if _AMBIENT is None:
-        _AMBIENT = _AmbientCalc()
-    return _AMBIENT.pushforward(f)
+    """Push-forward along the ambient Grassmannian of two-planes (21 fixed
+    points) of a class symmetric in the two auxiliary variables."""
+    total = LaurentPolynomial.zero(GT)
+    i1, i2 = GT.index("z1"), GT.index("z2")
+    for key, c in f.terms.items():
+        p, q = key[i1], key[i2]
+        if p < q:
+            continue
+        tkey = list(key)
+        tkey[i1] = tkey[i2] = 0
+        coeff = LaurentPolynomial(GT, {tuple(tkey): c}, _canonical=True)
+        total = total + coeff * _ambient_class(p, q)
+    return total
 
 
 def intersection_matrix() -> list:

@@ -2,10 +2,11 @@
 
 Every space provides fixed-point data (substitutions for the auxiliary
 variables plus multiplicative tangent weights) and a factored residue
-integrand.  The localization push-forward sums f(point)/bracket(tangent)
-over the fixed points and simplifies exactly; the residue push-forward runs
-the iterated-residue engine on the integrand.  The central contract is that
-the two agree on every admissible class.
+integrand.  The localization push-forward is the sum of f(point)/bracket(tangent)
+over the fixed points; it is computed exactly as a Demazure chain of isobaric
+divided differences from one base fixed point (see LocalizationEngine).  The
+residue push-forward runs the iterated-residue engine on the integrand.  The
+central contract is that the two agree on every admissible class.
 
 Both paths are linear over the coefficient ring, so values are computed and
 cached per symmetry orbit of auxiliary monomials; the caches are
@@ -18,9 +19,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import (FactoredDenominatorSum, InvariantError, LaurentPolynomial,
-                      Monomial, NotDivisible, NotPolynomial, VariableTable,
-                      exact_divide_many, rational, zt_table)
+from .algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
+                      NotPolynomial, VariableTable, exact_divide_many, rational,
+                      zt_table)
 from .characters import (CharacterList, bracket, lambda_set, pairwise_product,
                          pos_roots, quotient_set, roots, standard_sets, sym_set)
 from .residue import ResidueForm, iterated_residue, make_form
@@ -279,121 +280,86 @@ def _z_actions(space: SpaceDescriptor):
 # -- push-forward machinery -----------------------------------------------------
 
 
-def _pairing_order(keys, key_poly):
-    """Order factor keys so that reciprocal binomial pairs are adjacent.
-
-    Multiplying (1 - m)(1 - 1/m) first collapses to a three-term block, which
-    keeps streamed cofactor products far smaller than an arbitrary order.
-    """
-    def signature(key):
-        terms = key_poly[key].terms
-        if len(terms) != 2:
-            return None
-        (u, _), (v, _) = sorted(terms.items())
-        diff = tuple(a - b for a, b in zip(u, v))
-        return max(diff, tuple(-d for d in diff))
-
-    groups: dict = {}
-    loose = []
-    for key in sorted(keys):
-        sig = signature(key)
-        if sig is None:
-            loose.append(key)
-        else:
-            groups.setdefault(sig, []).append(key)
-    ordered = []
-    for sig in sorted(groups):
-        ordered.extend(groups[sig])
-    ordered.extend(loose)
-    return tuple(ordered)
-
-
-def _multiset_union(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, mult in b.items():
-        if out.get(key, 0) < mult:
-            out[key] = mult
-    return out
-
-
-def _missing_keys(union: dict, counts: dict):
-    out = []
-    for key, mult in union.items():
-        lack = mult - counts.get(key, 0)
-        out.extend([key] * lack)
+def _simple_reflections(space: SpaceDescriptor) -> list:
+    """(substitution on the parameters, simple-root character a with s(a) = 1/a)
+    for each simple reflection s of the space's Weyl group."""
+    table = space.table()
+    if space.kind in ("g2p2", "g2b"):
+        long_root = Monomial.of(table, t1=1, t2=-2)
+        # The order-two rotation -1 also inverts this root; only a reflection
+        # fixes its kernel, so take the reflection that inverts it.
+        reflection = next(w for w in g2core.weyl_group()[6:]
+                          if long_root.substitute(w) == long_root.inverse())
+        return [(g2core.swap_map(), Monomial.of(table, t1=-1, t2=1)),
+                (reflection, long_root)]
+    n = space.parameter_count()
+    ts = _tvars(table, n)
+    out = [({f"t{i + 1}": ts[i + 1], f"t{i + 2}": ts[i]}, ts[i + 1] / ts[i])
+           for i in range(n - 1)]
+    if space.kind == "lg":
+        out.append(({f"t{n}": ts[-1].inverse()}, ts[-1] ** -2))
+    elif space.kind == "ogO":
+        out.append(({f"t{n}": ts[-1].inverse()}, ts[-1].inverse()))
+    elif space.kind in ("ogE", "q") and n >= 2:
+        out.append(({f"t{n - 1}": ts[-1].inverse(), f"t{n}": ts[-2].inverse()},
+                    (ts[-2] * ts[-1]).inverse()))
     return out
 
 
 class LocalizationEngine:
-    """Exact sum of numerator/bracket(tangent) over a fixed list of points.
+    """Sum of f(point)/bracket(tangent) over the fixed points, by Demazure's
+    character formula.
 
-    Summands are combined along a balanced merge tree: every node holds the
-    factor-multiset least common denominator of its subtree, so each merge
-    multiplies numerators only by the difference factors.  Cancellation
-    between nearby fixed points then keeps intermediate numerators far
-    smaller than a flat common-denominator sum.
+    The fixed points of a catalogue space are a Weyl-group orbit W/W_P of one
+    base point, and its tangent characters are roots.  For a class whose
+    restriction g to the base point is W_P-invariant, the sum equals a chain
+    of isobaric divided differences D_i g = (g - a_i^-1 * s_i g)/(1 - a_i^-1)
+    along a reduced word for the orbit.  The word is read off the base
+    tangent: while it holds a simple root a_i, record i and apply s_i.  Each
+    step is one exact division by a binomial, so no common denominator of the
+    whole sum is ever built.
     """
 
-    def __init__(self, table: VariableTable, points):
-        self.table = table
-        self.points = list(points)
-        template = FactoredDenominatorSum(table)
+    def __init__(self, space: SpaceDescriptor):
+        table = space.table()
+        points = fixed_points(space)
+        # The all-inside point, whose stabilizer permutes the z's, for the
+        # isotropic Grassmannians; the first listed point for the others.
+        base = points[-1] if space.kind in ("lg", "ogE", "ogO") else points[0]
+        self.base = base.subst_map()
+        reflections = _simple_reflections(space)
         one = LaurentPolynomial.one(table)
-        for p in self.points:
-            template.add(one, [one - c.inverse().as_polynomial() for c in p.tangent])
-        self.key_poly = template.key_poly
-        self.scalars = [rational(1) / scalar for _, _, scalar in template.entries]
-        # Merge plan: level by level over adjacent pairs.  Each node records
-        # the cofactor keys each child needs, reciprocal pairs first.
-        level = [("leaf", i, dict(counts)) for i, (_, counts, _) in
-                 enumerate(template.entries)]
-        plan = []
-        while len(level) > 1:
-            nxt = []
-            for i in range(0, len(level) - 1, 2):
-                left, right = level[i], level[i + 1]
-                union = _multiset_union(left[2], right[2])
-                step = (left[0], left[1], _pairing_order(_missing_keys(union, left[2]), self.key_poly),
-                        right[0], right[1], _pairing_order(_missing_keys(union, right[2]), self.key_poly))
-                plan.append(step)
-                nxt.append(("node", len(plan) - 1, union))
-            if len(level) % 2:
-                nxt.append(level[-1])
-            level = nxt
-        self.plan = plan
-        self.root = level[0]
-        self.master = level[0][2]
-        self.division_keys = _pairing_order(
-            [key for key, mult in self.master.items() for _ in range(mult)],
-            self.key_poly)
+        tangent = base.tangent.entries
+        self.steps = []
+        while len(self.steps) <= space.dimension():
+            found = next(((s, a) for s, a in reflections if a in tangent), None)
+            if found is None:
+                break
+            s, a = found
+            self.steps.append((s, a.inverse(), one - a.inverse().as_polynomial()))
+            tangent = tuple(c.substitute(s) for c in tangent)
+        if len(self.steps) != space.dimension():
+            raise InvariantError(f"{space.key()}: reduced word of length {len(self.steps)} "
+                                 f"!= dim {space.dimension()}")
+        # The fixed points of the even orthogonal Grassmannian form two
+        # components; t_n -> 1/t_n carries the base component to the other.
+        tn = f"t{space.parameter_count()}"
+        self.other_component = ({tn: Monomial.of(table, **{tn: -1})}
+                                if space.kind == "ogE" else None)
 
-    def _apply_keys(self, value: LaurentPolynomial, keys) -> LaurentPolynomial:
-        for key in keys:
-            value = value * self.key_poly[key]
+    def sum_values(self, f: LaurentPolynomial) -> LaurentPolynomial:
+        """Sum of f(point)/bracket(tangent) over the fixed points, for an
+        admissible class f (its base-point value is then W_P-invariant)."""
+        value = f.substitute_monomials(self.base, partial=True)
+        for s, a_inv, divisor in self.steps:
+            numerator = value + value.substitute_monomials(s, partial=True).mul_monomial(a_inv, -1)
+            try:
+                value = exact_divide_many(numerator, [divisor])
+            except NotDivisible:
+                raise InvariantError("a divided difference is not a Laurent polynomial") from None
+        if self.other_component is not None:
+            value = value + value.substitute_monomials(self.other_component, partial=True)
         return value
-
-    def sum_values(self, numerators) -> LaurentPolynomial:
-        if len(numerators) != len(self.points):
-            raise InvariantError("one numerator per fixed point required")
-        node_values = [None] * len(self.plan)
-
-        def value_of(kind, index) -> LaurentPolynomial:
-            if kind == "leaf":
-                return numerators[index].scale(self.scalars[index])
-            return node_values[index]
-
-        for i, (lk, li, lkeys, rk, ri, rkeys) in enumerate(self.plan):
-            left = self._apply_keys(value_of(lk, li), lkeys)
-            right = self._apply_keys(value_of(rk, ri), rkeys)
-            node_values[i] = left + right
-        total = value_of(*self.root[:2])
-        try:
-            return exact_divide_many(
-                total, [self.key_poly[key] for key in self.division_keys])
-        except NotDivisible:
-            raise NotPolynomial(
-                "localization sum does not simplify to a Laurent polynomial"
-            ) from None
 
 
 def _integrand_parts(space: SpaceDescriptor, variant: str):
@@ -486,8 +452,7 @@ class _SpaceCalc:
         self.space = space
         self.table = space.table()
         self.m = space.residue_count()
-        self.points = fixed_points(space)
-        self.engine = LocalizationEngine(self.table, self.points)
+        self.engine = LocalizationEngine(space)
         self.z_actions = _z_actions(space)
         self.loc_values: dict = {}
         self.res_values: dict = {}
@@ -520,10 +485,7 @@ class _SpaceCalc:
     def loc_class_value(self, canon: tuple) -> LaurentPolynomial:
         got = self.loc_values.get(canon)
         if got is None:
-            f0 = self.orbit_sum(canon)
-            numerators = [f0.substitute_monomials(p.subst_map(), partial=True)
-                          for p in self.points]
-            got = self.engine.sum_values(numerators)
+            got = self.engine.sum_values(self.orbit_sum(canon))
             self.loc_values[canon] = got
         return got
 

@@ -100,6 +100,21 @@ def test_cli_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["z1/(1-z1)", "z1/0", "(1-z1)^-1"])
+def test_cli_inexact_division_is_bad_input(capsys, expr):
+    code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-1"),
+                                         ("--max-exp", "-1")])
+def test_cli_verify_rejects_bad_counts(capsys, flag, value):
+    code, out, err = run_cli(capsys, "verify", "--space", "gr:1,2", flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag in err
+
+
 def test_cli_verify_reproducible(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--space", "gr:2,4",
                              "--trials", "5", "--seed", "7")

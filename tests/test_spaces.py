@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
-from eqpush.algebra import LaurentPolynomial, Monomial, NotPolynomial, zt_table
+from eqpush.algebra import (LaurentPolynomial, Monomial, NotPolynomial,
+                            factored_rational_sum, zt_table)
 from eqpush.characters import bracket
 from eqpush.residue import iterated_residue
 from eqpush.spaces import (SymmetryViolation, build_integrand,
                            check_symmetry, fixed_points,
                            localization_pushforward, parse_space,
                            residue_pushforward)
+from eqpush.verification import random_admissible_class
 
 ALL_SPACES = ["gr:1,2", "gr:1,3", "gr:2,4", "gr2:2,4", "lg:1", "lg:2", "ogE:2",
               "ogO:1", "ogO:2", "fl:1", "fl:2", "fl:3", "q:2", "g2p2", "g2b"]
@@ -197,12 +201,28 @@ def test_two_set_matches_plain_grassmannian_on_first_block():
 
 
 def test_not_polynomial_surfaces():
-    # an asymmetric hand-built sum cannot simplify; emulate by broken tangent data
-    from eqpush.spaces import LocalizationEngine, FixedPoint
-    from eqpush.characters import CharacterList
+    # one fixed point of the projective line alone does not sum to a Laurent
+    # polynomial
     table = zt_table(1, 2)
-    pts = [FixedPoint((("z1", Monomial.of(table, t1=1)),),
-                      CharacterList.of(Monomial.of(table, t2=1, t1=-1)))]
-    engine = LocalizationEngine(table, pts)
+    one = LaurentPolynomial.one(table)
+    t1_over_t2 = Monomial.of(table, t1=1, t2=-1).as_polynomial()
     with pytest.raises(NotPolynomial):
-        engine.sum_values([LaurentPolynomial.one(table)])
+        factored_rational_sum([(one, [one - t1_over_t2])])
+
+
+def flat_fixed_point_sum(space, f):
+    """The literal sum of f(point)/bracket(tangent) over every fixed point."""
+    one = LaurentPolynomial.one(space.table())
+    return factored_rational_sum(
+        (f.substitute_monomials(p.subst_map(), partial=True),
+         [one - c.inverse().as_polynomial() for c in p.tangent])
+        for p in fixed_points(space))
+
+
+@pytest.mark.parametrize("key", ALL_SPACES + ["lg:3", "ogE:3", "ogO:3", "q:3", "fl:4"])
+def test_demazure_chain_matches_flat_fixed_point_sum(key):
+    space = parse_space(key)
+    rng = random.Random(f"flat:{key}")
+    for _ in range(3):
+        f = random_admissible_class(space, rng, max_exp=2)
+        assert localization_pushforward(space, f) == flat_fixed_point_sum(space, f)
