@@ -3,11 +3,10 @@ two independent ways: fixed-point localization sums and iterated residues at
 zero and infinity."""
 
 from .algebra import (InvariantError, LaurentPolynomial, MixedVariableTables,
-                      Monomial, NotDivisible, NotPolynomial,
-                      RationalExpression, VariableTable, exact_divide,
-                      factored_rational_sum, parameter_table, rational,
-                      rational_sum_to_polynomial, zt_table)
-from .characters import CharacterList, bracket, derived_set, standard_sets
+                      Monomial, NotDivisible, NotPolynomial, VariableTable,
+                      exact_divide, factored_rational_sum, parameter_table,
+                      rational, zt_table)
+from .characters import CharacterList, bracket, standard_sets
 from .polyfam import (Partition, complement_partition, grothendieck_general,
                       grothendieck_pair, parse_partition, rectangle_partitions,
                       schur_pair)

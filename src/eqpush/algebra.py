@@ -291,12 +291,6 @@ class LaurentPolynomial:
         i = self.table.index(name)
         return min(k[i] for k in self.terms)
 
-    def max_degree(self, name: str):
-        if not self.terms:
-            return None
-        i = self.table.index(name)
-        return max(k[i] for k in self.terms)
-
     def total_degree(self):
         if not self.terms:
             return None
@@ -409,26 +403,11 @@ class LaurentPolynomial:
         if q == 0 or not self.terms:
             return LaurentPolynomial.zero(self.table)
         sh = mono.exps
-        return LaurentPolynomial(
-            self.table,
-            {tuple(map(_add, k, sh)): c * q for k, c in self.terms.items()},
-            _canonical=True,
-        )
-
-    # -- structure ----------------------------------------------------------
-
-    def split_by_degree(self, name: str) -> dict:
-        """Group terms by the exponent of one variable.
-
-        Returns {degree: {exponents-with-that-variable-zeroed: coeff}}.
-        """
-        i = self.table.index(name)
-        out = {}
-        for k, c in self.terms.items():
-            d = k[i]
-            kk = k[:i] + (0,) + k[i + 1:]
-            out.setdefault(d, {})[kk] = c
-        return out
+        if q == 1:
+            terms = {tuple(map(_add, k, sh)): c for k, c in self.terms.items()}
+        else:
+            terms = {tuple(map(_add, k, sh)): c * q for k, c in self.terms.items()}
+        return LaurentPolynomial(self.table, terms, _canonical=True)
 
     # -- substitution -------------------------------------------------------
 
@@ -692,64 +671,6 @@ def _divide_nonneg(num: dict, den: dict) -> dict:
                 else:
                     remainder[nk] = s
     return quotient
-
-
-# -- rational expressions ------------------------------------------------------
-
-
-class RationalExpression:
-    """Quotient of Laurent polynomials; equality by cross-multiplication."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: LaurentPolynomial, denominator: LaurentPolynomial):
-        _same_table(numerator.table, denominator.table)
-        if denominator.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        self.numerator = numerator
-        self.denominator = denominator
-
-    @property
-    def table(self):
-        return self.numerator.table
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            other = RationalExpression(other, LaurentPolynomial.one(other.table))
-        if not isinstance(other, RationalExpression):
-            return NotImplemented
-        return self.numerator * other.denominator == other.numerator * self.denominator
-
-    __hash__ = None
-
-    def __add__(self, other: "RationalExpression") -> "RationalExpression":
-        return RationalExpression(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __mul__(self, other: "RationalExpression") -> "RationalExpression":
-        return RationalExpression(self.numerator * other.numerator,
-                                  self.denominator * other.denominator)
-
-    def __repr__(self):
-        return f"({self.numerator.render()}) / ({self.denominator.render()})"
-
-
-def rational_sum_to_polynomial(terms: Iterable[RationalExpression]) -> LaurentPolynomial:
-    """Sum rational expressions and divide out the common denominator exactly."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("empty sum has no table")
-    num = LaurentPolynomial.zero(terms[0].table)
-    den = LaurentPolynomial.one(terms[0].table)
-    for t in terms:
-        num = num * t.denominator + t.numerator * den
-        den = den * t.denominator
-    try:
-        return exact_divide(num, den)
-    except NotDivisible:
-        raise NotPolynomial("sum does not simplify to a Laurent polynomial") from None
 
 
 # -- factored rational sums ----------------------------------------------------

@@ -130,34 +130,6 @@ def complement(a: CharacterList, ambient: CharacterList) -> CharacterList:
     return CharacterList(tuple(remaining))
 
 
-def derived_set(tag: str, a: CharacterList, b: Optional[CharacterList] = None,
-                ambient: Optional[CharacterList] = None) -> CharacterList:
-    """Dispatch for the set operations on character lists."""
-    if tag == "inverse":
-        return a.inverse()
-    if tag == "lambda":
-        return lambda_set(a)
-    if tag == "sym":
-        return sym_set(a)
-    if tag == "roots":
-        return roots(a)
-    if tag == "pos_roots":
-        return pos_roots(a)
-    if tag == "quotient":
-        if b is None:
-            raise ValueError("quotient requires a second list")
-        return quotient_set(a, b)
-    if tag == "pairwise_product":
-        if b is None:
-            raise ValueError("pairwise_product requires a second list")
-        return pairwise_product(a, b)
-    if tag == "complement":
-        if ambient is None:
-            raise ValueError("complement requires an ambient list")
-        return complement(a, ambient)
-    raise ValueError(f"unknown derived-set tag {tag!r}")
-
-
 def bracket(a: CharacterList, table: Optional[VariableTable] = None) -> LaurentPolynomial:
     """Product of (1 - 1/entry); the empty list gives 1.
 

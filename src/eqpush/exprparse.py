@@ -282,7 +282,7 @@ def evaluate(node, table: VariableTable) -> LaurentPolynomial:
                 if node.name == "G":
                     return grothendieck_pair(a, b).transport(table)
                 if node.name == "S":
-                    return schur_pair(a, b).transport(table)
+                    return schur_pair(a, b, table, names=("z1", "z2"))
             except KeyError:
                 raise ValueError(
                     f"macro {node.name}[{a},{b}] needs variables missing from this space") from None

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import (LaurentPolynomial, Monomial, RationalExpression,
-                      parameter_table)
-from .characters import bracket
+from .algebra import LaurentPolynomial, parameter_table
 from .elimination import bareiss_determinant, bareiss_solve
 from .polyfam import (complement_partition, grothendieck_pair,
                       rectangle_partitions)
@@ -34,14 +32,6 @@ def fundamental_class_lift() -> LaurentPolynomial:
 def ab_polynomials():
     """The two reporting variables as torus Laurent polynomials."""
     return g2core.half_sum_a(), g2core.half_sum_b()
-
-
-def identity_term(f: LaurentPolynomial) -> RationalExpression:
-    """Contribution of the identity coset to the localization sum."""
-    num = f.substitute_monomials(
-        {"z1": Monomial.of(GT, t1=1), "z2": Monomial.of(GT, t2=1)}, partial=True)
-    den = bracket(g2core.quotient_identity_tangent(), GT)
-    return RationalExpression(num, den)
 
 
 def cyclic_pushforward(f: LaurentPolynomial) -> LaurentPolynomial:

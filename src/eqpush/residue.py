@@ -6,19 +6,36 @@ construction.  Every denominator factor monomial must contain exactly one
 residue variable, with positive exponent; this makes coefficient extraction
 in distinct variables commute, so the iterated residue is order independent.
 
-The residue at 0 in a variable expands each matching factor as a geometric
-series truncated just far enough to read off the coefficient of var^(-1); the
-residue at infinity rewrites the form under var -> 1/var (with d(var)/var
-picking up a sign) and reuses the residue at 0.
+All three entry points run one kernel on packed monomials with integer
+coefficients.  An exponent vector (e_0, ..., e_{n-1}) is packed into the single
+integer sum(e_i * 2^(W*i)), so a monomial product is one integer addition and
+the degree of variable i is (((key + bias) >> W*i) & mask) - 2^(W-1).  The digit
+width W is derived per form from an a-priori bound on every exponent the
+computation can produce (numerator and factor exponents plus what the
+truncated expansions add, see `_exponent_bound`), so no digit ever carries.
+The numerator is scaled by the lcm of its coefficient denominators, the
+content, so the kernel only adds Python ints; the result is divided
+by the content once, when it is unpacked.
+
+In one variable v, write the numerator as sum_a N_a v^a with N_a free of v,
+and let the factors containing v be (1 - r v^k).  The residue at 0 is the
+coefficient of v^-1 after expanding every factor as a geometric series; the
+kernel multiplies the slices N_a (a <= -1) by one series at a time, keeping
+only degrees <= -1, so equal monomials merge after every factor instead of
+after one large product.  The residue at infinity substitutes v -> 1/v: d(v)/v
+changes sign and each factor becomes -(v^-k r)(1 - v^k/r), so it is the same
+truncated product for the slices N_a v^(K-2-a) and the factors (1 - v^k/r),
+times sign * s, with K the sum of the k, s the product of the 1/r and sign
+(-1)^(number of factors + 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable
 
-from .algebra import (InvariantError, LaurentPolynomial, Monomial, QONE,
-                      rational)
+from .algebra import InvariantError, LaurentPolynomial, Monomial, QONE, rational
 
 
 @dataclass(frozen=True)
@@ -67,153 +84,155 @@ def make_form(numerator: LaurentPolynomial, denominator: Iterable[Monomial],
     return ResidueForm(rational(scalar), numerator, tuple(denominator), residue_vars)
 
 
-def _split_factors(form: ResidueForm, var: str):
-    """Partition denominator factors by whether they contain var.
+# -- packed monomials ----------------------------------------------------------
 
-    Matching factors are returned as (k, rest) with the factor monomial equal
-    to rest * var^k and rest free of residue variables.
+
+def _exponent_bound(form: ResidueForm, order: tuple) -> int:
+    """Largest |exponent| any packed key can hold while taking the residues
+    in the variables of order, one after the other.
+
+    Per variable v with factors (1 - r v^k), K the sum of their k: a
+    truncated product multiplies a slice by at most b0 <= A_v - 1 of the r at
+    0 and at most binf <= A_v + 1 - K of the 1/r at infinity, where A_j bounds
+    |degree of j| in the current numerator, and s = prod 1/r adds all of them
+    once more.  So the next numerator has A_j + max(b0*rho_j, S_j + binf*rho_j)
+    in variable j, with rho_j the largest and S_j the sum of the |r_j|.
     """
     table = form.table
-    i = table.index(var)
-    mine, others = [], []
-    for m in form.denominator:
-        k = m.exps[i]
-        if k == 0:
-            others.append(m)
+    n = len(table)
+    bound = [max(max(col), -min(col)) for col in zip(*form.numerator.terms)] or [0] * n
+    factors = [m.exps for m in form.denominator]
+    peak = max([max(bound, default=0)] + [abs(e) for f in factors for e in f])
+    for var in order:
+        i = table.index(var)
+        mine = [f for f in factors if f[i]]
+        factors = [f for f in factors if not f[i]]
+        b0 = max(0, bound[i] - 1)
+        binf = max(0, bound[i] + 1 - sum(f[i] for f in mine))
+        for j in range(n):
+            if mine and j != i:
+                rho = max(abs(f[j]) for f in mine)
+                total = sum(abs(f[j]) for f in mine)
+                bound[j] += max(b0 * rho, total + binf * rho)
+        bound[i] = 0
+        peak = max(peak, max(bound))
+    return peak
+
+
+class _Packing:
+    """Signed base-2^W digits, one per table variable, wide enough for bound."""
+
+    __slots__ = ("shifts", "half", "mask", "bias")
+
+    def __init__(self, nvars: int, bound: int):
+        width = bound.bit_length() + 1  # 2^(W-1) > bound
+        self.shifts = tuple(range(0, width * nvars, width))
+        self.half = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+        self.bias = sum(self.half << s for s in self.shifts)
+
+    def pack(self, exps: tuple) -> int:
+        return sum(e << s for e, s in zip(exps, self.shifts) if e)
+
+    def pack_numerator(self, p: LaurentPolynomial):
+        """({key: int coefficient}, content) with p = sum(c * key) / content."""
+        content = lcm(*(int(c.denominator) for c in p.terms.values()))
+        terms = {self.pack(k): int(c.numerator) * (content // int(c.denominator))
+                 for k, c in p.terms.items()}
+        return terms, content
+
+    def unpack(self, table, terms: dict, q) -> LaurentPolynomial:
+        """The Laurent polynomial q * sum(c * key) with rational coefficients."""
+        bias, mask, half, shifts = self.bias, self.mask, self.half, self.shifts
+        out = {}
+        for key, c in terms.items():
+            u = key + bias
+            out[tuple(((u >> s) & mask) - half for s in shifts)] = q * c
+        return LaurentPolynomial(table, out, _canonical=True)
+
+
+def _minus_one_coefficient(slices: dict, rests: list) -> dict:
+    """The v^-1 coefficient of sum(slices[d] * v^d) * prod 1/(1 - r v^k) over
+    the (packed r, k) in rests.  Only degrees d <= -1 are kept; multiplying by
+    one geometric series is the recurrence Q[d] += r * Q[d - k], taken in
+    increasing d, so equal monomials merge after every factor."""
+    q = {d: dict(layer) for d, layer in slices.items() if d < 0}
+    if not q:
+        return {}
+    low = min(q)
+    for r, k in rests:
+        for d in range(low + k, 0):
+            src = q.get(d - k)
+            if not src:
+                continue
+            dst = q.get(d)
+            if dst is None:
+                dst = q[d] = {}
+            get = dst.get
+            for key, c in src.items():
+                kk = key + r
+                dst[kk] = get(kk, 0) + c
+    return q.get(-1, {})
+
+
+def _residue_step(terms: dict, packing: _Packing, i: int, mine: list,
+                  zero: bool = True, infinity: bool = True) -> dict:
+    """Residue at 0 and/or at infinity in variable i of sum(terms) / prod(1 - m)
+    over the factor monomials mine (all containing variable i), on packed
+    keys; the result is free of variable i."""
+    sh = packing.shifts[i]
+    unit = 1 << sh
+    bias, mask, half = packing.bias, packing.mask, packing.half
+    slices: dict = {}
+    for key, c in terms.items():
+        a = ((key + bias) >> sh & mask) - half
+        layer = slices.get(a)
+        if layer is None:
+            slices[a] = {key - a * unit: c}
         else:
-            rest = Monomial(table, m.exps[:i] + (0,) + m.exps[i + 1:])
-            mine.append((k, rest))
-    return mine, tuple(others)
+            layer[key - a * unit] = c
+    rests = [(packing.pack(m.exps) - m.exps[i] * unit, m.exps[i]) for m in mine]
+    acc = _minus_one_coefficient(slices, rests) if zero else {}
+    if infinity:
+        ksum = sum(k for _, k in rests)
+        flipped = {ksum - 2 - a: layer for a, layer in slices.items()}
+        s = -sum(r for r, _ in rests)
+        sign = 1 if len(rests) % 2 else -1
+        get = acc.get
+        for key, c in _minus_one_coefficient(flipped, [(-r, k) for r, k in rests]).items():
+            kk = key + s
+            acc[kk] = get(kk, 0) + sign * c
+    return {k: c for k, c in acc.items() if c}
 
 
-def _drop_var(vars_: tuple, var: str) -> tuple:
-    return tuple(v for v in vars_ if v != var)
+# -- entry points ----------------------------------------------------------------
+
+
+def _one_side(form: ResidueForm, var: str, zero: bool, infinity: bool) -> ResidueForm:
+    if var not in form.residue_vars:
+        raise InvariantError(f"{var!r} is not a residue variable of the form")
+    table = form.table
+    i = table.index(var)
+    mine = [m for m in form.denominator if m.exps[i]]
+    others = tuple(m for m in form.denominator if not m.exps[i])
+    packing = _Packing(len(table), _exponent_bound(form, (var,)))
+    terms, content = packing.pack_numerator(form.numerator)
+    terms = _residue_step(terms, packing, i, mine, zero, infinity)
+    remaining = tuple(v for v in form.residue_vars if v != var)
+    return ResidueForm(form.scalar, packing.unpack(table, terms, QONE / content),
+                       others, remaining)
 
 
 def residue_at_zero(form: ResidueForm, var: str) -> ResidueForm:
     """Coefficient of var^(-1) after expanding the var-factors as geometric series."""
-    if var not in form.residue_vars:
-        raise InvariantError(f"{var!r} is not a residue variable of the form")
-    mine, others = _split_factors(form, var)
-    table = form.table
-    remaining = _drop_var(form.residue_vars, var)
-    n = form.numerator
-    mind = n.min_degree(var)
-    if mind is None or mind >= 0:
-        return ResidueForm(form.scalar, LaurentPolynomial.zero(table), others, remaining)
-    bound = -1 - mind
-
-    # Expansion of prod 1/(1 - rest*var^k) collected by var-degree, truncated
-    # at var-degree `bound`.  expansion[b] maps exponent keys (var zeroed) to
-    # coefficients.
-    zero_key = table.zero_exps
-    expansion = {0: {zero_key: QONE}}
-    for k, rest in mine:
-        powers = {}
-        p = zero_key
-        for i in range(bound // k + 1):
-            powers[i] = p
-            p = tuple(a + b for a, b in zip(p, rest.exps))
-        new: dict = {}
-        for b, layer in expansion.items():
-            for i, shift in powers.items():
-                bb = b + i * k
-                if bb > bound:
-                    continue
-                target = new.setdefault(bb, {})
-                if i == 0:
-                    for key, c in layer.items():
-                        s = target.get(key)
-                        target[key] = c if s is None else s + c
-                else:
-                    for key, c in layer.items():
-                        kk = tuple(a + b2 for a, b2 in zip(key, shift))
-                        s = target.get(kk)
-                        target[kk] = c if s is None else s + c
-        expansion = new
-
-    acc: dict = {}
-    slices = n.split_by_degree(var)
-    for a, layer in slices.items():
-        if a > -1:
-            continue
-        need = expansion.get(-1 - a)
-        if not need:
-            continue
-        for k1, c1 in layer.items():
-            for k2, c2 in need.items():
-                kk = tuple(x + y for x, y in zip(k1, k2))
-                c = c1 * c2
-                s = acc.get(kk)
-                if s is None:
-                    acc[kk] = c
-                else:
-                    s = s + c
-                    if s == 0:
-                        del acc[kk]
-                    else:
-                        acc[kk] = s
-    result = LaurentPolynomial(table, acc, _canonical=True)
-    return ResidueForm(form.scalar, result, others, remaining)
+    return _one_side(form, var, zero=True, infinity=False)
 
 
 def residue_at_infinity(form: ResidueForm, var: str) -> ResidueForm:
-    """Residue at infinity via the substitution var -> 1/var.
-
-    The absorbed measure transforms by d(var)/var -> -d(var)/var, and each
-    factor (1 - rest*var^k) becomes a unit monomial times (1 - var^k/rest).
-    """
-    if var not in form.residue_vars:
-        raise InvariantError(f"{var!r} is not a residue variable of the form")
-    mine, others = _split_factors(form, var)
-    table = form.table
-    i = table.index(var)
-
-    # Collect the unit-monomial corrections: d(var) = -d(var)/var^2 under the
-    # flip, plus one unit per transformed factor.
-    shift = [0] * len(table)
-    shift[i] -= 2
-    sign = -1
-    new_factors = list(others)
-    for k, rest in mine:
-        inv = rest.inverse()
-        new_factors.append(Monomial(table, inv.exps[:i] + (k,) + inv.exps[i + 1:]))
-        sign = -sign
-        shift[i] += k
-        for j, e in enumerate(inv.exps):
-            shift[j] += e
-
-    acc = {}
-    for key, c in form.numerator.terms.items():
-        e = list(key)
-        e[i] = -e[i]  # var -> 1/var on the whole numerator (measure included)
-        kk = tuple(a + b for a, b in zip(e, shift))
-        cc = sign * c
-        s = acc.get(kk)
-        if s is None:
-            acc[kk] = cc
-        else:
-            s = s + cc
-            if s == 0:
-                del acc[kk]
-            else:
-                acc[kk] = s
-    flipped = ResidueForm(form.scalar, LaurentPolynomial(table, acc, _canonical=True),
-                          tuple(new_factors), form.residue_vars)
-    return residue_at_zero(flipped, var)
-
-
-def _merge(a: ResidueForm, b: ResidueForm) -> ResidueForm:
-    if a.scalar != b.scalar or a.residue_vars != b.residue_vars:
-        raise InvariantError("cannot merge branch residues of different shapes")
-    if sorted(m.exps for m in a.denominator) != sorted(m.exps for m in b.denominator):
-        raise InvariantError("branch residues disagree on remaining denominators")
-    return ResidueForm(a.scalar, a.numerator + b.numerator, a.denominator, a.residue_vars)
-
-
-def residue_both(form: ResidueForm, var: str) -> ResidueForm:
-    """Residue at 0 plus residue at infinity in one variable."""
-    return _merge(residue_at_zero(form, var), residue_at_infinity(form, var))
+    """Residue at infinity via the substitution var -> 1/var: the residue at 0
+    of the form rewritten with d(var)/var -> -d(var)/var and each factor
+    (1 - rest*var^k) as a unit monomial times (1 - var^k/rest)."""
+    return _one_side(form, var, zero=False, infinity=True)
 
 
 def iterated_residue(form: ResidueForm) -> LaurentPolynomial:
@@ -221,11 +240,18 @@ def iterated_residue(form: ResidueForm) -> LaurentPolynomial:
 
     The last listed variable is processed first, matching composition of the
     per-variable operators; the form-class invariant makes the order
-    unobservable.
+    unobservable.  The numerator is packed once, and unpacked once at the end.
     """
-    cur = form
-    for var in reversed(form.residue_vars):
-        cur = residue_both(cur, var)
-    if cur.denominator:
+    table = form.table
+    order = tuple(reversed(form.residue_vars))
+    packing = _Packing(len(table), _exponent_bound(form, order))
+    terms, content = packing.pack_numerator(form.numerator)
+    factors = list(form.denominator)
+    for var in order:
+        i = table.index(var)
+        mine = [m for m in factors if m.exps[i]]
+        factors = [m for m in factors if not m.exps[i]]
+        terms = _residue_step(terms, packing, i, mine)
+    if factors:
         raise InvariantError("denominator factors survived the iterated residue")
-    return cur.numerator.scale(cur.scalar)
+    return packing.unpack(table, terms, form.scalar / content)

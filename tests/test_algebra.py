@@ -1,11 +1,9 @@
 import pytest
 
 from eqpush.algebra import (LaurentPolynomial, Monomial, NotDivisible,
-                            NotPolynomial, MixedVariableTables,
-                            RationalExpression, exact_divide,
+                            MixedVariableTables, exact_divide,
                             exact_divide_many, factored_rational_sum,
-                            parameter_table, rational,
-                            rational_sum_to_polynomial, zt_table)
+                            parameter_table, rational, zt_table)
 from eqpush import g2core
 
 from conftest import random_laurent
@@ -162,57 +160,11 @@ def test_substitution_is_ring_homomorphism(rng, table22):
         assert left == right
 
 
-def test_rational_sum_two_point(table22):
-    one = LaurentPolynomial.one(table22)
-    r = V(table22, "t1") * V(table22, "t2", -1)
-    d1, d2 = one - r, one - r ** -1
-    assert rational_sum_to_polynomial(
-        [RationalExpression(one, d1), RationalExpression(one, d2)]) == one
-    weighted = rational_sum_to_polynomial(
-        [RationalExpression(V(table22, "t1", -1), d1),
-         RationalExpression(V(table22, "t2", -1), d2)])
-    assert weighted == V(table22, "t1", -1) + V(table22, "t2", -1)
-
-
-def test_rational_sum_zero_term(table22):
-    one = LaurentPolynomial.one(table22)
-    zero = LaurentPolynomial.zero(table22)
-    assert rational_sum_to_polynomial(
-        [RationalExpression(zero, one - V(table22, "t1"))]).is_zero
-
-
-def test_rational_sum_not_polynomial(table22):
-    one = LaurentPolynomial.one(table22)
-    with pytest.raises(NotPolynomial):
-        rational_sum_to_polynomial([RationalExpression(one, one - V(table22, "t1"))])
-
-
-def test_rational_sum_permutation_invariant(rng, table22):
-    one = LaurentPolynomial.one(table22)
-    r = V(table22, "t1") * V(table22, "t2", -1)
-    terms = [RationalExpression(one, one - r),
-             RationalExpression(one, one - r ** -1),
-             RationalExpression(V(table22, "t1"), one)]
-    expected = rational_sum_to_polynomial(terms)
-    for _ in range(5):
-        shuffled = terms[:]
-        rng.shuffle(shuffled)
-        assert rational_sum_to_polynomial(shuffled) == expected
-
-
 def test_factored_rational_sum(table22):
     one = LaurentPolynomial.one(table22)
     r = V(table22, "t1") * V(table22, "t2", -1)
     total = factored_rational_sum([(one, [one - r]), (one, [one - r ** -1])])
     assert total == one
-
-
-def test_rational_expression_cross_equality(table22):
-    one = LaurentPolynomial.one(table22)
-    t1 = V(table22, "t1")
-    a = RationalExpression(one - t1 * t1, one - t1)
-    b = RationalExpression((one + t1) * (one - t1), one - t1)
-    assert a == b
 
 
 def test_integrality_and_constants(table22):

@@ -1,9 +1,8 @@
 import pytest
 
 from eqpush.algebra import LaurentPolynomial, Monomial, zt_table
-from eqpush.characters import (CharacterList, bracket, complement, derived_set,
-                               lambda_set, pos_roots, roots, standard_sets,
-                               sym_set)
+from eqpush.characters import (CharacterList, bracket, complement, lambda_set,
+                               pos_roots, roots, standard_sets, sym_set)
 
 
 @pytest.fixture
@@ -52,16 +51,6 @@ def test_complement(table):
     assert [m.render() for m in rest] == ["t1", "t3"]
     with pytest.raises(ValueError):
         complement(CharacterList.of(mono(table, t1=2)), t)
-
-
-def test_derived_set_dispatch(table22):
-    z = standard_sets("Z", 2, table22)
-    assert derived_set("lambda", z).entries == lambda_set(z).entries
-    assert derived_set("quotient", z, b=z).entries[1].render() == "z1*z2^-1"
-    with pytest.raises(ValueError):
-        derived_set("quotient", z)
-    with pytest.raises(ValueError):
-        derived_set("nope", z)
 
 
 def test_counts(table):

@@ -107,6 +107,21 @@ def test_cli_inexact_division_is_bad_input(capsys, expr):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("space", ["gr:2,4", "lg:2"])
+def test_cli_schur_macro_on_zt_spaces(capsys, space):
+    code, out, err = run_cli(capsys, "pushforward", "--space", space,
+                             "--f", "S[4,1] + 2*S[2,2]*(1-t1)")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "agree: true"
+
+
+def test_cli_schur_macro_inadmissible_is_bad_input(capsys):
+    code, out, err = run_cli(capsys, "pushforward", "--space", "q:2", "--f", "S[4,1]")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-1"),
                                          ("--max-exp", "-1")])
 def test_cli_verify_rejects_bad_counts(capsys, flag, value):

@@ -1,8 +1,6 @@
 import pytest
 
-from eqpush.algebra import (LaurentPolynomial, Monomial, RationalExpression,
-                            exact_divide)
-from eqpush.characters import bracket
+from eqpush.algebra import LaurentPolynomial, Monomial, exact_divide
 from eqpush import g2, g2core
 from eqpush.polyfam import Partition, grothendieck_pair
 
@@ -25,18 +23,6 @@ def test_lift_symmetric():
     lift = g2.fundamental_class_lift()
     swap = {"z1": Monomial.of(GT, z2=1), "z2": Monomial.of(GT, z1=1)}
     assert lift.substitute_monomials(swap, partial=True) == lift
-
-
-def test_identity_term_structure():
-    t1 = LaurentPolynomial.variable(GT, "t1")
-    t2 = LaurentPolynomial.variable(GT, "t2")
-    denominator = (ONE - t1) * (ONE - t2) * (ONE - t1 * t2) \
-        * (ONE - t1 ** 2 * t2 ** -1) * (ONE - t2 ** 2 * t1 ** -1)
-    theta_one = g2.identity_term(ONE)
-    assert theta_one == RationalExpression(ONE, denominator)
-    theta_z = g2.identity_term(LaurentPolynomial.variable(GT, "z1"))
-    assert theta_z.numerator == t1
-    assert theta_z.denominator == bracket(g2core.quotient_identity_tangent())
 
 
 def test_cyclic_pushforward_examples():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial,
-                            rational, zt_table)
+                            factored_rational_sum, rational, zt_table)
 from eqpush.residue import (ResidueForm, iterated_residue, make_form,
                             residue_at_infinity, residue_at_zero)
 
@@ -117,7 +117,6 @@ def test_residue_theorem_cross_check():
     # total residue of a rational form vanishes, so the 0-plus-infinity part
     # must equal the negated finite-pole sum.
     rng = random.Random(10)
-    from eqpush.algebra import RationalExpression, rational_sum_to_polynomial
     for n in (2, 3):
         table = zt_table(1, n)
         one = LaurentPolynomial.one(table)
@@ -128,13 +127,10 @@ def test_residue_theorem_cross_check():
             for k in range(n):
                 tk = Monomial.of(table, **{f"t{k+1}": 1})
                 value = f.substitute_monomials({"z1": tk}, partial=True)
-                denom = one
-                for j in range(n):
-                    if j != k:
-                        ratio = Monomial.of(table, **{f"t{k+1}": 1, f"t{j+1}": -1})
-                        denom = denom * (one - ratio.as_polynomial())
-                minus_finite.append(RationalExpression(value, denom))
-            assert rational_sum_to_polynomial(minus_finite) == both
+                factors = [one - Monomial.of(table, **{f"t{k+1}": 1, f"t{j+1}": -1}).as_polynomial()
+                           for j in range(n) if j != k]
+                minus_finite.append((value, factors))
+            assert factored_rational_sum(minus_finite) == both
 
 
 def test_scalar_folded():
@@ -150,3 +146,90 @@ def test_render_mentions_structure():
     form = projective_form(LaurentPolynomial.one(table), 1)
     text = form.render()
     assert "dlog(z1)" in text and "(1 - z1*t1^-1)" in text
+
+
+# -- the packed integer kernel ---------------------------------------------------
+
+
+def to_sympy(p: LaurentPolynomial, symbols: dict):
+    import sympy
+    return sum((sympy.Rational(int(c.numerator), int(c.denominator))
+                * sympy.Mul(*(symbols[n] ** e for n, e in zip(p.table.names, k) if e))
+                for k, c in p.terms.items()), sympy.Integer(0))
+
+
+def test_sympy_oracle_one_variable():
+    """0-plus-infinity residue of seeded one-variable forms against sympy's
+    residues of the rational function (sympy is used here only as an oracle)."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    table = zt_table(1, 2)
+    symbols = {n: sympy.Symbol(n) for n in table.names}
+    z, u = symbols["z1"], sympy.Symbol("u")
+    for _ in range(6):
+        den = tuple(Monomial.of(table, z1=rng.randint(1, 2), t1=rng.randint(-2, 2),
+                                t2=rng.randint(-2, 2)) for _ in range(rng.randint(1, 3)))
+        num = random_laurent(rng, table, nterms=3, max_exp=3, rational_coeffs=True)
+        form = make_form(num, den, ("z1",), scalar=rational(rng.randint(1, 5), 3))
+        integrand = sympy.Rational(int(form.scalar.numerator), int(form.scalar.denominator)) \
+            * to_sympy(form.numerator, symbols) \
+            / sympy.Mul(*(1 - to_sympy(m.as_polynomial(), symbols) for m in den))
+        at_zero = sympy.residue(integrand, z, 0)
+        at_infinity = sympy.residue(-integrand.subs(z, 1 / u) / u ** 2, u, 0)
+        expected = at_zero + at_infinity
+        assert sympy.cancel(to_sympy(iterated_residue(form), symbols) - expected) == 0
+        one_sided = residue_at_zero(form, "z1").numerator.scale(form.scalar)
+        assert sympy.cancel(to_sympy(one_sided, symbols) - at_zero) == 0
+
+
+def test_content_factor_matches_integer_numerator():
+    table = zt_table(2, 2)
+    den = (Monomial.of(table, z1=1, t1=-1), Monomial.of(table, z1=1, t2=1),
+           Monomial.of(table, z2=2, t1=1))
+    z1, z2 = (LaurentPolynomial.variable(table, v) for v in ("z1", "z2"))
+    t1 = LaurentPolynomial.variable(table, "t1")
+    num = z1 ** -2 * z2 ** -1 * rational(1, 3) + (z1 * t1) ** -1 * rational(5, 2) - z2 ** 2
+    scaled = num.scale(6)
+    assert scaled.is_integral() and not num.is_integral()
+    value = iterated_residue(make_form(num, den, ("z1", "z2")))
+    assert not value.is_zero
+    assert value.scale(6) == iterated_residue(make_form(scaled, den, ("z1", "z2")))
+    for one_side in (residue_at_zero, residue_at_infinity):
+        got = one_side(make_form(num, den, ("z1", "z2")), "z1").numerator
+        assert got.scale(6) == one_side(make_form(scaled, den, ("z1", "z2")), "z1").numerator
+
+
+def test_wide_exponents_need_no_carry():
+    rng = random.Random(12)
+    table = zt_table(2, 2)
+    wide = Monomial.of(table, t1=70000)
+    for _ in range(10):
+        form = random_form(rng, table)
+        lifted = ResidueForm(form.scalar, form.numerator.mul_monomial(wide),
+                             form.denominator, form.residue_vars)
+        assert iterated_residue(lifted) == iterated_residue(form).mul_monomial(wide)
+        for one_side in (residue_at_zero, residue_at_infinity):
+            assert one_side(lifted, "z2").numerator == \
+                one_side(form, "z2").numerator.mul_monomial(wide)
+
+
+def test_coefficients_are_rationals():
+    rng = random.Random(13)
+    table = zt_table(2, 2)
+    q = type(rational(1))
+    for _ in range(10):
+        form = random_form(rng, table)
+        values = [iterated_residue(form), residue_at_zero(form, "z1").numerator,
+                  residue_at_infinity(form, "z2").numerator]
+        for value in values:
+            assert all(type(c) is q for c in value.terms.values())
+
+
+def test_unknown_residue_variable_rejected():
+    table = zt_table(2, 1)
+    form = projective_form(LaurentPolynomial.one(zt_table(1, 1)), 1)
+    for one_side in (residue_at_zero, residue_at_infinity):
+        with pytest.raises(InvariantError):
+            one_side(form, "t1")
+    with pytest.raises(InvariantError):
+        make_form(LaurentPolynomial.one(table), (), ("z3",), dlog=False)
