@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add as _add, neg as _neg, sub as _sub
-from typing import Iterable, Mapping
+from typing import Mapping
 
 try:
     from gmpy2 import mpq as _ratio
@@ -81,15 +81,6 @@ class VariableTable:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
-
-    def kind(self, name: str) -> str:
-        return self.kinds[self.index(name)]
-
-    def residue_names(self) -> tuple:
-        return tuple(n for n, k in zip(self.names, self.kinds) if k == RESIDUE)
-
-    def parameter_names(self) -> tuple:
-        return tuple(n for n, k in zip(self.names, self.kinds) if k == PARAMETER)
 
     @property
     def zero_exps(self) -> tuple:
@@ -241,13 +232,6 @@ class LaurentPolynomial:
         e[table.index(name)] = k
         return LaurentPolynomial(table, {tuple(e): QONE}, _canonical=True)
 
-    @staticmethod
-    def from_monomial(mono: Monomial, coeff=1) -> "LaurentPolynomial":
-        q = rational(coeff)
-        if q == 0:
-            return LaurentPolynomial.zero(mono.table)
-        return LaurentPolynomial(mono.table, {mono.exps: q}, _canonical=True)
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -268,14 +252,6 @@ class LaurentPolynomial:
         """True iff every coefficient is an integer."""
         return all(c.denominator == 1 for c in self.terms.values())
 
-    def as_constant(self):
-        """The rational value of a constant polynomial (raises otherwise)."""
-        if self.is_zero:
-            return QZERO
-        if len(self.terms) == 1 and self.table.zero_exps in self.terms:
-            return self.terms[self.table.zero_exps]
-        raise InvariantError("polynomial is not constant")
-
     def occurring_variables(self) -> tuple:
         seen = [False] * len(self.table)
         for k in self.terms:
@@ -290,18 +266,6 @@ class LaurentPolynomial:
             return None
         i = self.table.index(name)
         return min(k[i] for k in self.terms)
-
-    def total_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(k) for k in self.terms)
-
-    def leading_term(self):
-        """(exponents, coefficient) of the graded-lexicographic leading term."""
-        if not self.terms:
-            raise InvariantError("zero polynomial has no leading term")
-        k = max(self.terms, key=_grlex_key)
-        return k, self.terms[k]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -676,92 +640,45 @@ def _divide_nonneg(num: dict, den: dict) -> dict:
 # -- factored rational sums ----------------------------------------------------
 
 
-def normalize_factor(f: LaurentPolynomial):
-    """Split a nonzero factor into (monic-leading key polynomial, leading coefficient)."""
-    if f.is_zero:
-        raise ZeroDivisionError("zero factor in a denominator")
-    _, lc = f.leading_term()
-    if lc == 1:
-        return f, QONE
-    return f.scale(rational(1) / lc), lc
-
-
-def _factor_key(f: LaurentPolynomial) -> tuple:
-    return tuple(sorted(f.terms.items()))
-
-
-class FactoredDenominatorSum:
-    """Accumulates numerator/∏(factors) terms and simplifies them exactly.
-
-    Denominators are kept as multisets of polynomial factors; the common
-    denominator is their multiset maximum, each numerator is multiplied by the
-    missing cofactors, and the total is divided factor by factor at the end.
-    """
-
-    def __init__(self, table: VariableTable):
-        self.table = table
-        self.entries = []  # (numerator, factor-key counter, scalar)
-        self.key_poly: dict = {}
-
-    def add(self, numerator: LaurentPolynomial, factors: Iterable[LaurentPolynomial]):
-        _same_table(self.table, numerator.table)
+def factored_rational_sum(terms) -> LaurentPolynomial:
+    """Sum of (numerator, [factors]) pairs, each meaning numerator/prod(factors),
+    simplified exactly: factors equal up to a scalar are merged, every numerator
+    is multiplied up to the common denominator (the multiset maximum of the
+    factors), and the total is divided factor by factor."""
+    entries = []  # (numerator, {factor key: multiplicity}, scalar)
+    key_poly: dict = {}
+    for numerator, factors in terms:
         counts: dict = {}
         scalar = QONE
         for f in factors:
-            monic, lc = normalize_factor(f)
+            if f.is_zero:
+                raise ZeroDivisionError("zero factor in a denominator")
+            lc = f.terms[min(f.terms)]
             scalar = scalar * lc
-            key = _factor_key(monic)
-            self.key_poly.setdefault(key, monic)
+            monic = f.scale(QONE / lc)
+            key = tuple(sorted(monic.terms.items()))
+            key_poly.setdefault(key, monic)
             counts[key] = counts.get(key, 0) + 1
-        self.entries.append((numerator, counts, scalar))
-
-    def master(self) -> dict:
-        master: dict = {}
-        for _, counts, _ in self.entries:
-            for key, m in counts.items():
-                if master.get(key, 0) < m:
-                    master[key] = m
-        return master
-
-    def total(self) -> LaurentPolynomial:
-        if not self.entries:
-            return LaurentPolynomial.zero(self.table)
-        master = self.master()
-        cof_cache: dict = {}
-        acc = LaurentPolynomial.zero(self.table)
-        for numerator, counts, scalar in self.entries:
-            if numerator.is_zero:
-                continue
-            missing = []
-            for key, m in master.items():
-                lack = m - counts.get(key, 0)
-                missing.extend([key] * lack)
-            ck = tuple(sorted(missing))
-            cof = cof_cache.get(ck)
-            if cof is None:
-                cof = LaurentPolynomial.one(self.table)
-                for key in ck:
-                    cof = cof * self.key_poly[key]
-                cof_cache[ck] = cof
-            acc = acc + (numerator * cof).scale(rational(1) / scalar)
-        for key, m in sorted(master.items()):
-            poly = self.key_poly[key]
-            for _ in range(m):
-                try:
-                    acc = exact_divide(acc, poly)
-                except NotDivisible:
-                    raise NotPolynomial(
-                        "factored sum does not simplify to a Laurent polynomial"
-                    ) from None
-        return acc
-
-
-def factored_rational_sum(terms) -> LaurentPolynomial:
-    """Sum of (numerator, [factors]) pairs, each meaning numerator/∏ factors."""
-    terms = list(terms)
-    if not terms:
+        entries.append((numerator, counts, scalar))
+    if not entries:
         raise ValueError("empty sum has no table")
-    acc = FactoredDenominatorSum(terms[0][0].table)
-    for numerator, factors in terms:
-        acc.add(numerator, factors)
-    return acc.total()
+    master: dict = {}
+    for _, counts, _ in entries:
+        for key, m in counts.items():
+            master[key] = max(master.get(key, 0), m)
+    acc = LaurentPolynomial.zero(entries[0][0].table)
+    for numerator, counts, scalar in entries:
+        if numerator.is_zero:
+            continue
+        for key, m in master.items():
+            for _ in range(m - counts.get(key, 0)):
+                numerator = numerator * key_poly[key]
+        acc = acc + numerator.scale(QONE / scalar)
+    for key, m in sorted(master.items()):
+        for _ in range(m):
+            try:
+                acc = exact_divide(acc, key_poly[key])
+            except NotDivisible:
+                raise NotPolynomial(
+                    "factored sum does not simplify to a Laurent polynomial") from None
+    return acc

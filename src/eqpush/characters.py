@@ -119,17 +119,6 @@ def pairwise_product(a: CharacterList, b: CharacterList) -> CharacterList:
     return CharacterList(tuple(x * y for x in a.entries for y in b.entries))
 
 
-def complement(a: CharacterList, ambient: CharacterList) -> CharacterList:
-    """Ambient entries left after removing one occurrence of each entry of a."""
-    remaining = list(ambient.entries)
-    for m in a.entries:
-        try:
-            remaining.remove(m)
-        except ValueError:
-            raise ValueError(f"{m.render()} is not contained in the ambient list") from None
-    return CharacterList(tuple(remaining))
-
-
 def bracket(a: CharacterList, table: Optional[VariableTable] = None) -> LaurentPolynomial:
     """Product of (1 - 1/entry); the empty list gives 1.
 

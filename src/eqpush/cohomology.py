@@ -1,17 +1,24 @@
 """Additive (cohomological) integration over the rank-two quotient and the
-ambient Grassmannian: fixed-point sums with linear-form denominators, Schur
-integrals and the equivariant fundamental-class consistency check.
+ambient Grassmannian, Schur integrals and the equivariant fundamental-class
+consistency check.
 
-Everything reuses the Laurent engine with nonnegative exponents only.
+Both integrals are the additive image of the K-theoretic Demazure chain of
+`spaces`: on the same reduced word, a character t^e becomes the linear form
+log t^e = sum e_i*t_i, the Chern roots are x = -log z, and each step is the
+ordinary divided difference (g - s g)/log a.  Classes are polynomials in x1,
+x2, t1, t2, symmetric in x1, x2; the chain runs once per orbit class
+x1^p x2^q + x1^q x2^p, whose t-polynomial coefficient is pulled out.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import (FactoredDenominatorSum, LaurentPolynomial, VariableTable,
-                      parameter_table)
+from .algebra import LaurentPolynomial, Monomial, VariableTable, parameter_table
+from .g2 import AMBIENT_SPACE, QUOTIENT_SPACE
 from .polyfam import Partition, rectangle_partitions, schur_pair
+from .spaces import SymmetryViolation, _calc, log, symmetric_pair_sum
+from . import g2core
 
 
 @lru_cache(maxsize=None)
@@ -23,102 +30,47 @@ def _t(name, k=1):
     return LaurentPolynomial.variable(coh_table(), name, k)
 
 
-# At a fixed two-plane with additive torus weights (a, b), the Chern roots of
-# the dual tautological bundle restrict to (-a, -b); the tangent denominator
-# is the product of the printed weights.  This single convention reproduces
-# the positive normalization integral(S_41) = +2.
-_ROOT_SIGN = -1
+def _check_class(f: LaurentPolynomial) -> None:
+    if any(e < 0 for key in f.terms for e in key):
+        raise ValueError("cohomology classes must have nonnegative exponents")
+    swap = {"x1": Monomial.of(coh_table(), x2=1), "x2": Monomial.of(coh_table(), x1=1)}
+    if f.substitute_monomials(swap, partial=True) != f:
+        raise SymmetryViolation("cohomology classes must be symmetric in x1, x2")
+
+
+def _orbit_integral(space, p: int, q: int) -> LaurentPolynomial:
+    """The additive chain of a catalogue space on its orbit class
+    x1^p x2^q + x1^q x2^p (once on the diagonal), over the space's table."""
+    calc = _calc(space)
+    return calc.engine.additive_sum(calc.orbit_sum((p, q)))
 
 
 @lru_cache(maxsize=None)
-def g2_tangent_additive() -> tuple:
-    """Additive tangent weights at the identity coset of the quotient space."""
-    t1, t2 = _t("t1"), _t("t2")
-    return (-t2, t1 - 2 * t2, -t1, t2 - 2 * t1, -t1 - t2)
+def _g2_class(p: int, q: int) -> LaurentPolynomial:
+    return _orbit_integral(QUOTIENT_SPACE, p, q).transport(coh_table())
 
 
 @lru_cache(maxsize=None)
-def rotation_additive_orbit() -> tuple:
-    """The six powers of (t1, t2) -> (t2, t2 - t1), identity first."""
-    t1, t2 = _t("t1"), _t("t2")
-    out = [(t1, t2)]
-    for _ in range(5):
-        p1, p2 = out[-1]
-        out.append((_apply_t((t2, t2 - t1), p1), _apply_t((t2, t2 - t1), p2)))
-    return tuple(out)
-
-
-def _apply_t(images, p: LaurentPolynomial) -> LaurentPolynomial:
-    """Substitute t1, t2 by polynomial images, leaving x variables alone."""
-    occurring = p.occurring_variables()
-    if "t1" not in occurring and "t2" not in occurring:
-        return p
-    mapping = {"t1": images[0], "t2": images[1]}
-    for name in occurring:
-        if name not in mapping:
-            mapping[name] = LaurentPolynomial.variable(coh_table(), name)
-    return p.substitute_polynomials(mapping, target=coh_table())
-
-
-def _apply_x(values, p: LaurentPolynomial) -> LaurentPolynomial:
-    mapping = {"x1": values[0], "x2": values[1]}
-    occurring = p.occurring_variables()
-    for name in occurring:
-        if name not in mapping:
-            mapping[name] = LaurentPolynomial.variable(coh_table(), name)
-    if not occurring:
-        return p
-    return p.substitute_polynomials(mapping, target=coh_table())
-
-
-def _check_polynomial_input(f: LaurentPolynomial) -> None:
-    for key in f.terms:
-        if any(e < 0 for e in key):
-            raise ValueError("cohomology classes must have nonnegative exponents")
+def _gr27_class(p: int, q: int) -> LaurentPolynomial:
+    """The gr:2,7 value with t1..t7 -> the logs of the seven weights; only the
+    specialized value is cached."""
+    weights = {f"t{i + 1}": log(w, coh_table()) for i, w in enumerate(g2core.seven_weights())}
+    return _orbit_integral(AMBIENT_SPACE, p, q).substitute_polynomials(weights,
+                                                                      target=coh_table())
 
 
 def g2_integral(f: LaurentPolynomial) -> LaurentPolynomial:
-    """Fixed-point integral of a polynomial in the Chern roots over the
-    five-dimensional quotient space."""
-    _check_polynomial_input(f)
-    total = FactoredDenominatorSum(coh_table())
-    weights = g2_tangent_additive()
-    for images in rotation_additive_orbit():
-        roots = (_ROOT_SIGN * images[0], _ROOT_SIGN * images[1])
-        numerator = _apply_x(roots, f)
-        factors = [_apply_t(images, w) for w in weights]
-        total.add(numerator, factors)
-    return total.total()
-
-
-@lru_cache(maxsize=None)
-def grassmannian_additive_weights() -> tuple:
-    """Additive restrictions of the seven defining weights."""
-    t1, t2 = _t("t1"), _t("t2")
-    zero = LaurentPolynomial.zero(coh_table())
-    return (t1, t2, t1 - t2, zero, t2 - t1, -t2, -t1)
+    """Integral of a polynomial in the Chern roots over the five-dimensional
+    quotient space."""
+    _check_class(f)
+    return symmetric_pair_sum(f, ("x1", "x2"), _g2_class)
 
 
 def gr27_integral(f: LaurentPolynomial) -> LaurentPolynomial:
-    """Fixed-point integral over the ambient Grassmannian of two-planes, the
-    torus acting through the seven restricted weights."""
-    _check_polynomial_input(f)
-    weights = grassmannian_additive_weights()
-    total = FactoredDenominatorSum(coh_table())
-    n = len(weights)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = weights[i], weights[j]
-            numerator = _apply_x((_ROOT_SIGN * a, _ROOT_SIGN * b), f)
-            factors = []
-            for r in range(n):
-                if r in (i, j):
-                    continue
-                c = weights[r]
-                factors.append(c - a)
-                factors.append(c - b)
-            total.add(numerator, factors)
-    return total.total()
+    """Integral over the ambient Grassmannian of two-planes, the torus acting
+    through the seven restricted weights."""
+    _check_class(f)
+    return symmetric_pair_sum(f, ("x1", "x2"), _gr27_class)
 
 
 def equivariant_class_expression() -> LaurentPolynomial:

@@ -4,7 +4,8 @@ Grammar: integer literals, variables from the active table, unary minus,
 binary + - * / and ^ with a literal (possibly negative) integer exponent,
 parentheses, and the macros G[a,b], S[a,b], U, Uz, Ut, A, B which expand to
 the corresponding classes at parse time.  Division is exact division and
-is rejected like a syntax error when the quotient is not exact.
+is rejected like a syntax error when the quotient is not exact, and so is a
+power above MAX_POWER of a base with more than one term.
 """
 
 from __future__ import annotations
@@ -242,6 +243,9 @@ def render_expression(node) -> str:
 
 _MACRO_IDENTS = {"U", "Uz", "Ut", "A", "B"}
 
+# Largest power of a sum expanded: (1 + z1)^100000 is rejected before expansion.
+MAX_POWER = 64
+
 
 def evaluate(node, table: VariableTable) -> LaurentPolynomial:
     """Evaluate an AST to a Laurent polynomial over the given table."""
@@ -291,6 +295,9 @@ def evaluate(node, table: VariableTable) -> LaurentPolynomial:
             return -ev(node.operand)
         if isinstance(node, Pow):
             base = ev(node.base)
+            if len(base.terms) > 1 and node.exponent > MAX_POWER:
+                raise ExpressionSyntaxError(node.offset, {f"an exponent of at most {MAX_POWER} "
+                                                          "on a sum"}, str(node.exponent))
             try:
                 return base ** node.exponent
             except NotDivisible:

@@ -13,7 +13,7 @@ from .elimination import bareiss_determinant, bareiss_solve
 from .polyfam import (complement_partition, grothendieck_pair,
                       rectangle_partitions)
 from .spaces import (SpaceDescriptor, _calc, localization_pushforward,
-                     residue_pushforward)
+                     residue_pushforward, symmetric_pair_sum)
 from . import g2core
 
 GT = g2core.g2_table()
@@ -71,17 +71,7 @@ def _ambient_class(p: int, q: int) -> LaurentPolynomial:
 def ambient_pushforward(f: LaurentPolynomial) -> LaurentPolynomial:
     """Push-forward along the ambient Grassmannian of two-planes (21 fixed
     points) of a class symmetric in the two auxiliary variables."""
-    total = LaurentPolynomial.zero(GT)
-    i1, i2 = GT.index("z1"), GT.index("z2")
-    for key, c in f.terms.items():
-        p, q = key[i1], key[i2]
-        if p < q:
-            continue
-        tkey = list(key)
-        tkey[i1] = tkey[i2] = 0
-        coeff = LaurentPolynomial(GT, {tuple(tkey): c}, _canonical=True)
-        total = total + coeff * _ambient_class(p, q)
-    return total
+    return symmetric_pair_sum(f, ("z1", "z2"), _ambient_class)
 
 
 def intersection_matrix() -> list:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
                       NotPolynomial, VariableTable, exact_divide_many, rational,
@@ -280,6 +281,33 @@ def _z_actions(space: SpaceDescriptor):
 # -- push-forward machinery -----------------------------------------------------
 
 
+def log(char: Monomial, table: VariableTable) -> LaurentPolynomial:
+    """The additive weight of a character: t^e -> the linear form sum e_i*t_i,
+    over `table` (variables matched by name)."""
+    out = LaurentPolynomial.zero(table)
+    for name, e in zip(char.table.names, char.exps):
+        if e:
+            out = out + LaurentPolynomial.variable(table, name).scale(e)
+    return out
+
+
+def _substitute_linear(g: LaurentPolynomial, images: dict, table: VariableTable):
+    """g over `table`, the variables in `images` replaced, the others kept by name."""
+    mapping = {name: LaurentPolynomial.variable(table, name)
+               for name in g.occurring_variables() if name not in images}
+    mapping.update(images)
+    return g.substitute_polynomials(mapping, target=table)
+
+
+def _additive_action(s: dict, table: VariableTable):
+    """s acting on polynomials in the additive weights, t -> log(s(t)).  A
+    permutation of the variables stays a monomial substitution."""
+    if all(max(img.exps) == 1 == sum(map(abs, img.exps)) for img in s.values()):
+        return lambda g: g.substitute_monomials(s, partial=True)
+    images = {name: log(img, table) for name, img in s.items()}
+    return lambda g: _substitute_linear(g, images, table)
+
+
 def _simple_reflections(space: SpaceDescriptor) -> list:
     """(substitution on the parameters, simple-root character a with s(a) = 1/a)
     for each simple reflection s of the space's Weyl group."""
@@ -321,7 +349,7 @@ class LocalizationEngine:
     """
 
     def __init__(self, space: SpaceDescriptor):
-        table = space.table()
+        self.table = table = space.table()
         points = fixed_points(space)
         # The all-inside point, whose stabilizer permutes the z's, for the
         # isotropic Grassmannians; the first listed point for the others.
@@ -359,6 +387,25 @@ class LocalizationEngine:
                 raise InvariantError("a divided difference is not a Laurent polynomial") from None
         if self.other_component is not None:
             value = value + value.substitute_monomials(self.other_component, partial=True)
+        return value
+
+    @cached_property
+    def additive_steps(self) -> list:
+        """The cohomological chain on the same word: (s_i acting additively, log a_i)."""
+        return [(_additive_action(s, self.table), -log(a_inv, self.table))
+                for s, a_inv, _ in self.steps]
+
+    def additive_sum(self, f: LaurentPolynomial) -> LaurentPolynomial:
+        """Cohomological sum of f(point)/prod(log tangent) over the fixed points,
+        for an admissible class f whose z's stand for the Chern roots
+        x_k = -log z_k (at a two-plane with additive weights (a, b) the roots
+        are (-a, -b)).  The base value runs through the additive chain
+        (g - s_i g)/log a_i on the same reduced word.  The cohomology module
+        calls it on g2p2 and gr:2,7; on ogE it would miss the second component."""
+        table = self.table
+        value = _substitute_linear(f, {z: -log(img, table) for z, img in self.base.items()}, table)
+        for act, divisor in self.additive_steps:
+            value = exact_divide_many(value - act(value), [divisor])
         return value
 
 
@@ -518,6 +565,24 @@ def _calc(space: SpaceDescriptor) -> _SpaceCalc:
 
 def clear_caches() -> None:
     _CALCS.clear()
+
+
+def symmetric_pair_sum(f: LaurentPolynomial, pair: tuple, class_value) -> LaurentPolynomial:
+    """Push-forward of a class f symmetric in the two variables `pair` = (u, v)
+    from the values class_value(p, q) of its orbit classes u^p*v^q + u^q*v^p
+    (u^p*v^p on the diagonal): the sum of c*class_value(p, q) over the terms
+    c*u^p*v^q of f with p >= q, c keeping f's other variables."""
+    total = LaurentPolynomial.zero(f.table)
+    i1, i2 = f.table.index(pair[0]), f.table.index(pair[1])
+    for key, c in f.terms.items():
+        p, q = key[i1], key[i2]
+        if p < q:
+            continue
+        tkey = list(key)
+        tkey[i1] = tkey[i2] = 0
+        coeff = LaurentPolynomial(f.table, {tuple(tkey): c}, _canonical=True)
+        total = total + coeff * class_value(p, q)
+    return total
 
 
 def localization_pushforward(space: SpaceDescriptor, f: LaurentPolynomial) -> LaurentPolynomial:

@@ -1,8 +1,8 @@
 import pytest
 
 from eqpush.algebra import LaurentPolynomial, Monomial, zt_table
-from eqpush.characters import (CharacterList, bracket, complement, lambda_set,
-                               pos_roots, roots, standard_sets, sym_set)
+from eqpush.characters import (CharacterList, bracket, lambda_set, pos_roots,
+                               roots, standard_sets, sym_set)
 
 
 @pytest.fixture
@@ -42,15 +42,6 @@ def test_lambda_and_sym(table22):
     z = standard_sets("Z", 2, table22)
     assert [m.render() for m in lambda_set(z)] == ["z1*z2"]
     assert [m.render() for m in sym_set(z)] == ["z1^2", "z1*z2", "z2^2"]
-
-
-def test_complement(table):
-    t = standard_sets("T", 4, table)
-    sub = CharacterList.of(t[1], t[3])
-    rest = complement(sub, t)
-    assert [m.render() for m in rest] == ["t1", "t3"]
-    with pytest.raises(ValueError):
-        complement(CharacterList.of(mono(table, t1=2)), t)
 
 
 def test_counts(table):

@@ -107,6 +107,19 @@ def test_cli_inexact_division_is_bad_input(capsys, expr):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_cli_large_power_of_sum_is_bad_input(capsys, monkeypatch):
+    # the bound is checked before anything is expanded: no power is ever taken
+    def no_power(self, k):
+        raise AssertionError(f"a power {k} was expanded")
+
+    monkeypatch.setattr(LaurentPolynomial, "__pow__", no_power)
+    code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2",
+                             "--f", "(1+z1)^100000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "at most 64" in err
+
+
 @pytest.mark.parametrize("space", ["gr:2,4", "lg:2"])
 def test_cli_schur_macro_on_zt_spaces(capsys, space):
     code, out, err = run_cli(capsys, "pushforward", "--space", space,

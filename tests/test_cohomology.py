@@ -1,47 +1,19 @@
+import random
+from functools import lru_cache
+
 import pytest
 
-from eqpush.algebra import LaurentPolynomial, Monomial
+from eqpush.algebra import LaurentPolynomial, factored_rational_sum, zt_table
 from eqpush.cohomology import (coh_table, cohomology_class_check,
                                equivariant_class_expression, g2_integral,
-                               g2_tangent_additive, gr27_integral,
-                               grassmannian_additive_weights,
-                               rotation_additive_orbit, torus_invariant)
+                               gr27_integral, torus_invariant)
 from eqpush.polyfam import rectangle_partitions, schur_pair
+from eqpush.spaces import SymmetryViolation, fixed_points, log, parse_space
 from eqpush import g2core
 
 
 def T(name, k=1):
     return LaurentPolynomial.variable(coh_table(), name, k)
-
-
-def test_additive_weights_exponentiate_to_tangent():
-    # each additive weight, read off as a t-exponent vector, matches the
-    # multiplicative tangent character used on the K-theory side
-    additive = g2_tangent_additive()
-    multiplicative = g2core.quotient_identity_tangent()
-    kt = g2core.g2_table()
-    for form, char in zip(additive, multiplicative):
-        exps = {}
-        for key, coeff in form.terms.items():
-            names = [n for n, e in zip(coh_table().names, key) if e]
-            assert len(names) == 1
-            assert coeff.denominator == 1
-            exps[names[0]] = int(coeff)
-        assert Monomial.from_map(kt, exps) == char
-
-
-def test_additive_rotation_order_six():
-    from eqpush.cohomology import _apply_t
-    orbit = rotation_additive_orbit()
-    assert len(orbit) == 6
-    t1, t2 = T("t1"), T("t2")
-    assert orbit[0] == (t1, t2)
-    assert len({(p.render(), q.render()) for p, q in orbit}) == 6
-    rot = orbit[1]
-    cur = (t1, t2)
-    for _ in range(6):
-        cur = (_apply_t(rot, cur[0]), _apply_t(rot, cur[1]))
-    assert cur == (t1, t2)
 
 
 def test_printed_integrals():
@@ -87,8 +59,65 @@ def test_rejects_negative_exponents():
         g2_integral(T("x1", -1))
 
 
-def test_seven_additive_weights_distinct():
-    weights = grassmannian_additive_weights()
-    assert len(weights) == 7
-    seen = {tuple(sorted(w.terms.items())) for w in weights}
-    assert len(seen) == 7
+@pytest.mark.parametrize("integral", [g2_integral, gr27_integral])
+def test_rejects_asymmetric_class(integral):
+    x1, x2 = T("x1"), T("x2")
+    with pytest.raises(SymmetryViolation):
+        integral(x1 ** 6 * x2 ** 4 + x1 ** 3)
+
+
+def test_gr27_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        gr27_integral(T("x1", -1) * T("x2", -1))
+
+
+@lru_cache(maxsize=None)
+def additive_points(key):
+    """(Chern roots x = -log z, linear tangent weights) at every fixed point of
+    a catalogue space, in t1, t2: on gr:2,7 through t1..t7 -> the seven weights."""
+    if key == "gr:2,7":
+        weights = {f"t{i + 1}": log(w, coh_table())
+                   for i, w in enumerate(g2core.seven_weights())}
+
+        def additive(char):
+            return log(char, zt_table(2, 7)).substitute_polynomials(weights, target=coh_table())
+    else:
+        def additive(char):
+            return log(char, coh_table())
+    return tuple(((-additive(p.subst_map()["z1"]), -additive(p.subst_map()["z2"])),
+                  [additive(c) for c in p.tangent])
+                 for p in fixed_points(parse_space(key)))
+
+
+def flat_integral(key, f):
+    """The literal sum of f(point)/prod(tangent weights) over the fixed points."""
+    return factored_rational_sum(
+        (f.substitute_polynomials({"x1": x1, "x2": x2, "t1": T("t1"), "t2": T("t2")},
+                                  target=coh_table()), weights)
+        for (x1, x2), weights in additive_points(key))
+
+
+def random_symmetric_class(rng, max_exp):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        p, q = rng.randint(0, max_exp), rng.randint(0, max_exp)
+        t = (rng.randint(0, 2), rng.randint(0, 2))
+        c = rng.choice([-3, -2, -1, 1, 2, 5])
+        for key in ((p, q) + t, (q, p) + t):
+            terms[key] = c
+    return LaurentPolynomial(coh_table(), terms)
+
+
+def test_chain_matches_flat_fixed_point_sum():
+    cls = equivariant_class_expression()
+    schurs = [schur_pair(lam.part(0), lam.part(1), coh_table())
+              for lam in rectangle_partitions(2, 5)]
+    rng = random.Random("cohomology-flat")
+    for s in schurs:
+        assert g2_integral(s) == flat_integral("g2p2", s)
+        assert gr27_integral(s * cls) == flat_integral("gr:2,7", s * cls)
+    for _ in range(4):
+        f = random_symmetric_class(rng, 6)
+        assert g2_integral(f) == flat_integral("g2p2", f)
+        f = random_symmetric_class(rng, 12)
+        assert gr27_integral(f) == flat_integral("gr:2,7", f)
