@@ -32,9 +32,6 @@ def rational(numerator=0, denominator=1):
 QZERO = rational(0)
 QONE = rational(1)
 
-RESIDUE = "residue"
-PARAMETER = "parameter"
-
 
 class MixedVariableTables(ValueError):
     """Operands live over different variable tables."""
@@ -54,23 +51,17 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class VariableTable:
-    """Ordered universe of variables, each either residue-class or parameter-class.
+    """Ordered universe of variables.
 
     The ordering is fixed for the lifetime of a computation: it determines
     term layout, canonical rendering and the default residue order.
     """
 
     names: tuple
-    kinds: tuple
 
     def __post_init__(self):
-        if len(self.names) != len(self.kinds):
-            raise ValueError("names and kinds must have equal length")
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
-        for k in self.kinds:
-            if k not in (RESIDUE, PARAMETER):
-                raise ValueError(f"unknown variable kind {k!r}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
 
     def __len__(self):
@@ -91,14 +82,13 @@ class VariableTable:
 def zt_table(m: int, n: int) -> VariableTable:
     """Standard table with residue variables z1..zm and parameters t1..tn."""
     names = tuple(f"z{i + 1}" for i in range(m)) + tuple(f"t{i + 1}" for i in range(n))
-    kinds = (RESIDUE,) * m + (PARAMETER,) * n
-    return VariableTable(names, kinds)
+    return VariableTable(names)
 
 
 @lru_cache(maxsize=None)
 def parameter_table(*names: str) -> VariableTable:
-    """Table of parameter-class variables only (abstract symbols, t's, ...)."""
-    return VariableTable(tuple(names), (PARAMETER,) * len(names))
+    """Table of the given variables (abstract symbols, t's, ...)."""
+    return VariableTable(tuple(names))
 
 
 def _same_table(a: VariableTable, b: VariableTable) -> None:
@@ -145,15 +135,9 @@ class Monomial:
     def inverse(self) -> "Monomial":
         return Monomial(self.table, tuple(-a for a in self.exps))
 
-    def degree(self, name: str) -> int:
-        return self.exps[self.table.index(name)]
-
     @property
     def is_one(self) -> bool:
         return all(e == 0 for e in self.exps)
-
-    def variables(self) -> tuple:
-        return tuple(n for n, e in zip(self.table.names, self.exps) if e != 0)
 
     def as_polynomial(self) -> "LaurentPolynomial":
         return LaurentPolynomial(self.table, {self.exps: QONE})

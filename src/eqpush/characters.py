@@ -55,8 +55,8 @@ class CharacterList:
         return f"CharacterList{self.render()}"
 
 
-def standard_sets(kind: str, n: Optional[int], table: VariableTable) -> CharacterList:
-    """The named generator lists: T, Z, T_pm, T_sharp and the fixed 7-entry T_flat."""
+def standard_sets(kind: str, n: int, table: VariableTable) -> CharacterList:
+    """The named generator lists T, Z, T_pm and T_sharp of size n."""
 
     def tvar(i, k=1):
         return Monomial.of(table, **{f"t{i}": k})
@@ -64,13 +64,7 @@ def standard_sets(kind: str, n: Optional[int], table: VariableTable) -> Characte
     def zvar(i, k=1):
         return Monomial.of(table, **{f"z{i}": k})
 
-    if kind == "T_flat":
-        if n is not None:
-            raise ValueError("T_flat has a fixed size")
-        t1, t2 = tvar(1), tvar(2)
-        return CharacterList.of(t1, t2, t1 / t2, Monomial.one(table),
-                                t2 / t1, t2.inverse(), t1.inverse())
-    if n is None or n < 1:
+    if n < 1:
         raise ValueError(f"size must be at least 1 for kind {kind!r}")
     if kind == "T":
         return CharacterList(tuple(tvar(i + 1) for i in range(n)))

@@ -78,7 +78,6 @@ def intersection_matrix() -> list:
     """The 21x21 matrix of pairwise push-forwards, in box-partition order."""
     parts = box_partitions()
     classes = [grothendieck_pair(lam.part(0), lam.part(1), GT) for lam in parts]
-    products = {}
     matrix = [[None] * len(parts) for _ in parts]
     for i in range(len(parts)):
         for j in range(i, len(parts)):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
                       NotPolynomial, VariableTable, exact_divide_many, rational,
@@ -258,7 +258,6 @@ def _orbit(zexps: tuple, gens_z) -> tuple:
 def _z_actions(space: SpaceDescriptor):
     """Symmetry generators as maps on z-exponent vectors."""
     m = space.residue_count()
-    table = space.table()
     actions = []
     for gen in symmetry_generators(space):
         images = []
@@ -409,6 +408,7 @@ class LocalizationEngine:
         return value
 
 
+@lru_cache(maxsize=None)
 def _integrand_parts(space: SpaceDescriptor, variant: str):
     """(scalar, base numerator, denominator monomials, residue variables)."""
     if variant not in space.variants():
@@ -483,12 +483,16 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
     return scalar, numerator, denominator, zvars
 
 
+def _integrand(space: SpaceDescriptor, f: LaurentPolynomial, variant: str) -> ResidueForm:
+    scalar, base, denominator, zvars = _integrand_parts(space, variant)
+    return make_form(f * base, denominator, zvars, scalar=scalar, dlog=True)
+
+
 def build_integrand(space: SpaceDescriptor, f: LaurentPolynomial,
                     variant: str = "full") -> ResidueForm:
     """The factored residue integrand for a class f (measure absorbed)."""
     check_symmetry(space, f)
-    scalar, base, denominator, zvars = _integrand_parts(space, variant)
-    return make_form(f * base, denominator, zvars, scalar=scalar, dlog=True)
+    return _integrand(space, f, variant)
 
 
 # -- cached per-space calculators ------------------------------------------------
@@ -503,7 +507,6 @@ class _SpaceCalc:
         self.z_actions = _z_actions(space)
         self.loc_values: dict = {}
         self.res_values: dict = {}
-        self.parts: dict = {}
 
     def canonical(self, zexps: tuple) -> tuple:
         if not self.z_actions:
@@ -540,14 +543,7 @@ class _SpaceCalc:
         key = (canon, variant)
         got = self.res_values.get(key)
         if got is None:
-            parts = self.parts.get(variant)
-            if parts is None:
-                parts = _integrand_parts(self.space, variant)
-                self.parts[variant] = parts
-            scalar, base, denominator, zvars = parts
-            form = make_form(self.orbit_sum(canon) * base, denominator, zvars,
-                             scalar=scalar, dlog=True)
-            got = iterated_residue(form)
+            got = iterated_residue(_integrand(self.space, self.orbit_sum(canon), variant))
             self.res_values[key] = got
         return got
 
@@ -561,10 +557,6 @@ def _calc(space: SpaceDescriptor) -> _SpaceCalc:
         got = _SpaceCalc(space)
         _CALCS[space.key()] = got
     return got
-
-
-def clear_caches() -> None:
-    _CALCS.clear()
 
 
 def symmetric_pair_sum(f: LaurentPolynomial, pair: tuple, class_value) -> LaurentPolynomial:

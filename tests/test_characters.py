@@ -1,5 +1,6 @@
 import pytest
 
+from eqpush import g2core
 from eqpush.algebra import LaurentPolynomial, Monomial, zt_table
 from eqpush.characters import (CharacterList, bracket, lambda_set, pos_roots,
                                roots, standard_sets, sym_set)
@@ -14,9 +15,9 @@ def mono(table, **kw):
     return Monomial.of(table, **kw)
 
 
-def test_t_flat_order(table22):
-    got = standard_sets("T_flat", None, table22)
-    names = [m.render() for m in got]
+def test_t_flat_order():
+    # the gr:2,7 specialization t1..t7 -> the seven G2 weights relies on this order
+    names = [m.render() for m in g2core.seven_weights()]
     assert names == ["t1", "t2", "t1*t2^-1", "1", "t1^-1*t2", "t2^-1", "t1^-1"]
 
 
@@ -31,11 +32,11 @@ def test_t_pm_two(table22):
     assert [m.render() for m in got] == ["t1", "t2", "t1^-1", "t2^-1"]
 
 
-def test_t_flat_rejects_size(table22):
-    with pytest.raises(ValueError):
-        standard_sets("T_flat", 2, table22)
+def test_standard_sets_reject_size_and_kind(table22):
     with pytest.raises(ValueError):
         standard_sets("T", 0, table22)
+    with pytest.raises(ValueError):
+        standard_sets("T_flat", 7, table22)
 
 
 def test_lambda_and_sym(table22):

@@ -6,8 +6,7 @@ import pytest
 
 from eqpush.algebra import LaurentPolynomial
 from eqpush.cli import emit, main
-from eqpush.exprparse import (ExpressionSyntaxError, parse_expression,
-                              parse_to_polynomial, render_expression)
+from eqpush.exprparse import MAX_DEPTH, ExpressionSyntaxError, parse_to_polynomial
 
 from conftest import random_laurent
 
@@ -20,10 +19,14 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_parse_product_renders_back():
-    src = "(1 - z1)*(1 - z2)^2"
-    ast = parse_expression(src)
-    assert render_expression(ast) == src
+def test_precedence_and_associativity(table22):
+    z1, z2, t1 = (LaurentPolynomial.variable(table22, name) for name in ("z1", "z2", "t1"))
+    # unary minus binds looser than ^ and *, - and / group to the left, ^ chains
+    assert parse_to_polynomial("-z1^2", table22) == -(z1 * z1)
+    assert parse_to_polynomial("2*-z1*z2", table22) == (z1 * z2).scale(-2)
+    assert parse_to_polynomial("z1-z2-t1", table22) == z1 - z2 - t1
+    assert parse_to_polynomial("(z1^2-z2^2)/(z1-z2)*z1", table22) == (z1 + z2) * z1
+    assert parse_to_polynomial("z1^-1^2", table22) == LaurentPolynomial.variable(table22, "z1", -2)
 
 
 def test_parse_macro_sum(table22):
@@ -33,9 +36,9 @@ def test_parse_macro_sum(table22):
     assert p == z + grothendieck_pair(4, 1, table22)
 
 
-def test_syntax_error_offset():
+def test_syntax_error_offset(table22):
     with pytest.raises(ExpressionSyntaxError) as err:
-        parse_expression("1 + * 2")
+        parse_to_polynomial("1 + * 2", table22)
     assert err.value.offset == 4
     assert "INT" in err.value.expected and "(" in err.value.expected
 
@@ -105,6 +108,39 @@ def test_cli_inexact_division_is_bad_input(capsys, expr):
     code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", expr)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_cli_division_error_quotes_divisor(capsys):
+    code, _, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", "z1/(1-z1)")
+    assert code == 2 and err.rstrip().endswith("found (1-z1)")
+
+
+@pytest.mark.parametrize("expr", ["+".join(["z1"] * 3000), "z1" + "^1" * 3000],
+                         ids=["sum", "power-chain"])
+def test_cli_long_flat_expression(capsys, expr):
+    # a flat sum or a chain of powers is read in a loop, not by recursion
+    code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", f"--f={expr}")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "agree: true"
+
+
+@pytest.mark.parametrize("expr", ["(" * 1000 + "z1" + ")" * 1000, "-" * 1000 + "z1"],
+                         ids=["parentheses", "unary-minus"])
+def test_cli_deep_nesting_is_bad_input(capsys, expr):
+    code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", f"--f={expr}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"at most {MAX_DEPTH} nested" in err
+
+
+def test_nesting_up_to_the_bound(table22):
+    n = MAX_DEPTH - 1  # with the whole expression, MAX_DEPTH nested subexpressions
+    z1 = LaurentPolynomial.variable(table22, "z1")
+    assert parse_to_polynomial("(" * n + "z1" + ")" * n, table22) == z1
+    assert parse_to_polynomial("-" * n + "z1", table22) == z1.scale((-1) ** n)
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_to_polynomial("-" * (n + 1) + "z1", table22)
+    assert err.value.offset == n + 1  # the operand of the last minus
 
 
 def test_cli_large_power_of_sum_is_bad_input(capsys, monkeypatch):
