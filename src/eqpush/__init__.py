@@ -4,17 +4,15 @@ zero and infinity."""
 
 from .algebra import (InvariantError, LaurentPolynomial, MixedVariableTables,
                       Monomial, NotDivisible, NotPolynomial, VariableTable,
-                      exact_divide, factored_rational_sum, parameter_table,
-                      rational, zt_table)
+                      exact_divide, parameter_table, rational, zt_table)
 from .characters import CharacterList, bracket, standard_sets
 from .polyfam import (Partition, complement_partition, grothendieck_general,
                       grothendieck_pair, parse_partition, rectangle_partitions,
                       schur_pair)
 from .residue import (ResidueForm, iterated_residue, make_form,
                       residue_at_infinity, residue_at_zero)
-from .spaces import (FixedPoint, SpaceDescriptor, SymmetryViolation,
-                     build_integrand, fixed_points, localization_pushforward,
-                     parse_space, residue_pushforward)
+from .spaces import (SpaceDescriptor, SymmetryViolation, build_integrand,
+                     localization_pushforward, parse_space, residue_pushforward)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -318,13 +318,11 @@ class LaurentPolynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
-        if k < 0:
-            if len(self.terms) != 1:
-                raise NotDivisible("negative power of a non-monomial")
+        if len(self.terms) == 1:
             (e, c), = self.terms.items()
-            return LaurentPolynomial(
-                self.table, {tuple(x * k for x in e): rational(1) / (c ** (-k))}, _canonical=True
-            )
+            return LaurentPolynomial(self.table, {tuple(x * k for x in e): c ** k}, _canonical=True)
+        if k < 0:
+            raise NotDivisible("negative power of a non-monomial")
         result = LaurentPolynomial.one(self.table)
         base = self
         while k:
@@ -619,50 +617,3 @@ def _divide_nonneg(num: dict, den: dict) -> dict:
                 else:
                     remainder[nk] = s
     return quotient
-
-
-# -- factored rational sums ----------------------------------------------------
-
-
-def factored_rational_sum(terms) -> LaurentPolynomial:
-    """Sum of (numerator, [factors]) pairs, each meaning numerator/prod(factors),
-    simplified exactly: factors equal up to a scalar are merged, every numerator
-    is multiplied up to the common denominator (the multiset maximum of the
-    factors), and the total is divided factor by factor."""
-    entries = []  # (numerator, {factor key: multiplicity}, scalar)
-    key_poly: dict = {}
-    for numerator, factors in terms:
-        counts: dict = {}
-        scalar = QONE
-        for f in factors:
-            if f.is_zero:
-                raise ZeroDivisionError("zero factor in a denominator")
-            lc = f.terms[min(f.terms)]
-            scalar = scalar * lc
-            monic = f.scale(QONE / lc)
-            key = tuple(sorted(monic.terms.items()))
-            key_poly.setdefault(key, monic)
-            counts[key] = counts.get(key, 0) + 1
-        entries.append((numerator, counts, scalar))
-    if not entries:
-        raise ValueError("empty sum has no table")
-    master: dict = {}
-    for _, counts, _ in entries:
-        for key, m in counts.items():
-            master[key] = max(master.get(key, 0), m)
-    acc = LaurentPolynomial.zero(entries[0][0].table)
-    for numerator, counts, scalar in entries:
-        if numerator.is_zero:
-            continue
-        for key, m in master.items():
-            for _ in range(m - counts.get(key, 0)):
-                numerator = numerator * key_poly[key]
-        acc = acc + numerator.scale(QONE / scalar)
-    for key, m in sorted(master.items()):
-        for _ in range(m):
-            try:
-                acc = exact_divide(acc, key_poly[key])
-            except NotDivisible:
-                raise NotPolynomial(
-                    "factored sum does not simplify to a Laurent polynomial") from None
-    return acc

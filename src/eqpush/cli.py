@@ -6,8 +6,8 @@ cohomology g2-integrals.  Output formats: text (canonical rendering), json
 (canonical term schema) and latex.
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse/config error,
-3 a sum failed to simplify to a Laurent polynomial, 4 internal invariant
-violation.
+4 internal invariant violation.  Code 3 (a sum failed to simplify) is no
+longer produced, and the number is not reused.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .algebra import InvariantError, LaurentPolynomial, NotPolynomial
+from .algebra import InvariantError, LaurentPolynomial
 from .cohomology import g2_integral, coh_table
 from .exprparse import ExpressionSyntaxError, parse_to_polynomial
 from .polyfam import schur_pair
@@ -220,9 +220,6 @@ def main(argv=None) -> int:
     except (ExpressionSyntaxError, SymmetryViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotPolynomial as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

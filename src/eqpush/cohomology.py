@@ -17,7 +17,7 @@ from functools import lru_cache
 from .algebra import LaurentPolynomial, Monomial, VariableTable, parameter_table
 from .g2 import AMBIENT_SPACE, QUOTIENT_SPACE
 from .polyfam import Partition, rectangle_partitions, schur_pair
-from .spaces import SymmetryViolation, _calc, log, symmetric_pair_sum
+from .spaces import SymmetryViolation, _calc, log
 from . import g2core
 
 
@@ -38,39 +38,40 @@ def _check_class(f: LaurentPolynomial) -> None:
         raise SymmetryViolation("cohomology classes must be symmetric in x1, x2")
 
 
-def _orbit_integral(space, p: int, q: int) -> LaurentPolynomial:
-    """The additive chain of a catalogue space on its orbit class
-    x1^p x2^q + x1^q x2^p (once on the diagonal), over the space's table."""
+def _orbit_integral(space, canon: tuple) -> LaurentPolynomial:
+    """The additive chain of a catalogue space on the orbit class
+    x1^p x2^q + x1^q x2^p of canon = (p, q) (once on the diagonal), over the
+    space's table."""
     calc = _calc(space)
-    return calc.engine.additive_sum(calc.orbit_sum((p, q)))
+    return calc.engine.additive_sum(calc.orbit_sum(canon))
 
 
 @lru_cache(maxsize=None)
-def _g2_class(p: int, q: int) -> LaurentPolynomial:
-    return _orbit_integral(QUOTIENT_SPACE, p, q).transport(coh_table())
+def _g2_class(canon: tuple) -> LaurentPolynomial:
+    return _orbit_integral(QUOTIENT_SPACE, canon).transport(coh_table())
 
 
 @lru_cache(maxsize=None)
-def _gr27_class(p: int, q: int) -> LaurentPolynomial:
+def _gr27_class(canon: tuple) -> LaurentPolynomial:
     """The gr:2,7 value with t1..t7 -> the logs of the seven weights; only the
     specialized value is cached."""
     weights = {f"t{i + 1}": log(w, coh_table()) for i, w in enumerate(g2core.seven_weights())}
-    return _orbit_integral(AMBIENT_SPACE, p, q).substitute_polynomials(weights,
-                                                                      target=coh_table())
+    return _orbit_integral(AMBIENT_SPACE, canon).substitute_polynomials(weights,
+                                                                       target=coh_table())
 
 
 def g2_integral(f: LaurentPolynomial) -> LaurentPolynomial:
     """Integral of a polynomial in the Chern roots over the five-dimensional
     quotient space."""
     _check_class(f)
-    return symmetric_pair_sum(f, ("x1", "x2"), _g2_class)
+    return _calc(QUOTIENT_SPACE).pushforward(f, _g2_class, ("x1", "x2"))
 
 
 def gr27_integral(f: LaurentPolynomial) -> LaurentPolynomial:
     """Integral over the ambient Grassmannian of two-planes, the torus acting
     through the seven restricted weights."""
     _check_class(f)
-    return symmetric_pair_sum(f, ("x1", "x2"), _gr27_class)
+    return _calc(AMBIENT_SPACE).pushforward(f, _gr27_class, ("x1", "x2"))
 
 
 def equivariant_class_expression() -> LaurentPolynomial:

@@ -127,14 +127,13 @@ class _Parser:
             prec = _PREC.get(kind)
             if prec is None or prec <= min_prec:
                 break
+            if prec == _PREC["+"]:
+                left = self.sum_run(left)
+                continue
             self.advance()
             right_start = self.peek()[2]
             right = self.expression(prec)
-            if kind == "+":
-                left = left + right
-            elif kind == "-":
-                left = left - right
-            elif kind == "*":
+            if kind == "*":
                 left = left * right
             else:
                 try:
@@ -145,6 +144,21 @@ class _Parser:
                         self.text(right_start, self.peek()[2])) from None
         self.depth -= 1
         return left
+
+    def sum_run(self, left: LaurentPolynomial) -> LaurentPolynomial:
+        """left followed by a run of + and - operands, added into one term
+        dict: a flat sum of n terms costs linear time, not n copies of a
+        growing sum."""
+        terms = dict(left.terms)
+        while self.peek()[0] in ("+", "-"):
+            plus = self.advance()[0] == "+"
+            for k, c in self.expression(_PREC["+"]).terms.items():
+                total = terms.get(k, 0) + (c if plus else -c)
+                if total:
+                    terms[k] = total
+                else:
+                    del terms[k]
+        return LaurentPolynomial(self.table, terms, _canonical=True)
 
     def power(self, base: LaurentPolynomial, exponent: int, start: int, caret: int):
         if len(base.terms) > 1 and exponent > MAX_POWER:

@@ -13,7 +13,7 @@ from .elimination import bareiss_determinant, bareiss_solve
 from .polyfam import (complement_partition, grothendieck_pair,
                       rectangle_partitions)
 from .spaces import (SpaceDescriptor, _calc, localization_pushforward,
-                     residue_pushforward, symmetric_pair_sum)
+                     residue_pushforward)
 from . import g2core
 
 GT = g2core.g2_table()
@@ -58,12 +58,13 @@ AMBIENT_SPACE = SpaceDescriptor("gr", 2, 7)
 
 
 @lru_cache(maxsize=None)
-def _ambient_class(p: int, q: int) -> LaurentPolynomial:
-    """Push-forward of z1^p z2^q + z1^q z2^p (once on the diagonal) along the
-    ambient Grassmannian: the gr:2,7 value, then t1..t7 -> the seven weights.
-    Only the specialized value is cached, so no orbit is held twice."""
+def _ambient_class(canon: tuple) -> LaurentPolynomial:
+    """Push-forward of the orbit class z1^p z2^q + z1^q z2^p of canon = (p, q)
+    (once on the diagonal) along the ambient Grassmannian: the gr:2,7 value,
+    then t1..t7 -> the seven weights.  Only the specialized value is cached,
+    so no orbit is held twice."""
     calc = _calc(AMBIENT_SPACE)
-    value = calc.engine.sum_values(calc.orbit_sum((p, q)))
+    value = calc.engine.sum_values(calc.orbit_sum(canon))
     weights = {f"t{i + 1}": w.as_polynomial() for i, w in enumerate(g2core.seven_weights())}
     return value.substitute_polynomials(weights, target=GT)
 
@@ -71,7 +72,7 @@ def _ambient_class(p: int, q: int) -> LaurentPolynomial:
 def ambient_pushforward(f: LaurentPolynomial) -> LaurentPolynomial:
     """Push-forward along the ambient Grassmannian of two-planes (21 fixed
     points) of a class symmetric in the two auxiliary variables."""
-    return symmetric_pair_sum(f, ("z1", "z2"), _ambient_class)
+    return _calc(AMBIENT_SPACE).pushforward(f, _ambient_class, ("z1", "z2"))
 
 
 def intersection_matrix() -> list:

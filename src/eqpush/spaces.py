@@ -1,12 +1,13 @@
 """Homogeneous-space catalogue with the two push-forward paths.
 
-Every space provides fixed-point data (substitutions for the auxiliary
-variables plus multiplicative tangent weights) and a factored residue
-integrand.  The localization push-forward is the sum of f(point)/bracket(tangent)
-over the fixed points; it is computed exactly as a Demazure chain of isobaric
-divided differences from one base fixed point (see LocalizationEngine).  The
-residue push-forward runs the iterated-residue engine on the integrand.  The
-central contract is that the two agree on every admissible class.
+Every space provides one base fixed point (the substitution z_i -> t_i with
+its tangent characters), the simple reflections of its Weyl group and a
+factored residue integrand.  The localization push-forward is the sum of
+f(point)/bracket(tangent) over the fixed points; it is computed exactly as a
+Demazure chain of isobaric divided differences from the base point (see
+LocalizationEngine), so the other fixed points are never listed.  The residue
+push-forward runs the iterated-residue engine on the integrand.  The central
+contract is that the two agree on every admissible class.
 
 Both paths are linear over the coefficient ring, so values are computed and
 cached per symmetry orbit of auxiliary monomials; the caches are
@@ -15,14 +16,15 @@ observationally pure.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
-                      NotPolynomial, VariableTable, exact_divide_many, rational,
-                      zt_table)
+                      VariableTable, exact_divide_many, rational, zt_table)
+# Nothing here raises it; kept only because perfbench/test_perfbench.py
+# raises `spaces.NotPolynomial`.
+from .algebra import NotPolynomial  # noqa: F401
 from .characters import (CharacterList, bracket, lambda_set, pairwise_product,
                          pos_roots, quotient_set, roots, standard_sets, sym_set)
 from .residue import ResidueForm, iterated_residue, make_form
@@ -115,92 +117,6 @@ def parse_space(text: str) -> SpaceDescriptor:
     if len(nums) != 1:
         raise ValueError(f"{kind} takes one parameter, got {params!r}")
     return SpaceDescriptor(kind, n=nums[0])
-
-
-@dataclass(frozen=True)
-class FixedPoint:
-    """Substitution of the auxiliary variables plus the tangent weights."""
-
-    subst: tuple  # pairs (variable name, Monomial)
-    tangent: CharacterList
-
-    def subst_map(self) -> dict:
-        return dict(self.subst)
-
-
-def _tvars(table, n):
-    return [Monomial.of(table, **{f"t{i + 1}": 1}) for i in range(n)]
-
-
-def fixed_points(space: SpaceDescriptor) -> list:
-    """Fixed points of the torus action with their tangent characters."""
-    table = space.table()
-    k, m, n = space.kind, space.m, space.n
-    pts = []
-    if k in ("gr", "gr2"):
-        ts = _tvars(table, n)
-        for subset in itertools.combinations(range(n), m):
-            inside = [ts[i] for i in subset]
-            outside = [ts[i] for i in range(n) if i not in subset]
-            tangent = CharacterList(tuple(b / a for a in inside for b in outside))
-            if k == "gr":
-                subst = tuple((f"z{i + 1}", inside[i]) for i in range(m))
-            else:
-                # Second block of variables takes the complement characters
-                # uninverted; this is what makes the sum match both two-set
-                # residue formulas.
-                subst = tuple((f"z{i + 1}", inside[i]) for i in range(m)) + tuple(
-                    (f"z{m + j + 1}", outside[j]) for j in range(n - m))
-            pts.append(FixedPoint(subst, tangent))
-    elif k in ("lg", "ogE", "ogO"):
-        ts = _tvars(table, n)
-        for r in range(n + 1):
-            for subset in itertools.combinations(range(n), r):
-                inside = [ts[i] for i in subset]
-                outside = [ts[i] for i in range(n) if i not in subset]
-                args = inside + [b.inverse() for b in outside]
-                mixed = CharacterList(tuple(a.inverse() for a in inside) + tuple(outside))
-                if k == "lg":
-                    tangent = sym_set(mixed)
-                elif k == "ogE":
-                    tangent = lambda_set(mixed)
-                else:
-                    tangent = lambda_set(mixed) + mixed
-                subst = tuple((f"z{i + 1}", args[i]) for i in range(n))
-                pts.append(FixedPoint(subst, tangent))
-    elif k == "fl":
-        ts = _tvars(table, n)
-        for sigma in itertools.permutations(range(n)):
-            subst = tuple((f"z{i + 1}", ts[sigma[i]]) for i in range(n))
-            tangent = pos_roots(CharacterList(tuple(ts[sigma[i]].inverse() for i in range(n))))
-            pts.append(FixedPoint(subst, tangent))
-    elif k == "q":
-        ts = _tvars(table, n)
-        plus_minus = ts + [t.inverse() for t in ts]
-        for i in range(n):
-            for eps in (1, -1):
-                a = ts[i] if eps == 1 else ts[i].inverse()
-                others = [ts[j] for j in range(n) if j != i]
-                subst = ((f"z1", a),) + tuple(
-                    (f"z{j + 2}", others[j]) for j in range(n - 1))
-                rest = [x for pos, x in enumerate(plus_minus) if pos not in (i, n + i)]
-                tangent = CharacterList(tuple(x / a for x in rest))
-                pts.append(FixedPoint(subst, tangent))
-    elif k == "g2p2":
-        for w in g2core.rotation_orbit():
-            subst = (("z1", w["t1"]), ("z2", w["t2"]))
-            pts.append(FixedPoint(subst, g2core.quotient_identity_tangent().apply(w)))
-    else:  # g2b
-        for w in g2core.weyl_group():
-            subst = (("z1", w["t1"]), ("z2", w["t2"]))
-            pts.append(FixedPoint(subst, g2core.borel_identity_tangent().apply(w)))
-    dim = space.dimension()
-    for p in pts:
-        if len(p.tangent) != dim:
-            raise InvariantError(f"{space.key()}: tangent length {len(p.tangent)} != dim {dim}")
-        if any(c.is_one for c in p.tangent):
-            raise InvariantError(f"{space.key()}: unit tangent character at a fixed point")
-    return pts
 
 
 # -- symmetry -----------------------------------------------------------------
@@ -320,7 +236,7 @@ def _simple_reflections(space: SpaceDescriptor) -> list:
         return [(g2core.swap_map(), Monomial.of(table, t1=-1, t2=1)),
                 (reflection, long_root)]
     n = space.parameter_count()
-    ts = _tvars(table, n)
+    ts = standard_sets("T", n, table)
     out = [({f"t{i + 1}": ts[i + 1], f"t{i + 2}": ts[i]}, ts[i + 1] / ts[i])
            for i in range(n - 1)]
     if space.kind == "lg":
@@ -331,6 +247,30 @@ def _simple_reflections(space: SpaceDescriptor) -> list:
         out.append(({f"t{n - 1}": ts[-1].inverse(), f"t{n}": ts[-2].inverse()},
                     (ts[-2] * ts[-1]).inverse()))
     return out
+
+
+def _base_tangent(space: SpaceDescriptor) -> CharacterList:
+    """Tangent characters at the base fixed point z_i -> t_i."""
+    k, m = space.kind, space.m
+    if k == "g2p2":
+        return g2core.quotient_identity_tangent()
+    if k == "g2b":
+        return g2core.borel_identity_tangent()
+    ts = standard_sets("T", space.parameter_count(), space.table())
+    inverses = ts.inverse()
+    if k in ("gr", "gr2"):  # t_j/t_i with i <= m < j
+        return quotient_set(CharacterList(ts.entries[m:]), CharacterList(ts.entries[:m]))
+    if k == "lg":
+        return sym_set(inverses)
+    if k == "ogE":
+        return lambda_set(inverses)
+    if k == "ogO":
+        return lambda_set(inverses) + inverses
+    if k == "fl":
+        return pos_roots(inverses)
+    # q: x/t1 over t2..tn and their inverses
+    others = CharacterList(ts.entries[1:])
+    return quotient_set(others + others.inverse(), CharacterList(ts.entries[:1]))
 
 
 class LocalizationEngine:
@@ -349,25 +289,28 @@ class LocalizationEngine:
 
     def __init__(self, space: SpaceDescriptor):
         self.table = table = space.table()
-        points = fixed_points(space)
-        # The all-inside point, whose stabilizer permutes the z's, for the
-        # isotropic Grassmannians; the first listed point for the others.
-        base = points[-1] if space.kind in ("lg", "ogE", "ogO") else points[0]
-        self.base = base.subst_map()
+        # The base point z_i -> t_i (for the isotropic Grassmannians the point
+        # with every t_i inside, whose stabilizer permutes the z's).
+        ts = standard_sets("T", space.parameter_count(), table)
+        self.base = {f"z{i + 1}": ts[i] for i in range(space.residue_count())}
+        tangent = _base_tangent(space).entries
+        dim = space.dimension()
+        if len(tangent) != dim or any(c.is_one for c in tangent):
+            raise InvariantError(f"{space.key()}: the base tangent is not {dim} nontrivial "
+                                 f"characters")
         reflections = _simple_reflections(space)
         one = LaurentPolynomial.one(table)
-        tangent = base.tangent.entries
         self.steps = []
-        while len(self.steps) <= space.dimension():
+        while len(self.steps) <= dim:
             found = next(((s, a) for s, a in reflections if a in tangent), None)
             if found is None:
                 break
             s, a = found
             self.steps.append((s, a.inverse(), one - a.inverse().as_polynomial()))
             tangent = tuple(c.substitute(s) for c in tangent)
-        if len(self.steps) != space.dimension():
+        if len(self.steps) != dim:
             raise InvariantError(f"{space.key()}: reduced word of length {len(self.steps)} "
-                                 f"!= dim {space.dimension()}")
+                                 f"!= dim {dim}")
         # The fixed points of the even orthogonal Grassmannian form two
         # components; t_n -> 1/t_n carries the base component to the other.
         tn = f"t{space.parameter_count()}"
@@ -503,34 +446,52 @@ class _SpaceCalc:
         self.space = space
         self.table = space.table()
         self.m = space.residue_count()
+        self.names = tuple(f"z{i + 1}" for i in range(self.m))
         self.engine = LocalizationEngine(space)
         self.z_actions = _z_actions(space)
         self.loc_values: dict = {}
         self.res_values: dict = {}
+        self.canon: dict = {}
 
     def canonical(self, zexps: tuple) -> tuple:
-        if not self.z_actions:
-            return zexps
-        return max(_orbit(zexps, self.z_actions))
+        got = self.canon.get(zexps)
+        if got is None:
+            got = max(_orbit(zexps, self.z_actions)) if self.z_actions else zexps
+            self.canon[zexps] = got
+        return got
 
     def orbit_sum(self, canon: tuple) -> LaurentPolynomial:
         orbit = _orbit(canon, self.z_actions) if self.z_actions else (canon,)
         pad = (0,) * (len(self.table) - self.m)
         return LaurentPolynomial(self.table, {e + pad: 1 for e in orbit})
 
-    def decompose(self, f: LaurentPolynomial) -> dict:
-        """f as {canonical z-class: coefficient polynomial in the parameters}."""
+    def decompose(self, f: LaurentPolynomial, names: tuple = None) -> dict:
+        """f as {canonical class: coefficient}, the classes being the orbit sums
+        of monomials in the auxiliary variables `names` (by default the space's
+        z's), which lead f's table, and each coefficient a polynomial in f's
+        other variables, over f's own table."""
+        names = names or self.names
+        zn = len(names)
+        if f.table.names[:zn] != names:
+            raise ValueError(f"the class variables {names} do not lead {f.table.names}")
+        pad = (0,) * zn
         out: dict = {}
-        zn = self.m
         for key, c in f.terms.items():
             zpart = key[:zn]
             canon = self.canonical(zpart)
             if zpart != canon:
                 continue
-            tkey = (0,) * zn + key[zn:]
-            out.setdefault(canon, {})[tkey] = c
-        return {canon: LaurentPolynomial(self.table, terms, _canonical=True)
+            out.setdefault(canon, {})[pad + key[zn:]] = c
+        return {canon: LaurentPolynomial(f.table, terms, _canonical=True)
                 for canon, terms in out.items()}
+
+    def pushforward(self, f: LaurentPolynomial, class_value, names: tuple = None):
+        """The sum of coefficient * class_value(canonical class) over the
+        decomposition of f: a push-forward is linear over the coefficients."""
+        total = LaurentPolynomial.zero(f.table)
+        for canon, coeff in self.decompose(f, names).items():
+            total = total + coeff * class_value(canon)
+        return total
 
     def loc_class_value(self, canon: tuple) -> LaurentPolynomial:
         got = self.loc_values.get(canon)
@@ -559,32 +520,11 @@ def _calc(space: SpaceDescriptor) -> _SpaceCalc:
     return got
 
 
-def symmetric_pair_sum(f: LaurentPolynomial, pair: tuple, class_value) -> LaurentPolynomial:
-    """Push-forward of a class f symmetric in the two variables `pair` = (u, v)
-    from the values class_value(p, q) of its orbit classes u^p*v^q + u^q*v^p
-    (u^p*v^p on the diagonal): the sum of c*class_value(p, q) over the terms
-    c*u^p*v^q of f with p >= q, c keeping f's other variables."""
-    total = LaurentPolynomial.zero(f.table)
-    i1, i2 = f.table.index(pair[0]), f.table.index(pair[1])
-    for key, c in f.terms.items():
-        p, q = key[i1], key[i2]
-        if p < q:
-            continue
-        tkey = list(key)
-        tkey[i1] = tkey[i2] = 0
-        coeff = LaurentPolynomial(f.table, {tuple(tkey): c}, _canonical=True)
-        total = total + coeff * class_value(p, q)
-    return total
-
-
 def localization_pushforward(space: SpaceDescriptor, f: LaurentPolynomial) -> LaurentPolynomial:
     """Sum of f(point)/bracket(tangent) over the fixed points, simplified exactly."""
     check_symmetry(space, f)
     calc = _calc(space)
-    total = LaurentPolynomial.zero(calc.table)
-    for canon, coeff in calc.decompose(f).items():
-        total = total + coeff * calc.loc_class_value(canon)
-    return total
+    return calc.pushforward(f, calc.loc_class_value)
 
 
 def residue_pushforward(space: SpaceDescriptor, f: LaurentPolynomial,
@@ -595,7 +535,4 @@ def residue_pushforward(space: SpaceDescriptor, f: LaurentPolynomial,
     if variant not in space.variants():
         raise ValueError(f"invalid variant {variant!r} for {space.key()}")
     calc = _calc(space)
-    total = LaurentPolynomial.zero(calc.table)
-    for canon, coeff in calc.decompose(f).items():
-        total = total + coeff * calc.res_class_value(canon, variant)
-    return total
+    return calc.pushforward(f, lambda canon: calc.res_class_value(canon, variant))

@@ -1,0 +1,147 @@
+"""Test oracles for the push-forward engines, kept out of `src/`.
+
+`fixed_points` enumerates every torus fixed point of a catalogue space with its
+tangent characters, and `factored_rational_sum` adds the terms
+numerator/prod(factors) over one common denominator and divides it out.
+Together they give the literal fixed-point sum that the Demazure chain of
+`eqpush.spaces` must reproduce.
+"""
+
+import itertools
+from dataclasses import dataclass
+
+from eqpush import g2core
+from eqpush.algebra import (QONE, InvariantError, LaurentPolynomial, Monomial,
+                            NotDivisible, NotPolynomial, exact_divide)
+from eqpush.characters import CharacterList, lambda_set, pos_roots, sym_set
+from eqpush.spaces import SpaceDescriptor
+
+
+@dataclass(frozen=True)
+class FixedPoint:
+    """Substitution of the auxiliary variables plus the tangent weights."""
+
+    subst: tuple  # pairs (variable name, Monomial)
+    tangent: CharacterList
+
+    def subst_map(self) -> dict:
+        return dict(self.subst)
+
+
+def _tvars(table, n):
+    return [Monomial.of(table, **{f"t{i + 1}": 1}) for i in range(n)]
+
+
+def fixed_points(space: SpaceDescriptor) -> list:
+    """Fixed points of the torus action with their tangent characters."""
+    table = space.table()
+    k, m, n = space.kind, space.m, space.n
+    pts = []
+    if k in ("gr", "gr2"):
+        ts = _tvars(table, n)
+        for subset in itertools.combinations(range(n), m):
+            inside = [ts[i] for i in subset]
+            outside = [ts[i] for i in range(n) if i not in subset]
+            tangent = CharacterList(tuple(b / a for a in inside for b in outside))
+            if k == "gr":
+                subst = tuple((f"z{i + 1}", inside[i]) for i in range(m))
+            else:
+                # Second block of variables takes the complement characters
+                # uninverted; this is what makes the sum match both two-set
+                # residue formulas.
+                subst = tuple((f"z{i + 1}", inside[i]) for i in range(m)) + tuple(
+                    (f"z{m + j + 1}", outside[j]) for j in range(n - m))
+            pts.append(FixedPoint(subst, tangent))
+    elif k in ("lg", "ogE", "ogO"):
+        ts = _tvars(table, n)
+        for r in range(n + 1):
+            for subset in itertools.combinations(range(n), r):
+                inside = [ts[i] for i in subset]
+                outside = [ts[i] for i in range(n) if i not in subset]
+                args = inside + [b.inverse() for b in outside]
+                mixed = CharacterList(tuple(a.inverse() for a in inside) + tuple(outside))
+                if k == "lg":
+                    tangent = sym_set(mixed)
+                elif k == "ogE":
+                    tangent = lambda_set(mixed)
+                else:
+                    tangent = lambda_set(mixed) + mixed
+                subst = tuple((f"z{i + 1}", args[i]) for i in range(n))
+                pts.append(FixedPoint(subst, tangent))
+    elif k == "fl":
+        ts = _tvars(table, n)
+        for sigma in itertools.permutations(range(n)):
+            subst = tuple((f"z{i + 1}", ts[sigma[i]]) for i in range(n))
+            tangent = pos_roots(CharacterList(tuple(ts[sigma[i]].inverse() for i in range(n))))
+            pts.append(FixedPoint(subst, tangent))
+    elif k == "q":
+        ts = _tvars(table, n)
+        plus_minus = ts + [t.inverse() for t in ts]
+        for i in range(n):
+            for eps in (1, -1):
+                a = ts[i] if eps == 1 else ts[i].inverse()
+                others = [ts[j] for j in range(n) if j != i]
+                subst = ((f"z1", a),) + tuple(
+                    (f"z{j + 2}", others[j]) for j in range(n - 1))
+                rest = [x for pos, x in enumerate(plus_minus) if pos not in (i, n + i)]
+                tangent = CharacterList(tuple(x / a for x in rest))
+                pts.append(FixedPoint(subst, tangent))
+    elif k == "g2p2":
+        for w in g2core.rotation_orbit():
+            subst = (("z1", w["t1"]), ("z2", w["t2"]))
+            pts.append(FixedPoint(subst, g2core.quotient_identity_tangent().apply(w)))
+    else:  # g2b
+        for w in g2core.weyl_group():
+            subst = (("z1", w["t1"]), ("z2", w["t2"]))
+            pts.append(FixedPoint(subst, g2core.borel_identity_tangent().apply(w)))
+    dim = space.dimension()
+    for p in pts:
+        if len(p.tangent) != dim:
+            raise InvariantError(f"{space.key()}: tangent length {len(p.tangent)} != dim {dim}")
+        if any(c.is_one for c in p.tangent):
+            raise InvariantError(f"{space.key()}: unit tangent character at a fixed point")
+    return pts
+
+
+def factored_rational_sum(terms) -> LaurentPolynomial:
+    """Sum of (numerator, [factors]) pairs, each meaning numerator/prod(factors),
+    simplified exactly: factors equal up to a scalar are merged, every numerator
+    is multiplied up to the common denominator (the multiset maximum of the
+    factors), and the total is divided factor by factor."""
+    entries = []  # (numerator, {factor key: multiplicity}, scalar)
+    key_poly: dict = {}
+    for numerator, factors in terms:
+        counts: dict = {}
+        scalar = QONE
+        for f in factors:
+            if f.is_zero:
+                raise ZeroDivisionError("zero factor in a denominator")
+            lc = f.terms[min(f.terms)]
+            scalar = scalar * lc
+            monic = f.scale(QONE / lc)
+            key = tuple(sorted(monic.terms.items()))
+            key_poly.setdefault(key, monic)
+            counts[key] = counts.get(key, 0) + 1
+        entries.append((numerator, counts, scalar))
+    if not entries:
+        raise ValueError("empty sum has no table")
+    master: dict = {}
+    for _, counts, _ in entries:
+        for key, m in counts.items():
+            master[key] = max(master.get(key, 0), m)
+    acc = LaurentPolynomial.zero(entries[0][0].table)
+    for numerator, counts, scalar in entries:
+        if numerator.is_zero:
+            continue
+        for key, m in master.items():
+            for _ in range(m - counts.get(key, 0)):
+                numerator = numerator * key_poly[key]
+        acc = acc + numerator.scale(QONE / scalar)
+    for key, m in sorted(master.items()):
+        for _ in range(m):
+            try:
+                acc = exact_divide(acc, key_poly[key])
+            except NotDivisible:
+                raise NotPolynomial(
+                    "factored sum does not simplify to a Laurent polynomial") from None
+    return acc

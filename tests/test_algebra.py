@@ -2,11 +2,12 @@ import pytest
 
 from eqpush.algebra import (LaurentPolynomial, Monomial, NotDivisible,
                             MixedVariableTables, exact_divide,
-                            exact_divide_many, factored_rational_sum,
-                            parameter_table, rational, zt_table)
+                            exact_divide_many, parameter_table, rational,
+                            zt_table)
 from eqpush import g2core
 
 from conftest import random_laurent
+from oracles import factored_rational_sum
 
 
 def V(table, name, k=1):
@@ -46,6 +47,19 @@ def test_negative_power_needs_monomial(table22):
     assert (t1 * t1) ** -2 == V(table22, "t1", -4)
     with pytest.raises(NotDivisible):
         (one + t1) ** -1
+
+
+def test_monomial_power_matches_products(table22):
+    m = LaurentPolynomial(table22, {(1, 0, 0, -2): rational(-2, 3)})
+    inverse = LaurentPolynomial(table22, {(-1, 0, 0, 2): rational(-3, 2)})
+    one = LaurentPolynomial.one(table22)
+    for k in range(-4, 6):
+        product = one
+        for _ in range(abs(k)):
+            product = product * (m if k > 0 else inverse)
+        assert m ** k == product
+    zero = LaurentPolynomial.zero(table22)
+    assert zero ** 0 == one and (zero ** 3).is_zero
 
 
 def test_substitute_rotation(table22):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from eqpush.algebra import LaurentPolynomial
+from eqpush import spaces
+from eqpush.algebra import InvariantError, LaurentPolynomial
 from eqpush.cli import emit, main
 from eqpush.exprparse import MAX_DEPTH, ExpressionSyntaxError, parse_to_polynomial
 
@@ -103,6 +104,26 @@ def test_cli_exit_codes(capsys):
     assert code == 2
 
 
+def test_cli_mismatch_exits_one(capsys, monkeypatch):
+    # a planted wrong localization value must be reported as a disagreement
+    real = spaces.localization_pushforward
+    monkeypatch.setattr(spaces, "localization_pushforward",
+                        lambda space, f: real(space, f) + 1)
+    code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", "z1^-1")
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1] == "agree: false"
+
+
+def test_cli_internal_error_exits_four(capsys, monkeypatch):
+    def broken(space, f):
+        raise InvariantError("planted fault")
+
+    monkeypatch.setattr(spaces, "localization_pushforward", broken)
+    code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", "z1^-1")
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["internal error: planted fault"]
+
+
 @pytest.mark.parametrize("expr", ["z1/(1-z1)", "z1/0", "(1-z1)^-1"])
 def test_cli_inexact_division_is_bad_input(capsys, expr):
     code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", expr)
@@ -122,6 +143,27 @@ def test_cli_long_flat_expression(capsys, expr):
     code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", f"--f={expr}")
     assert code == 0 and err == ""
     assert out.splitlines()[-1] == "agree: true"
+
+
+def test_flat_sum_copies_no_partial_sums(table22, monkeypatch):
+    # the operands of a flat sum go into one term dict: the terms held by the
+    # sums built while parsing (every polynomial of more than one term) grow
+    # linearly in the length of the sum, not with one copy per operator
+    n = 300
+    src = "+".join(f"z1^{i}" for i in range(n)) + "-" + "-".join(f"t1^{i}" for i in range(n))
+    expected = sum((LaurentPolynomial.variable(table22, "z1", i)
+                    - LaurentPolynomial.variable(table22, "t1", i) for i in range(n)),
+                   LaurentPolynomial.zero(table22))
+    built = []
+    init = LaurentPolynomial.__init__
+
+    def counting(self, table, terms, _canonical=False):
+        built.append(len(terms))
+        init(self, table, terms, _canonical)
+
+    monkeypatch.setattr(LaurentPolynomial, "__init__", counting)
+    assert parse_to_polynomial(src, table22) == expected
+    assert sum(size for size in built if size > 1) <= 4 * n
 
 
 @pytest.mark.parametrize("expr", ["(" * 1000 + "z1" + ")" * 1000, "-" * 1000 + "z1"],

@@ -3,13 +3,15 @@ from functools import lru_cache
 
 import pytest
 
-from eqpush.algebra import LaurentPolynomial, factored_rational_sum, zt_table
+from eqpush.algebra import LaurentPolynomial, zt_table
 from eqpush.cohomology import (coh_table, cohomology_class_check,
                                equivariant_class_expression, g2_integral,
                                gr27_integral, torus_invariant)
 from eqpush.polyfam import rectangle_partitions, schur_pair
-from eqpush.spaces import SymmetryViolation, fixed_points, log, parse_space
+from eqpush.spaces import SymmetryViolation, log, parse_space
 from eqpush import g2core
+
+from oracles import factored_rational_sum, fixed_points
 
 
 def T(name, k=1):

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial,
-                            factored_rational_sum, rational, zt_table)
+                            rational, zt_table)
 from eqpush.residue import (ResidueForm, iterated_residue, make_form,
                             residue_at_infinity, residue_at_zero)
 
 from conftest import random_laurent
+from oracles import factored_rational_sum
 
 
 def projective_form(f, n):

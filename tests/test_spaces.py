@@ -2,18 +2,20 @@ import random
 
 import pytest
 
-from eqpush.algebra import (LaurentPolynomial, Monomial, NotPolynomial,
-                            factored_rational_sum, zt_table)
+from eqpush.algebra import LaurentPolynomial, Monomial, zt_table
 from eqpush.characters import bracket
 from eqpush.residue import iterated_residue
-from eqpush.spaces import (SymmetryViolation, build_integrand,
-                           check_symmetry, fixed_points,
+from eqpush.spaces import (LocalizationEngine, SymmetryViolation, _base_tangent,
+                           _calc, build_integrand, check_symmetry,
                            localization_pushforward, parse_space,
                            residue_pushforward)
 from eqpush.verification import random_admissible_class
 
+from oracles import factored_rational_sum, fixed_points
+
 ALL_SPACES = ["gr:1,2", "gr:1,3", "gr:2,4", "gr2:2,4", "lg:1", "lg:2", "ogE:2",
               "ogO:1", "ogO:2", "fl:1", "fl:2", "fl:3", "q:2", "g2p2", "g2b"]
+CHAIN_SPACES = ALL_SPACES + ["lg:3", "ogE:3", "ogO:3", "q:3", "fl:4"]
 
 
 def test_parse_space_roundtrip():
@@ -35,8 +37,24 @@ def test_dimensions():
     for key, dim in expected.items():
         space = parse_space(key)
         assert space.dimension() == dim
-        for p in fixed_points(space):
-            assert len(p.tangent) == dim
+        assert len(_base_tangent(space)) == dim
+        assert len(LocalizationEngine(space).steps) == dim
+
+
+@pytest.mark.parametrize("key", CHAIN_SPACES + ["gr:3,6", "gr:2,7", "lg:4", "ogE:4", "q:4"])
+def test_base_tangent_matches_enumerated_point(key):
+    # the engine's base point is z_i -> t_i; the enumerated fixed point with
+    # that substitution has the engine's base tangent, as a multiset
+    space = parse_space(key)
+    table = space.table()
+    engine = LocalizationEngine(space)
+    base = {f"z{i + 1}": Monomial.of(table, **{f"t{i + 1}": 1})
+            for i in range(space.residue_count())}
+    assert engine.base == base
+    point = next(p for p in fixed_points(space) if p.subst_map() == base)
+    assert sorted(c.exps for c in point.tangent) == \
+        sorted(c.exps for c in _base_tangent(space))
+    assert len(engine.steps) == space.dimension()
 
 
 def test_projective_line_points():
@@ -126,6 +144,15 @@ def test_quadric_symmetry_rules():
         check_symmetry(space, z2)
 
 
+def test_decompose_needs_leading_class_variables():
+    # orbit classes are read off the leading variables of the class's table
+    space = parse_space("g2p2")
+    f = LaurentPolynomial.variable(space.table(), "t1")
+    assert set(_calc(space).decompose(f, ("z1", "z2"))) == {(0, 0)}
+    with pytest.raises(ValueError):
+        _calc(space).decompose(f, ("t1", "t2"))
+
+
 def test_variant_validation():
     with pytest.raises(ValueError):
         residue_pushforward(parse_space("lg:2"),
@@ -200,16 +227,6 @@ def test_two_set_matches_plain_grassmannian_on_first_block():
         residue_pushforward(plain, f_plain, "full").transport(tt)
 
 
-def test_not_polynomial_surfaces():
-    # one fixed point of the projective line alone does not sum to a Laurent
-    # polynomial
-    table = zt_table(1, 2)
-    one = LaurentPolynomial.one(table)
-    t1_over_t2 = Monomial.of(table, t1=1, t2=-1).as_polynomial()
-    with pytest.raises(NotPolynomial):
-        factored_rational_sum([(one, [one - t1_over_t2])])
-
-
 def flat_fixed_point_sum(space, f):
     """The literal sum of f(point)/bracket(tangent) over every fixed point."""
     one = LaurentPolynomial.one(space.table())
@@ -219,7 +236,7 @@ def flat_fixed_point_sum(space, f):
         for p in fixed_points(space))
 
 
-@pytest.mark.parametrize("key", ALL_SPACES + ["lg:3", "ogE:3", "ogO:3", "q:3", "fl:4"])
+@pytest.mark.parametrize("key", CHAIN_SPACES)
 def test_demazure_chain_matches_flat_fixed_point_sum(key):
     space = parse_space(key)
     rng = random.Random(f"flat:{key}")
