@@ -71,7 +71,7 @@ def _ambient_class(canon: tuple) -> LaurentPolynomial:
 
 def ambient_pushforward(f: LaurentPolynomial) -> LaurentPolynomial:
     """Push-forward along the ambient Grassmannian of two-planes (21 fixed
-    points) of a class symmetric in the two auxiliary variables."""
+    points) of a class symmetric in z1, z2 (SymmetryViolation otherwise)."""
     return _calc(AMBIENT_SPACE).pushforward(f, _ambient_class, ("z1", "z2"))
 
 

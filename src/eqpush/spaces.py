@@ -9,14 +9,18 @@ LocalizationEngine), so the other fixed points are never listed.  The residue
 push-forward runs the iterated-residue engine on the integrand.  The central
 contract is that the two agree on every admissible class.
 
-Both paths are linear over the coefficient ring, so values are computed and
-cached per symmetry orbit of auxiliary monomials; the caches are
-observationally pure.
+The symmetry of admissible classes is declared once per kind, in
+SpaceDescriptor.symmetry_runs; the generators, the sorted orbit classes and
+the check in _SpaceCalc.decompose, which every push-forward runs, derive from
+it.  Both paths are linear, so values are cached per orbit class; the caches
+are observationally pure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -100,6 +104,23 @@ class SpaceDescriptor:
     def variants(self) -> tuple:
         return ("full", "compact") if self.kind in ("gr", "gr2", "ogO") else ("full",)
 
+    def symmetry_runs(self) -> tuple:
+        """The symmetry an admissible class must have, as (start, stop, signed)
+        runs of the positions z_(start+1)..z_stop: each run is permuted, and a
+        signed run's variables are also inverted.  z's outside every run are free."""
+        k, m, n = self.kind, self.m, self.n
+        if k == "gr":
+            return ((0, m, False),)
+        if k == "gr2":
+            return ((0, m, False), (m, n, False))
+        if k in ("lg", "ogE", "ogO"):
+            return ((0, n, False),)
+        if k == "q":
+            return ((1, n, True),)
+        if k == "g2p2":
+            return ((0, 2, False),)
+        return ()  # fl, g2b
+
 
 def parse_space(text: str) -> SpaceDescriptor:
     """Parse the compact grammar: gr:2,7  gr2:2,4  lg:3  ogE:4  ogO:3  fl:4  q:3  g2p2  g2b."""
@@ -123,74 +144,24 @@ def parse_space(text: str) -> SpaceDescriptor:
 
 
 def symmetry_generators(space: SpaceDescriptor) -> list:
-    """Substitutions generating the symmetry group required of admissible classes."""
+    """Substitutions generating the symmetry group of admissible classes: the
+    adjacent swaps of each `symmetry_runs` run, then a signed run's z inverted."""
     table = space.table()
-    k, m, n = space.kind, space.m, space.n
 
-    def swap(i, j):
-        return {f"z{i}": Monomial.of(table, **{f"z{j}": 1}),
-                f"z{j}": Monomial.of(table, **{f"z{i}": 1})}
+    def z(i, e=1):
+        return Monomial.of(table, **{f"z{i}": e})
 
     gens = []
-    if k == "gr":
-        gens = [swap(i, i + 1) for i in range(1, m)]
-    elif k == "gr2":
-        gens = [swap(i, i + 1) for i in range(1, m)] + \
-               [swap(i, i + 1) for i in range(m + 1, n)]
-    elif k in ("lg", "ogE", "ogO"):
-        gens = [swap(i, i + 1) for i in range(1, n)]
-    elif k == "q":
-        gens = [swap(i, i + 1) for i in range(2, n)]
-        gens.append({"z2": Monomial.of(table, z2=-1)})
-    elif k == "g2p2":
-        gens = [swap(1, 2)]
+    for start, stop, signed in space.symmetry_runs():
+        gens += [{f"z{i}": z(i + 1), f"z{i + 1}": z(i)} for i in range(start + 1, stop)]
+        if signed:
+            gens.append({f"z{start + 1}": z(start + 1, -1)})
     return gens
 
 
 def check_symmetry(space: SpaceDescriptor, f: LaurentPolynomial) -> None:
-    for gen in symmetry_generators(space):
-        if f.substitute_monomials(gen, partial=True) != f:
-            names = ", ".join(sorted(gen))
-            raise SymmetryViolation(
-                f"class is not invariant under the {space.key()} substitution on {names}")
-
-
-def _orbit(zexps: tuple, gens_z) -> tuple:
-    """Orbit of a z-exponent vector under the symmetry generators."""
-    seen = {zexps}
-    frontier = [zexps]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for act in gens_z:
-                img = act(e)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return tuple(sorted(seen))
-
-
-def _z_actions(space: SpaceDescriptor):
-    """Symmetry generators as maps on z-exponent vectors."""
-    m = space.residue_count()
-    actions = []
-    for gen in symmetry_generators(space):
-        images = []
-        for i in range(m):
-            img = gen.get(f"z{i + 1}")
-            images.append(img.exps[:m] if img is not None else
-                          tuple(1 if j == i else 0 for j in range(m)))
-        def act(e, images=tuple(images), m=m):
-            out = [0] * m
-            for i, ei in enumerate(e):
-                if ei:
-                    for j, fj in enumerate(images[i]):
-                        if fj:
-                            out[j] += ei * fj
-            return tuple(out)
-        actions.append(act)
-    return actions
+    """Raise SymmetryViolation unless f is an admissible class of the space."""
+    _calc(space).decompose(f)
 
 
 # -- push-forward machinery -----------------------------------------------------
@@ -448,20 +419,40 @@ class _SpaceCalc:
         self.m = space.residue_count()
         self.names = tuple(f"z{i + 1}" for i in range(self.m))
         self.engine = LocalizationEngine(space)
-        self.z_actions = _z_actions(space)
+        self.runs = space.symmetry_runs()
         self.loc_values: dict = {}
         self.res_values: dict = {}
-        self.canon: dict = {}
 
     def canonical(self, zexps: tuple) -> tuple:
-        got = self.canon.get(zexps)
-        if got is None:
-            got = max(_orbit(zexps, self.z_actions)) if self.z_actions else zexps
-            self.canon[zexps] = got
-        return got
+        """The largest exponent vector in the orbit of zexps: each run sorted
+        descending, a signed run by absolute value."""
+        out = list(zexps)
+        for start, stop, signed in self.runs:
+            run = zexps[start:stop]
+            out[start:stop] = sorted(map(abs, run) if signed else run, reverse=True)
+        return tuple(out)
+
+    def orbit_size(self, canon: tuple) -> int:
+        """The number of members of the orbit of canon, from the multiplicities
+        of each run's exponents."""
+        size = 1
+        for start, stop, signed in self.runs:
+            run = canon[start:stop]
+            size *= math.factorial(len(run))
+            for count in Counter(run).values():
+                size //= math.factorial(count)
+            if signed:
+                size <<= len(run) - run.count(0)
+        return size
 
     def orbit_sum(self, canon: tuple) -> LaurentPolynomial:
-        orbit = _orbit(canon, self.z_actions) if self.z_actions else (canon,)
+        orbit = [canon]
+        for start, stop, signed in self.runs:
+            images = set(itertools.permutations(canon[start:stop]))
+            if signed:
+                images = {tuple(s * e for s, e in zip(signs, image)) for image in images
+                          for signs in itertools.product((1, -1), repeat=stop - start)}
+            orbit = [e[:start] + image + e[stop:] for e in orbit for image in images]
         pad = (0,) * (len(self.table) - self.m)
         return LaurentPolynomial(self.table, {e + pad: 1 for e in orbit})
 
@@ -469,19 +460,28 @@ class _SpaceCalc:
         """f as {canonical class: coefficient}, the classes being the orbit sums
         of monomials in the auxiliary variables `names` (by default the space's
         z's), which lead f's table, and each coefficient a polynomial in f's
-        other variables, over f's own table."""
+        other variables, over f's own table.  Raises SymmetryViolation unless
+        each orbit appears whole with one coefficient."""
         names = names or self.names
         zn = len(names)
         if f.table.names[:zn] != names:
             raise ValueError(f"the class variables {names} do not lead {f.table.names}")
+        groups: dict = {}
+        for key, c in f.terms.items():
+            groups.setdefault((self.canonical(key[:zn]), key[zn:]), []).append(c)
         pad = (0,) * zn
         out: dict = {}
-        for key, c in f.terms.items():
-            zpart = key[:zn]
-            canon = self.canonical(zpart)
-            if zpart != canon:
-                continue
-            out.setdefault(canon, {})[pad + key[zn:]] = c
+        for (canon, rest), coeffs in groups.items():
+            # The group's members are distinct members of one orbit, so it is
+            # the whole orbit with one coefficient iff `size` of them share one.
+            size = self.orbit_size(canon)
+            if coeffs.count(coeffs[0]) != size:
+                problem = (f"{len(coeffs)} of its {size} terms" if len(coeffs) != size
+                           else "unequal coefficients")
+                raise SymmetryViolation(
+                    f"class is not invariant under the {self.space.key()} symmetry: the orbit "
+                    f"of {Monomial(f.table, canon + rest).render()} has {problem}")
+            out.setdefault(canon, {})[pad + rest] = coeffs[0]
         return {canon: LaurentPolynomial(f.table, terms, _canonical=True)
                 for canon, terms in out.items()}
 
@@ -522,7 +522,6 @@ def _calc(space: SpaceDescriptor) -> _SpaceCalc:
 
 def localization_pushforward(space: SpaceDescriptor, f: LaurentPolynomial) -> LaurentPolynomial:
     """Sum of f(point)/bracket(tangent) over the fixed points, simplified exactly."""
-    check_symmetry(space, f)
     calc = _calc(space)
     return calc.pushforward(f, calc.loc_class_value)
 
@@ -531,7 +530,6 @@ def residue_pushforward(space: SpaceDescriptor, f: LaurentPolynomial,
                         variant: str = "full") -> LaurentPolynomial:
     """Iterated residue of the factored integrand; contracts to equal the
     localization push-forward on every admissible class."""
-    check_symmetry(space, f)
     if variant not in space.variants():
         raise ValueError(f"invalid variant {variant!r} for {space.key()}")
     calc = _calc(space)

@@ -4,7 +4,9 @@
 tangent characters, and `factored_rational_sum` adds the terms
 numerator/prod(factors) over one common denominator and divides it out.
 Together they give the literal fixed-point sum that the Demazure chain of
-`eqpush.spaces` must reproduce.
+`eqpush.spaces` must reproduce.  `symmetry_orbit` walks the orbit of a
+z-exponent vector under the symmetry generators, which the sorted orbit
+classes of `eqpush.spaces` must reproduce.
 """
 
 import itertools
@@ -14,7 +16,7 @@ from eqpush import g2core
 from eqpush.algebra import (QONE, InvariantError, LaurentPolynomial, Monomial,
                             NotDivisible, NotPolynomial, exact_divide)
 from eqpush.characters import CharacterList, lambda_set, pos_roots, sym_set
-from eqpush.spaces import SpaceDescriptor
+from eqpush.spaces import SpaceDescriptor, symmetry_generators
 
 
 @dataclass(frozen=True)
@@ -145,3 +147,19 @@ def factored_rational_sum(terms) -> LaurentPolynomial:
                 raise NotPolynomial(
                     "factored sum does not simplify to a Laurent polynomial") from None
     return acc
+
+
+def symmetry_orbit(space: SpaceDescriptor, zexps: tuple) -> set:
+    """The orbit of a z-exponent vector under the substitutions of
+    `spaces.symmetry_generators`, by a breadth-first walk."""
+    table = space.table()
+    m = len(zexps)
+    pad = (0,) * (len(table) - m)
+    gens = symmetry_generators(space)
+    seen = {zexps}
+    frontier = [zexps]
+    while frontier:
+        images = {Monomial(table, e + pad).substitute(g).exps[:m] for e in frontier for g in gens}
+        frontier = list(images - seen)
+        seen |= images
+    return seen

@@ -104,6 +104,18 @@ def test_cli_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("space", ["gr:2,4", "q:3", "g2p2"])
+def test_asymmetric_class_is_one_error_line(capsys, space):
+    # z1 on gr:2,4 and g2p2, z2 on q:3: each the largest member of its orbit
+    monomial = "z2" if space == "q:3" else "z1"
+    code, out, err = run_cli(capsys, "pushforward", "--space", space, "--f", monomial)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error:") and "invariant" in line
+    assert f"{space} symmetry" in line and f"orbit of {monomial} " in line
+    assert "Traceback" not in err
+
+
 def test_cli_mismatch_exits_one(capsys, monkeypatch):
     # a planted wrong localization value must be reported as a disagreement
     real = spaces.localization_pushforward

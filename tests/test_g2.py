@@ -3,6 +3,7 @@ import pytest
 from eqpush.algebra import LaurentPolynomial, Monomial, exact_divide
 from eqpush import g2, g2core
 from eqpush.polyfam import Partition, grothendieck_pair
+from eqpush.spaces import SymmetryViolation
 
 GT = g2core.g2_table()
 ONE = LaurentPolynomial.one(GT)
@@ -23,6 +24,17 @@ def test_lift_symmetric():
     lift = g2.fundamental_class_lift()
     swap = {"z1": Monomial.of(GT, z2=1), "z2": Monomial.of(GT, z1=1)}
     assert lift.substitute_monomials(swap, partial=True) == lift
+
+
+def test_ambient_pushforward_rejects_asymmetric_class():
+    z1, z2 = LaurentPolynomial.variable(GT, "z1"), LaurentPolynomial.variable(GT, "z2")
+    for f in (z1, z1 + 2 * z2):
+        with pytest.raises(SymmetryViolation):
+            g2.ambient_pushforward(f)
+    # the tautological subbundle has no cohomology; its dual has the seven weights
+    assert g2.ambient_pushforward(z1 + z2).is_zero
+    weights = sum((w.as_polynomial() for w in g2core.seven_weights()), LaurentPolynomial.zero(GT))
+    assert g2.ambient_pushforward(z1 ** -1 + z2 ** -1) == weights
 
 
 def test_cyclic_pushforward_examples():

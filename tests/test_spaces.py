@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from eqpush.algebra import LaurentPolynomial, Monomial, zt_table
 from eqpush.characters import bracket
@@ -8,14 +10,15 @@ from eqpush.residue import iterated_residue
 from eqpush.spaces import (LocalizationEngine, SymmetryViolation, _base_tangent,
                            _calc, build_integrand, check_symmetry,
                            localization_pushforward, parse_space,
-                           residue_pushforward)
+                           residue_pushforward, symmetry_generators)
 from eqpush.verification import random_admissible_class
 
-from oracles import factored_rational_sum, fixed_points
+from oracles import factored_rational_sum, fixed_points, symmetry_orbit
 
 ALL_SPACES = ["gr:1,2", "gr:1,3", "gr:2,4", "gr2:2,4", "lg:1", "lg:2", "ogE:2",
               "ogO:1", "ogO:2", "fl:1", "fl:2", "fl:3", "q:2", "g2p2", "g2b"]
 CHAIN_SPACES = ALL_SPACES + ["lg:3", "ogE:3", "ogO:3", "q:3", "fl:4"]
+BASE_POINT_SPACES = CHAIN_SPACES + ["gr:3,6", "gr:2,7", "lg:4", "ogE:4", "q:4"]
 
 
 def test_parse_space_roundtrip():
@@ -41,7 +44,7 @@ def test_dimensions():
         assert len(LocalizationEngine(space).steps) == dim
 
 
-@pytest.mark.parametrize("key", CHAIN_SPACES + ["gr:3,6", "gr:2,7", "lg:4", "ogE:4", "q:4"])
+@pytest.mark.parametrize("key", BASE_POINT_SPACES)
 def test_base_tangent_matches_enumerated_point(key):
     # the engine's base point is z_i -> t_i; the enumerated fixed point with
     # that substitution has the engine's base tangent, as a multiset
@@ -142,6 +145,95 @@ def test_quadric_symmetry_rules():
     check_symmetry(space, good)
     with pytest.raises(SymmetryViolation):
         check_symmetry(space, z2)
+
+
+@pytest.mark.parametrize("key", BASE_POINT_SPACES)
+def test_orbit_classes_match_generator_walk(key):
+    # every z-exponent vector in the box: its sorted class is the largest
+    # member of the orbit the generators walk, and the orbit sum of that
+    # class has exactly the orbit as support
+    space = parse_space(key)
+    calc = _calc(space)
+    m = space.residue_count()
+    pad = (0,) * (len(calc.table) - m)
+    covered = set()
+    for zexps in itertools.product(range(-2, 3), repeat=m):
+        if zexps in covered:
+            continue
+        orbit = symmetry_orbit(space, zexps)
+        top = max(orbit)
+        assert {calc.canonical(e) for e in orbit} == {top}
+        assert set(calc.orbit_sum(top).terms) == {e + pad for e in orbit}
+        assert calc.orbit_size(top) == len(orbit)
+        covered |= orbit
+
+
+def test_symmetry_generators_keep_their_order():
+    def swap(table, i, j):
+        return {f"z{i}": Monomial.of(table, **{f"z{j}": 1}),
+                f"z{j}": Monomial.of(table, **{f"z{i}": 1})}
+
+    gr2 = parse_space("gr2:2,5").table()
+    assert symmetry_generators(parse_space("gr2:2,5")) == \
+        [swap(gr2, 1, 2), swap(gr2, 3, 4), swap(gr2, 4, 5)]
+    q = parse_space("q:4").table()
+    assert symmetry_generators(parse_space("q:4")) == \
+        [swap(q, 2, 3), swap(q, 3, 4), {"z2": Monomial.of(q, z2=-1)}]
+    g2p2 = parse_space("g2p2").table()
+    assert symmetry_generators(parse_space("g2p2")) == [swap(g2p2, 1, 2)]
+
+
+SYMMETRIC_SPACES = ["gr:2,4", "gr:3,6", "gr2:2,4", "lg:3", "ogE:3", "ogO:2", "q:2", "q:3",
+                    "g2p2"]
+
+
+@st.composite
+def admissible_classes(draw, keys):
+    """(space, f): f a sum of orbit classes times small t-polynomials."""
+    space = parse_space(draw(st.sampled_from(keys)))
+    calc = _calc(space)
+    m = space.residue_count()
+    tpart = st.tuples(*[st.integers(-1, 1)] * space.parameter_count())
+    f = LaurentPolynomial.zero(calc.table)
+    for _ in range(draw(st.integers(1, 3))):
+        canon = calc.canonical(draw(st.tuples(*[st.integers(-2, 2)] * m)))
+        coeff = draw(st.dictionaries(tpart, st.integers(-3, 3).filter(bool),
+                                     min_size=1, max_size=2))
+        f = f + calc.orbit_sum(canon) * LaurentPolynomial(
+            calc.table, {(0,) * m + t: c for t, c in coeff.items()})
+    return space, f
+
+
+@given(admissible_classes(SYMMETRIC_SPACES + ["fl:3", "g2b"]))
+def test_decompose_round_trips(case):
+    space, f = case
+    calc = _calc(space)
+    total = LaurentPolynomial.zero(f.table)
+    for canon, coeff in calc.decompose(f).items():
+        total = total + coeff * calc.orbit_sum(canon)
+    assert total == f
+
+
+@given(admissible_classes(SYMMETRIC_SPACES), st.data())
+def test_check_symmetry_rejects_one_broken_orbit(case, data):
+    space, f = case
+    calc = _calc(space)
+    m = space.residue_count()
+
+    def in_larger_orbit(key):
+        return calc.orbit_size(calc.canonical(key[:m])) > 1
+
+    members = sorted(key for key in f.terms if in_larger_orbit(key))
+    assume(members)
+    key = data.draw(st.sampled_from(members))
+    member = LaurentPolynomial(f.table, {key: f.terms[key]})
+    outside = data.draw(st.tuples(*[st.integers(-2, 2)] * len(f.table))
+                        .filter(lambda k: k not in f.terms and in_larger_orbit(k)))
+    check_symmetry(space, f)
+    # drop one member, change one member's coefficient, add one monomial
+    for broken in (f - member, f + member, f + LaurentPolynomial(f.table, {outside: 1})):
+        with pytest.raises(SymmetryViolation):
+            check_symmetry(space, broken)
 
 
 def test_decompose_needs_leading_class_variables():
