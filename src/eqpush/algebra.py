@@ -2,12 +2,19 @@
 
 A Laurent polynomial is a dict mapping exponent tuples (one integer per
 variable of a fixed VariableTable, negative exponents allowed) to nonzero
-arbitrary-precision rational coefficients.  The zero polynomial is the empty
-dict.  All values are immutable after construction and all operations are
-pure, so results can be shared freely.
+exact rational coefficients.  The zero polynomial is the empty dict.  All
+values are immutable after construction and all operations are pure, so
+results can be shared freely.
 
-Rational coefficients come from gmpy2 when available (much faster), with
-fractions.Fraction as a drop-in fallback.
+Every coefficient is in one normal form: a Python `int` when its value is
+integral, and a rational (gmpy2's `mpq` when available, else
+`fractions.Fraction`) only when it is not.  `rational()` builds that form and
+`quotient()` is the one exact division of coefficients.  Each polynomial
+remembers whether all its coefficients are ints; an operation on such
+operands multiplies and adds ints only, and the results of the others are
+normalized, so integral work such as Bareiss elimination or the G2 artifacts
+never builds a rational.  Rendering and JSON read `numerator` and
+`denominator`, which ints have as well.
 """
 
 from __future__ import annotations
@@ -24,13 +31,26 @@ except ImportError:  # pragma: no cover
     from fractions import Fraction as _ratio
 
 
+def _normal(q):
+    """A coefficient of either type in normal form."""
+    return q if q.denominator != 1 else int(q.numerator)
+
+
 def rational(numerator=0, denominator=1):
-    """Exact rational number."""
-    return _ratio(numerator, denominator)
+    """Exact rational number in normal form: an int when it is integral."""
+    if type(numerator) is int and denominator == 1:
+        return numerator
+    return _normal(_ratio(numerator, denominator))
 
 
-QZERO = rational(0)
-QONE = rational(1)
+def quotient(a, b):
+    """Exact quotient a / b of two coefficients, in normal form; an int when
+    the division is exact in the integers."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return rational(a, b)
 
 
 class MixedVariableTables(ValueError):
@@ -140,7 +160,7 @@ class Monomial:
         return all(e == 0 for e in self.exps)
 
     def as_polynomial(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.table, {self.exps: QONE})
+        return _poly(self.table, {self.exps: 1}, True)
 
     def substitute(self, mapping: Mapping[str, "Monomial"]) -> "Monomial":
         """Image under a variable -> monomial map (unmapped variables stay fixed)."""
@@ -182,16 +202,21 @@ def _grlex_key(exps: tuple):
 
 
 class LaurentPolynomial:
-    """Immutable sparse Laurent polynomial with exact rational coefficients."""
+    """Immutable sparse Laurent polynomial with exact rational coefficients.
 
-    __slots__ = ("table", "terms")
+    With _canonical set, terms must be a fresh dict of nonzero coefficients in
+    normal form; the polynomial takes it over without a copy.
+    """
+
+    __slots__ = ("table", "terms", "_integral")
 
     def __init__(self, table: VariableTable, terms: Mapping[tuple, object], _canonical=False):
         self.table = table
         if _canonical:
-            self.terms = dict(terms)
+            self.terms = terms
         else:
             self.terms = {k: rational(v) for k, v in terms.items() if v != 0}
+        self._integral = None  # whether every coefficient is an int; None until known
 
     # -- constructors ------------------------------------------------------
 
@@ -204,7 +229,7 @@ class LaurentPolynomial:
         q = rational(value)
         if q == 0:
             return LaurentPolynomial.zero(table)
-        return LaurentPolynomial(table, {table.zero_exps: q}, _canonical=True)
+        return _poly(table, {table.zero_exps: q}, type(q) is int)
 
     @staticmethod
     def one(table: VariableTable) -> "LaurentPolynomial":
@@ -214,7 +239,7 @@ class LaurentPolynomial:
     def variable(table: VariableTable, name: str, k: int = 1) -> "LaurentPolynomial":
         e = [0] * len(table)
         e[table.index(name)] = k
-        return LaurentPolynomial(table, {tuple(e): QONE}, _canonical=True)
+        return _poly(table, {tuple(e): 1}, True)
 
     # -- basic queries ------------------------------------------------------
 
@@ -224,17 +249,20 @@ class LaurentPolynomial:
 
     @property
     def is_one(self) -> bool:
-        return self.terms == {self.table.zero_exps: QONE}
+        return self.terms == {self.table.zero_exps: 1}
 
     def __len__(self):
         return len(self.terms)
 
     def constant_term(self):
-        return self.terms.get(self.table.zero_exps, QZERO)
+        return self.terms.get(self.table.zero_exps, 0)
 
     def is_integral(self) -> bool:
-        """True iff every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.terms.values())
+        """True iff every coefficient is an int; looked at once, then remembered."""
+        integral = self._integral
+        if integral is None:
+            integral = self._integral = all(type(c) is int for c in self.terms.values())
+        return integral
 
     def occurring_variables(self) -> tuple:
         seen = [False] * len(self.table)
@@ -263,11 +291,12 @@ class LaurentPolynomial:
     __hash__ = None
 
     def __neg__(self):
-        return LaurentPolynomial(self.table, {k: -c for k, c in self.terms.items()}, _canonical=True)
+        return _poly(self.table, {k: -c for k, c in self.terms.items()}, self._integral)
 
     def __add__(self, other):
         other = self._coerce(other)
         _same_table(self.table, other.table)
+        exact = self.is_integral() and other.is_integral()
         acc = dict(self.terms)
         for k, c in other.terms.items():
             s = acc.get(k)
@@ -279,7 +308,7 @@ class LaurentPolynomial:
                     del acc[k]
                 else:
                     acc[k] = s
-        return LaurentPolynomial(self.table, acc, _canonical=True)
+        return _result(self.table, acc, exact)
 
     __radd__ = __add__
 
@@ -292,6 +321,7 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
             _same_table(self.table, other.table)
+            exact = self.is_integral() and other.is_integral()
             a, b = self.terms, other.terms
             if len(a) > len(b):
                 a, b = b, a
@@ -310,7 +340,7 @@ class LaurentPolynomial:
                             del acc[k]
                         else:
                             acc[k] = s
-            return LaurentPolynomial(self.table, acc, _canonical=True)
+            return _result(self.table, acc, exact)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -320,7 +350,9 @@ class LaurentPolynomial:
             raise TypeError("exponent must be an integer")
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
-            return LaurentPolynomial(self.table, {tuple(x * k for x in e): c ** k}, _canonical=True)
+            # an int to a negative power is a float: invert exactly instead
+            q = rational(c ** k) if k >= 0 else quotient(1, c ** -k)
+            return _poly(self.table, {tuple(x * k for x in e): q}, type(q) is int)
         if k < 0:
             raise NotDivisible("negative power of a non-monomial")
         result = LaurentPolynomial.one(self.table)
@@ -341,7 +373,10 @@ class LaurentPolynomial:
         q = rational(q)
         if q == 0:
             return LaurentPolynomial.zero(self.table)
-        return LaurentPolynomial(self.table, {k: c * q for k, c in self.terms.items()}, _canonical=True)
+        if q == 1:
+            return self
+        return _result(self.table, {k: c * q for k, c in self.terms.items()},
+                       type(q) is int and self.is_integral())
 
     def mul_monomial(self, mono: Monomial, coeff=1) -> "LaurentPolynomial":
         _same_table(self.table, mono.table)
@@ -351,9 +386,9 @@ class LaurentPolynomial:
         sh = mono.exps
         if q == 1:
             terms = {tuple(map(_add, k, sh)): c for k, c in self.terms.items()}
-        else:
-            terms = {tuple(map(_add, k, sh)): c * q for k, c in self.terms.items()}
-        return LaurentPolynomial(self.table, terms, _canonical=True)
+            return _poly(self.table, terms, self._integral)
+        terms = {tuple(map(_add, k, sh)): c * q for k, c in self.terms.items()}
+        return _result(self.table, terms, type(q) is int and self.is_integral())
 
     # -- substitution -------------------------------------------------------
 
@@ -396,7 +431,7 @@ class LaurentPolynomial:
                     del acc[kk]
                 else:
                     acc[kk] = s
-        return LaurentPolynomial(table, acc, _canonical=True)
+        return _result(table, acc, self.is_integral())
 
     def substitute_polynomials(self, mapping: Mapping[str, "LaurentPolynomial"],
                                target: VariableTable | None = None):
@@ -457,7 +492,7 @@ class LaurentPolynomial:
                     raise KeyError(f"variable {self.table.names[i]!r} absent from target table")
                 e[j] = ki
             acc[tuple(e)] = c
-        return LaurentPolynomial(new_table, acc, _canonical=True)
+        return _poly(new_table, acc, self._integral)
 
     # -- rendering ----------------------------------------------------------
 
@@ -524,6 +559,22 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self.render()})"
 
 
+def _poly(table: VariableTable, terms: dict, integral=None) -> LaurentPolynomial:
+    """A polynomial taking over terms, which are already in normal form;
+    integral says whether they are all ints (None: not known)."""
+    p = LaurentPolynomial(table, terms, True)
+    p._integral = integral
+    return p
+
+
+def _result(table: VariableTable, terms: dict, exact: bool) -> LaurentPolynomial:
+    """The result of an operation: terms computed from int operands only
+    (exact), or else brought to normal form here."""
+    if exact:
+        return _poly(table, terms, True)
+    return _poly(table, {k: _normal(c) for k, c in terms.items()})
+
+
 # -- exact division ----------------------------------------------------------
 
 
@@ -566,28 +617,32 @@ def exact_divide_many(p: LaurentPolynomial, divisors) -> LaurentPolynomial:
     sp = _clearing_shift(p.terms, n)
     num = {tuple(map(_sub, k, sp)): c for k, c in p.terms.items()}
     shift = list(sp)
+    integral = p.is_integral()
     for d in divisors:
         sd = _clearing_shift(d.terms, n)
         den = {tuple(map(_sub, k, sd)): c for k, c in d.terms.items()}
-        num = _divide_nonneg(num, den)
+        num, integral = _divide_nonneg(num, den, integral and d.is_integral())
         for i in range(n):
             shift[i] -= sd[i]
     if any(shift):
         num = {tuple(map(_add, k, shift)): c for k, c in num.items()}
-    return LaurentPolynomial(p.table, num, _canonical=True)
+    return _poly(p.table, num, integral)
 
 
-def _divide_nonneg(num: dict, den: dict) -> dict:
-    """Exact division of ordinary-polynomial term dicts (graded-lex, heap driven)."""
+def _divide_nonneg(num: dict, den: dict, integral: bool) -> tuple:
+    """Exact division of ordinary-polynomial term dicts (graded-lex, heap
+    driven): (quotient in normal form, whether its coefficients are all ints).
+    Dividing ints by a monic divisor stays in the ints; otherwise each
+    quotient coefficient goes through `quotient`."""
     lead = max(den, key=_grlex_key)
     lc = den[lead]
-    monic = lc == 1
+    fast = integral and lc == 1
     rest = [(k, c) for k, c in den.items() if k != lead]
     remainder = dict(num)
     heap = [(-sum(k), tuple(map(_neg, k)), k) for k in remainder]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
-    quotient: dict = {}
+    out: dict = {}
     get = remainder.get
     while remainder:
         while heap:
@@ -602,8 +657,8 @@ def _divide_nonneg(num: dict, den: dict) -> dict:
         qk = tuple(map(_sub, k, lead))
         if any(e < 0 for e in qk):
             raise NotDivisible("leading term not divisible")
-        qc = c if monic else c / lc
-        quotient[qk] = qc
+        qc = c if fast else quotient(c, lc)
+        out[qk] = qc
         for dk, dc in rest:
             nk = tuple(map(_add, qk, dk))
             s = get(nk)
@@ -616,4 +671,4 @@ def _divide_nonneg(num: dict, den: dict) -> dict:
                     del remainder[nk]
                 else:
                     remainder[nk] = s
-    return quotient
+    return out, fast or all(type(c) is int for c in out.values())

@@ -148,7 +148,7 @@ class _Parser:
     def sum_run(self, left: LaurentPolynomial) -> LaurentPolynomial:
         """left followed by a run of + and - operands, added into one term
         dict: a flat sum of n terms costs linear time, not n copies of a
-        growing sum."""
+        growing sum.  The constructor brings the sums to normal form."""
         terms = dict(left.terms)
         while self.peek()[0] in ("+", "-"):
             plus = self.advance()[0] == "+"
@@ -158,7 +158,7 @@ class _Parser:
                     terms[k] = total
                 else:
                     del terms[k]
-        return LaurentPolynomial(self.table, terms, _canonical=True)
+        return LaurentPolynomial(self.table, terms)
 
     def power(self, base: LaurentPolynomial, exponent: int, start: int, caret: int):
         if len(base.terms) > 1 and exponent > MAX_POWER:

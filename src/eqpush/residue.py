@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable
 
-from .algebra import InvariantError, LaurentPolynomial, Monomial, QONE, rational
+from .algebra import InvariantError, LaurentPolynomial, Monomial, quotient, rational
 
 
 @dataclass(frozen=True)
@@ -142,13 +142,13 @@ class _Packing:
         return terms, content
 
     def unpack(self, table, terms: dict, q) -> LaurentPolynomial:
-        """The Laurent polynomial q * sum(c * key) with rational coefficients."""
+        """The Laurent polynomial q * sum(c * key)."""
         bias, mask, half, shifts = self.bias, self.mask, self.half, self.shifts
         out = {}
         for key, c in terms.items():
             u = key + bias
-            out[tuple(((u >> s) & mask) - half for s in shifts)] = q * c
-        return LaurentPolynomial(table, out, _canonical=True)
+            out[tuple(((u >> s) & mask) - half for s in shifts)] = c
+        return LaurentPolynomial(table, out, True).scale(q)
 
 
 def _minus_one_coefficient(slices: dict, rests: list) -> dict:
@@ -219,7 +219,7 @@ def _one_side(form: ResidueForm, var: str, zero: bool, infinity: bool) -> Residu
     terms, content = packing.pack_numerator(form.numerator)
     terms = _residue_step(terms, packing, i, mine, zero, infinity)
     remaining = tuple(v for v in form.residue_vars if v != var)
-    return ResidueForm(form.scalar, packing.unpack(table, terms, QONE / content),
+    return ResidueForm(form.scalar, packing.unpack(table, terms, quotient(1, content)),
                        others, remaining)
 
 
@@ -254,4 +254,4 @@ def iterated_residue(form: ResidueForm) -> LaurentPolynomial:
         terms = _residue_step(terms, packing, i, mine)
     if factors:
         raise InvariantError("denominator factors survived the iterated residue")
-    return packing.unpack(table, terms, form.scalar / content)
+    return packing.unpack(table, terms, quotient(form.scalar, content))

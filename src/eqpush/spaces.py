@@ -351,7 +351,7 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
             scalar = rational(1, math.factorial(m))
             numerator = bracket(roots(zlist), table)
         else:
-            scalar = rational(1)
+            scalar = 1
             numerator = bracket(pos_roots(zlist), table)
     elif k == "gr2":
         if variant == "full":
@@ -362,7 +362,7 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
                 * bracket(quotient_set(z1part, z2part), table) \
                 * bracket(roots(z2part), table)
         else:
-            scalar = rational(1)
+            scalar = 1
             numerator = bracket(pos_roots(zlist), table)
     elif k == "lg":
         scalar = rational(1, math.factorial(n))
@@ -380,7 +380,7 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
                 numerator = numerator * (one + z.as_polynomial())
             numerator = numerator * bracket(roots(zlist), table)
     elif k == "fl":
-        scalar = rational(1)
+        scalar = 1
         numerator = bracket(pos_roots(zlist), table)
     elif k == "q":
         scalar = rational(1, 2 ** (n - 1))
@@ -389,7 +389,7 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
             * bracket(pairwise_product(zlist.inverse(), z2part.inverse()), table) \
             * bracket(pos_roots(zlist), table)
     else:  # g2p2, g2b share the ambient-Grassmannian formula
-        scalar = rational(1)
+        scalar = 1
         lift = g2core.fundamental_class_lift().transport(table)
         numerator = lift * bracket(pos_roots(zlist), table)
 

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from eqpush import g2core
-from eqpush.algebra import (QONE, InvariantError, LaurentPolynomial, Monomial,
-                            NotDivisible, NotPolynomial, exact_divide)
+from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
+                            NotPolynomial, exact_divide, quotient)
 from eqpush.characters import CharacterList, lambda_set, pos_roots, sym_set
 from eqpush.spaces import SpaceDescriptor, symmetry_generators
 
@@ -114,13 +114,13 @@ def factored_rational_sum(terms) -> LaurentPolynomial:
     key_poly: dict = {}
     for numerator, factors in terms:
         counts: dict = {}
-        scalar = QONE
+        scalar = 1
         for f in factors:
             if f.is_zero:
                 raise ZeroDivisionError("zero factor in a denominator")
             lc = f.terms[min(f.terms)]
             scalar = scalar * lc
-            monic = f.scale(QONE / lc)
+            monic = f.scale(quotient(1, lc))
             key = tuple(sorted(monic.terms.items()))
             key_poly.setdefault(key, monic)
             counts[key] = counts.get(key, 0) + 1
@@ -138,7 +138,7 @@ def factored_rational_sum(terms) -> LaurentPolynomial:
         for key, m in master.items():
             for _ in range(m - counts.get(key, 0)):
                 numerator = numerator * key_poly[key]
-        acc = acc + numerator.scale(QONE / scalar)
+        acc = acc + numerator.scale(quotient(1, scalar))
     for key, m in sorted(master.items()):
         for _ in range(m):
             try:

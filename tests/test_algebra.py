@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from eqpush.algebra import (LaurentPolynomial, Monomial, NotDivisible,
                             MixedVariableTables, exact_divide,
                             exact_divide_many, parameter_table, rational,
                             zt_table)
+from eqpush.residue import iterated_residue, make_form
 from eqpush import g2core
 
 from conftest import random_laurent
@@ -198,3 +202,134 @@ def test_render_and_json(table22):
     ]
     assert LaurentPolynomial.zero(table22).json_terms() == []
     assert LaurentPolynomial.zero(table22).render() == "0"
+
+
+# -- the coefficient normal form, against a Fraction-only reference --------------
+#
+# A reference polynomial is a dict {exponents: Fraction} over zt_table(2, 2)
+# without zero values; every result must equal its reference, hold an int
+# for each integral value and a rational of denominator != 1 otherwise, and
+# know correctly whether it is all ints.
+
+T22 = zt_table(2, 2)
+RATIO = type(rational(1, 2))
+ZERO_EXPS = (0, 0, 0, 0)
+
+coefficients = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)).filter(bool)
+exponents = st.tuples(*[st.integers(-2, 2)] * 4)
+
+
+def references(max_size=4, min_size=0, keys=exponents):
+    return st.dictionaries(keys, coefficients, min_size=min_size, max_size=max_size)
+
+
+def poly(ref) -> LaurentPolynomial:
+    return LaurentPolynomial(T22, ref)
+
+
+def r_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def r_mul(a, b):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def r_pow(a, k):
+    out = {ZERO_EXPS: Fraction(1)}
+    for _ in range(k):
+        out = r_mul(out, a)
+    return out
+
+
+def r_substitute(a, images):
+    """images: {variable index: reference polynomial}; negative exponents
+    only on single-term images."""
+    out = {}
+    for key, c in a.items():
+        term = {ZERO_EXPS: c}
+        for i, e in enumerate(key):
+            if i in images and e:
+                img = images[i]
+                if e < 0:
+                    (ie, ic), = img.items()
+                    img, e = {tuple(-x for x in ie): 1 / ic}, -e
+                term = r_mul(term, r_pow(img, e))
+            elif e:
+                term = r_mul(term, {tuple(e if j == i else 0 for j in range(4)): Fraction(1)})
+        out = r_add(out, term)
+    return out
+
+
+def assert_normal(p: LaurentPolynomial, ref: dict):
+    for c in p.terms.values():
+        assert not isinstance(c, float)
+        assert type(c) is int or (type(c) is RATIO and c.denominator != 1)
+    assert p.terms == ref
+    assert p.is_integral() == all(c.denominator == 1 for c in ref.values())
+
+
+@given(references(), references(), coefficients, exponents)
+def test_ring_operations_keep_the_normal_form(a, b, q, shift):
+    pa, pb = poly(a), poly(b)
+    assert_normal(pa, a)
+    assert_normal(pa + pb, r_add(a, b))
+    assert_normal(pa - pb, r_add(a, {k: -c for k, c in b.items()}))
+    assert_normal(pa * pb, r_mul(a, b))
+    assert_normal(pa.scale(q), r_mul(a, {ZERO_EXPS: q}))
+    assert_normal(pa.mul_monomial(Monomial(T22, shift), q), r_mul(a, {shift: q}))
+    assert_normal(pa.mul_monomial(Monomial(T22, shift)), r_mul(a, {shift: 1}))
+    # integral results of rational operands, then int-only work on them
+    twice = pa.scale(Fraction(1, 2)) + pa.scale(Fraction(3, 2))
+    assert_normal(twice * pb + pb, r_add(r_mul(r_mul(a, {ZERO_EXPS: 2}), b), b))
+
+
+@given(exponents, coefficients.filter(lambda c: abs(c) != 1), st.integers(-3, 3))
+def test_monomial_power_keeps_the_normal_form(key, c, k):
+    # an int to a negative power would be a float
+    assert_normal(poly({key: c}) ** k, {tuple(e * k for e in key): c ** k})
+
+
+@given(references(max_size=3), references(max_size=3, min_size=2))
+def test_division_by_a_non_monic_divisor(q, d):
+    lead = max(d, key=lambda k: (sum(k), k))
+    assume(d[lead] != 1)
+    assert_normal(exact_divide(poly(r_mul(q, d)), poly(d)), q)
+
+
+@given(references(), st.dictionaries(st.integers(0, 3), exponents, max_size=4),
+       st.dictionaries(st.integers(0, 3), st.tuples(exponents, coefficients), min_size=4,
+                       max_size=4))
+def test_substitutions_keep_the_normal_form(a, monomials, singles):
+    table_names = T22.names
+    images = {table_names[i]: Monomial(T22, e) for i, e in monomials.items()}
+    unit = {i: {e: Fraction(1)} for i, e in monomials.items()}
+    assert_normal(poly(a).substitute_monomials(images, partial=True), r_substitute(a, unit))
+    terms = {i: {e: c} for i, (e, c) in singles.items()}
+    mapping = {table_names[i]: poly(ref) for i, ref in terms.items()}
+    assert_normal(poly(a).substitute_polynomials(mapping), r_substitute(a, terms))
+
+
+@given(references(keys=st.tuples(*[st.integers(0, 2)] * 4)),
+       st.dictionaries(st.integers(0, 3), references(max_size=3), min_size=4, max_size=4))
+def test_polynomial_substitution_keeps_the_normal_form(a, images):
+    mapping = {T22.names[i]: poly(ref) for i, ref in images.items()}
+    assert_normal(poly(a).substitute_polynomials(mapping, target=T22), r_substitute(a, images))
+
+
+@given(references(), coefficients)
+def test_iterated_residue_keeps_the_normal_form(a, scalar):
+    # one factor (1 - z_i/t_i) per variable: by the residue theorem the
+    # 0-plus-infinity residue of N dlog z1 dlog z2 is N at z1 = t1, z2 = t2
+    den = (Monomial.of(T22, z1=1, t1=-1), Monomial.of(T22, z2=1, t2=-1))
+    form = make_form(poly(a), den, ("z1", "z2"), scalar=scalar)
+    at_point = {0: {(0, 0, 1, 0): Fraction(1)}, 1: {(0, 0, 0, 1): Fraction(1)}}
+    assert_normal(iterated_residue(form), r_mul(r_substitute(a, at_point), {ZERO_EXPS: scalar}))

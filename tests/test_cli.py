@@ -93,6 +93,27 @@ def test_cli_pushforward_json(capsys):
     assert payload["localization"]["terms"][0]["exponents"] == {"t1": -1}
 
 
+@pytest.mark.parametrize("expr,text,den,exps", [
+    ("1/2", "1/2", "2", {}),
+    ("(1+z1)/2", "1/2", "2", {}),
+    ("(2*t1)^-2", "1/4*t1^-2", "4", {"t1": -2}),
+    ("(1+z1)*(1+z1)/(2+2*z1)", "1/2", "2", {}),
+])
+def test_cli_rational_values(capsys, expr, text, den, exps):
+    # an int quotient that is not exact and an int to a negative power stay
+    # exact rationals (neither floor division nor a float)
+    code, out, _ = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", expr)
+    assert code == 0
+    assert out.splitlines() == [f"localization: {text}", f"residue: {text}", "agree: true"]
+    code, out, _ = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", expr,
+                           "--format", "json")
+    assert code == 0
+    terms = [{"coeff_num": "1", "coeff_den": den, "exponents": exps}]
+    payload = json.loads(out)
+    assert payload["localization"]["terms"] == payload["residue"]["terms"] == terms
+    assert payload["agree"] is True
+
+
 def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", "1 + * 2")
     assert code == 2 and "offset" in err
