@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from operator import add as _add, neg as _neg, sub as _sub
 from typing import Mapping
@@ -28,7 +29,9 @@ from typing import Mapping
 try:
     from gmpy2 import mpq as _ratio
 except ImportError:  # pragma: no cover
-    from fractions import Fraction as _ratio
+    _ratio = Fraction
+
+_EXACT = (int, Fraction, _ratio)  # the exact rationals a polynomial compares with
 
 
 def _normal(q):
@@ -282,11 +285,13 @@ class LaurentPolynomial:
     # -- arithmetic ---------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            if isinstance(other, int) or other == 0:
-                return self.terms == LaurentPolynomial.constant(self.table, other).terms
-            return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        """Equal polynomials over one table, or a constant equal to an exact
+        rational number (int, Fraction or mpq); any other type is not compared."""
+        if isinstance(other, LaurentPolynomial):
+            return self.table == other.table and self.terms == other.terms
+        if isinstance(other, _EXACT):
+            return self.terms == LaurentPolynomial.constant(self.table, other).terms
+        return NotImplemented
 
     __hash__ = None
 

@@ -22,7 +22,12 @@ and let the factors containing v be (1 - r v^k).  The residue at 0 is the
 coefficient of v^-1 after expanding every factor as a geometric series; the
 kernel multiplies the slices N_a (a <= -1) by one series at a time, keeping
 only degrees <= -1, so equal monomials merge after every factor instead of
-after one large product.  The residue at infinity substitutes v -> 1/v: d(v)/v
+after one large product.  The last series is not expanded: only its v^-1
+coefficient is needed, Q[-1] = sum_j r^j * Q[-1 - j*k] over the layers Q the
+other series left, one pass of shifted layers.  So a variable with one factor
+costs time linear in the number of layers, and z^N on P^1, whose residue at
+infinity starts at degree -N, no longer costs N^2/2 layer entries.  The
+residue at infinity substitutes v -> 1/v: d(v)/v
 changes sign and each factor becomes -(v^-k r)(1 - v^k/r), so it is the same
 truncated product for the slices N_a v^(K-2-a) and the factors (1 - v^k/r),
 times sign * s, with K the sum of the k, s the product of the 1/r and sign
@@ -153,16 +158,18 @@ class _Packing:
 
 def _minus_one_coefficient(slices: dict, rests: list) -> dict:
     """The v^-1 coefficient of sum(slices[d] * v^d) * prod 1/(1 - r v^k) over
-    the (packed r, k) in rests.  Only degrees d <= -1 are kept; multiplying by
-    one geometric series is the recurrence Q[d] += r * Q[d - k], taken in
-    increasing d, so equal monomials merge after every factor."""
-    q = {d: dict(layer) for d, layer in slices.items() if d < 0}
-    if not q:
-        return {}
-    low = min(q)
-    for r, k in rests:
-        for d in range(low + k, 0):
-            src = q.get(d - k)
+    the (packed r, k) in rests, as a new dict.  Only degrees d <= -1 are kept;
+    multiplying by one geometric series is the recurrence Q[d] += r * Q[d - k],
+    taken in increasing d, so equal monomials merge after every factor.  The
+    last series only has to give Q[-1] = sum_j r^j * Q[-1 - j*k]."""
+    low = min(slices, default=0)
+    if low >= 0 or not rests:
+        return dict(slices.get(-1, ()))
+    *series, (r, k) = rests
+    q = {d: dict(layer) for d, layer in slices.items() if d < 0} if series else slices
+    for rs, ks in series:
+        for d in range(low + ks, 0):
+            src = q.get(d - ks)
             if not src:
                 continue
             dst = q.get(d)
@@ -170,9 +177,19 @@ def _minus_one_coefficient(slices: dict, rests: list) -> dict:
                 dst = q[d] = {}
             get = dst.get
             for key, c in src.items():
-                kk = key + r
+                kk = key + rs
                 dst[kk] = get(kk, 0) + c
-    return q.get(-1, {})
+    out = dict(q.get(-1, ()))
+    get = out.get
+    shift = 0
+    for d in range(-1 - k, low - 1, -k):
+        shift += r
+        src = q.get(d)
+        if src:
+            for key, c in src.items():
+                kk = key + shift
+                out[kk] = get(kk, 0) + c
+    return out
 
 
 def _residue_step(terms: dict, packing: _Packing, i: int, mine: list,

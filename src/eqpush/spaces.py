@@ -14,6 +14,17 @@ SpaceDescriptor.symmetry_runs; the generators, the sorted orbit classes and
 the check in _SpaceCalc.decompose, which every push-forward runs, derive from
 it.  Both paths are linear, so values are cached per orbit class; the caches
 are observationally pure.
+
+The residue of an orbit class needs one member of the orbit when the
+integrand is symmetric: if every symmetry generator maps the base numerator
+and the multiset of denominator monomials of a (space, variant) to
+themselves (`_integrand_symmetric`, decided once), then
+Res(orbit_sum(c) * base) = |orbit(c)| * Res(z^c' * base) for any member c'.
+That holds for the full gr and gr2 formulas, lg, ogE and both ogO
+variants, and trivially for fl, g2b and gr:1,n, whose orbits have one
+member.  The compact gr and gr2 bases (pos_roots), q and g2p2 are not
+symmetric and keep the orbit sum; q's inversion z -> 1/z moves the factors
+and the measure anyway.
 """
 
 from __future__ import annotations
@@ -397,16 +408,34 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
     return scalar, numerator, denominator, zvars
 
 
-def _integrand(space: SpaceDescriptor, f: LaurentPolynomial, variant: str) -> ResidueForm:
-    scalar, base, denominator, zvars = _integrand_parts(space, variant)
-    return make_form(f * base, denominator, zvars, scalar=scalar, dlog=True)
+@lru_cache(maxsize=None)
+def _integrand_symmetric(space: SpaceDescriptor, variant: str) -> bool:
+    """Whether every `symmetry_generators` substitution maps the integrand of
+    (space, variant) to itself: the base numerator (checked like a class) and
+    the multiset of denominator monomials.  A permutation of the z's also
+    keeps the dlog measure, and the iterated residue does not depend on the
+    order of the variables, so a class's residue is then |orbit| times that
+    of one orbit member.  An inversion z -> 1/z never qualifies: every
+    factor monomial has a positive residue exponent, so none maps to a
+    factor (and the measure changes sign)."""
+    _, base, denominator, _ = _integrand_parts(space, variant)
+    factors = Counter(m.exps for m in denominator)
+    for s in symmetry_generators(space):
+        if Counter(m.substitute(s).exps for m in denominator) != factors:
+            return False
+    try:
+        check_symmetry(space, base)
+    except SymmetryViolation:
+        return False
+    return True
 
 
 def build_integrand(space: SpaceDescriptor, f: LaurentPolynomial,
                     variant: str = "full") -> ResidueForm:
     """The factored residue integrand for a class f (measure absorbed)."""
     check_symmetry(space, f)
-    return _integrand(space, f, variant)
+    scalar, base, denominator, zvars = _integrand_parts(space, variant)
+    return make_form(f * base, denominator, zvars, scalar=scalar, dlog=True)
 
 
 # -- cached per-space calculators ------------------------------------------------
@@ -504,7 +533,19 @@ class _SpaceCalc:
         key = (canon, variant)
         got = self.res_values.get(key)
         if got is None:
-            got = iterated_residue(_integrand(self.space, self.orbit_sum(canon), variant))
+            scalar, base, denominator, zvars = _integrand_parts(self.space, variant)
+            if _integrand_symmetric(self.space, variant):
+                # The orbit member whose runs ascend: iterated_residue takes
+                # the last variable first, and the larger its exponent, the
+                # fewer layers its residue at 0 builds.
+                rep = list(canon) + [0] * (len(self.table) - self.m)
+                for start, stop, _ in self.runs:
+                    rep[start:stop] = canon[start:stop][::-1]
+                numerator = base.mul_monomial(Monomial(self.table, tuple(rep)))
+                scalar = scalar * self.orbit_size(canon)
+            else:
+                numerator = self.orbit_sum(canon) * base
+            got = iterated_residue(make_form(numerator, denominator, zvars, scalar=scalar))
             self.res_values[key] = got
         return got
 

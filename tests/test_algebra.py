@@ -192,6 +192,23 @@ def test_integrality_and_constants(table22):
     assert LaurentPolynomial.zero(table22).is_integral()
 
 
+@pytest.mark.parametrize("value", [3, Fraction(1, 2), Fraction(4, 2), rational(-5, 3)],
+                         ids=["int", "Fraction", "integral-Fraction", "rational"])
+def test_constant_equals_its_exact_value(table22, value):
+    # rational() is an mpq when gmpy2 is installed, a Fraction otherwise
+    constant = LaurentPolynomial.constant(table22, value)
+    assert constant == value and value == constant
+    assert constant != value + 1
+    assert constant + V(table22, "t1") != value
+
+
+def test_other_types_are_not_compared(table22):
+    one = LaurentPolynomial.one(table22)
+    assert one.__eq__(1.0) is NotImplemented
+    assert one.__eq__("1") is NotImplemented
+    assert one != "1"
+
+
 def test_render_and_json(table22):
     one = LaurentPolynomial.one(table22)
     p = one - V(table22, "t1", -1)

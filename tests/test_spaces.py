@@ -1,12 +1,15 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from eqpush import spaces
 from eqpush.algebra import LaurentPolynomial, Monomial, zt_table
 from eqpush.characters import bracket
-from eqpush.residue import iterated_residue
+from eqpush.exprparse import parse_to_polynomial
+from eqpush.residue import iterated_residue, make_form
 from eqpush.spaces import (LocalizationEngine, SymmetryViolation, _base_tangent,
                            _calc, build_integrand, check_symmetry,
                            localization_pushforward, parse_space,
@@ -14,6 +17,7 @@ from eqpush.spaces import (LocalizationEngine, SymmetryViolation, _base_tangent,
 from eqpush.verification import random_admissible_class
 
 from oracles import factored_rational_sum, fixed_points, symmetry_orbit
+from test_acceptance import CLASSICAL_CASES
 
 ALL_SPACES = ["gr:1,2", "gr:1,3", "gr:2,4", "gr2:2,4", "lg:1", "lg:2", "ogE:2",
               "ogO:1", "ogO:2", "fl:1", "fl:2", "fl:3", "q:2", "g2p2", "g2b"]
@@ -280,15 +284,94 @@ def test_quotient_integrand_denominators():
     assert form.scalar == 1
 
 
-def test_residue_pushforward_matches_integrand():
-    space = parse_space("gr:2,4")
+# the criterion-5 spaces and the two largest isotropic Grassmannians
+RESIDUE_SPACES = [key for key, _ in CLASSICAL_CASES] + ["lg:4", "ogE:4"]
+RESIDUE_PAIRS = [(key, variant) for key in RESIDUE_SPACES + ["g2p2"]
+                 for variant in parse_space(key).variants()]
+
+
+@pytest.mark.parametrize("key, variant", RESIDUE_PAIRS)
+def test_residue_pushforward_matches_integrand(key, variant):
+    # build_integrand multiplies the whole orbit sum into the base numerator;
+    # residue_pushforward may take one orbit member per class instead
+    space = parse_space(key)
+    rng = random.Random(f"integrand:{key}:{variant}")
+    trials, max_exp = (2, 1) if key in ("lg:4", "ogE:4") else (3, 2)
+    for _ in range(trials):
+        f = random_admissible_class(space, rng, max_exp=max_exp)
+        assert residue_pushforward(space, f, variant) == \
+            iterated_residue(build_integrand(space, f, variant))
+
+
+def test_which_integrands_take_one_orbit_member():
+    # The base numerator of a compact Grassmannian (pos_roots), of q and of
+    # g2p2 is not symmetric, and q's inversion also moves the factors and
+    # the measure.  fl has no symmetry and gr:1,n permutes one z, so their
+    # orbits have one member and both ways build the same numerator.
+    orbit_sum = {("gr:2,4", "compact"), ("gr:2,5", "compact"), ("gr:3,6", "compact"),
+                 ("gr2:2,4", "compact"), ("q:2", "full"), ("q:3", "full"),
+                 ("g2p2", "full")}
+    for key, variant in RESIDUE_PAIRS:
+        assert spaces._integrand_symmetric(parse_space(key), variant) == \
+            ((key, variant) not in orbit_sum), (key, variant)
+
+
+@pytest.mark.parametrize("part", ["base", "denominator"])
+def test_asymmetric_integrand_falls_back_to_the_orbit_sum(monkeypatch, part):
+    # one base term, or the factor 1 - z1/t1, removed from the lg:2 integrand
+    space = parse_space("lg:2")
+    scalar, base, denominator, zvars = spaces._integrand_parts(space, "full")
+    if part == "base":
+        dropped = max(k for k in base.terms if k[0] != k[1])
+        base = LaurentPolynomial(base.table, {k: c for k, c in base.terms.items()
+                                              if k != dropped})
+    else:
+        denominator = denominator[1:]
+    monkeypatch.setattr(spaces, "_integrand_parts",
+                        lambda s, v: (scalar, base, denominator, zvars))
+    spaces._integrand_symmetric.cache_clear()
+    try:
+        assert not spaces._integrand_symmetric(space, "full")
+        calc = spaces._SpaceCalc(space)
+        differs = False
+        for canon in [(1, 0), (2, -1), (1, 1), (0, -2)]:
+            value = calc.res_class_value(canon, "full")
+            assert value == iterated_residue(build_integrand(space, calc.orbit_sum(canon)))
+            one_member = base.mul_monomial(Monomial(calc.table, canon[::-1] + (0, 0)))
+            differs |= value != iterated_residue(make_form(
+                one_member, denominator, zvars, scalar=scalar * calc.orbit_size(canon)))
+        assert differs  # one orbit member would have given a wrong value
+    finally:
+        spaces._integrand_symmetric.cache_clear()
+
+
+def _traced_peak(compute):
+    """(compute(), the peak bytes allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        value = compute()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_residue_path_is_linear_in_a_monomial_power():
+    # z1^N on P^1: the residue at infinity expands two geometric series from
+    # degree -N.  Filling every degree with the last one builds ~N^2/2 layer
+    # entries (150 MB at N = 2000, 190 times the chain's peak); taking only
+    # its v^-1 coefficient builds ~N, like the chain.
+    space = parse_space("gr:1,2")
     table = space.table()
-    z1 = LaurentPolynomial.variable(table, "z1")
-    z2 = LaurentPolynomial.variable(table, "z2")
-    f = z1 * z2 + z1 + z2
-    for variant in ("full", "compact"):
-        assert iterated_residue(build_integrand(space, f, variant)) == \
-            residue_pushforward(space, f, variant)
+    calc = spaces._SpaceCalc(space)  # no cached class values
+    f = LaurentPolynomial.variable(table, "z1", 2000)
+    loc, loc_peak = _traced_peak(lambda: calc.pushforward(f, calc.loc_class_value))
+    res, res_peak = _traced_peak(
+        lambda: calc.pushforward(f, lambda canon: calc.res_class_value(canon, "full")))
+    assert res == loc and len(loc) == 1999
+    assert res_peak < 4 * loc_peak, (res_peak, loc_peak)
+    for text in ("z1^20000", "(1+z1)^64 + z1^100000"):
+        f = parse_to_polynomial(text, table)
+        assert residue_pushforward(space, f) == localization_pushforward(space, f), text
 
 
 def test_two_set_pushforward_quotient_bundle():
