@@ -7,8 +7,7 @@ from .algebra import (InvariantError, LaurentPolynomial, MixedVariableTables,
                       exact_divide, parameter_table, rational, zt_table)
 from .characters import CharacterList, bracket, standard_sets
 from .polyfam import (Partition, complement_partition, grothendieck_general,
-                      grothendieck_pair, parse_partition, rectangle_partitions,
-                      schur_pair)
+                      grothendieck_pair, rectangle_partitions, schur_pair)
 from .residue import (ResidueForm, iterated_residue, make_form,
                       residue_at_infinity, residue_at_zero)
 from .spaces import (SpaceDescriptor, SymmetryViolation, build_integrand,

@@ -7,13 +7,12 @@ values are immutable after construction and all operations are pure, so
 results can be shared freely.
 
 Every coefficient is in one normal form: a Python `int` when its value is
-integral, and a rational (gmpy2's `mpq` when available, else
-`fractions.Fraction`) only when it is not.  `rational()` builds that form and
-`quotient()` is the one exact division of coefficients.  Each polynomial
-remembers whether all its coefficients are ints; an operation on such
-operands multiplies and adds ints only, and the results of the others are
-normalized, so integral work such as Bareiss elimination or the G2 artifacts
-never builds a rational.  Rendering and JSON read `numerator` and
+integral, and a `fractions.Fraction` only when it is not.  `rational()` builds
+that form and `quotient()` is the one exact division of coefficients.  Each
+polynomial remembers whether all its coefficients are ints; an operation on
+such operands multiplies and adds ints only, and the results of the others
+are normalized, so integral work such as Bareiss elimination or the G2
+artifacts never builds a rational.  Rendering and JSON read `numerator` and
 `denominator`, which ints have as well.
 """
 
@@ -26,24 +25,19 @@ from functools import lru_cache
 from operator import add as _add, neg as _neg, sub as _sub
 from typing import Mapping
 
-try:
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover
-    _ratio = Fraction
-
-_EXACT = (int, Fraction, _ratio)  # the exact rationals a polynomial compares with
+_EXACT = (int, Fraction)  # the exact rationals a polynomial compares with
 
 
 def _normal(q):
     """A coefficient of either type in normal form."""
-    return q if q.denominator != 1 else int(q.numerator)
+    return q if q.denominator != 1 else q.numerator
 
 
 def rational(numerator=0, denominator=1):
     """Exact rational number in normal form: an int when it is integral."""
     if type(numerator) is int and denominator == 1:
         return numerator
-    return _normal(_ratio(numerator, denominator))
+    return _normal(Fraction(numerator, denominator))
 
 
 def quotient(a, b):
@@ -132,10 +126,7 @@ class Monomial:
 
     @staticmethod
     def of(table: VariableTable, **powers: int) -> "Monomial":
-        e = [0] * len(table)
-        for name, k in powers.items():
-            e[table.index(name)] = k
-        return Monomial(table, tuple(e))
+        return Monomial.from_map(table, powers)
 
     @staticmethod
     def from_map(table: VariableTable, powers: Mapping[str, int]) -> "Monomial":
@@ -286,7 +277,7 @@ class LaurentPolynomial:
 
     def __eq__(self, other):
         """Equal polynomials over one table, or a constant equal to an exact
-        rational number (int, Fraction or mpq); any other type is not compared."""
+        rational number (int or Fraction); any other type is not compared."""
         if isinstance(other, LaurentPolynomial):
             return self.table == other.table and self.terms == other.terms
         if isinstance(other, _EXACT):

@@ -44,10 +44,6 @@ class CharacterList:
     def inverse(self) -> "CharacterList":
         return CharacterList(tuple(m.inverse() for m in self.entries))
 
-    def apply(self, mapping) -> "CharacterList":
-        """Elementwise image under a variable -> monomial substitution."""
-        return CharacterList(tuple(m.substitute(mapping) for m in self.entries))
-
     def render(self) -> str:
         return "(" + ", ".join(m.render() for m in self.entries) + ")"
 

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .algebra import InvariantError, LaurentPolynomial
+from .algebra import InvariantError, LaurentPolynomial, NotDivisible
 from .cohomology import g2_integral, coh_table
 from .exprparse import ExpressionSyntaxError, parse_to_polynomial
 from .polyfam import schur_pair
@@ -220,7 +220,9 @@ def main(argv=None) -> int:
     except (ExpressionSyntaxError, SymmetryViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvariantError as exc:
+    except (InvariantError, NotDivisible) as exc:
+        # the parser reports every inexact division in the input as exit 2, so
+        # one that gets here is an internal fault
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

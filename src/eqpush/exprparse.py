@@ -5,7 +5,8 @@ binary + - * / and ^ with a literal (possibly negative) integer exponent,
 parentheses, and the macros G[a,b], S[a,b], U, Uz, Ut, A, B which expand to
 the corresponding classes.  Division is exact division and is rejected like a
 syntax error when the quotient is not exact, and so is a power above
-MAX_POWER of a base with more than one term, before it is expanded.
+MAX_POWER of a base with more than one term, before it is expanded, and a
+G[a,b] whose (1 - z1)^(a+1) would be such a power.
 
 Parsing is one pass: every subexpression is evaluated over the table as soon
 as it is read, so no syntax tree is built and a flat sum or a chain of powers
@@ -211,6 +212,7 @@ class _Parser:
 
     def macro_call(self, name: str) -> LaurentPolynomial:
         self.expect("[")
+        offset = self.peek()[2]
         args = [self.expect("INT")[1]]
         while self.peek()[0] == ",":
             self.advance()
@@ -222,6 +224,9 @@ class _Parser:
             raise ValueError(f"unknown macro {name!r}")
         from .polyfam import grothendieck_pair, schur_pair
         a, b = args
+        if name == "G" and a + 1 > MAX_POWER:
+            raise ExpressionSyntaxError(offset, {f"a first index of at most {MAX_POWER - 1}"},
+                                        str(a))
         try:
             if name == "G":
                 return grothendieck_pair(a, b).transport(self.table)

@@ -88,38 +88,26 @@ def intersection_matrix() -> list:
     return matrix
 
 
+def _paired_rows(matrix):
+    """(order, rows, sign): row r of the rows is the row of order[r], the box
+    complement of partition r, which puts unit entries of the nonequivariant
+    specialization on the diagonal; sign is the sign of that reordering.  The
+    complement is an involution, so the sign is -1 to the number of pairs it
+    swaps.  The matrix is symmetric, so the rows are also its columns in
+    that order."""
+    parts = box_partitions()
+    index = {lam: i for i, lam in enumerate(parts)}
+    order = [index[complement_partition(lam, BOX_ROWS, BOX_COLS)] for lam in parts]
+    sign = (-1) ** sum(i < j for i, j in enumerate(order))
+    return order, [matrix[j] for j in order], sign
+
+
 def intersection_determinant(matrix=None) -> LaurentPolynomial:
     if matrix is None:
         matrix = intersection_matrix()
-    parts = box_partitions()
-    order = _paired_order(parts)
-    permuted = [[matrix[i][j] for j in order] for i in range(len(parts))]
-    det = bareiss_determinant(permuted)
-    return det if _permutation_sign(order) == 1 else -det
-
-
-def _paired_order(parts):
-    """Column order pairing each row partition with its box complement, which
-    puts unit entries of the nonequivariant specialization on the diagonal."""
-    index = {lam: i for i, lam in enumerate(parts)}
-    return [index[complement_partition(lam, BOX_ROWS, BOX_COLS)] for lam in parts]
-
-
-def _permutation_sign(order):
-    seen = [False] * len(order)
-    sign = 1
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        pos = start
-        while not seen[pos]:
-            seen[pos] = True
-            pos = order[pos]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    _, rows, sign = _paired_rows(matrix)
+    det = bareiss_determinant(rows)
+    return det if sign == 1 else -det
 
 
 def fundamental_class_solve():
@@ -127,17 +115,13 @@ def fundamental_class_solve():
 
     Solves sum_I c_I * m(I, J) = pushforward(G_J) over all box partitions by
     fraction-free elimination; the determinant is a unit so the solution is a
-    Laurent-polynomial vector.
+    Laurent-polynomial vector.  Equation J is taken in the row of the
+    complement of J, so pivots are units at the nonequivariant point.
     """
     parts = box_partitions()
-    matrix = intersection_matrix()
     table_values = grothendieck_table()
-    order = _paired_order(parts)
-    # Equations indexed by J, unknowns by I; pair equation rows with the
-    # complementary unknown so pivots are units at the nonequivariant point.
-    permuted = [[matrix[order[r]][c] for c in range(len(parts))] for r in range(len(parts))]
-    rhs = [table_values[parts[order[r]]] for r in range(len(parts))]
-    _, solution = bareiss_solve(permuted, rhs)
+    order, rows, _ = _paired_rows(intersection_matrix())
+    _, solution = bareiss_solve(rows, [table_values[parts[j]] for j in order])
     return {parts[i]: solution[i] for i in range(len(parts))}
 
 

@@ -64,16 +64,6 @@ class Partition:
         return f"Partition{self.render()}"
 
 
-def parse_partition(text: str) -> Partition:
-    """Inverse of Partition.render for single-digit parts."""
-    body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    if body in ("", "0"):
-        return Partition(())
-    return Partition(tuple(int(ch) for ch in body))
-
-
 def rectangle_partitions(rows: int, cols: int) -> list:
     """All partitions in a rows x cols box, by size then descending lex order."""
     out = []

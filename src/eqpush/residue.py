@@ -141,8 +141,8 @@ class _Packing:
 
     def pack_numerator(self, p: LaurentPolynomial):
         """({key: int coefficient}, content) with p = sum(c * key) / content."""
-        content = lcm(*(int(c.denominator) for c in p.terms.values()))
-        terms = {self.pack(k): int(c.numerator) * (content // int(c.denominator))
+        content = lcm(*(c.denominator for c in p.terms.values()))
+        terms = {self.pack(k): c.numerator * (content // c.denominator)
                  for k, c in p.terms.items()}
         return terms, content
 
@@ -225,31 +225,40 @@ def _residue_step(terms: dict, packing: _Packing, i: int, mine: list,
 # -- entry points ----------------------------------------------------------------
 
 
-def _one_side(form: ResidueForm, var: str, zero: bool, infinity: bool) -> ResidueForm:
-    if var not in form.residue_vars:
-        raise InvariantError(f"{var!r} is not a residue variable of the form")
+def _residues(form: ResidueForm, order: tuple, scalar, zero: bool = True,
+              infinity: bool = True) -> tuple:
+    """The residues of form in the variables of order, taken one after the
+    other on a numerator packed once and unpacked once: (scalar times the
+    numerator left, the denominator monomials left)."""
+    for var in order:
+        if var not in form.residue_vars:
+            raise InvariantError(f"{var!r} is not a residue variable of the form")
     table = form.table
-    i = table.index(var)
-    mine = [m for m in form.denominator if m.exps[i]]
-    others = tuple(m for m in form.denominator if not m.exps[i])
-    packing = _Packing(len(table), _exponent_bound(form, (var,)))
+    packing = _Packing(len(table), _exponent_bound(form, order))
     terms, content = packing.pack_numerator(form.numerator)
-    terms = _residue_step(terms, packing, i, mine, zero, infinity)
-    remaining = tuple(v for v in form.residue_vars if v != var)
-    return ResidueForm(form.scalar, packing.unpack(table, terms, quotient(1, content)),
-                       others, remaining)
+    factors = form.denominator
+    for var in order:
+        i = table.index(var)
+        mine = [m for m in factors if m.exps[i]]
+        factors = tuple(m for m in factors if not m.exps[i])
+        terms = _residue_step(terms, packing, i, mine, zero, infinity)
+    return packing.unpack(table, terms, quotient(scalar, content)), factors
 
 
 def residue_at_zero(form: ResidueForm, var: str) -> ResidueForm:
     """Coefficient of var^(-1) after expanding the var-factors as geometric series."""
-    return _one_side(form, var, zero=True, infinity=False)
+    numerator, others = _residues(form, (var,), 1, infinity=False)
+    remaining = tuple(v for v in form.residue_vars if v != var)
+    return ResidueForm(form.scalar, numerator, others, remaining)
 
 
 def residue_at_infinity(form: ResidueForm, var: str) -> ResidueForm:
     """Residue at infinity via the substitution var -> 1/var: the residue at 0
     of the form rewritten with d(var)/var -> -d(var)/var and each factor
     (1 - rest*var^k) as a unit monomial times (1 - var^k/rest)."""
-    return _one_side(form, var, zero=False, infinity=True)
+    numerator, others = _residues(form, (var,), 1, zero=False)
+    remaining = tuple(v for v in form.residue_vars if v != var)
+    return ResidueForm(form.scalar, numerator, others, remaining)
 
 
 def iterated_residue(form: ResidueForm) -> LaurentPolynomial:
@@ -257,18 +266,10 @@ def iterated_residue(form: ResidueForm) -> LaurentPolynomial:
 
     The last listed variable is processed first, matching composition of the
     per-variable operators; the form-class invariant makes the order
-    unobservable.  The numerator is packed once, and unpacked once at the end.
+    unobservable.  The numerator is packed once, and unpacked once at the end
+    together with the form's scalar.
     """
-    table = form.table
-    order = tuple(reversed(form.residue_vars))
-    packing = _Packing(len(table), _exponent_bound(form, order))
-    terms, content = packing.pack_numerator(form.numerator)
-    factors = list(form.denominator)
-    for var in order:
-        i = table.index(var)
-        mine = [m for m in factors if m.exps[i]]
-        factors = [m for m in factors if not m.exps[i]]
-        terms = _residue_step(terms, packing, i, mine)
+    value, factors = _residues(form, tuple(reversed(form.residue_vars)), form.scalar)
     if factors:
         raise InvariantError("denominator factors survived the iterated residue")
-    return packing.unpack(table, terms, quotient(form.scalar, content))
+    return value

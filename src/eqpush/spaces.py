@@ -139,9 +139,12 @@ def parse_space(text: str) -> SpaceDescriptor:
     if ":" not in body:
         return SpaceDescriptor(body)
     kind, _, params = body.partition(":")
-    nums = [int(p) for p in params.split(",") if p != ""]
     if kind in ("g2p2", "g2b"):
         raise ValueError(f"{kind} takes no parameters, got {params!r}")
+    fields = params.split(",")
+    if "" in fields:
+        raise ValueError(f"empty parameter in {text!r}")
+    nums = [int(p) for p in fields]
     if kind in ("gr", "gr2"):
         if len(nums) != 2:
             raise ValueError(f"{kind} takes two parameters, got {params!r}")

@@ -34,6 +34,11 @@ def _tvars(table, n):
     return [Monomial.of(table, **{f"t{i + 1}": 1}) for i in range(n)]
 
 
+def _image(tangent: CharacterList, w) -> CharacterList:
+    """The tangent characters under the Weyl-group element w (a substitution)."""
+    return CharacterList(tuple(m.substitute(w) for m in tangent))
+
+
 def fixed_points(space: SpaceDescriptor) -> list:
     """Fixed points of the torus action with their tangent characters."""
     table = space.table()
@@ -91,11 +96,11 @@ def fixed_points(space: SpaceDescriptor) -> list:
     elif k == "g2p2":
         for w in g2core.rotation_orbit():
             subst = (("z1", w["t1"]), ("z2", w["t2"]))
-            pts.append(FixedPoint(subst, g2core.quotient_identity_tangent().apply(w)))
+            pts.append(FixedPoint(subst, _image(g2core.quotient_identity_tangent(), w)))
     else:  # g2b
         for w in g2core.weyl_group():
             subst = (("z1", w["t1"]), ("z2", w["t2"]))
-            pts.append(FixedPoint(subst, g2core.borel_identity_tangent().apply(w)))
+            pts.append(FixedPoint(subst, _image(g2core.borel_identity_tangent(), w)))
     dim = space.dimension()
     for p in pts:
         if len(p.tangent) != dim:

@@ -195,7 +195,7 @@ def test_integrality_and_constants(table22):
 @pytest.mark.parametrize("value", [3, Fraction(1, 2), Fraction(4, 2), rational(-5, 3)],
                          ids=["int", "Fraction", "integral-Fraction", "rational"])
 def test_constant_equals_its_exact_value(table22, value):
-    # rational() is an mpq when gmpy2 is installed, a Fraction otherwise
+    # rational() gives an int when the value is integral, a Fraction otherwise
     constant = LaurentPolynomial.constant(table22, value)
     assert constant == value and value == constant
     assert constant != value + 1

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from eqpush import spaces
-from eqpush.algebra import InvariantError, LaurentPolynomial
+from eqpush import cohomology, elimination, polyfam, spaces
+from eqpush.algebra import InvariantError, LaurentPolynomial, NotDivisible
 from eqpush.cli import emit, main
 from eqpush.exprparse import MAX_DEPTH, ExpressionSyntaxError, parse_to_polynomial
 
@@ -157,6 +157,29 @@ def test_cli_internal_error_exits_four(capsys, monkeypatch):
     assert err.splitlines() == ["internal error: planted fault"]
 
 
+def _not_divisible(*args):
+    raise NotDivisible("planted fault")
+
+
+def test_cli_inexact_additive_chain_exits_four(capsys, monkeypatch):
+    # a divided difference of the additive chain that does not divide is an
+    # internal fault, not bad input; the orbit-class cache is bypassed so the
+    # chain runs
+    monkeypatch.setattr(spaces, "exact_divide_many", _not_divisible)
+    monkeypatch.setattr(cohomology, "_g2_class", cohomology._g2_class.__wrapped__)
+    code, out, err = run_cli(capsys, "cohomology", "g2-integrals")
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["internal error: planted fault"]
+
+
+@pytest.mark.parametrize("argv", [("matrix", "--det"), ("class",)], ids=["det", "class"])
+def test_cli_inexact_elimination_exits_four(capsys, monkeypatch, argv):
+    monkeypatch.setattr(elimination, "exact_divide", _not_divisible)
+    code, out, err = run_cli(capsys, "g2", *argv)
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["internal error: planted fault"]
+
+
 @pytest.mark.parametrize("expr", ["z1/(1-z1)", "z1/0", "(1-z1)^-1"])
 def test_cli_inexact_division_is_bad_input(capsys, expr):
     code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", expr)
@@ -229,6 +252,23 @@ def test_cli_large_power_of_sum_is_bad_input(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "at most 64" in err
+
+
+@pytest.mark.parametrize("a", [64, 800])
+def test_cli_large_grothendieck_macro_is_bad_input(capsys, monkeypatch, a):
+    # G[a,b] expands (1 - z1)^(a+1): bounded like a power of a sum, before expansion
+    def no_expansion(*args):
+        raise AssertionError("the macro was expanded")
+
+    monkeypatch.setattr(polyfam, "grothendieck_pair", no_expansion)
+    code, out, err = run_cli(capsys, "pushforward", "--space", "gr:2,4", "--f", f"G[{a},0]")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "at most 63" in err
+
+
+def test_largest_grothendieck_macro_is_accepted(table22):
+    assert parse_to_polynomial("G[63,0]", table22) == polyfam.grothendieck_pair(63, 0, table22)
 
 
 @pytest.mark.parametrize("space", ["gr:2,4", "lg:2"])

@@ -3,7 +3,7 @@ import pytest
 from eqpush.algebra import LaurentPolynomial, Monomial, parameter_table, zt_table
 from eqpush.polyfam import (Partition, complement_partition,
                             grothendieck_general, grothendieck_pair,
-                            parse_partition, rectangle_partitions, schur_pair)
+                            rectangle_partitions, schur_pair)
 
 
 def test_partition_normalization():
@@ -15,11 +15,9 @@ def test_partition_normalization():
         Partition.of(-1)
 
 
-def test_partition_render_and_parse():
+def test_partition_render():
     assert Partition.of(4, 1).render() == "[41]"
     assert Partition.of().render() == "[0]"
-    assert parse_partition("[32]") == Partition.of(3, 2)
-    assert parse_partition("[0]") == Partition.of()
 
 
 def test_schur_pair_values():

@@ -36,6 +36,9 @@ def test_parse_space_roundtrip():
         parse_space("gr:2")
     with pytest.raises(ValueError):
         parse_space("g2p2:1")
+    for key in ("gr:2,,4", "gr:2,4,", "gr:,2,4", "lg:3,", "lg:"):
+        with pytest.raises(ValueError, match="empty parameter"):
+            parse_space(key)
 
 
 def test_dimensions():
