@@ -19,11 +19,10 @@ artifacts never builds a rational.  Rendering and JSON read `numerator` and
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from operator import add as _add, neg as _neg, sub as _sub
-from typing import Mapping
 
 _EXACT = (int, Fraction)  # the exact rationals a polynomial compares with
 
@@ -66,20 +65,57 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed."""
 
 
-@dataclass(frozen=True)
-class VariableTable:
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass declares its fields in `__slots__`, sets them in `__init__`
+    with `object.__setattr__`, and compares and hashes the tuple `_key()` of
+    its fields; an object never equals one of another class.  Afterwards no
+    attribute can be assigned or deleted.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class VariableTable(Frozen):
     """Ordered universe of variables.
 
     The ordering is fixed for the lifetime of a computation: it determines
     term layout, canonical rendering and the default residue order.
     """
 
-    names: tuple
+    __slots__ = ("names", "_index", "_hash")
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names: tuple):
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        # every Monomial hash hashes its table
+        object.__setattr__(self, "_hash", hash((names,)))
+
+    def _key(self) -> tuple:
+        return (self.names,)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"VariableTable(names={self.names!r})"
 
     def __len__(self):
         return len(self.names)
@@ -113,12 +149,24 @@ def _same_table(a: VariableTable, b: VariableTable) -> None:
         raise MixedVariableTables(f"operands over different tables: {a.names} vs {b.names}")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Frozen):
     """Product of variable powers; exponents may be negative."""
 
-    table: VariableTable
-    exps: tuple
+    __slots__ = ("table", "exps")
+
+    def __init__(self, table: VariableTable, exps: tuple):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "exps", exps)
+
+    # a hot dict key: compared and hashed directly, not through _key()
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exps == other.exps and (self.table is other.table
+                                                or self.table == other.table)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.table, self.exps))
 
     @staticmethod
     def one(table: VariableTable) -> "Monomial":

@@ -8,22 +8,22 @@ entries, the K-theoretic Euler factor attached to a weight list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .algebra import LaurentPolynomial, Monomial, VariableTable
+from .algebra import Frozen, LaurentPolynomial, Monomial, VariableTable
 
 
-@dataclass(frozen=True)
-class CharacterList:
+class CharacterList(Frozen):
     """Ordered multiset of Laurent monomials."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        for m in self.entries:
+    def __init__(self, entries: tuple):
+        for m in entries:
             if not isinstance(m, Monomial):
                 raise TypeError("character lists hold monomials")
+        object.__setattr__(self, "entries", entries)
+
+    def _key(self) -> tuple:
+        return (self.entries,)
 
     @staticmethod
     def of(*entries: Monomial) -> "CharacterList":
@@ -109,7 +109,7 @@ def pairwise_product(a: CharacterList, b: CharacterList) -> CharacterList:
     return CharacterList(tuple(x * y for x in a.entries for y in b.entries))
 
 
-def bracket(a: CharacterList, table: Optional[VariableTable] = None) -> LaurentPolynomial:
+def bracket(a: CharacterList, table: VariableTable | None = None) -> LaurentPolynomial:
     """Product of (1 - 1/entry); the empty list gives 1.
 
     An entry equal to 1 makes the whole product zero, which is legal.

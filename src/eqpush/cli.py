@@ -6,24 +6,22 @@ cohomology g2-integrals.  Output formats: text (canonical rendering), json
 (canonical term schema) and latex.
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse/config error,
-4 internal invariant violation.  Code 3 (a sum failed to simplify) is no
-longer produced, and the number is not reused.
+4 internal invariant violation or out of memory.  Code 3 (a sum failed to
+simplify) is no longer produced, and the number is not reused.
+
+Each handler imports the modules only its subcommand uses (json, g2,
+cohomology, verification), so a cold `pushforward` process loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .algebra import InvariantError, LaurentPolynomial, NotDivisible
-from .cohomology import g2_integral, coh_table
 from .exprparse import ExpressionSyntaxError, parse_to_polynomial
-from .polyfam import schur_pair
 from .spaces import SymmetryViolation, parse_space
-from .verification import run_campaign
-from . import g2
 
 FORMAT_ENV = "EQPUSH_FORMAT"
 
@@ -32,6 +30,7 @@ def emit(value: LaurentPolynomial, fmt: str) -> str:
     if fmt == "text":
         return value.render()
     if fmt == "json":
+        import json
         return json.dumps({"terms": value.json_terms()}, separators=(",", ":"))
     if fmt == "latex":
         return value.render_latex()
@@ -96,6 +95,7 @@ def cmd_pushforward(args) -> int:
     agree = loc == res
     fmt = _default_format(args)
     if fmt == "json":
+        import json
         payload = {
             "space": space.key(), "f": args.f, "variant": variant,
             "localization": {"terms": loc.json_terms()},
@@ -121,12 +121,14 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     if max_exp < 0:
         raise ValueError(f"--max-exp must be at least 0, got {max_exp}")
+    from .verification import run_campaign
     lines, failures = run_campaign(space, trials, seed, max_exp)
     _write(args, "\n".join(lines))
     return 0 if failures == 0 else 1
 
 
 def cmd_g2(args) -> int:
+    from . import g2
     fmt = _default_format(args)
     if args.item == "table":
         table = g2.grothendieck_table()
@@ -156,6 +158,8 @@ def cmd_g2(args) -> int:
 def cmd_cohomology(args) -> int:
     if args.item != "g2-integrals":
         raise ValueError(f"unknown cohomology item {args.item!r}")
+    from .cohomology import coh_table, g2_integral
+    from .polyfam import schur_pair
     fmt = _default_format(args)
     lines = []
     for a, b in [(5, 0), (4, 1), (3, 2), (5, 2), (4, 3), (5, 4)]:
@@ -220,10 +224,11 @@ def main(argv=None) -> int:
     except (ExpressionSyntaxError, SymmetryViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvariantError, NotDivisible) as exc:
+    except (InvariantError, NotDivisible, MemoryError) as exc:
         # the parser reports every inexact division in the input as exit 2, so
-        # one that gets here is an internal fault
-        print(f"internal error: {exc}", file=sys.stderr)
+        # one that gets here is an internal fault; running out of memory has
+        # no input error to report either
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
 
 

@@ -8,21 +8,19 @@ monomial, which serves as the oracle for the flag push-forward identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import (LaurentPolynomial, Monomial, VariableTable, exact_divide,
+from .algebra import (Frozen, LaurentPolynomial, Monomial, VariableTable, exact_divide,
                       parameter_table, zt_table)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Weakly decreasing tuple of positive parts (trailing zeros stripped)."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+    def __init__(self, parts: tuple):
+        parts = tuple(int(p) for p in parts)
         if any(p < 0 for p in parts):
             raise ValueError("partition parts must be nonnegative")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -30,6 +28,9 @@ class Partition:
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         object.__setattr__(self, "parts", parts)
+
+    def _key(self) -> tuple:
+        return (self.parts,)
 
     @staticmethod
     def of(*parts: int) -> "Partition":

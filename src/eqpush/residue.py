@@ -36,27 +36,25 @@ times sign * s, with K the sum of the k, s the product of the 1/r and sign
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from math import lcm
-from typing import Iterable
 
-from .algebra import InvariantError, LaurentPolynomial, Monomial, quotient, rational
+from .algebra import (Frozen, InvariantError, LaurentPolynomial, Monomial, quotient,
+                      rational)
 
 
-@dataclass(frozen=True)
-class ResidueForm:
-    scalar: object
-    numerator: LaurentPolynomial
-    denominator: tuple  # monomials m, each standing for a factor (1 - m)
-    residue_vars: tuple
+class ResidueForm(Frozen):
+    # denominator: monomials m, each standing for a factor (1 - m)
+    __slots__ = ("scalar", "numerator", "denominator", "residue_vars")
 
-    def __post_init__(self):
-        table = self.numerator.table
-        active = set(self.residue_vars)
+    def __init__(self, scalar, numerator: LaurentPolynomial, denominator: tuple,
+                 residue_vars: tuple):
+        table = numerator.table
+        active = set(residue_vars)
         for name in active:
             if name not in table.names:
                 raise InvariantError(f"residue variable {name!r} not in table")
-        for m in self.denominator:
+        for m in denominator:
             hits = [(n, e) for n, e in zip(table.names, m.exps) if e != 0 and n in active]
             if len(hits) != 1:
                 raise InvariantError(
@@ -64,6 +62,13 @@ class ResidueForm:
             if hits[0][1] <= 0:
                 raise InvariantError(
                     f"denominator factor 1 - {m.render()} needs a positive residue exponent")
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "residue_vars", residue_vars)
+
+    def _key(self) -> tuple:
+        return (self.scalar, self.numerator, self.denominator, self.residue_vars)
 
     @property
     def table(self):

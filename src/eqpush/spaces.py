@@ -32,10 +32,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
+from .algebra import (Frozen, InvariantError, LaurentPolynomial, Monomial, NotDivisible,
                       VariableTable, exact_divide_many, rational, zt_table)
 # Nothing here raises it; kept only because perfbench/test_perfbench.py
 # raises `spaces.NotPolynomial`.
@@ -52,27 +51,32 @@ class SymmetryViolation(ValueError):
     """The class handed to a push-forward lacks the required symmetry."""
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
+class SpaceDescriptor(Frozen):
     """One of the catalogue spaces, with its integer parameters."""
 
-    kind: str
-    m: int = 0
-    n: int = 0
+    __slots__ = ("kind", "m", "n")
 
-    def __post_init__(self):
-        k = self.kind
-        if k not in _KINDS:
-            raise ValueError(f"unknown space kind {k!r}")
-        if k in ("gr", "gr2"):
-            if not (1 <= self.m < self.n):
+    def __init__(self, kind: str, m: int = 0, n: int = 0):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown space kind {kind!r}")
+        if kind in ("gr", "gr2"):
+            if not (1 <= m < n):
                 raise ValueError("need 1 <= m < n")
-        elif k in ("lg", "ogE", "ogO", "fl"):
-            if self.n < 1:
+        elif kind in ("lg", "ogE", "ogO", "fl"):
+            if n < 1:
                 raise ValueError("need n >= 1")
-        elif k == "q":
-            if self.n < 2:
+        elif kind == "q":
+            if n < 2:
                 raise ValueError("the quadric needs n >= 2")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.m, self.n)
+
+    def __repr__(self):
+        return f"SpaceDescriptor(kind={self.kind!r}, m={self.m!r}, n={self.n!r})"
 
     def key(self) -> str:
         if self.kind in ("gr", "gr2"):

@@ -23,6 +23,29 @@ def random_laurent(rng: random.Random, table, nterms=4, max_exp=3,
     return LaurentPolynomial(table, {k: rational(*c) for k, c in terms.items()})
 
 
+def assert_immutable_value(cls, *fields, hashable=True):
+    """cls(*fields) equals (and hashes like) a second cls(*fields), never
+    equals an object of another class with the same fields, and has no
+    attribute that can be assigned, deleted or added."""
+    a, b = cls(*fields), cls(*fields)
+    assert a == b and not a != b and a is not b
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    other = type("Other", (cls,), {"__slots__": ()})(*fields)
+    assert a != other and other != a and not a == other
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240801)

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from eqpush.algebra import (LaurentPolynomial, Monomial, NotDivisible,
-                            MixedVariableTables, exact_divide,
+                            MixedVariableTables, VariableTable, exact_divide,
                             exact_divide_many, parameter_table, rational,
                             zt_table)
 from eqpush.residue import iterated_residue, make_form
 from eqpush import g2core
 
-from conftest import random_laurent
+from conftest import assert_immutable_value, random_laurent
 from oracles import factored_rational_sum
 
 
@@ -36,6 +36,19 @@ def test_block_expansion(table22):
     left = (one - z * t1 ** -1) * (one - z * t2 ** -1)
     expected = one - z * t1 ** -1 - z * t2 ** -1 + z * z * (t1 * t2) ** -1
     assert left == expected
+
+
+def test_variable_table_is_an_immutable_value():
+    assert_immutable_value(VariableTable, ("z1", "t1"))
+    assert VariableTable(("z1", "t1")) != VariableTable(("t1", "z1"))
+    assert zt_table(1, 1) == parameter_table("z1", "t1")
+    with pytest.raises(ValueError, match="unique"):
+        VariableTable(("z1", "z1"))
+    assert repr(VariableTable(("z1",))) == "VariableTable(names=('z1',))"
+
+
+def test_monomial_is_an_immutable_value(table22):
+    assert_immutable_value(Monomial, table22, (1, -2, 0, 3))
 
 
 def test_mixed_tables_rejected():
@@ -350,3 +363,18 @@ def test_iterated_residue_keeps_the_normal_form(a, scalar):
     form = make_form(poly(a), den, ("z1", "z2"), scalar=scalar)
     at_point = {0: {(0, 0, 1, 0): Fraction(1)}, 1: {(0, 0, 0, 1): Fraction(1)}}
     assert_normal(iterated_residue(form), r_mul(r_substitute(a, at_point), {ZERO_EXPS: scalar}))
+
+
+# distinct but equal tables, and one of the same size with other names
+TABLES = (T22, parameter_table("z1", "z2", "t1", "t2"), parameter_table("a", "b", "c", "d"))
+small_exponents = st.tuples(*[st.integers(-1, 1)] * 4)
+
+
+@given(st.sampled_from(TABLES), small_exponents, st.sampled_from(TABLES), small_exponents)
+def test_monomial_equality_and_hash_follow_the_fields(t1, e1, t2, e2):
+    a, b = Monomial(t1, e1), Monomial(t2, e2)
+    same = (t1, e1) == (t2, e2)
+    assert (a == b) is same and (a != b) is not same
+    if same:
+        assert hash(a) == hash(b)
+    assert ({a: 1}.get(b) == 1) is same

@@ -5,6 +5,8 @@ from eqpush.algebra import LaurentPolynomial, Monomial, zt_table
 from eqpush.characters import (CharacterList, bracket, lambda_set, pos_roots,
                                roots, standard_sets, sym_set)
 
+from conftest import assert_immutable_value
+
 
 @pytest.fixture
 def table():
@@ -13,6 +15,14 @@ def table():
 
 def mono(table, **kw):
     return Monomial.of(table, **kw)
+
+
+def test_character_list_is_an_immutable_value(table22):
+    z1, t1 = Monomial.of(table22, z1=1), Monomial.of(table22, t1=-1)
+    assert_immutable_value(CharacterList, (z1, t1))
+    assert CharacterList.of(z1, t1) != CharacterList.of(t1, z1)
+    with pytest.raises(TypeError, match="monomials"):
+        CharacterList((z1, "t1"))
 
 
 def test_t_flat_order():

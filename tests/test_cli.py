@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +157,45 @@ def test_cli_internal_error_exits_four(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", "z1^-1")
     assert code == 4 and out == ""
     assert err.splitlines() == ["internal error: planted fault"]
+
+
+def test_cli_out_of_memory_exits_four(capsys, monkeypatch):
+    def exhausted(space, f):
+        raise MemoryError
+
+    monkeypatch.setattr(spaces, "localization_pushforward", exhausted)
+    code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", "z1^-1")
+    assert code == 4 and out == ""
+    [line] = err.splitlines()
+    assert line == "internal error: MemoryError"
+
+
+# modules a pushforward request does not use
+UNUSED_BY_PUSHFORWARD = ("dataclasses", "inspect", "typing", "json", "eqpush.g2",
+                         "eqpush.cohomology", "eqpush.elimination", "eqpush.verification")
+
+
+def _modules_loaded_by(*argv):
+    """Which UNUSED_BY_PUSHFORWARD modules a cold `python -S` process has
+    loaded after main(argv); -S keeps site-packages .pth files from loading
+    any of them first."""
+    script = ("import sys\n"
+              "from eqpush.cli import main\n"
+              f"code = main({list(argv)!r})\n"
+              f"print([m for m in {UNUSED_BY_PUSHFORWARD!r} if m in sys.modules])\n"
+              "sys.exit(code)\n")
+    env = {k: v for k, v in os.environ.items() if k != "EQPUSH_FORMAT"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_pushforward_imports_only_what_it_runs():
+    argv = ("pushforward", "--space", "gr:2,4", "--f", "z1*z2")
+    assert _modules_loaded_by(*argv) == "[]"
+    assert _modules_loaded_by(*argv, "--format", "json") == "['json']"
 
 
 def _not_divisible(*args):

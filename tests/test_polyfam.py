@@ -5,6 +5,8 @@ from eqpush.polyfam import (Partition, complement_partition,
                             grothendieck_general, grothendieck_pair,
                             rectangle_partitions, schur_pair)
 
+from conftest import assert_immutable_value
+
 
 def test_partition_normalization():
     assert Partition.of(3, 2, 0, 0).parts == (3, 2)
@@ -13,6 +15,14 @@ def test_partition_normalization():
         Partition.of(1, 2)
     with pytest.raises(ValueError):
         Partition.of(-1)
+
+
+def test_partition_is_an_immutable_value():
+    assert_immutable_value(Partition, (2, 1))
+    assert Partition((2, 1, 0)) == Partition((2, 1)) and Partition((2, 1, 0)).parts == (2, 1)
+    assert hash(Partition((2, 1, 0))) == hash(Partition((2, 1)))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        Partition((1, 2))
 
 
 def test_partition_render():

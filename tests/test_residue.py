@@ -7,7 +7,7 @@ from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial,
 from eqpush.residue import (ResidueForm, iterated_residue, make_form,
                             residue_at_infinity, residue_at_zero)
 
-from conftest import random_laurent
+from conftest import assert_immutable_value, random_laurent
 from oracles import factored_rational_sum
 
 
@@ -16,6 +16,30 @@ def projective_form(f, n):
     table = zt_table(1, n)
     den = tuple(Monomial.of(table, z1=1, **{f"t{i+1}": -1}) for i in range(n))
     return make_form(f, den, ("z1",), dlog=True)
+
+
+def test_residue_form_is_an_immutable_value():
+    table = zt_table(2, 1)
+    num = LaurentPolynomial.variable(table, "t1")
+    den = (Monomial.of(table, z1=1, t1=-1), Monomial.of(table, z2=2))
+    # the numerator is a LaurentPolynomial, which is not hashable
+    assert_immutable_value(ResidueForm, 1, num, den, ("z1", "z2"), hashable=False)
+    form = ResidueForm(1, num, den, ("z1", "z2"))
+    assert form != ResidueForm(2, num, den, ("z1", "z2"))
+    assert form != ResidueForm(1, num, den, ("z2", "z1"))
+
+
+@pytest.mark.parametrize("den, vars_, message", [
+    ((("z1", 1), ("z2", 1)), ("z1", "z2"), "exactly one residue variable"),
+    ((("t1", 1),), ("z1",), "exactly one residue variable"),
+    ((("z1", -1),), ("z1",), "positive residue exponent"),
+    ((("z1", 1),), ("z3",), "not in table"),
+], ids=["two-variables", "no-variable", "negative-exponent", "unknown-variable"])
+def test_residue_form_rejects_a_bad_denominator(den, vars_, message):
+    table = zt_table(2, 1)
+    factor = Monomial.of(table, **dict(den))
+    with pytest.raises(InvariantError, match=message):
+        ResidueForm(1, LaurentPolynomial.one(table), (factor,), vars_)
 
 
 def test_simple_pole_at_zero():

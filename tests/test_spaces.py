@@ -10,12 +10,13 @@ from eqpush.algebra import LaurentPolynomial, Monomial, zt_table
 from eqpush.characters import bracket
 from eqpush.exprparse import parse_to_polynomial
 from eqpush.residue import iterated_residue, make_form
-from eqpush.spaces import (LocalizationEngine, SymmetryViolation, _base_tangent,
-                           _calc, build_integrand, check_symmetry,
+from eqpush.spaces import (LocalizationEngine, SpaceDescriptor, SymmetryViolation,
+                           _base_tangent, _calc, build_integrand, check_symmetry,
                            localization_pushforward, parse_space,
                            residue_pushforward, symmetry_generators)
 from eqpush.verification import random_admissible_class
 
+from conftest import assert_immutable_value
 from oracles import factored_rational_sum, fixed_points, symmetry_orbit
 from test_acceptance import CLASSICAL_CASES
 
@@ -39,6 +40,25 @@ def test_parse_space_roundtrip():
     for key in ("gr:2,,4", "gr:2,4,", "gr:,2,4", "lg:3,", "lg:"):
         with pytest.raises(ValueError, match="empty parameter"):
             parse_space(key)
+
+
+def test_space_descriptor_is_an_immutable_value():
+    assert_immutable_value(SpaceDescriptor, "gr", 2, 4)
+    assert parse_space("lg:3") == SpaceDescriptor("lg", n=3) != SpaceDescriptor("ogE", n=3)
+    assert repr(SpaceDescriptor("gr", 2, 4)) == "SpaceDescriptor(kind='gr', m=2, n=4)"
+    assert repr(SpaceDescriptor("g2p2")) == "SpaceDescriptor(kind='g2p2', m=0, n=0)"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("nope", 1, 3), "unknown space kind"),
+    (("gr", 2, 2), "1 <= m < n"),
+    (("gr2", 0, 3), "1 <= m < n"),
+    (("fl", 0, 0), "n >= 1"),
+    (("q", 0, 1), "n >= 2"),
+])
+def test_space_descriptor_rejects_bad_parameters(args, message):
+    with pytest.raises(ValueError, match=message):
+        SpaceDescriptor(*args)
 
 
 def test_dimensions():
