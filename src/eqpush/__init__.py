@@ -10,8 +10,8 @@ from .polyfam import (Partition, complement_partition, grothendieck_general,
                       grothendieck_pair, rectangle_partitions, schur_pair)
 from .residue import (ResidueForm, iterated_residue, make_form,
                       residue_at_infinity, residue_at_zero)
-from .spaces import (SpaceDescriptor, SymmetryViolation, build_integrand,
-                     localization_pushforward, parse_space, residue_pushforward)
+from .spaces import (SpaceDescriptor, SymmetryViolation, localization_pushforward,
+                     parse_space, residue_pushforward)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

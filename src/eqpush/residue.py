@@ -6,16 +6,17 @@ construction.  Every denominator factor monomial must contain exactly one
 residue variable, with positive exponent; this makes coefficient extraction
 in distinct variables commute, so the iterated residue is order independent.
 
-All three entry points run one kernel on packed monomials with integer
+All three entry points run one driver on packed monomials with integer
 coefficients.  An exponent vector (e_0, ..., e_{n-1}) is packed into the single
 integer sum(e_i * 2^(W*i)), so a monomial product is one integer addition and
-the degree of variable i is (((key + bias) >> W*i) & mask) - 2^(W-1).  The digit
-width W is derived per form from an a-priori bound on every exponent the
-computation can produce (numerator and factor exponents plus what the
-truncated expansions add, see `_exponent_bound`), so no digit ever carries.
-The numerator is scaled by the lcm of its coefficient denominators, the
-content, so the kernel only adds Python ints; the result is divided
-by the content once, when it is unpacked.
+the degree of variable i is (((key + bias) >> W*i) & mask) - 2^(W-1).  A
+PreparedForm plans the steps once per form and packs its numerator, scaled by
+the lcm of its coefficient denominators (the content) so that the kernel only
+adds Python ints; sum(z^member) * form is that packing shifted by each packed
+member.  W comes from an a-priori bound on every exponent the members and the
+steps can produce, so no digit ever carries; the widest packing so far is
+kept, and only a class that needs a wider digit repacks.  The result is
+divided by the content once, when it is unpacked.
 
 In one variable v, write the numerator as sum_a N_a v^a with N_a free of v,
 and let the factors containing v be (1 - r v^k).  The residue at 0 is the
@@ -97,38 +98,6 @@ def make_form(numerator: LaurentPolynomial, denominator: Iterable[Monomial],
 # -- packed monomials ----------------------------------------------------------
 
 
-def _exponent_bound(form: ResidueForm, order: tuple) -> int:
-    """Largest |exponent| any packed key can hold while taking the residues
-    in the variables of order, one after the other.
-
-    Per variable v with factors (1 - r v^k), K the sum of their k: a
-    truncated product multiplies a slice by at most b0 <= A_v - 1 of the r at
-    0 and at most binf <= A_v + 1 - K of the 1/r at infinity, where A_j bounds
-    |degree of j| in the current numerator, and s = prod 1/r adds all of them
-    once more.  So the next numerator has A_j + max(b0*rho_j, S_j + binf*rho_j)
-    in variable j, with rho_j the largest and S_j the sum of the |r_j|.
-    """
-    table = form.table
-    n = len(table)
-    bound = [max(max(col), -min(col)) for col in zip(*form.numerator.terms)] or [0] * n
-    factors = [m.exps for m in form.denominator]
-    peak = max([max(bound, default=0)] + [abs(e) for f in factors for e in f])
-    for var in order:
-        i = table.index(var)
-        mine = [f for f in factors if f[i]]
-        factors = [f for f in factors if not f[i]]
-        b0 = max(0, bound[i] - 1)
-        binf = max(0, bound[i] + 1 - sum(f[i] for f in mine))
-        for j in range(n):
-            if mine and j != i:
-                rho = max(abs(f[j]) for f in mine)
-                total = sum(abs(f[j]) for f in mine)
-                bound[j] += max(b0 * rho, total + binf * rho)
-        bound[i] = 0
-        peak = max(peak, max(bound))
-    return peak
-
-
 class _Packing:
     """Signed base-2^W digits, one per table variable, wide enough for bound."""
 
@@ -144,13 +113,6 @@ class _Packing:
     def pack(self, exps: tuple) -> int:
         return sum(e << s for e, s in zip(exps, self.shifts) if e)
 
-    def pack_numerator(self, p: LaurentPolynomial):
-        """({key: int coefficient}, content) with p = sum(c * key) / content."""
-        content = lcm(*(c.denominator for c in p.terms.values()))
-        terms = {self.pack(k): c.numerator * (content // c.denominator)
-                 for k, c in p.terms.items()}
-        return terms, content
-
     def unpack(self, table, terms: dict, q) -> LaurentPolynomial:
         """The Laurent polynomial q * sum(c * key)."""
         bias, mask, half, shifts = self.bias, self.mask, self.half, self.shifts
@@ -159,6 +121,61 @@ class _Packing:
             u = key + bias
             out[tuple(((u >> s) & mask) - half for s in shifts)] = c
         return LaurentPolynomial(table, out, True).scale(q)
+
+
+class PreparedForm:
+    """A form made ready for the residues of sum(z^member) * form in the
+    variables of order (by default all, the last first): the per-step plan,
+    the numerator's largest |exponent| per variable and its widest packing."""
+
+    __slots__ = ("form", "steps", "left", "spread", "packing", "packed")
+
+    def __init__(self, form: ResidueForm, order: tuple = None):
+        order = tuple(reversed(form.residue_vars)) if order is None else order
+        for var in order:
+            if var not in form.residue_vars:
+                raise InvariantError(f"{var!r} is not a residue variable of the form")
+        table, factors = form.table, form.denominator
+        self.steps = []
+        for i in map(table.index, order):
+            mine = [m.exps for m in factors if m.exps[i]]
+            factors = tuple(m for m in factors if not m.exps[i])
+            cols = list(zip(*mine)) or [()] * len(table)
+            self.steps.append((i, mine, sum(cols[i]), [max(map(abs, c), default=0) for c in cols],
+                               [sum(map(abs, c)) for c in cols]))
+        self.form, self.left, self.packing = form, factors, None
+        self.spread = [max(map(abs, c)) for c in zip(*form.numerator.terms)] or [0] * len(table)
+
+    def pack(self, members: list) -> tuple:
+        """(packing, packed numerator, content, per-step [(packed r, k)]) for
+        sum(z^member) * form, repacked only when its digits are too narrow.
+
+        Per variable v with factors (1 - r v^k), K the sum of their k: a
+        truncated product multiplies a slice by at most b0 <= A_v - 1 of the r
+        at 0 and at most binf <= A_v + 1 - K of the 1/r at infinity, where A_j
+        bounds |degree of j| in the current numerator (at first the spread
+        plus the members' largest |exponent|), and s = prod 1/r adds all of
+        them once more.  So the next numerator has A_j + max(b0*rho_j, S_j +
+        binf*rho_j) in variable j, rho_j the largest and S_j the sum of |r_j|.
+        """
+        bound = [a + max(map(abs, col)) for a, col in zip(self.spread, zip(*members))]
+        peak = max(bound + [abs(e) for m in self.form.denominator for e in m.exps], default=0)
+        for i, _, ksum, rho, total in self.steps:
+            b0 = max(0, bound[i] - 1)
+            binf = max(0, bound[i] + 1 - ksum)
+            bound = [a + max(b0 * r, s + binf * r) for a, r, s in zip(bound, rho, total)]
+            bound[i] = 0
+            peak = max(peak, max(bound))
+        if self.packing is None or self.packing.half <= peak:
+            self.packing = packing = _Packing(len(self.form.table), peak)
+            numerator = self.form.numerator.terms
+            content = lcm(*(c.denominator for c in numerator.values()))
+            terms = {packing.pack(k): c.numerator * (content // c.denominator)
+                     for k, c in numerator.items()}
+            rests = [[(packing.pack(f) - f[i] * (1 << packing.shifts[i]), f[i]) for f in mine]
+                     for i, mine, *_ in self.steps]
+            self.packed = (terms, content, rests)
+        return (self.packing, *self.packed)
 
 
 def _minus_one_coefficient(slices: dict, rests: list) -> dict:
@@ -197,11 +214,11 @@ def _minus_one_coefficient(slices: dict, rests: list) -> dict:
     return out
 
 
-def _residue_step(terms: dict, packing: _Packing, i: int, mine: list,
+def _residue_step(terms: dict, packing: _Packing, i: int, rests: list,
                   zero: bool = True, infinity: bool = True) -> dict:
-    """Residue at 0 and/or at infinity in variable i of sum(terms) / prod(1 - m)
-    over the factor monomials mine (all containing variable i), on packed
-    keys; the result is free of variable i."""
+    """Residue at 0 and/or at infinity in variable i of sum(terms) / prod(1 - r v^k)
+    over the packed (r, k) in rests, v being variable i, on packed keys; the
+    result is free of variable i."""
     sh = packing.shifts[i]
     unit = 1 << sh
     bias, mask, half = packing.bias, packing.mask, packing.half
@@ -213,7 +230,6 @@ def _residue_step(terms: dict, packing: _Packing, i: int, mine: list,
             slices[a] = {key - a * unit: c}
         else:
             layer[key - a * unit] = c
-    rests = [(packing.pack(m.exps) - m.exps[i] * unit, m.exps[i]) for m in mine]
     acc = _minus_one_coefficient(slices, rests) if zero else {}
     if infinity:
         ksum = sum(k for _, k in rests)
@@ -230,51 +246,61 @@ def _residue_step(terms: dict, packing: _Packing, i: int, mine: list,
 # -- entry points ----------------------------------------------------------------
 
 
-def _residues(form: ResidueForm, order: tuple, scalar, zero: bool = True,
+def _residues(form: PreparedForm, scalar, members=None, zero: bool = True,
               infinity: bool = True) -> tuple:
-    """The residues of form in the variables of order, taken one after the
-    other on a numerator packed once and unpacked once: (scalar times the
-    numerator left, the denominator monomials left)."""
-    for var in order:
-        if var not in form.residue_vars:
-            raise InvariantError(f"{var!r} is not a residue variable of the form")
-    table = form.table
-    packing = _Packing(len(table), _exponent_bound(form, order))
-    terms, content = packing.pack_numerator(form.numerator)
-    factors = form.denominator
-    for var in order:
-        i = table.index(var)
-        mine = [m for m in factors if m.exps[i]]
-        factors = tuple(m for m in factors if not m.exps[i])
-        terms = _residue_step(terms, packing, i, mine, zero, infinity)
-    return packing.unpack(table, terms, quotient(scalar, content)), factors
+    """The residues of sum(z^member) * form (by default the zero member
+    alone) in the variables of its order, one after the other on packed
+    keys, unpacked once: (scalar times the numerator left, the denominator
+    monomials left)."""
+    table = form.form.table
+    members = members or [(0,) * len(table)]
+    if any(len(m) != len(table) for m in members):
+        raise InvariantError("a member is not an exponent vector over the form's table")
+    packing, base, content, rests = form.pack(members)
+    shift, *others = map(packing.pack, members)
+    terms = {key + shift: c for key, c in base.items()}
+    for shift in others:
+        get = terms.get
+        for key, c in base.items():
+            terms[key + shift] = get(key + shift, 0) + c
+    if others:
+        terms = {k: c for k, c in terms.items() if c}
+    for (i, *_), rest in zip(form.steps, rests):
+        terms = _residue_step(terms, packing, i, rest, zero, infinity)
+    return packing.unpack(table, terms, quotient(scalar, content)), form.left
+
+
+def _one_residue(form: ResidueForm, var: str, zero: bool, infinity: bool) -> ResidueForm:
+    numerator, others = _residues(PreparedForm(form, (var,)), 1, None, zero, infinity)
+    return ResidueForm(form.scalar, numerator, others,
+                       tuple(v for v in form.residue_vars if v != var))
 
 
 def residue_at_zero(form: ResidueForm, var: str) -> ResidueForm:
     """Coefficient of var^(-1) after expanding the var-factors as geometric series."""
-    numerator, others = _residues(form, (var,), 1, infinity=False)
-    remaining = tuple(v for v in form.residue_vars if v != var)
-    return ResidueForm(form.scalar, numerator, others, remaining)
+    return _one_residue(form, var, True, False)
 
 
 def residue_at_infinity(form: ResidueForm, var: str) -> ResidueForm:
     """Residue at infinity via the substitution var -> 1/var: the residue at 0
     of the form rewritten with d(var)/var -> -d(var)/var and each factor
     (1 - rest*var^k) as a unit monomial times (1 - var^k/rest)."""
-    numerator, others = _residues(form, (var,), 1, zero=False)
-    remaining = tuple(v for v in form.residue_vars if v != var)
-    return ResidueForm(form.scalar, numerator, others, remaining)
+    return _one_residue(form, var, False, True)
 
 
-def iterated_residue(form: ResidueForm) -> LaurentPolynomial:
-    """Apply the 0-plus-infinity residue over all residue variables.
+def iterated_residue(form, members=None, scalar=1) -> LaurentPolynomial:
+    """Apply the 0-plus-infinity residue over all residue variables to
+    scalar * sum(z^member) * form; form may be prepared, and members are
+    exponent vectors over its table (by default the form itself).
 
     The last listed variable is processed first, matching composition of the
     per-variable operators; the form-class invariant makes the order
-    unobservable.  The numerator is packed once, and unpacked once at the end
-    together with the form's scalar.
+    unobservable.  The numerator is packed once, and the value unpacked once
+    at the end together with the scalars.
     """
-    value, factors = _residues(form, tuple(reversed(form.residue_vars)), form.scalar)
+    if not isinstance(form, PreparedForm):
+        form = PreparedForm(form)
+    value, factors = _residues(form, rational(scalar * form.form.scalar), members)
     if factors:
         raise InvariantError("denominator factors survived the iterated residue")
     return value

@@ -6,8 +6,10 @@ factored residue integrand.  The localization push-forward is the sum of
 f(point)/bracket(tangent) over the fixed points; it is computed exactly as a
 Demazure chain of isobaric divided differences from the base point (see
 LocalizationEngine), so the other fixed points are never listed.  The residue
-push-forward runs the iterated-residue engine on the integrand.  The central
-contract is that the two agree on every admissible class.
+push-forward runs the iterated-residue engine on the integrand, prepared once
+per (space, variant) (`residue.PreparedForm`): an orbit member of a class is
+one integer shift of its packed base.  The central contract is that the two
+agree on every admissible class.
 
 The symmetry of admissible classes is declared once per kind, in
 SpaceDescriptor.symmetry_runs; the generators, the sorted orbit classes and
@@ -41,7 +43,7 @@ from .algebra import (Frozen, InvariantError, LaurentPolynomial, Monomial, NotDi
 from .algebra import NotPolynomial  # noqa: F401
 from .characters import (CharacterList, bracket, lambda_set, pairwise_product,
                          pos_roots, quotient_set, roots, standard_sets, sym_set)
-from .residue import ResidueForm, iterated_residue, make_form
+from .residue import PreparedForm, iterated_residue, make_form
 from . import g2core
 
 _KINDS = ("gr", "gr2", "lg", "ogE", "ogO", "fl", "q", "g2p2", "g2b")
@@ -437,14 +439,6 @@ def _integrand_symmetric(space: SpaceDescriptor, variant: str) -> bool:
     return True
 
 
-def build_integrand(space: SpaceDescriptor, f: LaurentPolynomial,
-                    variant: str = "full") -> ResidueForm:
-    """The factored residue integrand for a class f (measure absorbed)."""
-    check_symmetry(space, f)
-    scalar, base, denominator, zvars = _integrand_parts(space, variant)
-    return make_form(f * base, denominator, zvars, scalar=scalar, dlog=True)
-
-
 # -- cached per-space calculators ------------------------------------------------
 
 
@@ -458,6 +452,7 @@ class _SpaceCalc:
         self.runs = space.symmetry_runs()
         self.loc_values: dict = {}
         self.res_values: dict = {}
+        self.forms: dict = {}
 
     def canonical(self, zexps: tuple) -> tuple:
         """The largest exponent vector in the orbit of zexps: each run sorted
@@ -481,7 +476,8 @@ class _SpaceCalc:
                 size <<= len(run) - run.count(0)
         return size
 
-    def orbit_sum(self, canon: tuple) -> LaurentPolynomial:
+    def orbit(self, canon: tuple) -> list:
+        """The members of the orbit of canon, as exponent vectors over the table."""
         orbit = [canon]
         for start, stop, signed in self.runs:
             images = set(itertools.permutations(canon[start:stop]))
@@ -490,7 +486,10 @@ class _SpaceCalc:
                           for signs in itertools.product((1, -1), repeat=stop - start)}
             orbit = [e[:start] + image + e[stop:] for e in orbit for image in images]
         pad = (0,) * (len(self.table) - self.m)
-        return LaurentPolynomial(self.table, {e + pad: 1 for e in orbit})
+        return [e + pad for e in orbit]
+
+    def orbit_sum(self, canon: tuple) -> LaurentPolynomial:
+        return LaurentPolynomial(self.table, dict.fromkeys(self.orbit(canon), 1))
 
     def decompose(self, f: LaurentPolynomial, names: tuple = None) -> dict:
         """f as {canonical class: coefficient}, the classes being the orbit sums
@@ -540,19 +539,19 @@ class _SpaceCalc:
         key = (canon, variant)
         got = self.res_values.get(key)
         if got is None:
-            scalar, base, denominator, zvars = _integrand_parts(self.space, variant)
+            # The residue of orbit_sum(canon) * base, as integer shifts of
+            # the packed base: every member, or for a symmetric integrand
+            # |orbit| times the smallest, whose runs ascend (no run is
+            # signed): iterated_residue takes the last variable first, and
+            # the larger its exponent, the fewer layers its residue at 0 builds.
+            members, scalar = self.orbit(canon), 1
             if _integrand_symmetric(self.space, variant):
-                # The orbit member whose runs ascend: iterated_residue takes
-                # the last variable first, and the larger its exponent, the
-                # fewer layers its residue at 0 builds.
-                rep = list(canon) + [0] * (len(self.table) - self.m)
-                for start, stop, _ in self.runs:
-                    rep[start:stop] = canon[start:stop][::-1]
-                numerator = base.mul_monomial(Monomial(self.table, tuple(rep)))
-                scalar = scalar * self.orbit_size(canon)
-            else:
-                numerator = self.orbit_sum(canon) * base
-            got = iterated_residue(make_form(numerator, denominator, zvars, scalar=scalar))
+                members, scalar = [min(members)], len(members)
+            form = self.forms.get(variant)
+            if form is None:  # the integrand with its measure, prepared once
+                base_scalar, *parts = _integrand_parts(self.space, variant)
+                form = self.forms[variant] = PreparedForm(make_form(*parts, scalar=base_scalar))
+            got = iterated_residue(form, members, scalar)
             self.res_values[key] = got
         return got
 

@@ -6,17 +6,20 @@ numerator/prod(factors) over one common denominator and divides it out.
 Together they give the literal fixed-point sum that the Demazure chain of
 `eqpush.spaces` must reproduce.  `symmetry_orbit` walks the orbit of a
 z-exponent vector under the symmetry generators, which the sorted orbit
-classes of `eqpush.spaces` must reproduce.
+classes of `eqpush.spaces` must reproduce.  `build_integrand` multiplies a
+class into the expanded base numerator of a residue integrand, the one form
+whose iterated residue the per-class shifts of `eqpush.spaces` must reproduce.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from eqpush import g2core
+from eqpush import g2core, spaces
 from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
                             NotPolynomial, exact_divide, quotient)
 from eqpush.characters import CharacterList, lambda_set, pos_roots, sym_set
-from eqpush.spaces import SpaceDescriptor, symmetry_generators
+from eqpush.residue import ResidueForm, make_form
+from eqpush.spaces import SpaceDescriptor, check_symmetry, symmetry_generators
 
 
 @dataclass(frozen=True)
@@ -168,3 +171,13 @@ def symmetry_orbit(space: SpaceDescriptor, zexps: tuple) -> set:
         frontier = list(images - seen)
         seen |= images
     return seen
+
+
+def build_integrand(space: SpaceDescriptor, f: LaurentPolynomial,
+                    variant: str = "full") -> ResidueForm:
+    """The residue integrand of a class f, f times the expanded base numerator
+    (measure absorbed).  It reads `spaces._integrand_parts` at call time, so a
+    test that patches the integrand reaches this oracle too."""
+    check_symmetry(space, f)
+    scalar, base, denominator, zvars = spaces._integrand_parts(space, variant)
+    return make_form(f * base, denominator, zvars, scalar=scalar, dlog=True)

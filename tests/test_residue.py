@@ -4,7 +4,7 @@ import pytest
 
 from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial,
                             rational, zt_table)
-from eqpush.residue import (ResidueForm, iterated_residue, make_form,
+from eqpush.residue import (PreparedForm, ResidueForm, iterated_residue, make_form,
                             residue_at_infinity, residue_at_zero)
 
 from conftest import assert_immutable_value, random_laurent
@@ -222,6 +222,24 @@ def test_content_factor_matches_integer_numerator():
     for one_side in (residue_at_zero, residue_at_infinity):
         got = one_side(make_form(num, den, ("z1", "z2")), "z1").numerator
         assert got.scale(6) == one_side(make_form(scaled, den, ("z1", "z2")), "z1").numerator
+
+
+def test_members_shift_one_prepared_form():
+    # sum(z^member) * form on one PreparedForm, members narrow and wide, one
+    # or several, against the form with the sum multiplied into its numerator
+    rng = random.Random(14)
+    table = zt_table(2, 2)
+    for _ in range(5):
+        form = random_form(rng, table)
+        prepared = PreparedForm(form)
+        for members in ([(1, 0, 0, 0)], [(0, 40, -3, 0), (-2, 1, 0, 0)], [(2, -1, 1, 0)],
+                        [(0, 0, 0, 0), (1, 1, 0, 0), (-1, 2, 0, 5)]):
+            shifted = LaurentPolynomial(table, dict.fromkeys(members, 1)) * form.numerator
+            expected = iterated_residue(ResidueForm(form.scalar, shifted, form.denominator,
+                                                    form.residue_vars))
+            assert iterated_residue(prepared, members, 3) == expected.scale(3), members
+    with pytest.raises(InvariantError, match="not an exponent vector"):
+        iterated_residue(prepared, [(1, 0)])
 
 
 def test_wide_exponents_need_no_carry():

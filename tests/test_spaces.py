@@ -11,13 +11,13 @@ from eqpush.characters import bracket
 from eqpush.exprparse import parse_to_polynomial
 from eqpush.residue import iterated_residue, make_form
 from eqpush.spaces import (LocalizationEngine, SpaceDescriptor, SymmetryViolation,
-                           _base_tangent, _calc, build_integrand, check_symmetry,
+                           _base_tangent, _calc, check_symmetry,
                            localization_pushforward, parse_space,
                            residue_pushforward, symmetry_generators)
 from eqpush.verification import random_admissible_class
 
 from conftest import assert_immutable_value
-from oracles import factored_rational_sum, fixed_points, symmetry_orbit
+from oracles import build_integrand, factored_rational_sum, fixed_points, symmetry_orbit
 from test_acceptance import CLASSICAL_CASES
 
 ALL_SPACES = ["gr:1,2", "gr:1,3", "gr:2,4", "gr2:2,4", "lg:1", "lg:2", "ogE:2",
@@ -324,6 +324,28 @@ def test_residue_pushforward_matches_integrand(key, variant):
         f = random_admissible_class(space, rng, max_exp=max_exp)
         assert residue_pushforward(space, f, variant) == \
             iterated_residue(build_integrand(space, f, variant))
+
+
+@pytest.mark.parametrize("key, variant, canons", [
+    ("gr:1,2", "full", [(2,), (60,), (3,), (-5,)]),
+    ("lg:3", "full", [(1, 0, 0), (9, 0, -9), (1, 1, -1)]),
+    ("q:3", "full", [(1, 1, 0), (0, 6, 5), (2, 1, 0)]),
+    ("gr:2,4", "compact", [(1, 0), (7, -7), (1, -1)]),
+])
+def test_prepared_integrand_keeps_the_widest_packing(key, variant, canons):
+    # The second class needs a wider digit than the first and repacks the
+    # base; the narrower ones after it reuse that packing.  q:3 and the
+    # compact gr:2,4 sum every orbit member on packed keys.
+    space = parse_space(key)
+    calc = spaces._SpaceCalc(space)
+    packings = []
+    for canon in canons:
+        assert calc.res_class_value(canon, variant) == \
+            iterated_residue(build_integrand(space, calc.orbit_sum(canon), variant)), canon
+        packings.append(calc.forms[variant].packing)
+    assert packings[1].half > packings[0].half
+    assert all(p is packings[1] for p in packings[2:])
+    assert list(calc.forms) == [variant]
 
 
 def test_which_integrands_take_one_orbit_member():

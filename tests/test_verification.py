@@ -1,0 +1,57 @@
+import pytest
+
+from eqpush import spaces
+from eqpush.cli import main
+from eqpush.spaces import parse_space
+from eqpush.verification import first_mismatch, run_campaign
+
+
+@pytest.fixture
+def planted_sign(monkeypatch):
+    """gr:2,4 with a wrong sign planted in the residue value of the orbit
+    classes of z1*z2^-1 and z1^2*z2 (the members (-1, 1) and (1, 2) that the
+    symmetric full integrand takes, also in the compact orbit sums), on
+    calculators with no class values cached."""
+    planted = {(-1, 1), (1, 2)}
+    real = spaces.iterated_residue
+
+    def wrong_sign(form, members=None, scalar=1):
+        value = real(form, members, scalar)
+        return -value if any(m[:2] in planted for m in members) else value
+
+    monkeypatch.setattr(spaces, "iterated_residue", wrong_sign)
+    monkeypatch.setattr(spaces, "_CALCS", {})
+    return parse_space("gr:2,4")
+
+
+def test_mismatch_names_the_first_differing_orbit_class(planted_sign):
+    space = planted_sign
+    calc = spaces._calc(space)
+    # sorted, the classes are (0, 0) (right), (1, -1) and (2, 1) (both wrong)
+    f = calc.orbit_sum((2, 1)).scale(3) + calc.orbit_sum((1, -1)).scale(-2) \
+        + calc.orbit_sum((0, 0))
+    difference = calc.loc_class_value((1, -1)).scale(-2)
+    assert not difference.is_zero
+    assert first_mismatch(space, f) == (
+        "  first differing class: orbit of z1*z2^-1 variant full: "
+        f"residue - localization = {difference.render()}")
+    assert first_mismatch(space, calc.orbit_sum((0, 0))) == "  no orbit class differs on its own"
+
+
+def test_campaign_reports_each_disagreeing_trial(planted_sign, capsys):
+    lines, failures = run_campaign(planted_sign, trials=4, seed=3, max_exp=1)
+    assert failures == 2 and lines[-1] == "verified 2/4 trials: 2 mismatches"
+    assert sum(line.endswith("agree NO") for line in lines) == 2
+    for line, after in zip(lines, lines[1:]):
+        assert after.startswith("  first differing class: ") == line.endswith("agree NO")
+        if line.endswith("agree NO"):
+            assert after.startswith("  first differing class: orbit of z1*z2^-1 variant full: ")
+    assert main(["verify", "--space", "gr:2,4", "--trials", "4", "--seed", "3",
+                 "--max-exp", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_agreeing_campaign_has_no_class_lines():
+    lines, failures = run_campaign(parse_space("gr:2,4"), trials=4, seed=3, max_exp=1)
+    assert failures == 0 and len(lines) == 6
+    assert not any(line.startswith(" ") for line in lines)
