@@ -682,6 +682,9 @@ def _divide_nonneg(num: dict, den: dict, integral: bool) -> tuple:
     lc = den[lead]
     fast = integral and lc == 1
     rest = [(k, c) for k, c in den.items() if k != lead]
+    if not rest:  # a unit: cleared of negatives, its one term is lc * 1
+        out = num if fast else {k: quotient(c, lc) for k, c in num.items()}
+        return out, fast or all(type(c) is int for c in out.values())
     remainder = dict(num)
     heap = [(-sum(k), tuple(map(_neg, k)), k) for k in remainder]
     heapq.heapify(heap)

@@ -2,17 +2,27 @@
 Grassmannian pairing: the six-term cyclic sum, the 21-partition class table,
 the intersection matrix with its unimodular determinant, and recovery of the
 fundamental class by exact linear elimination.
+
+The ambient pairing is the residue formula of the Grassmannian of two-planes
+in 7-space with its torus restricted to the seven weights of the
+7-dimensional representation, taken over the two-parameter G2 torus.  Its
+denominator and residue variables come from `spaces._integrand_frame`, as do
+those of the quotient's own integrand, which multiplies in the
+fundamental-class lift.  The Demazure chain of gr:2,7 followed by the
+substitution t_i -> weight_i is its test oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import LaurentPolynomial, parameter_table
+from .algebra import LaurentPolynomial, parameter_table, rational
+from .characters import bracket, roots
 from .elimination import bareiss_determinant, bareiss_solve
 from .polyfam import (complement_partition, grothendieck_pair,
                       rectangle_partitions)
-from .spaces import (SpaceDescriptor, _calc, localization_pushforward,
+from .residue import PreparedForm, iterated_residue, make_form
+from .spaces import (SpaceDescriptor, _calc, _integrand_frame, localization_pushforward,
                      residue_pushforward)
 from . import g2core
 
@@ -58,15 +68,24 @@ AMBIENT_SPACE = SpaceDescriptor("gr", 2, 7)
 
 
 @lru_cache(maxsize=None)
+def _ambient_form() -> PreparedForm:
+    """The gr:2,7 residue integrand at the seven weights w_k, over the G2
+    table: (1/2) * bracket(roots(z1, z2)) / prod(1 - z_i/w_k) dz1/z1 dz2/z2,
+    prepared once."""
+    zlist, denominator, zvars = _integrand_frame(GT, 2, g2core.seven_weights())
+    return PreparedForm(make_form(bracket(roots(zlist), GT), denominator, zvars,
+                                  scalar=rational(1, 2)))
+
+
+@lru_cache(maxsize=None)
 def _ambient_class(canon: tuple) -> LaurentPolynomial:
     """Push-forward of the orbit class z1^p z2^q + z1^q z2^p of canon = (p, q)
-    (once on the diagonal) along the ambient Grassmannian: the gr:2,7 value,
-    then t1..t7 -> the seven weights.  Only the specialized value is cached,
-    so no orbit is held twice."""
-    calc = _calc(AMBIENT_SPACE)
-    value = calc.engine.sum_values(calc.orbit_sum(canon))
-    weights = {f"t{i + 1}": w.as_polynomial() for i, w in enumerate(g2core.seven_weights())}
-    return value.substitute_polynomials(weights, target=GT)
+    (once on the diagonal) along the ambient Grassmannian: the iterated
+    residue of the class times the integrand at the seven weights.  The
+    integrand is symmetric in z1, z2, so that is |orbit| times the residue of
+    the ascending member z1^q z2^p alone."""
+    p, q = canon
+    return iterated_residue(_ambient_form(), [(q, p, 0, 0)], 1 if p == q else 2)
 
 
 def ambient_pushforward(f: LaurentPolynomial) -> LaurentPolynomial:

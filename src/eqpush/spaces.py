@@ -342,6 +342,15 @@ class LocalizationEngine:
         return value
 
 
+def _integrand_frame(table: VariableTable, m: int, ambient: CharacterList) -> tuple:
+    """(z1..zm as characters, the denominator monomials z_i/tau over the
+    ambient characters tau, the residue variables z1..zm): what every
+    integrand shares, the G2 ambient pairing included."""
+    zlist = standard_sets("Z", m, table)
+    return (zlist, tuple(z / tau for z in zlist for tau in ambient),
+            tuple(f"z{i + 1}" for i in range(m)))
+
+
 @lru_cache(maxsize=None)
 def _integrand_parts(space: SpaceDescriptor, variant: str):
     """(scalar, base numerator, denominator monomials, residue variables)."""
@@ -349,8 +358,6 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
         raise ValueError(f"invalid variant {variant!r} for {space.key()}")
     table = space.table()
     k, m, n = space.kind, space.m, space.n
-    mres = space.residue_count()
-    zlist = standard_sets("Z", mres, table)
     one = LaurentPolynomial.one(table)
 
     if k in ("gr", "gr2"):
@@ -363,8 +370,7 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
         ambient = standard_sets("T", n, table)
     else:
         ambient = g2core.seven_weights()  # g2 table coincides with the space table
-
-    denominator = tuple(z / tau for z in zlist for tau in ambient)
+    zlist, denominator, zvars = _integrand_frame(table, space.residue_count(), ambient)
 
     if k == "gr":
         if variant == "full":
@@ -412,8 +418,6 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
         scalar = 1
         lift = g2core.fundamental_class_lift().transport(table)
         numerator = lift * bracket(pos_roots(zlist), table)
-
-    zvars = tuple(f"z{i + 1}" for i in range(mres))
     return scalar, numerator, denominator, zvars
 
 
@@ -522,11 +526,14 @@ class _SpaceCalc:
 
     def pushforward(self, f: LaurentPolynomial, class_value, names: tuple = None):
         """The sum of coefficient * class_value(canonical class) over the
-        decomposition of f: a push-forward is linear over the coefficients."""
-        total = LaurentPolynomial.zero(f.table)
+        decomposition of f: a push-forward is linear over the coefficients.
+        The terms of all the products are added into one dict."""
+        acc: dict = {}
+        get = acc.get
         for canon, coeff in self.decompose(f, names).items():
-            total = total + coeff * class_value(canon)
-        return total
+            for k, c in (coeff * class_value(canon)).terms.items():
+                acc[k] = get(k, 0) + c
+        return LaurentPolynomial(f.table, acc)
 
     def loc_class_value(self, canon: tuple) -> LaurentPolynomial:
         got = self.loc_values.get(canon)

@@ -9,6 +9,9 @@ z-exponent vector under the symmetry generators, which the sorted orbit
 classes of `eqpush.spaces` must reproduce.  `build_integrand` multiplies a
 class into the expanded base numerator of a residue integrand, the one form
 whose iterated residue the per-class shifts of `eqpush.spaces` must reproduce.
+`ambient_chain_class` pairs an orbit class on the G2 ambient Grassmannian by
+the gr:2,7 Demazure chain, then t_i -> the seven weights: the independent
+path for the residue of `eqpush.g2`.
 """
 
 import itertools
@@ -19,7 +22,7 @@ from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivi
                             NotPolynomial, exact_divide, quotient)
 from eqpush.characters import CharacterList, lambda_set, pos_roots, sym_set
 from eqpush.residue import ResidueForm, make_form
-from eqpush.spaces import SpaceDescriptor, check_symmetry, symmetry_generators
+from eqpush.spaces import SpaceDescriptor, _calc, check_symmetry, symmetry_generators
 
 
 @dataclass(frozen=True)
@@ -181,3 +184,13 @@ def build_integrand(space: SpaceDescriptor, f: LaurentPolynomial,
     check_symmetry(space, f)
     scalar, base, denominator, zvars = spaces._integrand_parts(space, variant)
     return make_form(f * base, denominator, zvars, scalar=scalar, dlog=True)
+
+
+def ambient_chain_class(canon: tuple) -> LaurentPolynomial:
+    """The push-forward of the orbit class of canon = (p, q) along the
+    Grassmannian of two-planes in 7-space, restricted to the G2 torus: the
+    gr:2,7 Demazure chain in t1..t7, then t_i -> the i-th of the seven weights."""
+    calc = _calc(SpaceDescriptor("gr", 2, 7))
+    value = calc.engine.sum_values(calc.orbit_sum(canon))
+    weights = {f"t{i + 1}": w.as_polynomial() for i, w in enumerate(g2core.seven_weights())}
+    return value.substitute_polynomials(weights, target=g2core.g2_table())

@@ -3,7 +3,9 @@ import pytest
 from eqpush.algebra import LaurentPolynomial, Monomial, exact_divide
 from eqpush import g2, g2core
 from eqpush.polyfam import Partition, grothendieck_pair
-from eqpush.spaces import SymmetryViolation
+from eqpush.spaces import SymmetryViolation, _calc
+
+from oracles import ambient_chain_class
 
 GT = g2core.g2_table()
 ONE = LaurentPolynomial.one(GT)
@@ -84,6 +86,28 @@ def test_borel_pushforward_symmetric_matches_quotient():
 
 def test_ambient_pushforward_unit():
     assert g2.ambient_pushforward(ONE) == ONE
+
+
+def test_ambient_residue_matches_the_chain_oracle():
+    # every orbit class the 231 products of the intersection matrix decompose into
+    calc = _calc(g2.AMBIENT_SPACE)
+    classes = [grothendieck_pair(lam.part(0), lam.part(1), GT) for lam in g2.box_partitions()]
+    canons = set()
+    for i, a in enumerate(classes):
+        for b in classes[i:]:
+            canons.update(calc.decompose(a * b, ("z1", "z2")))
+    assert len(canons) == 66
+    for canon in sorted(canons):
+        assert g2._ambient_class.__wrapped__(canon) == ambient_chain_class(canon), canon
+
+
+def test_projection_formula():
+    # the quotient's push-forward of G[a,b] is the ambient one of G[a,b] * lift
+    lift = g2.fundamental_class_lift()
+    for a in range(g2.BOX_COLS + 1):
+        for b in range(a + 1):
+            cls = grothendieck_pair(a, b, GT)
+            assert g2.ambient_pushforward(cls * lift) == g2.cyclic_pushforward(cls), (a, b)
 
 
 def test_lift_pairing_rejects_shifted_lift():
