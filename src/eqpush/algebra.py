@@ -14,6 +14,9 @@ such operands multiplies and adds ints only, and the results of the others
 are normalized, so integral work such as Bareiss elimination or the G2
 artifacts never builds a rational.  Rendering and JSON read `numerator` and
 `denominator`, which ints have as well.
+
+`LaurentPolynomial.substitute` is the one change of variables, from a Weyl
+reflection to the move of a polynomial to another table.
 """
 
 from __future__ import annotations
@@ -206,18 +209,12 @@ class Monomial(Frozen):
 
     def substitute(self, mapping: Mapping[str, "Monomial"]) -> "Monomial":
         """Image under a variable -> monomial map (unmapped variables stay fixed)."""
-        acc = [0] * len(self.table)
-        for i, e in enumerate(self.exps):
-            if e == 0:
-                continue
-            name = self.table.names[i]
-            img = mapping.get(name)
-            if img is None:
-                acc[i] += e
-            else:
-                _same_table(self.table, img.table)
-                for j, f in enumerate(img.exps):
-                    acc[j] += e * f
+        acc = list(self.exps)
+        for name, img in mapping.items():
+            _same_table(self.table, img.table)
+            i = self.table.index(name)
+            for j, f in _moves(i, img.exps, True):
+                acc[j] += self.exps[i] * f
         return Monomial(self.table, tuple(acc))
 
     def render(self) -> str:
@@ -295,9 +292,6 @@ class LaurentPolynomial:
 
     def __len__(self):
         return len(self.terms)
-
-    def constant_term(self):
-        return self.terms.get(self.table.zero_exps, 0)
 
     def is_integral(self) -> bool:
         """True iff every coefficient is an int; looked at once, then remembered."""
@@ -436,107 +430,93 @@ class LaurentPolynomial:
 
     # -- substitution -------------------------------------------------------
 
-    def substitute_monomials(self, mapping: Mapping[str, Monomial], partial: bool = False):
-        """Replace variables by monomials.
+    def substitute(self, mapping: Mapping[str, object], target: VariableTable | None = None):
+        """The change of variables: each variable of `mapping` goes to its
+        image, a Monomial or a LaurentPolynomial over `target` (by default
+        this polynomial's own table), and every other occurring variable to
+        the variable of the same name in `target` (KeyError if it has none).
 
-        The map must cover every variable occurring in the polynomial unless
-        partial=True, in which case unmapped variables stay fixed.
+        A one-term image c*t^e is applied by exponent arithmetic, its c^k
+        going into the coefficient; a longer image through cached powers.  A
+        variable occurring with a negative exponent needs a one-term image.
         """
         table = self.table
-        images = {}
-        for name, mono in mapping.items():
-            _same_table(table, mono.table)
-            images[table.index(name)] = mono.exps
+        if target is None:
+            target = table
+        same = target is table or target == table
+        images = [(table.index(name), img) for name, img in mapping.items()]
+        if not same:
+            images += [(i, Monomial.of(target, **{name: 1}))
+                       for i, name in enumerate(table.names)
+                       if name not in mapping and any(k[i] for k in self.terms)]
+        moves = []  # (source index, ((target index, exponent), ...)) of each moved variable
+        scales = []  # (source index, c) of each one-term image c*t^e with c != 1
+        longer = []  # (source index, image) of each image of more than one term
+        exact = self.is_integral()
+        for i, img in images:
+            _same_table(target, img.table)
+            if isinstance(img, Monomial):
+                exps = img.exps
+            elif len(img.terms) == 1:
+                (exps, c), = img.terms.items()
+                if c != 1:
+                    scales.append((i, c))
+            else:  # multiplied in below; here the variable only leaves
+                longer.append((i, img))
+                exact = exact and img.is_integral()
+                exps = target.zero_exps
+            pairs = _moves(i, exps, same)
+            if pairs:
+                moves.append((i, pairs))
+
+        zeros = [0] * len(target)
+        products: dict = {}  # exponents of the longer images -> the terms of their product
+        acc: dict = {}
+        get = acc.get
+        for k, c in self.terms.items():
+            e = list(k) if same else zeros[:]
+            for i, pairs in moves:
+                ki = k[i]
+                if ki:
+                    for j, f in pairs:
+                        e[j] += ki * f
+            for i, ci in scales:
+                ki = k[i]
+                if ki:
+                    q = ci ** ki if ki > 0 else quotient(1, ci ** -ki)
+                    exact = exact and type(q) is int
+                    c = c * q
+            if longer:
+                powers = tuple(k[i] for i, _ in longer)
+                product = products.get(powers)
+                if product is None:
+                    product = LaurentPolynomial.one(target)
+                    for (_, img), ki in zip(longer, powers):
+                        product = product * img ** ki
+                    product = products[powers] = list(product.terms.items())
+                pieces = [(tuple(map(_add, e, pk)), c * pc) for pk, pc in product]
+            else:
+                pieces = ((tuple(e), c),)
+            for kk, cc in pieces:
+                s = get(kk)
+                if s is None:
+                    acc[kk] = cc
+                else:
+                    s = s + cc
+                    if s == 0:
+                        del acc[kk]
+                    else:
+                        acc[kk] = s
+        return _result(target, acc, exact)
+
+    def substitute_monomials(self, mapping: Mapping[str, Monomial], partial: bool = False):
+        """`substitute` with monomial images; unless partial=True, the map must
+        cover every variable occurring in the polynomial."""
         if not partial:
             for name in self.occurring_variables():
-                if table.index(name) not in images:
+                if name not in mapping:
                     raise KeyError(f"no image for occurring variable {name!r}")
-        n = len(table)
-        acc = {}
-        for k, c in self.terms.items():
-            e = [0] * n
-            for i, ki in enumerate(k):
-                if ki == 0:
-                    continue
-                img = images.get(i)
-                if img is None:
-                    e[i] += ki
-                else:
-                    for j, f in enumerate(img):
-                        if f:
-                            e[j] += ki * f
-            kk = tuple(e)
-            s = acc.get(kk)
-            if s is None:
-                acc[kk] = c
-            else:
-                s = s + c
-                if s == 0:
-                    del acc[kk]
-                else:
-                    acc[kk] = s
-        return _result(table, acc, self.is_integral())
-
-    def substitute_polynomials(self, mapping: Mapping[str, "LaurentPolynomial"],
-                               target: VariableTable | None = None):
-        """Exact evaluation with polynomial images (the composition map).
-
-        Every occurring variable must be mapped.  A variable occurring with a
-        negative exponent needs an invertible (single-term) image.
-        """
-        if target is None:
-            if not mapping:
-                raise ValueError("empty assignment needs an explicit target table")
-            target = next(iter(mapping.values())).table
-        images = {}
-        for name, p in mapping.items():
-            _same_table(target, p.table)
-            images[self.table.index(name)] = p
-        for name in self.occurring_variables():
-            if self.table.index(name) not in images:
-                raise KeyError(f"no image for occurring symbol {name!r}")
-        power_cache: dict = {}
-
-        def img_power(i: int, k: int) -> LaurentPolynomial:
-            key = (i, k)
-            got = power_cache.get(key)
-            if got is None:
-                got = images[i] ** k
-                power_cache[key] = got
-            return got
-
-        total = LaurentPolynomial.zero(target)
-        for k, c in self.terms.items():
-            piece = LaurentPolynomial.constant(target, c)
-            for i, ki in enumerate(k):
-                if ki != 0:
-                    piece = piece * img_power(i, ki)
-            total = total + piece
-        return total
-
-    def transport(self, new_table: VariableTable) -> "LaurentPolynomial":
-        """Re-express over another table containing the occurring variables."""
-        if new_table == self.table:
-            return self
-        pos = []
-        for name in self.table.names:
-            try:
-                pos.append(new_table.index(name))
-            except KeyError:
-                pos.append(None)
-        n = len(new_table)
-        acc = {}
-        for k, c in self.terms.items():
-            e = [0] * n
-            for i, ki in enumerate(k):
-                if ki == 0:
-                    continue
-                j = pos[i]
-                if j is None:
-                    raise KeyError(f"variable {self.table.names[i]!r} absent from target table")
-                e[j] = ki
-            acc[tuple(e)] = c
-        return _poly(new_table, acc, self._integral)
+        return self.substitute(mapping)
 
     # -- rendering ----------------------------------------------------------
 
@@ -601,6 +581,16 @@ class LaurentPolynomial:
 
     def __repr__(self):
         return f"LaurentPolynomial({self.render()})"
+
+
+@lru_cache(maxsize=None)
+def _moves(i: int, exps: tuple, same: bool) -> tuple:
+    """(target index, exponent) pairs: the change per unit exponent of source
+    variable i with image t^exps; with same, its own exponent is in place."""
+    delta = list(exps)
+    if same:
+        delta[i] -= 1
+    return tuple((j, f) for j, f in enumerate(delta) if f)
 
 
 def _poly(table: VariableTable, terms: dict, integral=None) -> LaurentPolynomial:

@@ -8,7 +8,8 @@ log t^e = sum e_i*t_i, the Chern roots are x = -log z, and each step is the
 ordinary divided difference (g - s g)/log a.  Classes are polynomials in x1,
 x2, t1, t2, symmetric in x1, x2; the chain runs once per orbit class
 x1^p x2^q + x1^q x2^p, whose t-polynomial coefficient is pulled out; that
-split (`spaces._SpaceCalc.decompose`) enforces the symmetry.
+split (`spaces._SpaceCalc.decompose`) enforces the symmetry.  A chain value
+reaches the x, t table by one `LaurentPolynomial.substitute`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _orbit_integral(space, canon: tuple) -> LaurentPolynomial:
 
 @lru_cache(maxsize=None)
 def _g2_class(canon: tuple) -> LaurentPolynomial:
-    return _orbit_integral(QUOTIENT_SPACE, canon).transport(coh_table())
+    return _orbit_integral(QUOTIENT_SPACE, canon).substitute({}, coh_table())
 
 
 @lru_cache(maxsize=None)
@@ -54,8 +55,7 @@ def _gr27_class(canon: tuple) -> LaurentPolynomial:
     """The gr:2,7 value with t1..t7 -> the logs of the seven weights; only the
     specialized value is cached."""
     weights = {f"t{i + 1}": log(w, coh_table()) for i, w in enumerate(g2core.seven_weights())}
-    return _orbit_integral(AMBIENT_SPACE, canon).substitute_polynomials(weights,
-                                                                       target=coh_table())
+    return _orbit_integral(AMBIENT_SPACE, canon).substitute(weights, coh_table())
 
 
 def g2_integral(f: LaurentPolynomial) -> LaurentPolynomial:

@@ -206,7 +206,7 @@ class _Parser:
             raise ValueError(f"unknown variable {name!r}")
         from . import g2core
         try:
-            return getattr(g2core, _NAMED[name])().transport(self.table)
+            return getattr(g2core, _NAMED[name])().substitute({}, self.table)
         except KeyError:
             raise ValueError(f"macro {name} needs variables missing from this space") from None
 
@@ -229,7 +229,7 @@ class _Parser:
                                         str(a))
         try:
             if name == "G":
-                return grothendieck_pair(a, b).transport(self.table)
+                return grothendieck_pair(a, b).substitute({}, self.table)
             return schur_pair(a, b, self.table, names=("z1", "z2"))
         except KeyError:
             raise ValueError(

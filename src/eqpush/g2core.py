@@ -1,6 +1,6 @@
-"""Shared exceptional-group data: the rank-two torus, its dihedral Weyl group,
-tangent weight lists and the fundamental-class lift used by the residue
-formulas for both quotient spaces.
+"""Shared exceptional-group data: the rank-two torus, the swap of its two
+parameters, tangent weight lists and the fundamental-class lift used by the
+residue formulas for both quotient spaces.
 """
 
 from __future__ import annotations
@@ -21,45 +21,8 @@ def _mono(**powers) -> Monomial:
 
 
 @lru_cache(maxsize=None)
-def rotation_map():
-    """Order-6 substitution generating the rotation subgroup: t1 -> t2, t2 -> t2/t1."""
-    return {"t1": _mono(t2=1), "t2": _mono(t2=1, t1=-1)}
-
-
-@lru_cache(maxsize=None)
 def swap_map():
     return {"t1": _mono(t2=1), "t2": _mono(t1=1)}
-
-
-def compose_maps(outer: dict, inner: dict) -> dict:
-    """Substitution that applies `inner` first, then `outer`."""
-    return {v: m.substitute(outer) for v, m in inner.items()}
-
-
-def identity_map() -> dict:
-    return {"t1": _mono(t1=1), "t2": _mono(t2=1)}
-
-
-@lru_cache(maxsize=None)
-def rotation_orbit() -> tuple:
-    """The six powers of the rotation, identity first."""
-    out = [identity_map()]
-    for _ in range(5):
-        out.append(compose_maps(rotation_map(), out[-1]))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def weyl_group() -> tuple:
-    """All twelve substitutions of the dihedral Weyl group (rotations, then
-    rotations composed with the swap)."""
-    rots = rotation_orbit()
-    refl = tuple(compose_maps(w, swap_map()) for w in rots)
-    elems = rots + refl
-    seen = {tuple(sorted((v, m.exps) for v, m in w.items())) for w in elems}
-    if len(seen) != 12:
-        raise RuntimeError("dihedral group enumeration produced duplicates")
-    return elems
 
 
 @lru_cache(maxsize=None)
@@ -102,8 +65,7 @@ def weight_sum_z() -> LaurentPolynomial:
 @lru_cache(maxsize=None)
 def weight_sum_t() -> LaurentPolynomial:
     """The same sum on the torus side: the substitution z1 -> t1, z2 -> 1/t2."""
-    return weight_sum_z().substitute_monomials(
-        {"z1": _mono(t1=1), "z2": _mono(t2=-1)}, partial=True)
+    return weight_sum_z().substitute({"z1": _mono(t1=1), "z2": _mono(t2=-1)})
 
 
 @lru_cache(maxsize=None)
@@ -129,4 +91,4 @@ def half_sum_a() -> LaurentPolynomial:
 @lru_cache(maxsize=None)
 def half_sum_b() -> LaurentPolynomial:
     """Swap image of the first reporting variable: 3 - t2 - 1/t1 - t1/t2."""
-    return half_sum_a().substitute_monomials(swap_map(), partial=True)
+    return half_sum_a().substitute(swap_map())

@@ -146,10 +146,8 @@ def _isobaric_step(f: LaurentPolynomial, i: int, table: VariableTable) -> Lauren
     xi = LaurentPolynomial.variable(table, f"x{i}")
     xj = LaurentPolynomial.variable(table, f"x{i + 1}")
     g = xi * (LaurentPolynomial.one(table) - xj) * f
-    swapped = g.substitute_monomials(
-        {f"x{i}": Monomial.of(table, **{f"x{i + 1}": 1}),
-         f"x{i + 1}": Monomial.of(table, **{f"x{i}": 1})},
-        partial=True)
+    swapped = g.substitute({f"x{i}": Monomial.of(table, **{f"x{i + 1}": 1}),
+                            f"x{i + 1}": Monomial.of(table, **{f"x{i}": 1})})
     return exact_divide(g - swapped, xi - xj)
 
 
@@ -173,11 +171,7 @@ def grothendieck_general(lam: Partition, n: int,
         for i in range(sweep, 0, -1):
             f = _isobaric_step(f, i, xt)
     # evaluate x_i -> 1 - 1/t_i
-    images = {}
     one = LaurentPolynomial.one(table)
-    for i in range(n):
-        ti = LaurentPolynomial.variable(table, f"t{i + 1}", -1)
-        images[f"x{i + 1}"] = one - ti
-    if not f.occurring_variables():
-        return LaurentPolynomial.constant(table, f.constant_term())
-    return f.substitute_polynomials(images, target=table)
+    images = {f"x{i + 1}": one - LaurentPolynomial.variable(table, f"t{i + 1}", -1)
+              for i in range(n)}
+    return f.substitute(images, table)

@@ -85,10 +85,10 @@ class ResidueForm(Frozen):
 
 
 def make_form(numerator: LaurentPolynomial, denominator: Iterable[Monomial],
-              residue_vars: Iterable[str], scalar=1, dlog: bool = True) -> ResidueForm:
-    """Build a form, absorbing the product of d(var)/var measures when dlog is set."""
+              residue_vars: Iterable[str], scalar=1) -> ResidueForm:
+    """Build a form, absorbing the product of d(var)/var measures."""
     residue_vars = tuple(residue_vars)
-    if dlog and residue_vars:
+    if residue_vars:
         table = numerator.table
         measure = Monomial.from_map(table, {v: -1 for v in residue_vars})
         numerator = numerator.mul_monomial(measure)

@@ -197,21 +197,10 @@ def log(char: Monomial, table: VariableTable) -> LaurentPolynomial:
     return out
 
 
-def _substitute_linear(g: LaurentPolynomial, images: dict, table: VariableTable):
-    """g over `table`, the variables in `images` replaced, the others kept by name."""
-    mapping = {name: LaurentPolynomial.variable(table, name)
-               for name in g.occurring_variables() if name not in images}
-    mapping.update(images)
-    return g.substitute_polynomials(mapping, target=table)
-
-
-def _additive_action(s: dict, table: VariableTable):
-    """s acting on polynomials in the additive weights, t -> log(s(t)).  A
-    permutation of the variables stays a monomial substitution."""
-    if all(max(img.exps) == 1 == sum(map(abs, img.exps)) for img in s.values()):
-        return lambda g: g.substitute_monomials(s, partial=True)
-    images = {name: log(img, table) for name, img in s.items()}
-    return lambda g: _substitute_linear(g, images, table)
+def _additive_action(s: dict, table: VariableTable) -> dict:
+    """s acting on polynomials in the additive weights, t -> log(s(t)), as
+    the images of a change of variables."""
+    return {name: log(img, table) for name, img in s.items()}
 
 
 def _simple_reflections(space: SpaceDescriptor) -> list:
@@ -219,13 +208,10 @@ def _simple_reflections(space: SpaceDescriptor) -> list:
     for each simple reflection s of the space's Weyl group."""
     table = space.table()
     if space.kind in ("g2p2", "g2b"):
-        long_root = Monomial.of(table, t1=1, t2=-2)
-        # The order-two rotation -1 also inverts this root; only a reflection
-        # fixes its kernel, so take the reflection that inverts it.
-        reflection = next(w for w in g2core.weyl_group()[6:]
-                          if long_root.substitute(w) == long_root.inverse())
+        # the reflection in the long root t1*t2^-2: t2 -> t1*t2^-1
+        reflection = {"t1": Monomial.of(table, t1=1), "t2": Monomial.of(table, t1=1, t2=-1)}
         return [(g2core.swap_map(), Monomial.of(table, t1=-1, t2=1)),
-                (reflection, long_root)]
+                (reflection, Monomial.of(table, t1=1, t2=-2))]
     n = space.parameter_count()
     ts = standard_sets("T", n, table)
     out = [({f"t{i + 1}": ts[i + 1], f"t{i + 2}": ts[i]}, ts[i + 1] / ts[i])
@@ -275,7 +261,8 @@ class LocalizationEngine:
     along a reduced word for the orbit.  The word is read off the base
     tangent: while it holds a simple root a_i, record i and apply s_i.  Each
     step is one exact division by a binomial, so no common denominator of the
-    whole sum is ever built.
+    whole sum is ever built.  The cohomological chain runs the same step loop,
+    `_chain`, with a_i^-1 = 1 and s_i acting on the logarithms.
     """
 
     def __init__(self, space: SpaceDescriptor):
@@ -308,24 +295,33 @@ class LocalizationEngine:
         self.other_component = ({tn: Monomial.of(table, **{tn: -1})}
                                 if space.kind == "ogE" else None)
 
-    def sum_values(self, f: LaurentPolynomial) -> LaurentPolynomial:
-        """Sum of f(point)/bracket(tangent) over the fixed points, for an
-        admissible class f (its base-point value is then W_P-invariant)."""
-        value = f.substitute_monomials(self.base, partial=True)
-        for s, a_inv, divisor in self.steps:
-            numerator = value + value.substitute_monomials(s, partial=True).mul_monomial(a_inv, -1)
+    @staticmethod
+    def _chain(value: LaurentPolynomial, steps: list) -> LaurentPolynomial:
+        """value <- (value - a_inv * s(value)) / divisor over the steps
+        (s, a_inv, divisor): an isobaric divided difference in K-theory, the
+        ordinary one in cohomology, where a_inv is 1."""
+        for s, a_inv, divisor in steps:
+            numerator = value + value.substitute(s).mul_monomial(a_inv, -1)
             try:
                 value = exact_divide_many(numerator, [divisor])
             except NotDivisible:
                 raise InvariantError("a divided difference is not a Laurent polynomial") from None
+        return value
+
+    def sum_values(self, f: LaurentPolynomial) -> LaurentPolynomial:
+        """Sum of f(point)/bracket(tangent) over the fixed points, for an
+        admissible class f (its base-point value is then W_P-invariant)."""
+        value = self._chain(f.substitute(self.base), self.steps)
         if self.other_component is not None:
-            value = value + value.substitute_monomials(self.other_component, partial=True)
+            value = value + value.substitute(self.other_component)
         return value
 
     @cached_property
     def additive_steps(self) -> list:
-        """The cohomological chain on the same word: (s_i acting additively, log a_i)."""
-        return [(_additive_action(s, self.table), -log(a_inv, self.table))
+        """The cohomological chain on the same word: (s_i acting additively,
+        1, log a_i)."""
+        one = Monomial.one(self.table)
+        return [(_additive_action(s, self.table), one, -log(a_inv, self.table))
                 for s, a_inv, _ in self.steps]
 
     def additive_sum(self, f: LaurentPolynomial) -> LaurentPolynomial:
@@ -335,11 +331,8 @@ class LocalizationEngine:
         are (-a, -b)).  The base value runs through the additive chain
         (g - s_i g)/log a_i on the same reduced word.  The cohomology module
         calls it on g2p2 and gr:2,7; on ogE it would miss the second component."""
-        table = self.table
-        value = _substitute_linear(f, {z: -log(img, table) for z, img in self.base.items()}, table)
-        for act, divisor in self.additive_steps:
-            value = exact_divide_many(value - act(value), [divisor])
-        return value
+        base = {z: -log(img, self.table) for z, img in self.base.items()}
+        return self._chain(f.substitute(base), self.additive_steps)
 
 
 def _integrand_frame(table: VariableTable, m: int, ambient: CharacterList) -> tuple:
@@ -416,7 +409,7 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
             * bracket(pos_roots(zlist), table)
     else:  # g2p2, g2b share the ambient-Grassmannian formula
         scalar = 1
-        lift = g2core.fundamental_class_lift().transport(table)
+        lift = g2core.fundamental_class_lift()
         numerator = lift * bracket(pos_roots(zlist), table)
     return scalar, numerator, denominator, zvars
 

@@ -9,13 +9,16 @@ z-exponent vector under the symmetry generators, which the sorted orbit
 classes of `eqpush.spaces` must reproduce.  `build_integrand` multiplies a
 class into the expanded base numerator of a residue integrand, the one form
 whose iterated residue the per-class shifts of `eqpush.spaces` must reproduce.
-`ambient_chain_class` pairs an orbit class on the G2 ambient Grassmannian by
-the gr:2,7 Demazure chain, then t_i -> the seven weights: the independent
-path for the residue of `eqpush.g2`.
+`weyl_group` lists the twelve substitutions of the G2 Weyl group, built from
+the rotation and the swap, for the G2 fixed points.  `ambient_chain_class`
+pairs an orbit class on the G2 ambient Grassmannian by the gr:2,7 Demazure
+chain, then t_i -> the seven weights: the independent path for the residue
+of `eqpush.g2`.
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from eqpush import g2core, spaces
 from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
@@ -34,6 +37,47 @@ class FixedPoint:
 
     def subst_map(self) -> dict:
         return dict(self.subst)
+
+
+def _mono(**powers) -> Monomial:
+    return Monomial.of(g2core.g2_table(), **powers)
+
+
+@lru_cache(maxsize=None)
+def rotation_map():
+    """Order-6 substitution generating the rotation subgroup: t1 -> t2, t2 -> t2/t1."""
+    return {"t1": _mono(t2=1), "t2": _mono(t2=1, t1=-1)}
+
+
+def compose_maps(outer: dict, inner: dict) -> dict:
+    """Substitution that applies `inner` first, then `outer`."""
+    return {v: m.substitute(outer) for v, m in inner.items()}
+
+
+def identity_map() -> dict:
+    return {"t1": _mono(t1=1), "t2": _mono(t2=1)}
+
+
+@lru_cache(maxsize=None)
+def rotation_orbit() -> tuple:
+    """The six powers of the rotation, identity first."""
+    out = [identity_map()]
+    for _ in range(5):
+        out.append(compose_maps(rotation_map(), out[-1]))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def weyl_group() -> tuple:
+    """All twelve substitutions of the dihedral Weyl group (rotations, then
+    rotations composed with the swap)."""
+    rots = rotation_orbit()
+    refl = tuple(compose_maps(w, g2core.swap_map()) for w in rots)
+    elems = rots + refl
+    seen = {tuple(sorted((v, m.exps) for v, m in w.items())) for w in elems}
+    if len(seen) != 12:
+        raise RuntimeError("dihedral group enumeration produced duplicates")
+    return elems
 
 
 def _tvars(table, n):
@@ -100,11 +144,11 @@ def fixed_points(space: SpaceDescriptor) -> list:
                 tangent = CharacterList(tuple(x / a for x in rest))
                 pts.append(FixedPoint(subst, tangent))
     elif k == "g2p2":
-        for w in g2core.rotation_orbit():
+        for w in rotation_orbit():
             subst = (("z1", w["t1"]), ("z2", w["t2"]))
             pts.append(FixedPoint(subst, _image(g2core.quotient_identity_tangent(), w)))
     else:  # g2b
-        for w in g2core.weyl_group():
+        for w in weyl_group():
             subst = (("z1", w["t1"]), ("z2", w["t2"]))
             pts.append(FixedPoint(subst, _image(g2core.borel_identity_tangent(), w)))
     dim = space.dimension()
@@ -183,7 +227,7 @@ def build_integrand(space: SpaceDescriptor, f: LaurentPolynomial,
     test that patches the integrand reaches this oracle too."""
     check_symmetry(space, f)
     scalar, base, denominator, zvars = spaces._integrand_parts(space, variant)
-    return make_form(f * base, denominator, zvars, scalar=scalar, dlog=True)
+    return make_form(f * base, denominator, zvars, scalar=scalar)
 
 
 def ambient_chain_class(canon: tuple) -> LaurentPolynomial:
@@ -193,4 +237,4 @@ def ambient_chain_class(canon: tuple) -> LaurentPolynomial:
     calc = _calc(SpaceDescriptor("gr", 2, 7))
     value = calc.engine.sum_values(calc.orbit_sum(canon))
     weights = {f"t{i + 1}": w.as_polynomial() for i, w in enumerate(g2core.seven_weights())}
-    return value.substitute_polynomials(weights, target=g2core.g2_table())
+    return value.substitute(weights, g2core.g2_table())

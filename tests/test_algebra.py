@@ -12,7 +12,7 @@ from eqpush.elimination import bareiss_determinant, bareiss_solve
 from eqpush import g2core
 
 from conftest import assert_immutable_value, random_laurent
-from oracles import factored_rational_sum
+from oracles import compose_maps, factored_rational_sum, rotation_map, rotation_orbit
 
 
 def V(table, name, k=1):
@@ -83,14 +83,14 @@ def test_monomial_power_matches_products(table22):
 def test_substitute_rotation(table22):
     # t1/t2 under t1 -> t2, t2 -> t2/t1 gives t1
     p = V(table22, "t1") * V(table22, "t2", -1)
-    q = p.substitute_monomials(g2core.rotation_map(), partial=True)
+    q = p.substitute(rotation_map())
     assert q == V(table22, "t1")
 
 
 def test_rotation_order_six(table22):
-    maps = g2core.rotation_orbit()
+    maps = rotation_orbit()
     assert len(maps) == 6
-    final = g2core.compose_maps(g2core.rotation_map(), maps[-1])
+    final = compose_maps(rotation_map(), maps[-1])
     for name in ("t1", "t2"):
         assert final[name] == Monomial.of(table22, **{name: 1})
     # the cube is the global inversion
@@ -115,21 +115,21 @@ def test_substitute_requires_total_map(table22):
 def test_compose_reporting_variables(table22):
     ab = parameter_table("A", "B")
     q = LaurentPolynomial.variable(ab, "A") + LaurentPolynomial.variable(ab, "B")
-    image = q.substitute_polynomials({"A": g2core.half_sum_a(), "B": g2core.half_sum_b()})
+    image = q.substitute({"A": g2core.half_sum_a(), "B": g2core.half_sum_b()}, table22)
     assert image == g2core.half_sum_a() + g2core.half_sum_b()
     assert image.render() == "6 - t1 - t1^-1 - t2 - t2^-1 - t1*t2^-1 - t1^-1*t2"
 
 
 def test_compose_weight_sums(table22):
-    image = g2core.weight_sum_z().substitute_monomials(
-        {"z1": Monomial.of(table22, t1=1), "z2": Monomial.of(table22, t2=-1)}, partial=True)
+    image = g2core.weight_sum_z().substitute(
+        {"z1": Monomial.of(table22, t1=1), "z2": Monomial.of(table22, t2=-1)})
     assert image == g2core.weight_sum_t()
 
 
 def test_compose_zero(table22):
     ab = parameter_table("A", "B")
     q = LaurentPolynomial.zero(ab)
-    assert q.substitute_polynomials({"A": g2core.half_sum_a()}, target=table22).is_zero
+    assert q.substitute({"A": g2core.half_sum_a()}, table22).is_zero
 
 
 def test_exact_divide_basic(table22):
@@ -182,13 +182,12 @@ def test_ring_laws(rng, table22):
 
 
 def test_substitution_is_ring_homomorphism(rng, table22):
-    sub = g2core.rotation_map()
+    sub = rotation_map()
     for _ in range(20):
         p = random_laurent(rng, table22)
         q = random_laurent(rng, table22)
-        left = (p * q).substitute_monomials(sub, partial=True)
-        right = p.substitute_monomials(sub, partial=True) \
-            * q.substitute_monomials(sub, partial=True)
+        left = (p * q).substitute(sub)
+        right = p.substitute(sub) * q.substitute(sub)
         assert left == right
 
 
@@ -274,28 +273,24 @@ def r_mul(a, b):
     return {k: c for k, c in out.items() if c}
 
 
-def r_pow(a, k):
-    out = {ZERO_EXPS: Fraction(1)}
-    for _ in range(k):
-        out = r_mul(out, a)
-    return out
-
-
-def r_substitute(a, images):
-    """images: {variable index: reference polynomial}; negative exponents
+def r_substitute(a, images, source=T22, target=T22):
+    """images: {variable index in source: reference polynomial over target};
+    every other variable goes to its namesake in target.  Negative exponents
     only on single-term images."""
     out = {}
     for key, c in a.items():
-        term = {ZERO_EXPS: c}
+        term = {target.zero_exps: c}
         for i, e in enumerate(key):
-            if i in images and e:
-                img = images[i]
-                if e < 0:
-                    (ie, ic), = img.items()
-                    img, e = {tuple(-x for x in ie): 1 / ic}, -e
-                term = r_mul(term, r_pow(img, e))
-            elif e:
-                term = r_mul(term, {tuple(e if j == i else 0 for j in range(4)): Fraction(1)})
+            if not e:
+                continue
+            img = images.get(i)
+            if img is None:
+                img = {Monomial.of(target, **{source.names[i]: 1}).exps: Fraction(1)}
+            if e < 0:
+                (ie, ic), = img.items()
+                img, e = {tuple(-x for x in ie): 1 / ic}, -e
+            for _ in range(e):
+                term = r_mul(term, img)
         out = r_add(out, term)
     return out
 
@@ -383,23 +378,57 @@ def test_bareiss_with_unit_pivots_matches_cofactor_expansion():
 
 
 @given(references(), st.dictionaries(st.integers(0, 3), exponents, max_size=4),
-       st.dictionaries(st.integers(0, 3), st.tuples(exponents, coefficients), min_size=4,
-                       max_size=4))
+       st.dictionaries(st.integers(0, 3), st.tuples(exponents, coefficients), max_size=4))
 def test_substitutions_keep_the_normal_form(a, monomials, singles):
     table_names = T22.names
     images = {table_names[i]: Monomial(T22, e) for i, e in monomials.items()}
     unit = {i: {e: Fraction(1)} for i, e in monomials.items()}
+    assert_normal(poly(a).substitute(images), r_substitute(a, unit))
     assert_normal(poly(a).substitute_monomials(images, partial=True), r_substitute(a, unit))
     terms = {i: {e: c} for i, (e, c) in singles.items()}
     mapping = {table_names[i]: poly(ref) for i, ref in terms.items()}
-    assert_normal(poly(a).substitute_polynomials(mapping), r_substitute(a, terms))
+    assert_normal(poly(a).substitute(mapping), r_substitute(a, terms))
 
 
 @given(references(keys=st.tuples(*[st.integers(0, 2)] * 4)),
-       st.dictionaries(st.integers(0, 3), references(max_size=3), min_size=4, max_size=4))
+       st.dictionaries(st.integers(0, 3), references(max_size=3), max_size=4))
 def test_polynomial_substitution_keeps_the_normal_form(a, images):
     mapping = {T22.names[i]: poly(ref) for i, ref in images.items()}
-    assert_normal(poly(a).substitute_polynomials(mapping, target=T22), r_substitute(a, images))
+    assert_normal(poly(a).substitute(mapping, T22), r_substitute(a, images))
+    assert_normal(poly(a).substitute(mapping), r_substitute(a, images))
+
+
+# one change of variables with every kind of image: a monomial (a), one-term
+# images with the coefficients -1, 2 and 3/2 (b, c, d), all four under
+# negative exponents, a longer image (f, exponents from 0), and the unmapped
+# e and g, which go to their namesakes in a target table of another order
+SOURCE = parameter_table("a", "b", "c", "d", "e", "f", "g")
+TARGET = parameter_table("g", "x", "e", "y")
+MIXED = {0: {(0, 1, 0, -1): Fraction(1)}, 1: {(0, 0, 0, -1): Fraction(-1)},
+         2: {(0, -1, 0, 1): Fraction(2)}, 3: {(1, 2, 0, 0): Fraction(3, 2)},
+         5: {(0, 0, 0, 0): Fraction(1), (0, 1, 0, 0): Fraction(1), (0, 0, 0, 1): Fraction(-1, 2)}}
+
+
+@given(references(keys=st.tuples(*[st.integers(-2, 2)] * 5, st.integers(0, 2),
+                                 st.integers(-2, 2))))
+def test_substitute_applies_every_kind_of_image(a):
+    mapping = {SOURCE.names[i]: LaurentPolynomial(TARGET, ref) for i, ref in MIXED.items()}
+    mapping["a"] = Monomial.of(TARGET, x=1, y=-1)
+    value = LaurentPolynomial(SOURCE, a).substitute(mapping, TARGET)
+    assert value.table == TARGET
+    assert_normal(value, r_substitute(a, MIXED, SOURCE, TARGET))
+
+
+def test_substitute_needs_a_namesake_for_an_unmapped_variable(table22):
+    p = V(table22, "t1") + V(table22, "z1", -2)
+    target = parameter_table("t1", "t2")
+    with pytest.raises(KeyError, match="z1"):
+        p.substitute({}, target)
+    with pytest.raises(KeyError, match="z1"):
+        p.substitute({"t1": Monomial.of(target, t2=1)}, target)
+    # an unmapped variable that does not occur needs none
+    assert p.substitute({"z1": Monomial.of(target, t2=1)}, target) == \
+        V(target, "t1") + V(target, "t2", -2)
 
 
 @given(references(), coefficients)

@@ -210,7 +210,7 @@ def test_cli_inexact_additive_chain_exits_four(capsys, monkeypatch):
     monkeypatch.setattr(cohomology, "_g2_class", cohomology._g2_class.__wrapped__)
     code, out, err = run_cli(capsys, "cohomology", "g2-integrals")
     assert code == 4 and out == ""
-    assert err.splitlines() == ["internal error: planted fault"]
+    assert err.splitlines() == ["internal error: a divided difference is not a Laurent polynomial"]
 
 
 @pytest.mark.parametrize("argv", [("matrix", "--det"), ("class",)], ids=["det", "class"])
@@ -310,6 +310,14 @@ def test_cli_large_grothendieck_macro_is_bad_input(capsys, monkeypatch, a):
 
 def test_largest_grothendieck_macro_is_accepted(table22):
     assert parse_to_polynomial("G[63,0]", table22) == polyfam.grothendieck_pair(63, 0, table22)
+
+
+@pytest.mark.parametrize("macro", ["U", "G[2,1]", "S[2,1]"])
+def test_cli_macro_missing_variables_is_bad_input(capsys, macro):
+    # gr:1,3 has no z2: changing the macro's variables to this space's fails
+    code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,3", "--f", macro)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: macro {macro} needs variables missing from this space"]
 
 
 @pytest.mark.parametrize("space", ["gr:2,4", "lg:2"])

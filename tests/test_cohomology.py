@@ -8,7 +8,7 @@ from eqpush.cohomology import (coh_table, cohomology_class_check,
                                equivariant_class_expression, g2_integral,
                                gr27_integral, torus_invariant)
 from eqpush.polyfam import rectangle_partitions, schur_pair
-from eqpush.spaces import SymmetryViolation, log, parse_space
+from eqpush.spaces import SymmetryViolation, _calc, log, parse_space
 from eqpush import g2core
 
 from oracles import factored_rational_sum, fixed_points
@@ -82,7 +82,7 @@ def additive_points(key):
                    for i, w in enumerate(g2core.seven_weights())}
 
         def additive(char):
-            return log(char, zt_table(2, 7)).substitute_polynomials(weights, target=coh_table())
+            return log(char, zt_table(2, 7)).substitute(weights, coh_table())
     else:
         def additive(char):
             return log(char, coh_table())
@@ -94,8 +94,7 @@ def additive_points(key):
 def flat_integral(key, f):
     """The literal sum of f(point)/prod(tangent weights) over the fixed points."""
     return factored_rational_sum(
-        (f.substitute_polynomials({"x1": x1, "x2": x2, "t1": T("t1"), "t2": T("t2")},
-                                  target=coh_table()), weights)
+        (f.substitute({"x1": x1, "x2": x2}), weights)
         for (x1, x2), weights in additive_points(key))
 
 
@@ -123,3 +122,20 @@ def test_chain_matches_flat_fixed_point_sum():
         assert g2_integral(f) == flat_integral("g2p2", f)
         f = random_symmetric_class(rng, 12)
         assert gr27_integral(f) == flat_integral("gr:2,7", f)
+
+
+def test_ambient_additive_chain_multiplies_no_polynomials(monkeypatch):
+    # the base point z -> -log t and each gr:2,7 step permute or negate
+    # variables: one-term images, applied by exponent arithmetic alone
+    calc = _calc(parse_space("gr:2,7"))
+    products = []
+    original = LaurentPolynomial.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counted)
+    assert calc.engine.additive_sum(calc.orbit_sum((3, 1))).is_zero  # degree 4 < dim 10
+    assert not calc.engine.additive_sum(calc.orbit_sum((7, 5))).is_zero
+    assert products == []

@@ -15,7 +15,7 @@ def projective_form(f, n):
     """f * dz/(z * prod (1 - z/t_i)) on a one-variable table with n parameters."""
     table = zt_table(1, n)
     den = tuple(Monomial.of(table, z1=1, **{f"t{i+1}": -1}) for i in range(n))
-    return make_form(f, den, ("z1",), dlog=True)
+    return make_form(f, den, ("z1",))
 
 
 def test_residue_form_is_an_immutable_value():
@@ -278,4 +278,4 @@ def test_unknown_residue_variable_rejected():
         with pytest.raises(InvariantError):
             one_side(form, "t1")
     with pytest.raises(InvariantError):
-        make_form(LaurentPolynomial.one(table), (), ("z3",), dlog=False)
+        ResidueForm(1, LaurentPolynomial.one(table), (), ("z3",))

@@ -442,16 +442,16 @@ def test_two_set_matches_plain_grassmannian_on_first_block():
     f_two = (LaurentPolynomial.variable(tt, "z1", -1)
              + LaurentPolynomial.variable(tt, "z2", -1)) ** 2
     assert localization_pushforward(two, f_two) == \
-        localization_pushforward(plain, f_plain).transport(tt)
+        localization_pushforward(plain, f_plain).substitute({}, tt)
     assert residue_pushforward(two, f_two, "full") == \
-        residue_pushforward(plain, f_plain, "full").transport(tt)
+        residue_pushforward(plain, f_plain, "full").substitute({}, tt)
 
 
 def flat_fixed_point_sum(space, f):
     """The literal sum of f(point)/bracket(tangent) over every fixed point."""
     one = LaurentPolynomial.one(space.table())
     return factored_rational_sum(
-        (f.substitute_monomials(p.subst_map(), partial=True),
+        (f.substitute(p.subst_map()),
          [one - c.inverse().as_polynomial() for c in p.tangent])
         for p in fixed_points(space))
 
