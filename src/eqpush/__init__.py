@@ -5,7 +5,7 @@ zero and infinity."""
 from .algebra import (InvariantError, LaurentPolynomial, MixedVariableTables,
                       Monomial, NotDivisible, NotPolynomial, VariableTable,
                       exact_divide, parameter_table, rational, zt_table)
-from .characters import CharacterList, bracket, standard_sets
+from .characters import bracket, standard_sets
 from .polyfam import (Partition, complement_partition, grothendieck_general,
                       grothendieck_pair, rectangle_partitions, schur_pair)
 from .residue import (ResidueForm, iterated_residue, make_form,

@@ -169,8 +169,16 @@ def cmd_cohomology(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad argument on one `error:` line, like every other exit 2
+    (an expression that starts with - is passed as --f=-z1)."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="eqpush",
         description="Exact equivariant push-forwards: localization sums vs. iterated residues.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -229,7 +229,7 @@ class _Parser:
                                         str(a))
         try:
             if name == "G":
-                return grothendieck_pair(a, b).substitute({}, self.table)
+                return grothendieck_pair(a, b, self.table)
             return schur_pair(a, b, self.table, names=("z1", "z2"))
         except KeyError:
             raise ValueError(

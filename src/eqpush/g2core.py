@@ -8,7 +8,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import LaurentPolynomial, Monomial, VariableTable, zt_table
-from .characters import CharacterList
 
 
 @lru_cache(maxsize=None)
@@ -26,26 +25,26 @@ def swap_map():
 
 
 @lru_cache(maxsize=None)
-def quotient_identity_tangent() -> CharacterList:
+def quotient_identity_tangent() -> tuple:
     """Tangent characters of the 5-dimensional quotient space at the identity coset."""
-    return CharacterList.of(
+    return (
         _mono(t2=-1), _mono(t1=1, t2=-2), _mono(t1=-1), _mono(t2=1, t1=-2),
         _mono(t1=-1, t2=-1))
 
 
 @lru_cache(maxsize=None)
-def borel_identity_tangent() -> CharacterList:
+def borel_identity_tangent() -> tuple:
     """Tangent characters of the 6-dimensional full quotient at the identity:
     the inverses of the six positive roots."""
-    return CharacterList.of(
+    return (
         _mono(t1=-1), _mono(t2=-1), _mono(t1=-1, t2=-1), _mono(t2=1, t1=-2),
         _mono(t1=1, t2=-2), _mono(t2=1, t1=-1))
 
 
 @lru_cache(maxsize=None)
-def seven_weights() -> CharacterList:
+def seven_weights() -> tuple:
     """Weights of the 7-dimensional representation restricted to the torus."""
-    return CharacterList.of(
+    return (
         _mono(t1=1), _mono(t2=1), _mono(t1=1, t2=-1), Monomial.one(g2_table()),
         _mono(t1=-1, t2=1), _mono(t2=-1), _mono(t1=-1))
 

@@ -92,25 +92,18 @@ def complement_partition(j: Partition, rows: int, cols: int) -> Partition:
 # -- rank-two closed forms ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _default_pair_table() -> VariableTable:
-    return zt_table(2, 2)
-
-
-def schur_pair(a: int, b: int, table: VariableTable | None = None,
-               names=("x1", "x2")) -> LaurentPolynomial:
+def schur_pair(a: int, b: int, table: VariableTable, names=("x1", "x2")) -> LaurentPolynomial:
     """Two-variable Schur polynomial S_ab via the bialternant quotient."""
     if not (a >= b >= 0):
         raise ValueError("need a >= b >= 0")
-    if table is None:
-        table = parameter_table("x1", "x2", "t1", "t2")
     x1 = LaurentPolynomial.variable(table, names[0])
     x2 = LaurentPolynomial.variable(table, names[1])
     num = x1 ** (a + 1) * x2 ** b - x2 ** (a + 1) * x1 ** b
     return exact_divide(num, x1 - x2)
 
 
-def grothendieck_pair(a: int, b: int, table: VariableTable | None = None) -> LaurentPolynomial:
+@lru_cache(maxsize=None)
+def grothendieck_pair(a: int, b: int, table: VariableTable) -> LaurentPolynomial:
     """Rank-two Grothendieck class of the dual tautological bundle.
 
     The output is a polynomial in the z variables (the splitting roots of the
@@ -118,13 +111,6 @@ def grothendieck_pair(a: int, b: int, table: VariableTable | None = None) -> Lau
     """
     if not (a >= b >= 0):
         raise ValueError("need a >= b >= 0")
-    if table is None:
-        table = _default_pair_table()
-    return _grothendieck_pair_cached(a, b, table)
-
-
-@lru_cache(maxsize=None)
-def _grothendieck_pair_cached(a: int, b: int, table: VariableTable) -> LaurentPolynomial:
     one = LaurentPolynomial.one(table)
     z1 = LaurentPolynomial.variable(table, "z1")
     z2 = LaurentPolynomial.variable(table, "z2")

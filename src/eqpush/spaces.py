@@ -41,8 +41,8 @@ from .algebra import (Frozen, InvariantError, LaurentPolynomial, Monomial, NotDi
 # Nothing here raises it; kept only because perfbench/test_perfbench.py
 # raises `spaces.NotPolynomial`.
 from .algebra import NotPolynomial  # noqa: F401
-from .characters import (CharacterList, bracket, lambda_set, pairwise_product,
-                         pos_roots, quotient_set, roots, standard_sets, sym_set)
+from .characters import (bracket, inverses, lambda_set, pairwise_product, pos_roots,
+                         quotient_set, roots, standard_sets, sym_set)
 from .residue import PreparedForm, iterated_residue, make_form
 from . import g2core
 
@@ -226,7 +226,7 @@ def _simple_reflections(space: SpaceDescriptor) -> list:
     return out
 
 
-def _base_tangent(space: SpaceDescriptor) -> CharacterList:
+def _base_tangent(space: SpaceDescriptor) -> tuple:
     """Tangent characters at the base fixed point z_i -> t_i."""
     k, m = space.kind, space.m
     if k == "g2p2":
@@ -234,20 +234,19 @@ def _base_tangent(space: SpaceDescriptor) -> CharacterList:
     if k == "g2b":
         return g2core.borel_identity_tangent()
     ts = standard_sets("T", space.parameter_count(), space.table())
-    inverses = ts.inverse()
+    inv = inverses(ts)
     if k in ("gr", "gr2"):  # t_j/t_i with i <= m < j
-        return quotient_set(CharacterList(ts.entries[m:]), CharacterList(ts.entries[:m]))
+        return quotient_set(ts[m:], ts[:m])
     if k == "lg":
-        return sym_set(inverses)
+        return sym_set(inv)
     if k == "ogE":
-        return lambda_set(inverses)
+        return lambda_set(inv)
     if k == "ogO":
-        return lambda_set(inverses) + inverses
+        return lambda_set(inv) + inv
     if k == "fl":
-        return pos_roots(inverses)
+        return pos_roots(inv)
     # q: x/t1 over t2..tn and their inverses
-    others = CharacterList(ts.entries[1:])
-    return quotient_set(others + others.inverse(), CharacterList(ts.entries[:1]))
+    return quotient_set(ts[1:] + inv[1:], ts[:1])
 
 
 class LocalizationEngine:
@@ -271,7 +270,7 @@ class LocalizationEngine:
         # with every t_i inside, whose stabilizer permutes the z's).
         ts = standard_sets("T", space.parameter_count(), table)
         self.base = {f"z{i + 1}": ts[i] for i in range(space.residue_count())}
-        tangent = _base_tangent(space).entries
+        tangent = _base_tangent(space)
         dim = space.dimension()
         if len(tangent) != dim or any(c.is_one for c in tangent):
             raise InvariantError(f"{space.key()}: the base tangent is not {dim} nontrivial "
@@ -335,7 +334,7 @@ class LocalizationEngine:
         return self._chain(f.substitute(base), self.additive_steps)
 
 
-def _integrand_frame(table: VariableTable, m: int, ambient: CharacterList) -> tuple:
+def _integrand_frame(table: VariableTable, m: int, ambient: tuple) -> tuple:
     """(z1..zm as characters, the denominator monomials z_i/tau over the
     ambient characters tau, the residue variables z1..zm): what every
     integrand shares, the G2 ambient pairing included."""
@@ -375,8 +374,7 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
     elif k == "gr2":
         if variant == "full":
             scalar = rational(1, math.factorial(m) * math.factorial(n - m))
-            z1part = CharacterList(zlist.entries[:m])
-            z2part = CharacterList(zlist.entries[m:])
+            z1part, z2part = zlist[:m], zlist[m:]
             numerator = bracket(roots(z1part), table) \
                 * bracket(quotient_set(z1part, z2part), table) \
                 * bracket(roots(z2part), table)
@@ -385,16 +383,16 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
             numerator = bracket(pos_roots(zlist), table)
     elif k == "lg":
         scalar = rational(1, math.factorial(n))
-        numerator = bracket(lambda_set(zlist.inverse()), table) * bracket(roots(zlist), table)
+        numerator = bracket(lambda_set(inverses(zlist)), table) * bracket(roots(zlist), table)
     elif k == "ogE":
         scalar = rational(1, math.factorial(n))
-        numerator = bracket(sym_set(zlist.inverse()), table) * bracket(roots(zlist), table)
+        numerator = bracket(sym_set(inverses(zlist)), table) * bracket(roots(zlist), table)
     elif k == "ogO":
         scalar = rational(1, math.factorial(n))
         if variant == "full":
-            numerator = bracket(sym_set(zlist.inverse()), table) * bracket(roots(zlist), table)
+            numerator = bracket(sym_set(inverses(zlist)), table) * bracket(roots(zlist), table)
         else:
-            numerator = bracket(lambda_set(zlist.inverse()), table)
+            numerator = bracket(lambda_set(inverses(zlist)), table)
             for z in zlist:
                 numerator = numerator * (one + z.as_polynomial())
             numerator = numerator * bracket(roots(zlist), table)
@@ -403,9 +401,9 @@ def _integrand_parts(space: SpaceDescriptor, variant: str):
         numerator = bracket(pos_roots(zlist), table)
     elif k == "q":
         scalar = rational(1, 2 ** (n - 1))
-        z2part = CharacterList(zlist.entries[1:])
+        inv = inverses(zlist)
         numerator = (one - Monomial.of(table, z1=2).as_polynomial()) \
-            * bracket(pairwise_product(zlist.inverse(), z2part.inverse()), table) \
+            * bracket(pairwise_product(inv, inv[1:]), table) \
             * bracket(pos_roots(zlist), table)
     else:  # g2p2, g2b share the ambient-Grassmannian formula
         scalar = 1

@@ -12,15 +12,17 @@ from .algebra import LaurentPolynomial, Monomial
 from .spaces import (SpaceDescriptor, _calc, localization_pushforward,
                      residue_pushforward)
 
+_MAX_CLASSES = 3  # orbit classes summed into one random class, at most
+
 
 def random_admissible_class(space: SpaceDescriptor, rng: random.Random,
-                            max_exp: int = 3, max_classes: int = 3) -> LaurentPolynomial:
+                            max_exp: int = 3) -> LaurentPolynomial:
     """Random admissible class: a few symmetrized auxiliary monomials with
     small integer coefficients (nonsymmetric spaces get plain monomials)."""
     calc = _calc(space)
     m = space.residue_count()
     total = LaurentPolynomial.zero(calc.table)
-    for _ in range(rng.randint(1, max_classes)):
+    for _ in range(rng.randint(1, _MAX_CLASSES)):
         exps = tuple(rng.randint(-max_exp, max_exp) for _ in range(m))
         coeff = rng.choice([-3, -2, -1, 1, 2, 3])
         total = total + calc.orbit_sum(calc.canonical(exps)).scale(coeff)

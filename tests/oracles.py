@@ -23,7 +23,7 @@ from functools import lru_cache
 from eqpush import g2core, spaces
 from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
                             NotPolynomial, exact_divide, quotient)
-from eqpush.characters import CharacterList, lambda_set, pos_roots, sym_set
+from eqpush.characters import inverses, lambda_set, pos_roots, sym_set
 from eqpush.residue import ResidueForm, make_form
 from eqpush.spaces import SpaceDescriptor, _calc, check_symmetry, symmetry_generators
 
@@ -33,7 +33,7 @@ class FixedPoint:
     """Substitution of the auxiliary variables plus the tangent weights."""
 
     subst: tuple  # pairs (variable name, Monomial)
-    tangent: CharacterList
+    tangent: tuple  # Monomials
 
     def subst_map(self) -> dict:
         return dict(self.subst)
@@ -84,9 +84,9 @@ def _tvars(table, n):
     return [Monomial.of(table, **{f"t{i + 1}": 1}) for i in range(n)]
 
 
-def _image(tangent: CharacterList, w) -> CharacterList:
+def _image(tangent: tuple, w) -> tuple:
     """The tangent characters under the Weyl-group element w (a substitution)."""
-    return CharacterList(tuple(m.substitute(w) for m in tangent))
+    return tuple(m.substitute(w) for m in tangent)
 
 
 def fixed_points(space: SpaceDescriptor) -> list:
@@ -99,7 +99,7 @@ def fixed_points(space: SpaceDescriptor) -> list:
         for subset in itertools.combinations(range(n), m):
             inside = [ts[i] for i in subset]
             outside = [ts[i] for i in range(n) if i not in subset]
-            tangent = CharacterList(tuple(b / a for a in inside for b in outside))
+            tangent = tuple(b / a for a in inside for b in outside)
             if k == "gr":
                 subst = tuple((f"z{i + 1}", inside[i]) for i in range(m))
             else:
@@ -116,7 +116,7 @@ def fixed_points(space: SpaceDescriptor) -> list:
                 inside = [ts[i] for i in subset]
                 outside = [ts[i] for i in range(n) if i not in subset]
                 args = inside + [b.inverse() for b in outside]
-                mixed = CharacterList(tuple(a.inverse() for a in inside) + tuple(outside))
+                mixed = inverses(inside) + tuple(outside)
                 if k == "lg":
                     tangent = sym_set(mixed)
                 elif k == "ogE":
@@ -129,7 +129,7 @@ def fixed_points(space: SpaceDescriptor) -> list:
         ts = _tvars(table, n)
         for sigma in itertools.permutations(range(n)):
             subst = tuple((f"z{i + 1}", ts[sigma[i]]) for i in range(n))
-            tangent = pos_roots(CharacterList(tuple(ts[sigma[i]].inverse() for i in range(n))))
+            tangent = pos_roots(inverses(ts[sigma[i]] for i in range(n)))
             pts.append(FixedPoint(subst, tangent))
     elif k == "q":
         ts = _tvars(table, n)
@@ -141,7 +141,7 @@ def fixed_points(space: SpaceDescriptor) -> list:
                 subst = ((f"z1", a),) + tuple(
                     (f"z{j + 2}", others[j]) for j in range(n - 1))
                 rest = [x for pos, x in enumerate(plus_minus) if pos not in (i, n + i)]
-                tangent = CharacterList(tuple(x / a for x in rest))
+                tangent = tuple(x / a for x in rest)
                 pts.append(FixedPoint(subst, tangent))
     elif k == "g2p2":
         for w in rotation_orbit():

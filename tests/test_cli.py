@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -5,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqpush import cohomology, elimination, polyfam, spaces
 from eqpush.algebra import InvariantError, LaurentPolynomial, NotDivisible
@@ -420,3 +423,64 @@ def test_g2_matrix_full_dump(capsys):
     assert len(lines) == 441
     assert lines[0] == "[0]\t[0]\t1"
     assert lines[-1].startswith("[55]\t[55]\t")
+
+
+@pytest.mark.parametrize("argv", [["pushforward", "--space", "gr:2,4", "--f", "-z1"],
+                                  ["pushforward", "--variant", "mixed"], []])
+def test_cli_bad_argument_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+STRAY = "@#$%&!?,.;:[]{}~'\"\\ "
+
+
+@st.composite
+def expressions(draw, names, depth=3):
+    """Expression text from a small grammar: integers, the space's variables,
+    the macros G, S and U, + - * / ^ with exponents in [-3, 3] and parentheses."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.one_of(
+            st.integers(0, 9).map(str), st.sampled_from(names), st.just("U"),
+            st.builds("{}[{},{}]".format, st.sampled_from("GS"),
+                      st.integers(0, 2), st.integers(0, 2))))
+    inner = expressions(names, depth - 1)
+    return draw(st.one_of(
+        st.builds("({})".format, inner),
+        st.builds("{}{}{}".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, st.integers(-3, 3)),
+        st.builds("-{}".format, inner)))
+
+
+@st.composite
+def fuzzed(draw, names):
+    """A grammar expression with up to two stray characters inserted."""
+    text = draw(expressions(names))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(STRAY)) + text[i:]
+    return text
+
+
+@pytest.mark.parametrize("key", ["gr:2,4", "q:2", "g2p2"])
+def test_cli_fuzzed_expressions_exit_cleanly(key):
+    # an expression that starts with - reaches argparse as an option; that
+    # too is one error line
+    names = spaces.parse_space(key).table().names
+
+    @settings(max_examples=50)
+    @given(fuzzed(names))
+    def run(text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["pushforward", "--space", key, "--f", text])
+        assert code in (0, 2), (text, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "", text
+            assert len(err.getvalue().splitlines()) == 1, (text, err.getvalue())
+            assert err.getvalue().startswith("error: "), (text, err.getvalue())
+
+    run()

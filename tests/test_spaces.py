@@ -96,7 +96,7 @@ def test_projective_line_points():
     tangent = by_sub["t1"].tangent
     one = LaurentPolynomial.one(table)
     t1_over_t2 = Monomial.of(table, t1=1, t2=-1).as_polynomial()
-    assert bracket(tangent) == one - t1_over_t2
+    assert bracket(tangent, table) == one - t1_over_t2
 
 
 def test_lagrangian_point_tangents():
@@ -116,7 +116,7 @@ def test_quotient_space_identity_bracket():
     assert [m.render() for v, m in identity.subst] == ["t1", "t2"]
     expected = (one - t2) * (one - t2 ** 2 * t1 ** -1) * (one - t1) \
         * (one - t1 ** 2 * t2 ** -1) * (one - t1 * t2)
-    assert bracket(identity.tangent) == expected
+    assert bracket(identity.tangent, table) == expected
 
 
 def test_borel_space_has_twelve_points():

@@ -55,3 +55,19 @@ def test_agreeing_campaign_has_no_class_lines():
     lines, failures = run_campaign(parse_space("gr:2,4"), trials=4, seed=3, max_exp=1)
     assert failures == 0 and len(lines) == 6
     assert not any(line.startswith(" ") for line in lines)
+
+
+def test_sign_planted_in_the_chain_names_an_orbit_class(monkeypatch, capsys):
+    # the last Demazure step of a fresh gr:2,4 calculator divides by -(1 - 1/a)
+    monkeypatch.setattr(spaces, "_CALCS", {})
+    space = parse_space("gr:2,4")
+    calc = spaces._calc(space)
+    s, a_inv, divisor = calc.engine.steps[-1]
+    calc.engine.steps[-1] = (s, a_inv, -divisor)
+    f = calc.orbit_sum((2, 1)).scale(3) + calc.orbit_sum((1, -1)).scale(-2) \
+        + calc.orbit_sum((0, 0))
+    assert first_mismatch(space, f) == (
+        "  first differing class: orbit of 1 variant full: residue - localization = 2")
+    assert main(["verify", "--space", "gr:2,4", "--trials", "4", "--seed", "3",
+                 "--max-exp", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "verified 1/4 trials: 3 mismatches"
