@@ -300,14 +300,6 @@ class LaurentPolynomial:
             integral = self._integral = all(type(c) is int for c in self.terms.values())
         return integral
 
-    def occurring_variables(self) -> tuple:
-        seen = [False] * len(self.table)
-        for k in self.terms:
-            for i, e in enumerate(k):
-                if e != 0:
-                    seen[i] = True
-        return tuple(n for n, s in zip(self.table.names, seen) if s)
-
     def min_degree(self, name: str):
         """Minimum exponent of a variable, or None for the zero polynomial."""
         if not self.terms:
@@ -508,15 +500,6 @@ class LaurentPolynomial:
                     else:
                         acc[kk] = s
         return _result(target, acc, exact)
-
-    def substitute_monomials(self, mapping: Mapping[str, Monomial], partial: bool = False):
-        """`substitute` with monomial images; unless partial=True, the map must
-        cover every variable occurring in the polynomial."""
-        if not partial:
-            for name in self.occurring_variables():
-                if name not in mapping:
-                    raise KeyError(f"no image for occurring variable {name!r}")
-        return self.substitute(mapping)
 
     # -- rendering ----------------------------------------------------------
 

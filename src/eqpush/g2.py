@@ -5,11 +5,13 @@ fundamental class by exact linear elimination.
 
 The ambient pairing is the residue formula of the Grassmannian of two-planes
 in 7-space with its torus restricted to the seven weights of the
-7-dimensional representation, taken over the two-parameter G2 torus.  Its
-denominator and residue variables come from `spaces._integrand_frame`, as do
-those of the quotient's own integrand, which multiplies in the
-fundamental-class lift.  The Demazure chain of gr:2,7 followed by the
-substitution t_i -> weight_i is its test oracle (`tests/oracles.py`).
+7-dimensional representation, taken over the two-parameter G2 torus.  It is
+described like every integrand of `spaces`, as (scalar, weights, extras,
+ambient) = (1/2, roots(z1, z2), (), the seven weights), and expanded by
+`spaces._integrand_form`; the quotient's own integrand is the same with the
+positive root and the fundamental-class lift as its one extra factor.  The
+Demazure chain of gr:2,7 followed by the substitution t_i -> weight_i is its
+test oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import LaurentPolynomial, parameter_table, rational
-from .characters import bracket, roots
+from .characters import roots, standard_sets
 from .elimination import bareiss_determinant, bareiss_solve
 from .polyfam import (complement_partition, grothendieck_pair,
                       rectangle_partitions)
-from .residue import PreparedForm, iterated_residue, make_form
-from .spaces import (SpaceDescriptor, _calc, _integrand_frame, localization_pushforward,
+from .residue import PreparedForm, iterated_residue
+from .spaces import (SpaceDescriptor, _calc, _integrand_form, localization_pushforward,
                      residue_pushforward)
 from . import g2core
 
@@ -72,9 +74,8 @@ def _ambient_form() -> PreparedForm:
     """The gr:2,7 residue integrand at the seven weights w_k, over the G2
     table: (1/2) * bracket(roots(z1, z2)) / prod(1 - z_i/w_k) dz1/z1 dz2/z2,
     prepared once."""
-    zlist, denominator, zvars = _integrand_frame(GT, 2, g2core.seven_weights())
-    return PreparedForm(make_form(bracket(roots(zlist), GT), denominator, zvars,
-                                  scalar=rational(1, 2)))
+    parts = (rational(1, 2), roots(standard_sets("Z", 2, GT)), (), g2core.seven_weights())
+    return PreparedForm(_integrand_form(parts, 2))
 
 
 @lru_cache(maxsize=None)

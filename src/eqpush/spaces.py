@@ -17,16 +17,20 @@ the check in _SpaceCalc.decompose, which every push-forward runs, derive from
 it.  Both paths are linear, so values are cached per orbit class; the caches
 are observationally pure.
 
-The residue of an orbit class needs one member of the orbit when the
-integrand is symmetric: if every symmetry generator maps the base numerator
-and the multiset of denominator monomials of a (space, variant) to
-themselves (`_integrand_symmetric`, decided once), then
+Every residue integrand is held as the paper writes it (`_integrand_parts`):
+a scalar, one weight list, the extra factors that are no bracket and the
+ambient characters tau, which `_integrand_form` expands once into
+scalar * bracket(weights) * prod(extras) / prod(1 - z_i/tau) dz/z.  A class's
+residue needs one member of its orbit when every symmetry generator maps the
+multiset of weights and the multiset of extras to themselves
+(`_integrand_symmetric`, decided once without expanding anything; the
+denominator and the measure are symmetric by construction): then
 Res(orbit_sum(c) * base) = |orbit(c)| * Res(z^c' * base) for any member c'.
 That holds for the full gr and gr2 formulas, lg, ogE and both ogO
 variants, and trivially for fl, g2b and gr:1,n, whose orbits have one
-member.  The compact gr and gr2 bases (pos_roots), q and g2p2 are not
-symmetric and keep the orbit sum; q's inversion z -> 1/z moves the factors
-and the measure anyway.
+member.  The compact gr and gr2 weights (pos_roots) and g2p2's are not
+symmetric, and q's inversion z -> 1/z moves the factors and the measure, so
+these keep the orbit sum.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .algebra import (Frozen, InvariantError, LaurentPolynomial, Monomial, NotDi
 from .algebra import NotPolynomial  # noqa: F401
 from .characters import (bracket, inverses, lambda_set, pairwise_product, pos_roots,
                          quotient_set, roots, standard_sets, sym_set)
-from .residue import PreparedForm, iterated_residue, make_form
+from .residue import PreparedForm, ResidueForm, iterated_residue, make_form
 from . import g2core
 
 _KINDS = ("gr", "gr2", "lg", "ogE", "ogO", "fl", "q", "g2p2", "g2b")
@@ -334,104 +338,85 @@ class LocalizationEngine:
         return self._chain(f.substitute(base), self.additive_steps)
 
 
-def _integrand_frame(table: VariableTable, m: int, ambient: tuple) -> tuple:
-    """(z1..zm as characters, the denominator monomials z_i/tau over the
-    ambient characters tau, the residue variables z1..zm): what every
-    integrand shares, the G2 ambient pairing included."""
-    zlist = standard_sets("Z", m, table)
-    return (zlist, tuple(z / tau for z in zlist for tau in ambient),
-            tuple(f"z{i + 1}" for i in range(m)))
-
-
 @lru_cache(maxsize=None)
-def _integrand_parts(space: SpaceDescriptor, variant: str):
-    """(scalar, base numerator, denominator monomials, residue variables)."""
+def _integrand_parts(space: SpaceDescriptor, variant: str) -> tuple:
+    """The paper's description of the integrand of (space, variant):
+    (scalar, weights, extras, ambient), for scalar * bracket(weights) *
+    prod(extras) / prod(1 - z_i/tau over tau in ambient) dz/z.  The weights
+    concatenate the named lists, since the bracket of a concatenation is the
+    product of the brackets; the extras are the factors that are no bracket."""
     if variant not in space.variants():
         raise ValueError(f"invalid variant {variant!r} for {space.key()}")
     table = space.table()
     k, m, n = space.kind, space.m, space.n
     one = LaurentPolynomial.one(table)
-
-    if k in ("gr", "gr2"):
+    zlist = standard_sets("Z", space.residue_count(), table)
+    inv = inverses(zlist)
+    extras = ()
+    if k in ("gr", "gr2", "fl"):
         ambient = standard_sets("T", n, table)
-    elif k in ("lg", "ogE", "q"):
-        ambient = standard_sets("T_pm", n, table)
-    elif k == "ogO":
-        ambient = standard_sets("T_sharp" if variant == "full" else "T_pm", n, table)
-    elif k == "fl":
-        ambient = standard_sets("T", n, table)
+    elif k in ("g2p2", "g2b"):  # the ambient Grassmannian at the seven weights, lifted
+        ambient, extras = g2core.seven_weights(), (g2core.fundamental_class_lift(),)
     else:
-        ambient = g2core.seven_weights()  # g2 table coincides with the space table
-    zlist, denominator, zvars = _integrand_frame(table, space.residue_count(), ambient)
+        ambient = standard_sets("T_sharp" if (k, variant) == ("ogO", "full") else "T_pm",
+                                n, table)
 
-    if k == "gr":
-        if variant == "full":
-            scalar = rational(1, math.factorial(m))
-            numerator = bracket(roots(zlist), table)
-        else:
-            scalar = 1
-            numerator = bracket(pos_roots(zlist), table)
+    if k in ("fl", "g2p2", "g2b") or variant == "compact" and k in ("gr", "gr2"):
+        scalar, weights = 1, pos_roots(zlist)
+    elif k == "gr":
+        scalar, weights = rational(1, math.factorial(m)), roots(zlist)
     elif k == "gr2":
-        if variant == "full":
-            scalar = rational(1, math.factorial(m) * math.factorial(n - m))
-            z1part, z2part = zlist[:m], zlist[m:]
-            numerator = bracket(roots(z1part), table) \
-                * bracket(quotient_set(z1part, z2part), table) \
-                * bracket(roots(z2part), table)
-        else:
-            scalar = 1
-            numerator = bracket(pos_roots(zlist), table)
-    elif k == "lg":
-        scalar = rational(1, math.factorial(n))
-        numerator = bracket(lambda_set(inverses(zlist)), table) * bracket(roots(zlist), table)
-    elif k == "ogE":
-        scalar = rational(1, math.factorial(n))
-        numerator = bracket(sym_set(inverses(zlist)), table) * bracket(roots(zlist), table)
-    elif k == "ogO":
-        scalar = rational(1, math.factorial(n))
-        if variant == "full":
-            numerator = bracket(sym_set(inverses(zlist)), table) * bracket(roots(zlist), table)
-        else:
-            numerator = bracket(lambda_set(inverses(zlist)), table)
-            for z in zlist:
-                numerator = numerator * (one + z.as_polynomial())
-            numerator = numerator * bracket(roots(zlist), table)
-    elif k == "fl":
-        scalar = 1
-        numerator = bracket(pos_roots(zlist), table)
+        scalar = rational(1, math.factorial(m) * math.factorial(n - m))
+        weights = roots(zlist[:m]) + quotient_set(zlist[:m], zlist[m:]) + roots(zlist[m:])
     elif k == "q":
         scalar = rational(1, 2 ** (n - 1))
-        inv = inverses(zlist)
-        numerator = (one - Monomial.of(table, z1=2).as_polynomial()) \
-            * bracket(pairwise_product(inv, inv[1:]), table) \
-            * bracket(pos_roots(zlist), table)
-    else:  # g2p2, g2b share the ambient-Grassmannian formula
-        scalar = 1
-        lift = g2core.fundamental_class_lift()
-        numerator = lift * bracket(pos_roots(zlist), table)
-    return scalar, numerator, denominator, zvars
+        weights = pairwise_product(inv, inv[1:]) + pos_roots(zlist)
+        extras = (one - Monomial.of(table, z1=2).as_polynomial(),)
+    else:  # lg, ogE, ogO: pairs of the inverses and the roots
+        scalar = rational(1, math.factorial(n))
+        pairs = lambda_set if k == "lg" or variant == "compact" else sym_set
+        weights = pairs(inv) + roots(zlist)
+        if variant == "compact":  # ogO
+            extras = tuple(one + z.as_polynomial() for z in zlist)
+    return scalar, weights, extras, ambient
+
+
+def _integrand_form(parts: tuple, m: int) -> ResidueForm:
+    """The residue form of an integrand description (scalar, weights,
+    extras, ambient) in z1..zm: bracket(weights) times the extras, expanded
+    one binomial at a time, over the monomials z_i/tau, measure absorbed."""
+    scalar, weights, extras, ambient = parts
+    table = ambient[0].table
+    numerator = bracket(weights, table)
+    for extra in extras:
+        numerator = numerator * extra
+    zlist = standard_sets("Z", m, table)
+    return make_form(numerator, (z / tau for z in zlist for tau in ambient),
+                     (f"z{i + 1}" for i in range(m)), scalar=scalar)
 
 
 @lru_cache(maxsize=None)
 def _integrand_symmetric(space: SpaceDescriptor, variant: str) -> bool:
     """Whether every `symmetry_generators` substitution maps the integrand of
-    (space, variant) to itself: the base numerator (checked like a class) and
-    the multiset of denominator monomials.  A permutation of the z's also
-    keeps the dlog measure, and the iterated residue does not depend on the
-    order of the variables, so a class's residue is then |orbit| times that
-    of one orbit member.  An inversion z -> 1/z never qualifies: every
-    factor monomial has a positive residue exponent, so none maps to a
-    factor (and the measure changes sign)."""
-    _, base, denominator, _ = _integrand_parts(space, variant)
-    factors = Counter(m.exps for m in denominator)
-    for s in symmetry_generators(space):
-        if Counter(m.substitute(s).exps for m in denominator) != factors:
-            return False
-    try:
-        check_symmetry(space, base)
-    except SymmetryViolation:
+    (space, variant) to itself, decided on its description without expanding
+    it: each swap must keep the multiset of weights and the multiset of
+    extras.  The denominator z_i/tau and the dlog measure are invariant under
+    every permutation of the z's by construction, and the iterated residue
+    does not depend on the order of the variables, so a class's residue is
+    then |orbit| times that of one orbit member.  A signed run never
+    qualifies: an inversion z -> 1/z moves every factor (each factor monomial
+    has a positive residue exponent, so none maps to a factor) and flips the
+    measure."""
+    if any(signed for *_, signed in space.symmetry_runs()):
         return False
-    return True
+    _, weights, extras, _ = _integrand_parts(space, variant)
+
+    def multisets(s):
+        return (Counter(a.substitute(s).exps for a in weights),
+                Counter(frozenset(e.substitute(s).terms.items()) for e in extras))
+
+    identity = multisets({})
+    return all(multisets(s) == identity for s in symmetry_generators(space))
 
 
 # -- cached per-space calculators ------------------------------------------------
@@ -547,8 +532,8 @@ class _SpaceCalc:
                 members, scalar = [min(members)], len(members)
             form = self.forms.get(variant)
             if form is None:  # the integrand with its measure, prepared once
-                base_scalar, *parts = _integrand_parts(self.space, variant)
-                form = self.forms[variant] = PreparedForm(make_form(*parts, scalar=base_scalar))
+                form = self.forms[variant] = PreparedForm(
+                    _integrand_form(_integrand_parts(self.space, variant), self.m))
             got = iterated_residue(form, members, scalar)
             self.res_values[key] = got
         return got

@@ -8,7 +8,9 @@ Together they give the literal fixed-point sum that the Demazure chain of
 z-exponent vector under the symmetry generators, which the sorted orbit
 classes of `eqpush.spaces` must reproduce.  `build_integrand` multiplies a
 class into the expanded base numerator of a residue integrand, the one form
-whose iterated residue the per-class shifts of `eqpush.spaces` must reproduce.
+whose iterated residue the per-class shifts of `eqpush.spaces` must reproduce,
+and `expanded_integrand_symmetric` decides on that expanded form whether a
+class needs one orbit member, as `eqpush.spaces` decides on the weight lists.
 `weyl_group` lists the twelve substitutions of the G2 Weyl group, built from
 the rotation and the swap, for the G2 fixed points.  `ambient_chain_class`
 pairs an orbit class on the G2 ambient Grassmannian by the gr:2,7 Demazure
@@ -17,6 +19,7 @@ of `eqpush.g2`.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,8 +27,9 @@ from eqpush import g2core, spaces
 from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
                             NotPolynomial, exact_divide, quotient)
 from eqpush.characters import inverses, lambda_set, pos_roots, sym_set
-from eqpush.residue import ResidueForm, make_form
-from eqpush.spaces import SpaceDescriptor, _calc, check_symmetry, symmetry_generators
+from eqpush.residue import ResidueForm
+from eqpush.spaces import (SpaceDescriptor, SymmetryViolation, _calc, check_symmetry,
+                           symmetry_generators)
 
 
 @dataclass(frozen=True)
@@ -226,8 +230,27 @@ def build_integrand(space: SpaceDescriptor, f: LaurentPolynomial,
     (measure absorbed).  It reads `spaces._integrand_parts` at call time, so a
     test that patches the integrand reaches this oracle too."""
     check_symmetry(space, f)
-    scalar, base, denominator, zvars = spaces._integrand_parts(space, variant)
-    return make_form(f * base, denominator, zvars, scalar=scalar)
+    form = spaces._integrand_form(spaces._integrand_parts(space, variant), space.residue_count())
+    return ResidueForm(form.scalar, f * form.numerator, form.denominator, form.residue_vars)
+
+
+def expanded_integrand_symmetric(space: SpaceDescriptor, variant: str) -> bool:
+    """Whether every symmetry generator maps the expanded integrand of
+    (space, variant) to itself: its base numerator, checked like a class,
+    and its multiset of denominator monomials.  The decision that
+    `spaces._integrand_symmetric` makes on the weight lists alone."""
+    form = spaces._integrand_form(spaces._integrand_parts(space, variant), space.residue_count())
+    zs = Monomial.from_map(form.table, dict.fromkeys(form.residue_vars, 1))
+    base = form.numerator.mul_monomial(zs)  # the measure 1/(z1...zm) taken out
+    factors = Counter(m.exps for m in form.denominator)
+    for s in symmetry_generators(space):
+        if Counter(m.substitute(s).exps for m in form.denominator) != factors:
+            return False
+    try:
+        check_symmetry(space, base)
+    except SymmetryViolation:
+        return False
+    return True
 
 
 def ambient_chain_class(canon: tuple) -> LaurentPolynomial:

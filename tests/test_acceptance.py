@@ -83,7 +83,7 @@ def test_criterion_02_intersection_matrix(intersection_matrix):
     ones_map = {"t1": Monomial.one(GT), "t2": Monomial.one(GT)}
     for i, lam in enumerate(BOX):
         for j, mu in enumerate(BOX):
-            value = intersection_matrix[i][j].substitute_monomials(ones_map, partial=True)
+            value = intersection_matrix[i][j].substitute(ones_map)
             expected = 1 if complement_partition(mu, 2, 5).contains(lam) else 0
             assert value == LaurentPolynomial.constant(GT, expected), (lam, mu)
     report(2, "determinant is -1 and the 441 nonequivariant pairings are 0/1 triangular")

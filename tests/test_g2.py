@@ -18,14 +18,14 @@ def test_weight_sum_relation():
 
 def test_lift_vanishes_on_unit_root():
     lift = g2.fundamental_class_lift()
-    killed = lift.substitute_monomials({"z1": Monomial.one(GT)}, partial=True)
+    killed = lift.substitute({"z1": Monomial.one(GT)})
     assert killed.is_zero
 
 
 def test_lift_symmetric():
     lift = g2.fundamental_class_lift()
     swap = {"z1": Monomial.of(GT, z2=1), "z2": Monomial.of(GT, z1=1)}
-    assert lift.substitute_monomials(swap, partial=True) == lift
+    assert lift.substitute(swap) == lift
 
 
 def test_ambient_pushforward_rejects_asymmetric_class():

@@ -151,7 +151,7 @@ def test_residue_theorem_cross_check():
             minus_finite = []
             for k in range(n):
                 tk = Monomial.of(table, **{f"t{k+1}": 1})
-                value = f.substitute_monomials({"z1": tk}, partial=True)
+                value = f.substitute({"z1": tk})
                 factors = [one - Monomial.of(table, **{f"t{k+1}": 1, f"t{j+1}": -1}).as_polynomial()
                            for j in range(n) if j != k]
                 minus_finite.append((value, factors))

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -9,7 +10,7 @@ from eqpush import spaces
 from eqpush.algebra import LaurentPolynomial, Monomial, zt_table
 from eqpush.characters import bracket
 from eqpush.exprparse import parse_to_polynomial
-from eqpush.residue import iterated_residue, make_form
+from eqpush.residue import PreparedForm, iterated_residue
 from eqpush.spaces import (LocalizationEngine, SpaceDescriptor, SymmetryViolation,
                            _base_tangent, _calc, check_symmetry,
                            localization_pushforward, parse_space,
@@ -17,7 +18,8 @@ from eqpush.spaces import (LocalizationEngine, SpaceDescriptor, SymmetryViolatio
 from eqpush.verification import random_admissible_class
 
 from conftest import assert_immutable_value
-from oracles import build_integrand, factored_rational_sum, fixed_points, symmetry_orbit
+from oracles import (build_integrand, expanded_integrand_symmetric, factored_rational_sum,
+                     fixed_points, symmetry_orbit)
 from test_acceptance import CLASSICAL_CASES
 
 ALL_SPACES = ["gr:1,2", "gr:1,3", "gr:2,4", "gr2:2,4", "lg:1", "lg:2", "ogE:2",
@@ -361,33 +363,87 @@ def test_which_integrands_take_one_orbit_member():
             ((key, variant) not in orbit_sum), (key, variant)
 
 
-@pytest.mark.parametrize("part", ["base", "denominator"])
-def test_asymmetric_integrand_falls_back_to_the_orbit_sum(monkeypatch, part):
-    # one base term, or the factor 1 - z1/t1, removed from the lg:2 integrand
-    space = parse_space("lg:2")
-    scalar, base, denominator, zvars = spaces._integrand_parts(space, "full")
-    if part == "base":
-        dropped = max(k for k in base.terms if k[0] != k[1])
-        base = LaurentPolynomial(base.table, {k: c for k, c in base.terms.items()
-                                              if k != dropped})
+@pytest.mark.parametrize("key, variant", RESIDUE_PAIRS + [
+    ("ogO:4", "full"), ("ogO:4", "compact"), ("q:4", "full"), ("gr2:2,5", "full"),
+    ("gr2:2,5", "compact"), ("gr:2,7", "full"), ("gr:2,7", "compact"), ("g2b", "full")])
+def test_symmetry_decision_matches_the_expanded_integrand(key, variant):
+    space = parse_space(key)
+    assert spaces._integrand_symmetric(space, variant) == \
+        expanded_integrand_symmetric(space, variant)
+
+
+def test_no_symmetry_decision_expands_a_base(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the symmetry decision expanded or checked a polynomial")
+
+    monkeypatch.setattr(spaces, "bracket", refuse)
+    monkeypatch.setattr(spaces, "check_symmetry", refuse)
+    monkeypatch.setattr(spaces._SpaceCalc, "decompose", refuse)
+    spaces._integrand_parts.cache_clear()
+    spaces._integrand_symmetric.cache_clear()
+    try:
+        for key, variant, symmetric in [
+                ("lg:5", "full", True), ("ogE:5", "full", True), ("ogO:5", "full", True),
+                ("ogO:5", "compact", True), ("q:4", "full", False), ("g2p2", "full", False)]:
+            assert spaces._integrand_symmetric(parse_space(key), variant) == symmetric, key
+    finally:
+        spaces._integrand_parts.cache_clear()
+        spaces._integrand_symmetric.cache_clear()
+
+
+@pytest.mark.parametrize("key, change", [("lg:2", "weight"), ("lg:2", "extra"),
+                                         ("q:2", "inversion")])
+def test_asymmetric_integrand_falls_back_to_the_orbit_sum(monkeypatch, key, change):
+    # the weight z1/z2 dropped from the lg:2 integrand, or a lone extra factor
+    # 1 + z1; or q:2 with no weights and no extras, whose multisets z2 -> 1/z2
+    # keeps, but which the inversion moves all the same (denominator, measure)
+    space = parse_space(key)
+    table = space.table()
+    scalar, weights, extras, ambient = spaces._integrand_parts(space, "full")
+    if change == "weight":
+        weights = tuple(a for a in weights if a != Monomial.of(table, z1=1, z2=-1))
+    elif change == "extra":
+        extras = (LaurentPolynomial.one(table) + LaurentPolynomial.variable(table, "z1"),)
     else:
-        denominator = denominator[1:]
-    monkeypatch.setattr(spaces, "_integrand_parts",
-                        lambda s, v: (scalar, base, denominator, zvars))
+        weights, extras = (), ()
+    parts = (scalar, weights, extras, ambient)
+    monkeypatch.setattr(spaces, "_integrand_parts", lambda s, v: parts)
     spaces._integrand_symmetric.cache_clear()
     try:
         assert not spaces._integrand_symmetric(space, "full")
         calc = spaces._SpaceCalc(space)
+        form = spaces._integrand_form(parts, 2)
         differs = False
         for canon in [(1, 0), (2, -1), (1, 1), (0, -2)]:
+            canon = calc.canonical(canon)
             value = calc.res_class_value(canon, "full")
             assert value == iterated_residue(build_integrand(space, calc.orbit_sum(canon)))
-            one_member = base.mul_monomial(Monomial(calc.table, canon[::-1] + (0, 0)))
-            differs |= value != iterated_residue(make_form(
-                one_member, denominator, zvars, scalar=scalar * calc.orbit_size(canon)))
+            members = calc.orbit(canon)
+            differs |= value != iterated_residue(form, [min(members)], len(members))
         assert differs  # one orbit member would have given a wrong value
     finally:
         spaces._integrand_symmetric.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def _seeded_orbits(key: str, variant: str) -> tuple:
+    """(the prepared-once integrand form, the orbits of a seeded class)."""
+    space = parse_space(key)
+    calc = _calc(space)
+    f = random_admissible_class(space, random.Random(f"order:{key}"), max_exp=2)
+    form = spaces._integrand_form(spaces._integrand_parts(space, variant), calc.m)
+    return form, [calc.orbit(canon) for canon in sorted(calc.decompose(f))]
+
+
+@pytest.mark.parametrize("key, variant", [("q:3", "full"), ("gr2:2,4", "compact"),
+                                          ("lg:3", "full")])
+@given(st.data())
+def test_the_residue_order_does_not_change_the_value(key, variant, data):
+    form, orbits = _seeded_orbits(key, variant)
+    members = data.draw(st.sampled_from(orbits))
+    order = tuple(data.draw(st.permutations(form.residue_vars)))
+    assert iterated_residue(PreparedForm(form, order), members) == \
+        iterated_residue(PreparedForm(form), members)
 
 
 def _traced_peak(compute):
