@@ -11,9 +11,9 @@ integral, and a `fractions.Fraction` only when it is not.  `rational()` builds
 that form and `quotient()` is the one exact division of coefficients.  Each
 polynomial remembers whether all its coefficients are ints; an operation on
 such operands multiplies and adds ints only, and the results of the others
-are normalized, so integral work such as Bareiss elimination or the G2
-artifacts never builds a rational.  Rendering and JSON read `numerator` and
-`denominator`, which ints have as well.
+are normalized, so integral work such as elimination with unit pivots or
+the G2 artifacts never builds a rational.  Rendering and JSON read
+`numerator` and `denominator`, which ints have as well.
 
 `LaurentPolynomial.substitute` is the one change of variables, from a Weyl
 reflection to the move of a polynomial to another table.

@@ -1,7 +1,7 @@
 """Push-forwards for the rank-two exceptional quotients and the ambient
 Grassmannian pairing: the six-term cyclic sum, the 21-partition class table,
 the intersection matrix with its unimodular determinant, and recovery of the
-fundamental class by exact linear elimination.
+fundamental class by exact elimination with unit pivots.
 
 The ambient pairing is the residue formula of the Grassmannian of two-planes
 in 7-space with its torus restricted to the seven weights of the
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .algebra import LaurentPolynomial, parameter_table, rational
 from .characters import roots, standard_sets
-from .elimination import bareiss_determinant, bareiss_solve
+from .elimination import determinant, solve
 from .polyfam import (complement_partition, grothendieck_pair,
                       rectangle_partitions)
 from .residue import PreparedForm, iterated_residue
@@ -126,7 +126,7 @@ def intersection_determinant(matrix=None) -> LaurentPolynomial:
     if matrix is None:
         matrix = intersection_matrix()
     _, rows, sign = _paired_rows(matrix)
-    det = bareiss_determinant(rows)
+    det = determinant(rows)
     return det if sign == 1 else -det
 
 
@@ -134,14 +134,14 @@ def fundamental_class_solve():
     """Coefficients of the fundamental class in the Grothendieck basis.
 
     Solves sum_I c_I * m(I, J) = pushforward(G_J) over all box partitions by
-    fraction-free elimination; the determinant is a unit so the solution is a
-    Laurent-polynomial vector.  Equation J is taken in the row of the
+    elimination with unit pivots; the determinant is a unit so the solution
+    is a Laurent-polynomial vector.  Equation J is taken in the row of the
     complement of J, so pivots are units at the nonequivariant point.
     """
     parts = box_partitions()
     table_values = grothendieck_table()
     order, rows, _ = _paired_rows(intersection_matrix())
-    _, solution = bareiss_solve(rows, [table_values[parts[j]] for j in order])
+    _, solution = solve(rows, [table_values[parts[j]] for j in order])
     return {parts[i]: solution[i] for i in range(len(parts))}
 
 

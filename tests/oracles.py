@@ -15,7 +15,9 @@ class needs one orbit member, as `eqpush.spaces` decides on the weight lists.
 the rotation and the swap, for the G2 fixed points.  `ambient_chain_class`
 pairs an orbit class on the G2 ambient Grassmannian by the gr:2,7 Demazure
 chain, then t_i -> the seven weights: the independent path for the residue
-of `eqpush.g2`.
+of `eqpush.g2`.  `bareiss_determinant` and `bareiss_solve` eliminate
+fraction-free (Bareiss), with an exact division per entry and no need for
+unit pivots: the independent path for `eqpush.elimination`.
 """
 
 import itertools
@@ -261,3 +263,59 @@ def ambient_chain_class(canon: tuple) -> LaurentPolynomial:
     value = calc.engine.sum_values(calc.orbit_sum(canon))
     weights = {f"t{i + 1}": w.as_polynomial() for i, w in enumerate(g2core.seven_weights())}
     return value.substitute(weights, g2core.g2_table())
+
+
+def _bareiss_forward(aug, n):
+    """One-step Bareiss forward pass on an augmented matrix, in place: every
+    entry stays a minor of the matrix.  Returns the sign of the row swaps;
+    a column with no nonzero entry at or below the diagonal raises
+    InvariantError."""
+    sign = 1
+    prev = None
+    for k in range(n):
+        if aug[k][k].is_zero:
+            for r in range(k + 1, n):
+                if not aug[r][k].is_zero:
+                    aug[k], aug[r] = aug[r], aug[k]
+                    sign = -sign
+                    break
+            else:
+                raise InvariantError("zero pivot column during elimination")
+        pivot = aug[k][k]
+        for i in range(k + 1, n):
+            head = aug[i][k]
+            for j in range(k + 1, len(aug[i])):
+                num = pivot * aug[i][j] - head * aug[k][j]
+                aug[i][j] = num if prev is None else exact_divide(num, prev)
+            aug[i][k] = LaurentPolynomial.zero(pivot.table)
+        prev = pivot
+    return sign
+
+
+def bareiss_determinant(matrix) -> LaurentPolynomial:
+    """Exact determinant of a square matrix of Laurent polynomials; zero if
+    it is singular."""
+    n = len(matrix)
+    aug = [list(row) for row in matrix]
+    try:
+        sign = _bareiss_forward(aug, n)
+    except InvariantError:
+        return LaurentPolynomial.zero(matrix[0][0].table)
+    det = aug[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def bareiss_solve(matrix, rhs):
+    """(determinant, [x_i]) with matrix * x = rhs; NotDivisible if x is not a
+    Laurent-polynomial vector."""
+    n = len(matrix)
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    sign = _bareiss_forward(aug, n)
+    det = aug[n - 1][n - 1]
+    solution = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = aug[i][n]
+        for j in range(i + 1, n):
+            acc = acc - aug[i][j] * solution[j]
+        solution[i] = exact_divide(acc, aug[i][i])
+    return (det if sign == 1 else -det), solution

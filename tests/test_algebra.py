@@ -8,7 +8,6 @@ from eqpush.algebra import (LaurentPolynomial, Monomial, NotDivisible,
                             exact_divide_many, parameter_table, rational,
                             zt_table)
 from eqpush.residue import iterated_residue, make_form
-from eqpush.elimination import bareiss_determinant, bareiss_solve
 from eqpush import g2core
 
 from conftest import assert_immutable_value, random_laurent
@@ -333,42 +332,6 @@ def test_division_by_a_unit(lc, p, shift):
     q = exact_divide(poly(p), d)
     assert q * d == poly(p)
     assert_normal(q, r_mul(p, {tuple(-e for e in shift): 1 / Fraction(lc)}))
-
-
-def _cofactor_determinant(m):
-    if len(m) == 1:
-        return m[0][0]
-    total = LaurentPolynomial.zero(m[0][0].table)
-    for j, entry in enumerate(m[0]):
-        minor = _cofactor_determinant([row[:j] + row[j + 1:] for row in m[1:]])
-        total = total + entry * minor if j % 2 == 0 else total - entry * minor
-    return total
-
-
-def test_bareiss_with_unit_pivots_matches_cofactor_expansion():
-    # L * U with L unit lower triangular and U upper triangular with unit
-    # monomial diagonal: every leading minor, so every Bareiss pivot, is a
-    # single term, and the determinant is the product of U's diagonal.
-    t1, t2 = V(T22, "t1"), V(T22, "t2")
-    one = LaurentPolynomial.one(T22)
-    zero = LaurentPolynomial.zero(T22)
-    low = [[one, zero, zero, zero],
-           [t1 - t2, one, zero, zero],
-           [t2 ** -1 + 2, 1 - t1, one, zero],
-           [t1 * t2, t2 ** 2 - 1, t1 ** -1 - t2, one]]
-    diagonal = [t1 ** -1, -t2, t1 * t2 ** -2, -one]
-    up = [[diagonal[i] if i == j else (t1 + j - i if j > i else zero) for j in range(4)]
-          for i in range(4)]
-    m = [[sum((low[i][k] * up[k][j] for k in range(4)), zero) for j in range(4)]
-         for i in range(4)]
-    for k in range(1, 5):
-        assert len(_cofactor_determinant([row[:k] for row in m[:k]])) == 1
-    det = _cofactor_determinant(m)
-    assert det == diagonal[0] * diagonal[1] * diagonal[2] * diagonal[3]
-    assert bareiss_determinant(m) == det
-    x = [t2 - 1, t1 ** -2, one.scale(3), t1 * t2 + t2 ** -1]
-    rhs = [sum((m[i][j] * x[j] for j in range(4)), zero) for i in range(4)]
-    assert bareiss_solve(m, rhs) == (det, x)
 
 
 @given(references(), st.dictionaries(st.integers(0, 3), exponents, max_size=4),

@@ -218,10 +218,12 @@ def test_cli_inexact_additive_chain_exits_four(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [("matrix", "--det"), ("class",)], ids=["det", "class"])
 def test_cli_inexact_elimination_exits_four(capsys, monkeypatch, argv):
-    monkeypatch.setattr(elimination, "exact_divide", _not_divisible)
+    # a column without a unit pivot is an internal fault: the paired matrix
+    # is unimodular by construction; here every pivot is rejected
+    monkeypatch.setattr(elimination, "_unit_inverse", lambda p: None)
     code, out, err = run_cli(capsys, "g2", *argv)
     assert code == 4 and out == ""
-    assert err.splitlines() == ["internal error: planted fault"]
+    assert err.splitlines() == ["internal error: no unit pivot in column 1 of 21"]
 
 
 @pytest.mark.parametrize("expr", ["z1/(1-z1)", "z1/0", "(1-z1)^-1"])

@@ -2,10 +2,11 @@ import pytest
 
 from eqpush.algebra import LaurentPolynomial, Monomial, exact_divide
 from eqpush import g2, g2core
+from eqpush.elimination import determinant, solve
 from eqpush.polyfam import Partition, grothendieck_pair
 from eqpush.spaces import SymmetryViolation, _calc
 
-from oracles import ambient_chain_class
+from oracles import ambient_chain_class, bareiss_determinant, bareiss_solve
 
 GT = g2core.g2_table()
 ONE = LaurentPolynomial.one(GT)
@@ -99,6 +100,18 @@ def test_ambient_residue_matches_the_chain_oracle():
     assert len(canons) == 66
     for canon in sorted(canons):
         assert g2._ambient_class.__wrapped__(canon) == ambient_chain_class(canon), canon
+
+
+def test_unit_pivot_elimination_matches_bareiss_on_the_paired_matrix():
+    parts = g2.box_partitions()
+    table = g2.grothendieck_table()
+    order, rows, sign = g2._paired_rows(g2.intersection_matrix())
+    rhs = [table[parts[j]] for j in order]
+    det, solution = solve(rows, rhs)
+    assert (det, solution) == bareiss_solve(rows, rhs)
+    assert determinant(rows) == bareiss_determinant(rows) == det
+    assert det.scale(sign) == g2.intersection_determinant() == -1
+    assert g2.fundamental_class_solve() == dict(zip(parts, solution))
 
 
 def test_projection_formula():
