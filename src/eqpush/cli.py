@@ -129,6 +129,8 @@ def cmd_verify(args) -> int:
 
 def cmd_g2(args) -> int:
     from . import g2
+    if args.det and args.item != "matrix":
+        raise ValueError(f"--det applies only to g2 matrix, not g2 {args.item}")
     fmt = _default_format(args)
     if args.item == "table":
         table = g2.grothendieck_table()
@@ -206,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("g2", help="exceptional-quotient artifacts")
     p.add_argument("item", choices=["table", "matrix", "class"])
-    p.add_argument("--det", action="store_true", help="print only the determinant")
+    p.add_argument("--det", action="store_true", help="print only the determinant (matrix only)")
     common(p)
     p.set_defaults(func=cmd_g2)
 

@@ -21,11 +21,9 @@ from functools import lru_cache
 from .algebra import LaurentPolynomial, parameter_table, rational
 from .characters import roots, standard_sets
 from .elimination import determinant, solve
-from .polyfam import (complement_partition, grothendieck_pair,
-                      rectangle_partitions)
+from .polyfam import grothendieck_pair, rectangle_partitions
 from .residue import PreparedForm, iterated_residue
-from .spaces import (SpaceDescriptor, _calc, _integrand_form, localization_pushforward,
-                     residue_pushforward)
+from .spaces import SpaceDescriptor, _calc, _integrand_form, localization_pushforward
 from . import g2core
 
 GT = g2core.g2_table()
@@ -108,26 +106,8 @@ def intersection_matrix() -> list:
     return matrix
 
 
-def _paired_rows(matrix):
-    """(order, rows, sign): row r of the rows is the row of order[r], the box
-    complement of partition r, which puts unit entries of the nonequivariant
-    specialization on the diagonal; sign is the sign of that reordering.  The
-    complement is an involution, so the sign is -1 to the number of pairs it
-    swaps.  The matrix is symmetric, so the rows are also its columns in
-    that order."""
-    parts = box_partitions()
-    index = {lam: i for i, lam in enumerate(parts)}
-    order = [index[complement_partition(lam, BOX_ROWS, BOX_COLS)] for lam in parts]
-    sign = (-1) ** sum(i < j for i, j in enumerate(order))
-    return order, [matrix[j] for j in order], sign
-
-
 def intersection_determinant(matrix=None) -> LaurentPolynomial:
-    if matrix is None:
-        matrix = intersection_matrix()
-    _, rows, sign = _paired_rows(matrix)
-    det = determinant(rows)
-    return det if sign == 1 else -det
+    return determinant(intersection_matrix() if matrix is None else matrix)
 
 
 def fundamental_class_solve():
@@ -135,14 +115,14 @@ def fundamental_class_solve():
 
     Solves sum_I c_I * m(I, J) = pushforward(G_J) over all box partitions by
     elimination with unit pivots; the determinant is a unit so the solution
-    is a Laurent-polynomial vector.  Equation J is taken in the row of the
-    complement of J, so pivots are units at the nonequivariant point.
+    is a Laurent-polynomial vector.  The matrix is symmetric, so its rows in
+    box order are the equations, and elimination picks a unit pivot in each
+    column.
     """
     parts = box_partitions()
-    table_values = grothendieck_table()
-    order, rows, _ = _paired_rows(intersection_matrix())
-    _, solution = solve(rows, [table_values[parts[j]] for j in order])
-    return {parts[i]: solution[i] for i in range(len(parts))}
+    table = grothendieck_table()
+    _, solution = solve(intersection_matrix(), [table[lam] for lam in parts])
+    return dict(zip(parts, solution))
 
 
 def fundamental_class_in_basis() -> LaurentPolynomial:
@@ -164,16 +144,6 @@ def lift_pairing_check(lift1: LaurentPolynomial, lift2: LaurentPolynomial) -> bo
         if ambient_pushforward(cls * lift1) != ambient_pushforward(cls * lift2):
             return False
     return True
-
-
-def g2b_pushforward(f: LaurentPolynomial, method: str = "weyl_sum") -> LaurentPolynomial:
-    """Push-forward on the full quotient, by the 12-term Weyl sum or by the
-    shared residue formula."""
-    if method == "weyl_sum":
-        return localization_pushforward(BOREL_SPACE, f)
-    if method == "residue":
-        return residue_pushforward(BOREL_SPACE, f)
-    raise ValueError(f"unknown method {method!r}")
 
 
 AB_TABLE = parameter_table("A", "B")

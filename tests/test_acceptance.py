@@ -261,8 +261,8 @@ def test_criterion_10_borel_quotient():
     rng = random.Random(1010)
     for trial in range(10):
         f = random_admissible_class(space, rng, max_exp=3)
-        weyl = g2.g2b_pushforward(f, "weyl_sum")
-        res = g2.g2b_pushforward(f, "residue")
+        weyl = localization_pushforward(g2.BOREL_SPACE, f)
+        res = residue_pushforward(g2.BOREL_SPACE, f)
         assert weyl == res, trial
     quotient = parse_space("g2p2")
     sym_rng = random.Random(2020)
@@ -271,8 +271,8 @@ def test_criterion_10_borel_quotient():
         symmetric_samples.append(random_admissible_class(quotient, sym_rng, max_exp=3))
     for f in symmetric_samples:
         value = g2.cyclic_pushforward(f)
-        assert g2.g2b_pushforward(f, "weyl_sum") == value
-        assert g2.g2b_pushforward(f, "residue") == value
+        assert localization_pushforward(g2.BOREL_SPACE, f) == value
+        assert residue_pushforward(g2.BOREL_SPACE, f) == value
     report(10, "residue and Weyl-sum push-forwards agree; symmetric classes match the quotient")
 
 

@@ -218,8 +218,8 @@ def test_cli_inexact_additive_chain_exits_four(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [("matrix", "--det"), ("class",)], ids=["det", "class"])
 def test_cli_inexact_elimination_exits_four(capsys, monkeypatch, argv):
-    # a column without a unit pivot is an internal fault: the paired matrix
-    # is unimodular by construction; here every pivot is rejected
+    # a column without a unit pivot is an internal fault: the intersection
+    # matrix is unimodular by construction; here every pivot is rejected
     monkeypatch.setattr(elimination, "_unit_inverse", lambda p: None)
     code, out, err = run_cli(capsys, "g2", *argv)
     assert code == 4 and out == ""
@@ -416,6 +416,13 @@ def test_g2_matrix_det(capsys):
     code, out, _ = run_cli(capsys, "g2", "matrix", "--det")
     assert code == 0
     assert out.strip() == "-1"
+
+
+@pytest.mark.parametrize("item", ["table", "class"])
+def test_g2_det_is_rejected_outside_matrix(capsys, item):
+    code, out, err = run_cli(capsys, "g2", item, "--det")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_g2_matrix_full_dump(capsys):

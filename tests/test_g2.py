@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from eqpush.algebra import LaurentPolynomial, Monomial, exact_divide
 from eqpush import g2, g2core
 from eqpush.elimination import determinant, solve
-from eqpush.polyfam import Partition, grothendieck_pair
-from eqpush.spaces import SymmetryViolation, _calc
+from eqpush.polyfam import Partition, complement_partition, grothendieck_pair
+from eqpush.spaces import (SymmetryViolation, _calc, localization_pushforward,
+                           residue_pushforward)
 
 from oracles import ambient_chain_class, bareiss_determinant, bareiss_solve
 
@@ -70,19 +73,17 @@ def test_grothendieck_table_special_entries():
 def test_borel_pushforward_methods_agree():
     z1 = LaurentPolynomial.variable(GT, "z1")
     f = z1 + z1 ** -2 * LaurentPolynomial.variable(GT, "z2")
-    weyl = g2.g2b_pushforward(f, "weyl_sum")
-    res = g2.g2b_pushforward(f, "residue")
+    weyl = localization_pushforward(g2.BOREL_SPACE, f)
+    res = residue_pushforward(g2.BOREL_SPACE, f)
     assert weyl == res
-    with pytest.raises(ValueError):
-        g2.g2b_pushforward(f, "nope")
 
 
 def test_borel_pushforward_symmetric_matches_quotient():
     f = grothendieck_pair(4, 1, GT)
     expected = LaurentPolynomial.constant(GT, 2)
-    assert g2.g2b_pushforward(f, "weyl_sum") == expected
-    assert g2.g2b_pushforward(f, "residue") == expected
-    assert g2.g2b_pushforward(ONE, "weyl_sum") == ONE
+    assert localization_pushforward(g2.BOREL_SPACE, f) == expected
+    assert residue_pushforward(g2.BOREL_SPACE, f) == expected
+    assert localization_pushforward(g2.BOREL_SPACE, ONE) == ONE
 
 
 def test_ambient_pushforward_unit():
@@ -102,16 +103,40 @@ def test_ambient_residue_matches_the_chain_oracle():
         assert g2._ambient_class.__wrapped__(canon) == ambient_chain_class(canon), canon
 
 
-def test_unit_pivot_elimination_matches_bareiss_on_the_paired_matrix():
+def test_unit_pivot_elimination_matches_bareiss_in_box_order():
     parts = g2.box_partitions()
     table = g2.grothendieck_table()
-    order, rows, sign = g2._paired_rows(g2.intersection_matrix())
-    rhs = [table[parts[j]] for j in order]
-    det, solution = solve(rows, rhs)
-    assert (det, solution) == bareiss_solve(rows, rhs)
-    assert determinant(rows) == bareiss_determinant(rows) == det
-    assert det.scale(sign) == g2.intersection_determinant() == -1
+    matrix = g2.intersection_matrix()
+    rhs = [table[lam] for lam in parts]
+    det, solution = solve(matrix, rhs)
+    assert (det, solution) == bareiss_solve(matrix, rhs)
+    assert determinant(matrix) == bareiss_determinant(matrix) == det
+    assert det == g2.intersection_determinant() == -1
     assert g2.fundamental_class_solve() == dict(zip(parts, solution))
+
+
+def _permutation_sign(order):
+    return (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+
+
+def test_row_order_does_not_change_determinant_or_solution():
+    # equation order is free: elimination finds its own unit pivots, whether
+    # the rows come in box order, shuffled, or paired by box complement
+    parts = g2.box_partitions()
+    table = g2.grothendieck_table()
+    matrix = g2.intersection_matrix()
+    rhs = [table[lam] for lam in parts]
+    _, expected = solve(matrix, rhs)
+    index = {lam: i for i, lam in enumerate(parts)}
+    complement = [index[complement_partition(lam, g2.BOX_ROWS, g2.BOX_COLS)] for lam in parts]
+    rng = random.Random(1818)
+    orders = [complement] + [rng.sample(range(len(parts)), len(parts)) for _ in range(5)]
+    for order in orders:
+        rows = [matrix[i] for i in order]
+        det, solution = solve(rows, [rhs[i] for i in order])
+        assert det.scale(_permutation_sign(order)) == -1, order
+        assert determinant(rows) == det, order
+        assert solution == expected, order
 
 
 def test_projection_formula():
