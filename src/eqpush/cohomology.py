@@ -1,15 +1,20 @@
-"""Additive (cohomological) integration over the rank-two quotient and the
-ambient Grassmannian, Schur integrals and the equivariant fundamental-class
+"""Cohomological integration over the rank-two quotient and the ambient
+Grassmannian, Schur integrals and the equivariant fundamental-class
 consistency check.
 
-Both integrals are the additive image of the K-theoretic Demazure chain of
-`spaces`: on the same reduced word, a character t^e becomes the linear form
-log t^e = sum e_i*t_i, the Chern roots are x = -log z, and each step is the
-ordinary divided difference (g - s g)/log a.  Classes are polynomials in x1,
-x2, t1, t2, symmetric in x1, x2; the chain runs once per orbit class
-x1^p x2^q + x1^q x2^p, whose t-polynomial coefficient is pulled out; that
-split (`spaces._SpaceCalc.decompose`) enforces the symmetry.  A chain value
-reaches the x, t table by one `LaurentPolynomial.substitute`.
+Classes are polynomials in the Chern roots x1, x2 and in t1, t2, symmetric in
+x1, x2.  Both integrals split a class into orbit classes x1^p x2^q +
+x1^q x2^p, whose t-polynomial coefficients are pulled out; that split
+(`spaces._SpaceCalc.decompose`) enforces the symmetry.  The two integrals
+run independent paths, so the class check compares two computations:
+
+- `g2_integral` runs the additive image of the K-theoretic Demazure chain of
+  `spaces` on g2p2: a character t^e becomes the linear form log t^e =
+  sum e_i*t_i, the Chern roots are x = -log z, and each step is the ordinary
+  divided difference (g - s g)/log a.
+- `gr27_integral` is the cohomological Grassmannian residue at infinity in
+  closed form: each orbit class is a sum of products of two complete
+  homogeneous polynomials in the logs of the seven weights (`_gr27_class`).
 """
 
 from __future__ import annotations
@@ -37,25 +42,54 @@ def _check_class(f: LaurentPolynomial) -> None:
         raise ValueError("cohomology classes must have nonnegative exponents")
 
 
-def _orbit_integral(space, canon: tuple) -> LaurentPolynomial:
-    """The additive chain of a catalogue space on the orbit class
-    x1^p x2^q + x1^q x2^p of canon = (p, q) (once on the diagonal), over the
-    space's table."""
-    calc = _calc(space)
-    return calc.engine.additive_sum(calc.orbit_sum(canon))
-
-
 @lru_cache(maxsize=None)
 def _g2_class(canon: tuple) -> LaurentPolynomial:
-    return _orbit_integral(QUOTIENT_SPACE, canon).substitute({}, coh_table())
+    """The additive chain of g2p2 on the orbit class x1^p x2^q + x1^q x2^p
+    of canon = (p, q) (once on the diagonal)."""
+    calc = _calc(QUOTIENT_SPACE)
+    return calc.engine.additive_sum(calc.orbit_sum(canon)).substitute({}, coh_table())
+
+
+# _H_ROWS[m][k]: h_m of the first k weight logs, k = 0..7; row 0 is all ones
+_H_ROWS: list = [[LaurentPolynomial.one(coh_table())] * 8]
+
+
+def _h(m: int) -> LaurentPolynomial:
+    """The complete homogeneous polynomial h_m of the seven weight logs (0 for
+    m < 0), the coefficient of v^m in prod 1/(1 - w_k v).  The table grows on
+    demand, one weight at a time: h_m(w_1..w_k) = h_m(w_1..w_k-1)
+    + w_k * h_m-1(w_1..w_k)."""
+    if m < 0:
+        return LaurentPolynomial.zero(coh_table())
+    while len(_H_ROWS) <= m:
+        prev, row = _H_ROWS[-1], [LaurentPolynomial.zero(coh_table())]
+        for k, w in enumerate(g2core.seven_weights()):
+            row.append(row[k] + log(w, coh_table()) * prev[k + 1])
+        _H_ROWS.append(row)
+    return _H_ROWS[m][7]
 
 
 @lru_cache(maxsize=None)
 def _gr27_class(canon: tuple) -> LaurentPolynomial:
-    """The gr:2,7 value with t1..t7 -> the logs of the seven weights; only the
-    specialized value is cached."""
-    weights = {f"t{i + 1}": log(w, coh_table()) for i, w in enumerate(g2core.seven_weights())}
-    return _orbit_integral(AMBIENT_SPACE, canon).substitute(weights, coh_table())
+    """The gr:2,7 integral of the orbit class of canon = (p, q), as the
+    Grassmannian residue at infinity in closed form.
+
+    The fixed point {i, j} has the Chern roots x = -u at u = (w_i, w_j) and
+    contributes f(x)/prod (w_b - w_a) over a in {i, j}, b not, which is
+    -f(-u) (u1 - u2)^2 / (Q'(u1) Q'(u2)) with Q(u) = prod (u - w_k).  Half
+    the sum over the ordered pairs i != j is the sum over all pairs (i, j),
+    since (u1 - u2)^2 vanishes at i = j, and the finite residues of
+    u^c/Q(u) add up to h_(c-6).  So x1^a x2^b integrates to
+    -(-1)^(a+b)/2 * I(a, b), I(a, b) = h_(a-4) h_(b-6) - 2 h_(a-5) h_(b-5)
+    + h_(a-6) h_(b-4).  Over the members (a, b) of the orbit, the two outer
+    terms of I give the same total, which cancels the 1/2: the class
+    integrates to -(-1)^(p+q) times the sum of h_(a-4) h_(b-6)
+    - h_(a-5) h_(b-5) over its members."""
+    p, q = canon
+    value = LaurentPolynomial.zero(coh_table())
+    for a, b in {(p, q), (q, p)}:
+        value = value + _h(a - 4) * _h(b - 6) - _h(a - 5) * _h(b - 5)
+    return value if (p + q) % 2 else -value
 
 
 def g2_integral(f: LaurentPolynomial) -> LaurentPolynomial:

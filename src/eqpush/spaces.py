@@ -332,8 +332,10 @@ class LocalizationEngine:
         for an admissible class f whose z's stand for the Chern roots
         x_k = -log z_k (at a two-plane with additive weights (a, b) the roots
         are (-a, -b)).  The base value runs through the additive chain
-        (g - s_i g)/log a_i on the same reduced word.  The cohomology module
-        calls it on g2p2 and gr:2,7; on ogE it would miss the second component."""
+        (g - s_i g)/log a_i on the same reduced word.  In `src/` only
+        `cohomology.g2_integral` calls it, on g2p2; `tests/oracles.py` calls it
+        on gr:2,7 as the oracle of the residue at infinity.  On ogE it would
+        miss the second component."""
         base = {z: -log(img, self.table) for z, img in self.base.items()}
         return self._chain(f.substitute(base), self.additive_steps)
 

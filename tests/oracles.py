@@ -15,9 +15,12 @@ class needs one orbit member, as `eqpush.spaces` decides on the weight lists.
 the rotation and the swap, for the G2 fixed points.  `ambient_chain_class`
 pairs an orbit class on the G2 ambient Grassmannian by the gr:2,7 Demazure
 chain, then t_i -> the seven weights: the independent path for the residue
-of `eqpush.g2`.  `bareiss_determinant` and `bareiss_solve` eliminate
-fraction-free (Bareiss), with an exact division per entry and no need for
-unit pivots: the independent path for `eqpush.elimination`.
+of `eqpush.g2`.  `additive_ambient_chain_class` is its cohomological twin,
+the additive gr:2,7 chain, then t_i -> the logs of the seven weights: the
+independent path for the residue at infinity of `eqpush.cohomology`.
+`bareiss_determinant` and `bareiss_solve` eliminate fraction-free
+(Bareiss), with an exact division per entry and no need for unit pivots:
+the independent path for `eqpush.elimination`.
 """
 
 import itertools
@@ -29,6 +32,7 @@ from eqpush import g2core, spaces
 from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
                             NotPolynomial, exact_divide, quotient)
 from eqpush.characters import inverses, lambda_set, pos_roots, sym_set
+from eqpush.cohomology import coh_table
 from eqpush.residue import ResidueForm
 from eqpush.spaces import (SpaceDescriptor, SymmetryViolation, _calc, check_symmetry,
                            symmetry_generators)
@@ -263,6 +267,18 @@ def ambient_chain_class(canon: tuple) -> LaurentPolynomial:
     value = calc.engine.sum_values(calc.orbit_sum(canon))
     weights = {f"t{i + 1}": w.as_polynomial() for i, w in enumerate(g2core.seven_weights())}
     return value.substitute(weights, g2core.g2_table())
+
+
+def additive_ambient_chain_class(canon: tuple) -> LaurentPolynomial:
+    """The cohomological integral of the orbit class of canon = (p, q) over the
+    Grassmannian of two-planes in 7-space, restricted to the G2 torus: the
+    additive gr:2,7 Demazure chain in t1..t7, then t_i -> the log of the i-th
+    of the seven weights, over the Chern-root table x1, x2, t1, t2."""
+    calc = _calc(SpaceDescriptor("gr", 2, 7))
+    value = calc.engine.additive_sum(calc.orbit_sum(canon))
+    weights = {f"t{i + 1}": spaces.log(w, coh_table())
+               for i, w in enumerate(g2core.seven_weights())}
+    return value.substitute(weights, coh_table())
 
 
 def _bareiss_forward(aug, n):

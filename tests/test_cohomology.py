@@ -7,11 +7,12 @@ from eqpush.algebra import LaurentPolynomial, zt_table
 from eqpush.cohomology import (coh_table, cohomology_class_check,
                                equivariant_class_expression, g2_integral,
                                gr27_integral, torus_invariant)
+from eqpush.g2 import AMBIENT_SPACE
 from eqpush.polyfam import rectangle_partitions, schur_pair
 from eqpush.spaces import SymmetryViolation, _calc, log, parse_space
 from eqpush import g2core
 
-from oracles import factored_rational_sum, fixed_points
+from oracles import additive_ambient_chain_class, factored_rational_sum, fixed_points
 
 
 def T(name, k=1):
@@ -139,3 +140,62 @@ def test_ambient_additive_chain_multiplies_no_polynomials(monkeypatch):
     assert calc.engine.additive_sum(calc.orbit_sum((3, 1))).is_zero  # degree 4 < dim 10
     assert not calc.engine.additive_sum(calc.orbit_sum((7, 5))).is_zero
     assert products == []
+
+
+def class_check_schurs():
+    """S_J for the 21 box partitions J of the class check."""
+    return [schur_pair(lam.part(0), lam.part(1), coh_table())
+            for lam in rectangle_partitions(2, 5)]
+
+
+def test_residue_matches_additive_chain_on_the_class_check_orbits():
+    cls = equivariant_class_expression()
+    calc = _calc(AMBIENT_SPACE)
+    canons = set()
+    for s in class_check_schurs():
+        canons |= set(calc.decompose(s * cls, ("x1", "x2")))
+    assert len(canons) == 40
+    for canon in sorted(canons):
+        f = LaurentPolynomial(coh_table(), dict.fromkeys({canon + (0, 0), canon[::-1] + (0, 0)}, 1))
+        assert gr27_integral(f) == additive_ambient_chain_class(canon), canon
+
+
+def test_residue_matches_additive_chain_on_seeded_classes():
+    # one orbit class (p, q), p >= q, per total degree, with a t-dependent
+    # coefficient: below degree 10 every value is 0, odd degrees give 0, and
+    # so does q < 4, which is drawn only below degree 8.  The classes read h_m
+    # up to m = 7, beyond the class check's 5.  The chain takes 0.7-3 s per
+    # class beyond degree 20; test_chain_matches_flat_fixed_point_sum reaches
+    # degree 24 and the degree-40 test below m = 32 against the flat sum.
+    rng = random.Random("cohomology-residue")
+    calc = _calc(AMBIENT_SPACE)
+    nonzero = 0
+    for degree in range(21):
+        p = degree - rng.randint(min(4, degree // 2), degree // 2)
+        coeff = LaurentPolynomial(coh_table(), {
+            (0, 0, 0, 0): rng.choice([-2, -1, 1, 3]),
+            (0, 0, rng.randint(0, 2), rng.randint(0, 2)): rng.choice([-1, 2])})
+        orbit = LaurentPolynomial(coh_table(), dict.fromkeys({(p, degree - p, 0, 0),
+                                                              (degree - p, p, 0, 0)}, 1))
+        f = coeff * orbit
+        value = gr27_integral(f)
+        assert value == calc.pushforward(f, additive_ambient_chain_class, ("x1", "x2")), (p, degree - p)
+        nonzero += not value.is_zero
+    assert nonzero >= 5
+
+
+def test_a_wrong_class_fails_some_pairing():
+    # the pairing compares two independent paths: a nonzero symmetric
+    # degree-5 change to the class shows up in at least one of them
+    x1, x2 = T("x1"), T("x2")
+    wrong = equivariant_class_expression() + x1 ** 3 * x2 ** 2 + x1 ** 2 * x2 ** 3
+    assert any(gr27_integral(s * wrong) != g2_integral(s) for s in class_check_schurs())
+
+
+def test_gr27_integral_of_degree_forty_matches_flat_sum():
+    # the h table has no fixed cap: degree 40 reads h_m up to m = 32
+    x1, x2 = T("x1"), T("x2")
+    f = (x1 * x2) ** 20 + (T("t1") - 2 * T("t2")) * (x1 ** 36 * x2 ** 4 + x1 ** 4 * x2 ** 36)
+    value = gr27_integral(f)
+    assert not value.is_zero
+    assert value == flat_integral("gr:2,7", f)
