@@ -121,10 +121,18 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     if max_exp < 0:
         raise ValueError(f"--max-exp must be at least 0, got {max_exp}")
+    if args.format not in (None, "text"):
+        raise ValueError(f"verify writes a text report; format {args.format} does not apply")
     from .verification import run_campaign
-    lines, failures = run_campaign(space, trials, seed, max_exp)
-    _write(args, "\n".join(lines))
-    return 0 if failures == 0 else 1
+    out = open(args.output, "w") if args.output else sys.stdout
+    try:
+        for line in run_campaign(space, trials, seed, max_exp):
+            out.write(line + "\n")
+            out.flush()
+    finally:
+        if out is not sys.stdout:
+            out.close()
+    return 0 if line.endswith("all agree") else 1
 
 
 def cmd_g2(args) -> int:

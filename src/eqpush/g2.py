@@ -12,6 +12,14 @@ ambient) = (1/2, roots(z1, z2), (), the seven weights), and expanded by
 positive root and the fundamental-class lift as its one extra factor.  The
 Demazure chain of gr:2,7 followed by the substitution t_i -> weight_i is its
 test oracle (`tests/oracles.py`).
+
+The intersection matrix is a Gram matrix over the 66 orbit values of that
+pairing.  The box classes are symmetric integer polynomials in z1, z2, so a
+product of two of them holds each orbit class of (p, q), p >= q, with its
+coefficient on z1^p z2^q, and an entry is that integer combination of orbit
+values.  Push-forwards of other classes (`ambient_pushforward`) decompose the
+class into orbit classes first; building the matrix entry by entry that way is
+its test oracle.
 """
 
 from __future__ import annotations
@@ -94,15 +102,27 @@ def ambient_pushforward(f: LaurentPolynomial) -> LaurentPolynomial:
 
 
 def intersection_matrix() -> list:
-    """The 21x21 matrix of pairwise push-forwards, in box-partition order."""
-    parts = box_partitions()
-    classes = [grothendieck_pair(lam.part(0), lam.part(1), GT) for lam in parts]
-    matrix = [[None] * len(parts) for _ in parts]
-    for i in range(len(parts)):
-        for j in range(i, len(parts)):
-            value = ambient_pushforward(classes[i] * classes[j])
-            matrix[i][j] = value
-            matrix[j][i] = value
+    """The 21x21 Gram matrix of the box classes under the ambient pairing, in
+    box-partition order.  Each class is a symmetric integer polynomial in
+    z1, z2 (SymmetryViolation otherwise), and so is each product of two: its
+    coefficient on the orbit class of (p, q), p >= q, is its coefficient n on
+    z1^p z2^q, and the entry adds n times the orbit value _ambient_class."""
+    calc = _calc(AMBIENT_SPACE)
+    classes = []
+    for lam in box_partitions():
+        cls = grothendieck_pair(lam.part(0), lam.part(1), GT)
+        calc.decompose(cls, ("z1", "z2"))  # SymmetryViolation unless symmetric
+        classes.append(cls)
+    matrix = [[None] * len(classes) for _ in classes]
+    for i, left in enumerate(classes):
+        for j in range(i, len(classes)):
+            acc: dict = {}
+            get = acc.get
+            for (p, q, _, _), n in (left * classes[j]).terms.items():
+                if p >= q:
+                    for k, c in _ambient_class((p, q)).terms.items():
+                        acc[k] = get(k, 0) + n * c
+            matrix[i][j] = matrix[j][i] = LaurentPolynomial(GT, acc)
     return matrix
 
 

@@ -1,7 +1,9 @@
 """Seeded randomized differential campaigns: residue formulas against
 localization sums, with variant cross-checks.  A seed fully determines the
 generated classes, so campaign output is byte-reproducible.  A trial that
-disagrees is followed by its first differing orbit class.
+disagrees is followed by its first differing orbit class.  The report comes
+line by line as the trials finish, so a campaign cut short has already shown
+the trials it finished.
 """
 
 from __future__ import annotations
@@ -47,19 +49,21 @@ def first_mismatch(space: SpaceDescriptor, f: LaurentPolynomial) -> str:
 
 def run_campaign(space: SpaceDescriptor, trials: int, seed: int,
                  max_exp: int = 3):
-    """Run seeded trials; returns (report lines, number of failures)."""
+    """Run seeded trials, yielding each report line as soon as it is known:
+    the header, each trial's line as the trial finishes (a disagreeing one
+    followed by its first differing class) and the summary, which ends in
+    "all agree" exactly when no trial disagreed."""
     rng = random.Random(seed)
-    lines = [f"space {space.key()} trials {trials} seed {seed} max-exp {max_exp}"]
+    yield f"space {space.key()} trials {trials} seed {seed} max-exp {max_exp}"
     failures = 0
     for t in range(1, trials + 1):
         f = random_admissible_class(space, rng, max_exp=max_exp)
         loc = localization_pushforward(space, f)
         agree = all(residue_pushforward(space, f, v) == loc for v in space.variants())
-        lines.append(f"trial {t}: terms {len(f)} variants {','.join(space.variants())} "
-                     f"agree {'yes' if agree else 'NO'}")
+        yield (f"trial {t}: terms {len(f)} variants {','.join(space.variants())} "
+               f"agree {'yes' if agree else 'NO'}")
         if not agree:
             failures += 1
-            lines.append(first_mismatch(space, f))
+            yield first_mismatch(space, f)
     status = "all agree" if failures == 0 else f"{failures} mismatches"
-    lines.append(f"verified {trials - failures}/{trials} trials: {status}")
-    return lines, failures
+    yield f"verified {trials - failures}/{trials} trials: {status}"

@@ -18,6 +18,9 @@ chain, then t_i -> the seven weights: the independent path for the residue
 of `eqpush.g2`.  `additive_ambient_chain_class` is its cohomological twin,
 the additive gr:2,7 chain, then t_i -> the logs of the seven weights: the
 independent path for the residue at infinity of `eqpush.cohomology`.
+`ambient_matrix_by_pushforward` builds the G2 intersection matrix one entry at
+a time, as the ambient push-forward of each product of two box classes: the
+independent path for the Gram matrix over orbit values of `eqpush.g2`.
 `bareiss_determinant` and `bareiss_solve` eliminate fraction-free
 (Bareiss), with an exact division per entry and no need for unit pivots:
 the independent path for `eqpush.elimination`.
@@ -28,11 +31,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from eqpush import g2core, spaces
+from eqpush import g2, g2core, spaces
 from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
                             NotPolynomial, exact_divide, quotient)
 from eqpush.characters import inverses, lambda_set, pos_roots, sym_set
 from eqpush.cohomology import coh_table
+from eqpush.polyfam import grothendieck_pair
 from eqpush.residue import ResidueForm
 from eqpush.spaces import (SpaceDescriptor, SymmetryViolation, _calc, check_symmetry,
                            symmetry_generators)
@@ -279,6 +283,18 @@ def additive_ambient_chain_class(canon: tuple) -> LaurentPolynomial:
     weights = {f"t{i + 1}": spaces.log(w, coh_table())
                for i, w in enumerate(g2core.seven_weights())}
     return value.substitute(weights, coh_table())
+
+
+def ambient_matrix_by_pushforward() -> list:
+    """The 21x21 intersection matrix of the G2 box classes, in box-partition
+    order, each entry the ambient push-forward of the product of its two
+    classes (decomposed into orbit classes, each coefficient times its value)."""
+    classes = [grothendieck_pair(lam.part(0), lam.part(1), g2.GT) for lam in g2.box_partitions()]
+    matrix = [[None] * len(classes) for _ in classes]
+    for i, left in enumerate(classes):
+        for j in range(i, len(classes)):
+            matrix[i][j] = matrix[j][i] = g2.ambient_pushforward(left * classes[j])
+    return matrix
 
 
 def _bareiss_forward(aug, n):

@@ -140,9 +140,8 @@ CLASSICAL_CASES = [
 
 def test_criterion_05_classical_differential():
     for key, max_exp in CLASSICAL_CASES:
-        lines, failures = run_campaign(parse_space(key), trials=20, seed=505,
-                                       max_exp=max_exp)
-        assert failures == 0, "\n".join(lines)
+        lines = list(run_campaign(parse_space(key), trials=20, seed=505, max_exp=max_exp))
+        assert lines[-1] == "verified 20/20 trials: all agree", "\n".join(lines)
     report(5, f"residue equals localization on 20 seeded trials for {len(CLASSICAL_CASES)} spaces "
               "(odd orthogonal in both variants)")
 
@@ -332,9 +331,9 @@ def test_criterion_12_quadric():
     # Failure here would falsify the adopted pairwise-product reading of the
     # quadric numerator and the index-removal reading of its fixed points.
     for key in ("q:2", "q:3"):
-        lines, failures = run_campaign(parse_space(key), trials=20, seed=1212,
-                                       max_exp=2 if key == "q:3" else 3)
-        assert failures == 0, "\n".join(lines)
+        lines = list(run_campaign(parse_space(key), trials=20, seed=1212,
+                                  max_exp=2 if key == "q:3" else 3))
+        assert lines[-1] == "verified 20/20 trials: all agree", "\n".join(lines)
     report(12, "quadric residue formula matches localization for n = 2, 3")
 
 

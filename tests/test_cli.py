@@ -358,6 +358,59 @@ def test_cli_verify_reproducible(capsys):
     assert "verified 5/5 trials: all agree" in out1
 
 
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_cli_verify_rejects_a_format_flag(capsys, fmt):
+    code, out, err = run_cli(capsys, "verify", "--space", "gr:1,2", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and fmt in err
+    assert run_cli(capsys, "verify", "--space", "gr:1,2", "--trials", "1",
+                   "--format", "text")[0] == 0
+
+
+def test_cli_verify_rejects_a_format_in_the_config(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "verify.conf"
+    conf.write_text("space=gr:1,2\nformat=json\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(conf))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    # the environment default does not apply to the report
+    monkeypatch.setenv("EQPUSH_FORMAT", "json")
+    code, out, _ = run_cli(capsys, "verify", "--space", "gr:1,2", "--trials", "1")
+    assert code == 0 and out.splitlines()[-1] == "verified 1/1 trials: all agree"
+
+
+def test_cli_verify_streams_the_trials_it_finished(capsys, monkeypatch):
+    # a campaign cut short by running out of memory in trial 2 has already
+    # written the header and the trial-1 line
+    from eqpush import verification
+    expected = list(verification.run_campaign(spaces.parse_space("gr:2,4"), 3, 7))
+    real = verification.localization_pushforward
+    calls = []
+
+    def exhausted_on_trial_two(space, f):
+        calls.append(f)
+        if len(calls) == 2:
+            raise MemoryError
+        return real(space, f)
+
+    monkeypatch.setattr(verification, "localization_pushforward", exhausted_on_trial_two)
+    code, out, err = run_cli(capsys, "verify", "--space", "gr:2,4", "--trials", "3",
+                             "--seed", "7")
+    assert code == 4
+    assert out.splitlines() == expected[:2] and expected[1].startswith("trial 1: ")
+    assert err.splitlines() == ["internal error: MemoryError"]
+
+
+def test_cli_verify_writes_the_whole_report_to_a_file(tmp_path, capsys):
+    from eqpush import verification
+    path = tmp_path / "report.txt"
+    code, out, _ = run_cli(capsys, "verify", "--space", "gr:2,4", "--trials", "3", "--seed", "7",
+                           "--output", str(path))
+    assert code == 0 and out == ""
+    expected = verification.run_campaign(spaces.parse_space("gr:2,4"), 3, 7)
+    assert path.read_text() == "".join(line + "\n" for line in expected)
+
+
 def test_cli_config_file(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("space=gr:1,2\nf=z1^-1\n")

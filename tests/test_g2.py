@@ -9,7 +9,8 @@ from eqpush.polyfam import Partition, complement_partition, grothendieck_pair
 from eqpush.spaces import (SymmetryViolation, _calc, localization_pushforward,
                            residue_pushforward)
 
-from oracles import ambient_chain_class, bareiss_determinant, bareiss_solve
+from oracles import (ambient_chain_class, ambient_matrix_by_pushforward, bareiss_determinant,
+                     bareiss_solve)
 
 GT = g2core.g2_table()
 ONE = LaurentPolynomial.one(GT)
@@ -101,6 +102,31 @@ def test_ambient_residue_matches_the_chain_oracle():
     assert len(canons) == 66
     for canon in sorted(canons):
         assert g2._ambient_class.__wrapped__(canon) == ambient_chain_class(canon), canon
+
+
+def test_gram_matrix_matches_per_entry_pushforward():
+    matrix = g2.intersection_matrix()
+    expected = ambient_matrix_by_pushforward()
+    assert len(matrix) == len(expected) == 21
+    for i, (row, expected_row) in enumerate(zip(matrix, expected)):
+        assert len(row) == 21
+        for j, (entry, expected_entry) in enumerate(zip(row, expected_row)):
+            assert entry == expected_entry, (i, j)
+
+
+def test_gram_matrix_rejects_an_asymmetric_class(monkeypatch):
+    # G[3,1] with z1 * z2^2 added: every product with it is asymmetric, so
+    # reading its members with p >= q alone would give a wrong matrix
+    real = g2.grothendieck_pair
+    planted = Monomial.of(GT, z1=1, z2=2).as_polynomial()
+
+    def with_planted_term(a, b, table):
+        cls = real(a, b, table)
+        return cls + planted if (a, b) == (3, 1) else cls
+
+    monkeypatch.setattr(g2, "grothendieck_pair", with_planted_term)
+    with pytest.raises(SymmetryViolation):
+        g2.intersection_matrix()
 
 
 def test_unit_pivot_elimination_matches_bareiss_in_box_order():
