@@ -286,10 +286,6 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_one(self) -> bool:
-        return self.terms == {self.table.zero_exps: 1}
-
     def __len__(self):
         return len(self.terms)
 
@@ -655,9 +651,6 @@ def _divide_nonneg(num: dict, den: dict, integral: bool) -> tuple:
     lc = den[lead]
     fast = integral and lc == 1
     rest = [(k, c) for k, c in den.items() if k != lead]
-    if not rest:  # a unit: cleared of negatives, its one term is lc * 1
-        out = num if fast else {k: quotient(c, lc) for k, c in num.items()}
-        return out, fast or all(type(c) is int for c in out.values())
     remainder = dict(num)
     heap = [(-sum(k), tuple(map(_neg, k)), k) for k in remainder]
     heapq.heapify(heap)

@@ -3,7 +3,9 @@
 Subcommands: pushforward (evaluate both push-forward paths and compare),
 verify (seeded randomized differential campaign), g2 table|matrix|class, and
 cohomology g2-integrals.  Output formats: text (canonical rendering), json
-(canonical term schema) and latex.
+(canonical term schema) and latex.  argparse checks every input: the
+flags, each `key=value` line of a `--config` file (read as `--key=value`) and
+$EQPUSH_FORMAT, all before any work; every command writes through `_write`.
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse/config error,
 4 internal invariant violation or out of memory.  Code 3 (a sum failed to
@@ -24,6 +26,9 @@ from .exprparse import ExpressionSyntaxError, parse_to_polynomial
 from .spaces import SymmetryViolation, parse_space
 
 FORMAT_ENV = "EQPUSH_FORMAT"
+FORMATS = ("text", "json", "latex")
+# config keys that are not flag names: expression=... is --f, max_exp=... is --max-exp
+CONFIG_ALIASES = {"expression": "f", "max_exp": "max-exp"}
 
 
 def emit(value: LaurentPolynomial, fmt: str) -> str:
@@ -37,16 +42,26 @@ def emit(value: LaurentPolynomial, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _write(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _write(args, lines) -> str:
+    """Writes and flushes each line as it comes, to --output or stdout;
+    returns the last line."""
+    line = ""
+    out = open(args.output, "w") if args.output else sys.stdout
+    try:
+        for line in lines:
+            out.write(line + "\n")
+            out.flush()
+    finally:
+        if out is not sys.stdout:
+            out.close()
+    return line
 
 
-def _load_config(path: str) -> dict:
-    out = {}
+def _config_flags(path: str, known) -> list:
+    """The `key=value` lines of a config file as `--key=value` flags, which the
+    subcommand's parser then checks like its own; a key that is none of the
+    `known` flags is an error here."""
+    flags = []
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -55,133 +70,84 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
-
-
-def _merge_config(args) -> None:
-    if not getattr(args, "config", None):
-        return
-    conf = _load_config(args.config)
-    mapping = {
-        "space": ("space", str), "expression": ("f", str), "f": ("f", str),
-        "variant": ("variant", str), "trials": ("trials", int),
-        "seed": ("seed", int), "max_exp": ("max_exp", int),
-        "format": ("format", str), "output": ("output", str),
-    }
-    for key, val in conf.items():
-        if key not in mapping:
-            raise ValueError(f"unknown config key {key!r}")
-        attr, conv = mapping[key]
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, conv(val))
-
-
-def _default_format(args) -> str:
-    if getattr(args, "format", None):
-        return args.format
-    return os.environ.get(FORMAT_ENV, "text")
+            key = key.strip()
+            flag = "--" + CONFIG_ALIASES.get(key, key)
+            if flag not in known:
+                raise ValueError(f"unknown config key {key!r}")
+            flags.append(f"{flag}={val.strip()}")
+    return flags
 
 
 def cmd_pushforward(args) -> int:
     space = parse_space(args.space)
-    if args.f is None:
-        raise ValueError("pushforward needs --f")
-    variant = args.variant or "full"
     f = parse_to_polynomial(args.f, space.table())
     from .spaces import localization_pushforward, residue_pushforward
     loc = localization_pushforward(space, f)
-    res = residue_pushforward(space, f, variant)
+    res = residue_pushforward(space, f, args.variant)
     agree = loc == res
-    fmt = _default_format(args)
-    if fmt == "json":
+    if args.format == "json":
         import json
         payload = {
-            "space": space.key(), "f": args.f, "variant": variant,
+            "space": space.key(), "f": args.f, "variant": args.variant,
             "localization": {"terms": loc.json_terms()},
             "residue": {"terms": res.json_terms()},
             "agree": agree,
         }
-        _write(args, json.dumps(payload, separators=(",", ":")))
+        _write(args, [json.dumps(payload, separators=(",", ":"))])
     else:
-        _write(args, "\n".join([
-            f"localization: {emit(loc, fmt)}",
-            f"residue: {emit(res, fmt)}",
-            f"agree: {'true' if agree else 'false'}",
-        ]))
+        _write(args, [f"localization: {emit(loc, args.format)}",
+                      f"residue: {emit(res, args.format)}",
+                      f"agree: {'true' if agree else 'false'}"])
     return 0 if agree else 1
 
 
 def cmd_verify(args) -> int:
     space = parse_space(args.space)
-    trials = args.trials if args.trials is not None else 20
-    seed = args.seed if args.seed is not None else 0
-    max_exp = args.max_exp if args.max_exp is not None else 3
-    if trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {trials}")
-    if max_exp < 0:
-        raise ValueError(f"--max-exp must be at least 0, got {max_exp}")
-    if args.format not in (None, "text"):
-        raise ValueError(f"verify writes a text report; format {args.format} does not apply")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.max_exp < 0:
+        raise ValueError(f"--max-exp must be at least 0, got {args.max_exp}")
     from .verification import run_campaign
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        for line in run_campaign(space, trials, seed, max_exp):
-            out.write(line + "\n")
-            out.flush()
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0 if line.endswith("all agree") else 1
+    summary = _write(args, run_campaign(space, args.trials, args.seed, args.max_exp))
+    return 0 if summary.endswith("all agree") else 1
 
 
 def cmd_g2(args) -> int:
     from . import g2
     if args.det and args.item != "matrix":
         raise ValueError(f"--det applies only to g2 matrix, not g2 {args.item}")
-    fmt = _default_format(args)
-    if args.item == "table":
-        table = g2.grothendieck_table()
-        lines = [f"{lam.render()}\t{emit(table[lam], fmt)}" for lam in g2.box_partitions()]
-        _write(args, "\n".join(lines))
-        return 0
+    fmt = args.format
+    parts = g2.box_partitions()
     if args.item == "matrix":
         matrix = g2.intersection_matrix()
         if args.det:
-            _write(args, emit(g2.intersection_determinant(matrix), fmt))
-            return 0
-        parts = g2.box_partitions()
-        lines = []
-        for i, lam in enumerate(parts):
-            for j, mu in enumerate(parts):
-                lines.append(f"{lam.render()}\t{mu.render()}\t{emit(matrix[i][j], fmt)}")
-        _write(args, "\n".join(lines))
-        return 0
-    if args.item == "class":
-        solution = g2.fundamental_class_solve()
-        lines = [f"{lam.render()}\t{emit(solution[lam], fmt)}" for lam in g2.box_partitions()]
-        _write(args, "\n".join(lines))
-        return 0
-    raise ValueError(f"unknown g2 item {args.item!r}")
+            lines = [emit(g2.intersection_determinant(matrix), fmt)]
+        else:
+            lines = [f"{lam.render()}\t{mu.render()}\t{emit(matrix[i][j], fmt)}"
+                     for i, lam in enumerate(parts) for j, mu in enumerate(parts)]
+    else:
+        values = g2.grothendieck_table() if args.item == "table" else g2.fundamental_class_solve()
+        lines = [f"{lam.render()}\t{emit(values[lam], fmt)}" for lam in parts]
+    _write(args, lines)
+    return 0
 
 
 def cmd_cohomology(args) -> int:
-    if args.item != "g2-integrals":
-        raise ValueError(f"unknown cohomology item {args.item!r}")
     from .cohomology import coh_table, g2_integral
     from .polyfam import schur_pair
-    fmt = _default_format(args)
-    lines = []
-    for a, b in [(5, 0), (4, 1), (3, 2), (5, 2), (4, 3), (5, 4)]:
-        value = g2_integral(schur_pair(a, b, coh_table()))
-        lines.append(f"S[{a},{b}]\t{emit(value, fmt)}")
-    _write(args, "\n".join(lines))
+    lines = [f"S[{a},{b}]\t{emit(g2_integral(schur_pair(a, b, coh_table())), args.format)}"
+             for a, b in [(5, 0), (4, 1), (3, 2), (5, 2), (4, 3), (5, 4)]]
+    _write(args, lines)
     return 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a bad argument on one `error:` line, like every other exit 2
-    (an expression that starts with - is passed as --f=-z1)."""
+    (an expression that starts with - is passed as --f=-z1), and takes an
+    option only when it is spelled in full."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
@@ -192,26 +158,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eqpush",
         description="Exact equivariant push-forwards: localization sums vs. iterated residues.")
     sub = parser.add_subparsers(dest="command", required=True)
+    env_format = os.environ.get(FORMAT_ENV, "text")
 
-    def common(p):
-        p.add_argument("--format", choices=["text", "json", "latex"], default=None,
-                       help=f"output format (default from ${FORMAT_ENV} or text)")
-        p.add_argument("--output", default=None, help="write output to a file")
-        p.add_argument("--config", default=None, help="key=value config file")
+    def common(p, formats=FORMATS, default=env_format):
+        p.add_argument("--format", choices=formats, default=default,
+                       help="output format (default: %(default)s)")
+        p.add_argument("--output", help="write output to a file")
+        p.add_argument("--config", help="key=value file of flags; the command line's win")
 
     p = sub.add_parser("pushforward", help="evaluate both push-forward paths")
-    p.add_argument("--space", default=None, help="space key, e.g. gr:2,4 or g2p2")
-    p.add_argument("--f", default=None, help="class expression, e.g. 'G[4,1]'")
-    p.add_argument("--variant", choices=["full", "compact"], default=None)
+    p.add_argument("--space", required=True, help="space key, e.g. gr:2,4 or g2p2")
+    p.add_argument("--f", required=True, help="class expression, e.g. 'G[4,1]'")
+    p.add_argument("--variant", choices=["full", "compact"], default="full")
     common(p)
     p.set_defaults(func=cmd_pushforward)
 
     p = sub.add_parser("verify", help="seeded randomized differential campaign")
-    p.add_argument("--space", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-exp", dest="max_exp", type=int, default=None)
-    common(p)
+    p.add_argument("--space", required=True)
+    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-exp", type=int, default=3)
+    common(p, formats=["text"], default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("g2", help="exceptional-quotient artifacts")
@@ -225,20 +192,29 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_cohomology)
 
+    # a config key must name a flag that some subcommand takes
+    flags = {flag for command in sub.choices.values() for flag in command._option_string_actions}
+    parser.config_keys = flags - {"-h", "--help", "--config"}
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
+        pre = _ArgumentParser(add_help=False)
+        pre.add_argument("--config")
+        config = pre.parse_known_args(argv[1:])[0].config
+        if config:
+            # right after the subcommand name, so that the command line's flags win
+            argv[1:1] = _config_flags(config, parser.config_keys)
         args = parser.parse_args(argv)
+        if args.format not in FORMATS:  # only the environment gets past `choices`
+            parser.error(f"${FORMAT_ENV}: invalid choice: {args.format!r} "
+                         f"(choose from {', '.join(FORMATS)})")
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        _merge_config(args)
-        if getattr(args, "space", "") is None and args.command in ("pushforward", "verify"):
-            raise ValueError(f"{args.command} needs --space")
-        return args.func(args)
     except (ExpressionSyntaxError, SymmetryViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

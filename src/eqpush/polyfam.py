@@ -39,9 +39,6 @@ class Partition(Frozen):
     def __len__(self):
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
     @property
     def size(self) -> int:
         return sum(self.parts)

@@ -175,7 +175,8 @@ def test_cli_out_of_memory_exits_four(capsys, monkeypatch):
 
 # modules a pushforward request does not use
 UNUSED_BY_PUSHFORWARD = ("dataclasses", "inspect", "typing", "json", "eqpush.g2",
-                         "eqpush.cohomology", "eqpush.elimination", "eqpush.verification")
+                         "eqpush.cohomology", "eqpush.elimination", "eqpush.verification",
+                         "eqpush.polyfam")
 
 
 def _modules_loaded_by(*argv):
@@ -428,6 +429,115 @@ def test_cli_config_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_config_skips_blank_and_comment_lines(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("# a comment\n\n   \nspace = gr:1,2\n  # indented\nexpression=z1^-1\n")
+    code, out, err = run_cli(capsys, "pushforward", "--config", str(conf))
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["localization: t1^-1 + t2^-1", "residue: t1^-1 + t2^-1",
+                                "agree: true"]
+
+
+def test_cli_config_line_without_equals_is_one_error_line(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("space=gr:1,2\nf z1\n")
+    code, out, err = run_cli(capsys, "pushforward", "--config", str(conf))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: config line without '=': 'f z1'"]
+
+
+def test_cli_config_lines_are_flags_the_command_line_overrides(tmp_path, capsys):
+    # max_exp is the alias of --max-exp; --trials on the command line wins
+    conf = tmp_path / "verify.conf"
+    conf.write_text("space=gr:2,4\ntrials=5\nseed=7\nmax_exp=2\n")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(conf), "--trials", "2")
+    assert code == 0
+    assert out == run_cli(capsys, "verify", "--space", "gr:2,4", "--trials", "2",
+                          "--seed", "7", "--max-exp", "2")[1]
+    assert out.splitlines()[0] == "space gr:2,4 trials 2 seed 7 max-exp 2"
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every push-forward, campaign and G2 or cohomology artifact fails the
+    test if it starts."""
+    from eqpush import g2, verification
+
+    def started(*args, **kwargs):
+        raise AssertionError("work ran before the input was checked")
+
+    for module, name in [(spaces, "localization_pushforward"), (spaces, "residue_pushforward"),
+                         (verification, "run_campaign"), (g2, "grothendieck_table"),
+                         (g2, "intersection_matrix"), (g2, "fundamental_class_solve"),
+                         (cohomology, "g2_integral")]:
+        monkeypatch.setattr(module, name, started)
+
+
+def _one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+@pytest.mark.parametrize("argv, lines, key", [
+    (("verify",), "space=gr:1,2\nvariant=compact\n", "variant"),
+    (("verify",), "space=gr:1,2\nf=z1\n", "f"),
+    (("g2", "matrix", "--det"), "seed=3\n", "seed"),
+    (("pushforward",), "space=gr:2,4\nf=z1*z2\ntrials=3\n", "trials"),
+    (("cohomology", "g2-integrals"), "space=gr:1,2\n", "space"),
+], ids=["verify-variant", "verify-f", "g2-matrix-det-seed", "pushforward-trials",
+        "cohomology-space"])
+def test_cli_config_key_the_command_does_not_take(tmp_path, capsys, no_work, argv, lines, key):
+    conf = tmp_path / "run.conf"
+    conf.write_text(lines)
+    line = _one_error_line(*run_cli(capsys, *argv, "--config", str(conf)))
+    assert f"--{key}=" in line
+
+
+@pytest.mark.parametrize("line", ["format=xml", "variant=mixed"])
+def test_cli_config_value_outside_its_choices(tmp_path, capsys, no_work, line):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"space=gr:1,2\nf=z1\n{line}\n")
+    key, _, value = line.partition("=")
+    error = _one_error_line(*run_cli(capsys, "pushforward", "--config", str(conf)))
+    assert f"--{key}" in error and repr(value) in error
+
+
+@pytest.mark.parametrize("argv", [("pushforward", "--space", "gr:1,2", "--f", "z1"),
+                                  ("g2", "table")], ids=["pushforward", "g2-table"])
+def test_cli_bad_format_environment_is_checked_first(capsys, monkeypatch, no_work, argv):
+    monkeypatch.setenv("EQPUSH_FORMAT", "bogus")
+    line = _one_error_line(*run_cli(capsys, *argv))
+    assert "EQPUSH_FORMAT" in line and "'bogus'" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ("g2", "table", "--f", "json"),
+    ("verify", "--space", "gr:1,2", "--f", "text"),
+    ("pushforward", "--sp", "gr:1,2", "--f", "z1"),
+    ("pushforward", "--space", "gr:1,2", "--f", "z1", "--out", "report.txt"),
+], ids=["g2-f", "verify-f", "pushforward-sp", "pushforward-out"])
+def test_cli_options_must_be_spelled_in_full(capsys, no_work, argv):
+    _one_error_line(*run_cli(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv, fixture", [
+    (("pushforward", "--space", "g2p2", "--f", "G[4,1]", "--format", "json"), None),
+    (("g2", "table"), "g2_table.txt"),
+    (("cohomology", "g2-integrals"), "cohomology_g2_integrals.txt"),
+], ids=["pushforward", "g2-table", "cohomology"])
+def test_cli_output_file_holds_what_stdout_shows(tmp_path, capsys, argv, fixture):
+    code, shown, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if fixture is not None:
+        assert shown.encode() == golden(fixture)
+    path = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 0 and out == "" and err == ""
+    assert path.read_bytes() == shown.encode()
+
+
 def test_emit_latex_rational(table22):
     from eqpush.algebra import rational
     p = LaurentPolynomial.constant(table22, rational(3, 2)) \
@@ -488,7 +598,9 @@ def test_g2_matrix_full_dump(capsys):
 
 
 @pytest.mark.parametrize("argv", [["pushforward", "--space", "gr:2,4", "--f", "-z1"],
-                                  ["pushforward", "--variant", "mixed"], []])
+                                  ["pushforward", "--variant", "mixed"], [],
+                                  ["pushforward", "--space", "gr:2,4", "--f", "G[1,2,3]"],
+                                  ["pushforward", "--space", "gr:2,4", "--f", "Q[1,2]"]])
 def test_cli_bad_argument_is_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

@@ -131,3 +131,11 @@ def test_a_column_without_a_unit_pivot_is_an_internal_fault(rows, det):
     with pytest.raises(InvariantError, match="no unit pivot"):
         solve(rows, [ONE, ZERO])
 
+
+
+def test_shape_errors():
+    with pytest.raises(ValueError, match="empty matrix"):
+        determinant([])
+    for rows, rhs in [([[ONE]], [ONE, ZERO]), ([[ONE, ZERO], [ZERO, ONE]], [ONE]), ([], [])]:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solve(rows, rhs)

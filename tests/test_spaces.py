@@ -44,6 +44,13 @@ def test_parse_space_roundtrip():
             parse_space(key)
 
 
+@pytest.mark.parametrize("key, message", [("lg:2,3", "lg takes one parameter"),
+                                          ("fl:3,4", "fl takes one parameter")])
+def test_parse_space_rejects_a_wrong_parameter_count(key, message):
+    with pytest.raises(ValueError, match=message):
+        parse_space(key)
+
+
 def test_space_descriptor_is_an_immutable_value():
     assert_immutable_value(SpaceDescriptor, "gr", 2, 4)
     assert parse_space("lg:3") == SpaceDescriptor("lg", n=3) != SpaceDescriptor("ogE", n=3)
