@@ -80,6 +80,8 @@ def _config_flags(path: str, known) -> list:
 
 def cmd_pushforward(args) -> int:
     space = parse_space(args.space)
+    if args.variant not in space.variants():
+        raise ValueError(f"invalid variant {args.variant!r} for {space.key()}")
     f = parse_to_polynomial(args.f, space.table())
     from .spaces import localization_pushforward, residue_pushforward
     loc = localization_pushforward(space, f)
@@ -121,7 +123,8 @@ def cmd_g2(args) -> int:
     if args.item == "matrix":
         matrix = g2.intersection_matrix()
         if args.det:
-            lines = [emit(g2.intersection_determinant(matrix), fmt)]
+            from .elimination import determinant
+            lines = [emit(determinant(matrix), fmt)]
         else:
             lines = [f"{lam.render()}\t{mu.render()}\t{emit(matrix[i][j], fmt)}"
                      for i, lam in enumerate(parts) for j, mu in enumerate(parts)]

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .algebra import LaurentPolynomial, VariableTable, parameter_table
 from .g2 import AMBIENT_SPACE, QUOTIENT_SPACE
-from .polyfam import Partition, rectangle_partitions, schur_pair
+from .polyfam import rectangle_partitions, schur_pair
 from .spaces import _calc, log
 from . import g2core
 
@@ -114,10 +114,6 @@ def equivariant_class_expression() -> LaurentPolynomial:
                                       - (t1 ** 2 - t1 * t2 + t2 ** 2))
 
 
-def _schur(lam: Partition) -> LaurentPolynomial:
-    return schur_pair(lam.part(0), lam.part(1), coh_table())
-
-
 def torus_invariant() -> LaurentPolynomial:
     t1, t2 = _t("t1"), _t("t2")
     return t1 ** 2 - t1 * t2 + t2 ** 2
@@ -130,14 +126,14 @@ def cohomology_class_check() -> bool:
     correction) and, for every box partition J, that pairing the class with
     S_J over the ambient Grassmannian equals the direct quotient integral.
     """
+    ct = coh_table()
     cls = equivariant_class_expression()
-    expanded = (2 * _schur(Partition.of(4, 1)) + 2 * _schur(Partition.of(3, 2))
-                - 2 * torus_invariant() * _schur(Partition.of(2, 1)))
+    expanded = (2 * schur_pair(4, 1, ct) + 2 * schur_pair(3, 2, ct)
+                - 2 * torus_invariant() * schur_pair(2, 1, ct))
     if cls != expanded:
         return False
     for lam in rectangle_partitions(2, 5):
-        left = gr27_integral(_schur(lam) * cls)
-        right = g2_integral(_schur(lam))
-        if left != right:
+        schur = schur_pair(lam.part(0), lam.part(1), ct)
+        if gr27_integral(schur * cls) != g2_integral(schur):
             return False
     return True

@@ -1,6 +1,6 @@
 """One-pass Pratt parser for Laurent expressions with class macros.
 
-Grammar: integer literals, variables from the active table, unary minus,
+Grammar: integer literals (ASCII digits), variables from the active table, unary minus,
 binary + - * / and ^ with a literal (possibly negative) integer exponent,
 parentheses, and the macros G[a,b], S[a,b], U, Uz, Ut, A, B which expand to
 the corresponding classes.  Division is exact division and is rejected like a
@@ -42,9 +42,9 @@ def _tokenize(src: str) -> list:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # str.isdigit() would also take superscripts and non-ASCII digits
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             tokens.append(("INT", int(src[i:j]), i))
             i = j

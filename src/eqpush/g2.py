@@ -1,7 +1,10 @@
-"""Push-forwards for the rank-two exceptional quotients and the ambient
-Grassmannian pairing: the six-term cyclic sum, the 21-partition class table,
-the intersection matrix with its unimodular determinant, and recovery of the
-fundamental class by exact elimination with unit pivots.
+"""The G2/P2 artifacts of the paper: the 21-partition class table (the
+Demazure chain of `spaces` on g2p2), the intersection matrix of the box
+classes under the ambient Grassmannian pairing, and recovery of the
+fundamental class from the two by exact elimination with unit pivots.  The
+expected values they are checked against (the table in the reporting
+variables A, B, the closed-form class in the Grothendieck basis and its lift
+pairing) are built in the tests.
 
 The ambient pairing is the residue formula of the Grassmannian of two-planes
 in 7-space with its torus restricted to the seven weights of the
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import LaurentPolynomial, parameter_table, rational
+from .algebra import LaurentPolynomial, rational
 from .characters import roots, standard_sets
-from .elimination import determinant, solve
+from .elimination import solve
 from .polyfam import grothendieck_pair, rectangle_partitions
 from .residue import PreparedForm, iterated_residue
 from .spaces import SpaceDescriptor, _calc, _integrand_form, localization_pushforward
@@ -42,30 +45,17 @@ BOREL_SPACE = SpaceDescriptor("g2b")
 BOX_ROWS, BOX_COLS = 2, 5
 
 
-def fundamental_class_lift() -> LaurentPolynomial:
-    """The fundamental-class lift in the auxiliary and torus variables."""
-    return g2core.fundamental_class_lift()
-
-
-def ab_polynomials():
-    """The two reporting variables as torus Laurent polynomials."""
-    return g2core.half_sum_a(), g2core.half_sum_b()
-
-
-def cyclic_pushforward(f: LaurentPolynomial) -> LaurentPolynomial:
-    """Sum of the six rotated identity contributions, simplified exactly."""
-    return localization_pushforward(QUOTIENT_SPACE, f)
-
-
 def box_partitions() -> list:
     return rectangle_partitions(BOX_ROWS, BOX_COLS)
 
 
 def grothendieck_table() -> dict:
-    """Push-forward of every rank-two Grothendieck class in the 2x5 box."""
+    """Push-forward to a point of g2p2 (its Demazure chain) of every rank-two
+    Grothendieck class in the 2x5 box."""
     out = {}
     for lam in box_partitions():
-        out[lam] = cyclic_pushforward(grothendieck_pair(lam.part(0), lam.part(1), GT))
+        cls = grothendieck_pair(lam.part(0), lam.part(1), GT)
+        out[lam] = localization_pushforward(QUOTIENT_SPACE, cls)
     return out
 
 
@@ -126,10 +116,6 @@ def intersection_matrix() -> list:
     return matrix
 
 
-def intersection_determinant(matrix=None) -> LaurentPolynomial:
-    return determinant(intersection_matrix() if matrix is None else matrix)
-
-
 def fundamental_class_solve():
     """Coefficients of the fundamental class in the Grothendieck basis.
 
@@ -144,42 +130,3 @@ def fundamental_class_solve():
     _, solution = solve(intersection_matrix(), [table[lam] for lam in parts])
     return dict(zip(parts, solution))
 
-
-def fundamental_class_in_basis() -> LaurentPolynomial:
-    """The closed-form fundamental-class lift written in the Grothendieck basis."""
-    a, b = ab_polynomials()
-    e = a + b
-
-    def g(i, j):
-        return grothendieck_pair(i, j, GT)
-
-    return (g(4, 1).scale(2) + g(3, 2).scale(2) - g(3, 3) - g(4, 2).scale(3)
-            + g(4, 3) + e * (g(2, 1) - g(2, 2) - g(3, 1) + g(3, 2)))
-
-
-def lift_pairing_check(lift1: LaurentPolynomial, lift2: LaurentPolynomial) -> bool:
-    """True iff the two lifts pair equally with every box-partition class."""
-    for lam in box_partitions():
-        cls = grothendieck_pair(lam.part(0), lam.part(1), GT)
-        if ambient_pushforward(cls * lift1) != ambient_pushforward(cls * lift2):
-            return False
-    return True
-
-
-AB_TABLE = parameter_table("A", "B")
-
-
-def ab_combination(coeffs: dict) -> LaurentPolynomial:
-    """Polynomial in the abstract reporting variables: {(i, j): c} -> sum c A^i B^j."""
-    out = LaurentPolynomial.zero(AB_TABLE)
-    a = LaurentPolynomial.variable(AB_TABLE, "A")
-    b = LaurentPolynomial.variable(AB_TABLE, "B")
-    for (i, j), c in sorted(coeffs.items()):
-        out = out + (a ** i * b ** j).scale(c)
-    return out
-
-
-def verify_ab_expression(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
-    """True iff q(A, B) evaluated at the reporting polynomials equals p."""
-    a, b = ab_polynomials()
-    return q.substitute({"A": a, "B": b}, GT) == p

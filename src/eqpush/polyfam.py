@@ -1,17 +1,16 @@
-"""Partitions and the Schur / Grothendieck polynomial families.
+"""Partitions and the rank-two Schur and Grothendieck classes.
 
 Rank-two classes come from two-term bialternant closed forms evaluated by
-exact division.  The n-variable symmetric Grothendieck polynomial is built
-independently by isobaric divided differences acting on the dominant
-monomial, which serves as the oracle for the flag push-forward identity.
+exact division.  The n-variable symmetric Grothendieck polynomial, built
+independently by isobaric divided differences, is the test oracle of the
+flag push-forward identity and of these closed forms (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import (Frozen, LaurentPolynomial, Monomial, VariableTable, exact_divide,
-                      parameter_table, zt_table)
+from .algebra import Frozen, LaurentPolynomial, VariableTable, exact_divide
 
 
 class Partition(Frozen):
@@ -46,12 +45,6 @@ class Partition(Frozen):
     def part(self, i: int) -> int:
         return self.parts[i] if i < len(self.parts) else 0
 
-    def fits_in(self, rows: int, cols: int) -> bool:
-        return len(self.parts) <= rows and (not self.parts or self.parts[0] <= cols)
-
-    def contains(self, other: "Partition") -> bool:
-        return all(self.part(i) >= other.part(i) for i in range(len(other)))
-
     def render(self) -> str:
         """Bracketed digit string, e.g. [41]; the empty partition is [0]."""
         if not self.parts:
@@ -76,14 +69,6 @@ def rectangle_partitions(rows: int, cols: int) -> list:
     grow([], cols, 0)
     out.sort(key=lambda lam: (lam.size, tuple(-p for p in lam.parts)))
     return out
-
-
-def complement_partition(j: Partition, rows: int, cols: int) -> Partition:
-    """Rectangle complement: reverse of (cols - parts) padded to `rows`."""
-    if not j.fits_in(rows, cols):
-        raise ValueError(f"{j.render()} does not fit in a {rows}x{cols} box")
-    padded = [j.part(i) for i in range(rows)]
-    return Partition(tuple(cols - p for p in reversed(padded)))
 
 
 # -- rank-two closed forms ----------------------------------------------------
@@ -115,46 +100,3 @@ def grothendieck_pair(a: int, b: int, table: VariableTable) -> LaurentPolynomial
         - z1 * (one - z2) ** (a + 1) * (one - z1) ** b
     return exact_divide(num, z2 - z1)
 
-
-# -- n-variable symmetric Grothendieck polynomials ----------------------------
-
-
-@lru_cache(maxsize=None)
-def _x_table(n: int) -> VariableTable:
-    return parameter_table(*[f"x{i + 1}" for i in range(n)])
-
-
-def _isobaric_step(f: LaurentPolynomial, i: int, table: VariableTable) -> LaurentPolynomial:
-    """Divided difference of x_i*(1-x_{i+1})*f with respect to (x_i, x_{i+1})."""
-    xi = LaurentPolynomial.variable(table, f"x{i}")
-    xj = LaurentPolynomial.variable(table, f"x{i + 1}")
-    g = xi * (LaurentPolynomial.one(table) - xj) * f
-    swapped = g.substitute({f"x{i}": Monomial.of(table, **{f"x{i + 1}": 1}),
-                            f"x{i + 1}": Monomial.of(table, **{f"x{i}": 1})})
-    return exact_divide(g - swapped, xi - xj)
-
-
-def grothendieck_general(lam: Partition, n: int,
-                         table: VariableTable | None = None) -> LaurentPolynomial:
-    """Symmetric Grothendieck polynomial in t1..tn for a partition of length <= n.
-
-    Built by isobaric divided differences from the dominant monomial in
-    internal x variables, then evaluated at x_i = 1 - 1/t_i.
-    """
-    if len(lam) > n:
-        raise ValueError("partition longer than the variable count")
-    if table is None:
-        table = zt_table(n, n)
-    xt = _x_table(n)
-    f = LaurentPolynomial(
-        xt, {tuple(lam.part(i) for i in range(n)): 1})
-    # Bubble-sort reduced word of the longest permutation; each step either
-    # symmetrizes an adjacent pair or fixes an already symmetric one.
-    for sweep in range(1, n):
-        for i in range(sweep, 0, -1):
-            f = _isobaric_step(f, i, xt)
-    # evaluate x_i -> 1 - 1/t_i
-    one = LaurentPolynomial.one(table)
-    images = {f"x{i + 1}": one - LaurentPolynomial.variable(table, f"t{i + 1}", -1)
-              for i in range(n)}
-    return f.substitute(images, table)

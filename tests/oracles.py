@@ -23,7 +23,11 @@ a time, as the ambient push-forward of each product of two box classes: the
 independent path for the Gram matrix over orbit values of `eqpush.g2`.
 `bareiss_determinant` and `bareiss_solve` eliminate fraction-free
 (Bareiss), with an exact division per entry and no need for unit pivots:
-the independent path for `eqpush.elimination`.
+the independent path for `eqpush.elimination`.  `grothendieck_general` builds
+the n-variable symmetric Grothendieck polynomial by isobaric divided
+differences from the dominant monomial: the expected flag push-forward of
+criterion 8, and the independent path for the rank-two closed form
+`eqpush.polyfam.grothendieck_pair`.
 """
 
 import itertools
@@ -33,7 +37,7 @@ from functools import lru_cache
 
 from eqpush import g2, g2core, spaces
 from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
-                            NotPolynomial, exact_divide, quotient)
+                            NotPolynomial, exact_divide, parameter_table, quotient, zt_table)
 from eqpush.characters import inverses, lambda_set, pos_roots, sym_set
 from eqpush.cohomology import coh_table
 from eqpush.polyfam import grothendieck_pair
@@ -351,3 +355,43 @@ def bareiss_solve(matrix, rhs):
             acc = acc - aug[i][j] * solution[j]
         solution[i] = exact_divide(acc, aug[i][i])
     return (det if sign == 1 else -det), solution
+
+
+@lru_cache(maxsize=None)
+def _x_table(n: int):
+    return parameter_table(*[f"x{i + 1}" for i in range(n)])
+
+
+def _isobaric_step(f: LaurentPolynomial, i: int, table) -> LaurentPolynomial:
+    """Divided difference of x_i*(1-x_{i+1})*f with respect to (x_i, x_{i+1})."""
+    xi = LaurentPolynomial.variable(table, f"x{i}")
+    xj = LaurentPolynomial.variable(table, f"x{i + 1}")
+    g = xi * (LaurentPolynomial.one(table) - xj) * f
+    swapped = g.substitute({f"x{i}": Monomial.of(table, **{f"x{i + 1}": 1}),
+                            f"x{i + 1}": Monomial.of(table, **{f"x{i}": 1})})
+    return exact_divide(g - swapped, xi - xj)
+
+
+def grothendieck_general(lam, n: int, table=None) -> LaurentPolynomial:
+    """Symmetric Grothendieck polynomial in t1..tn for a partition of length <= n.
+
+    Built by isobaric divided differences from the dominant monomial in
+    internal x variables, then evaluated at x_i = 1 - 1/t_i.
+    """
+    if len(lam) > n:
+        raise ValueError("partition longer than the variable count")
+    if table is None:
+        table = zt_table(n, n)
+    xt = _x_table(n)
+    f = LaurentPolynomial(
+        xt, {tuple(lam.part(i) for i in range(n)): 1})
+    # Bubble-sort reduced word of the longest permutation; each step either
+    # symmetrizes an adjacent pair or fixes an already symmetric one.
+    for sweep in range(1, n):
+        for i in range(sweep, 0, -1):
+            f = _isobaric_step(f, i, xt)
+    # evaluate x_i -> 1 - 1/t_i
+    one = LaurentPolynomial.one(table)
+    images = {f"x{i + 1}": one - LaurentPolynomial.variable(table, f"t{i + 1}", -1)
+              for i in range(n)}
+    return f.substitute(images, table)

@@ -504,6 +504,24 @@ def test_cli_config_value_outside_its_choices(tmp_path, capsys, no_work, line):
     assert f"--{key}" in error and repr(value) in error
 
 
+@pytest.mark.parametrize("text", ["z1^\u00b2", "z1^\u0663*z2^\u0663"],
+                         ids=["superscript-two", "arabic-indic-three"])
+def test_only_ascii_digits_are_integers(capsys, text):
+    # str.isdigit() takes both; int() fails on the first and reads the second as 3
+    line = _one_error_line(*run_cli(capsys, "pushforward", "--space", "gr:2,4", "--f", text))
+    assert line == f"error: syntax error at offset 3: expected a token; found {text[3]!r}"
+
+
+@pytest.mark.parametrize("space, f", [
+    ("lg:4", "z1^3*z2^3*z3^3*z4^3"), ("ogE:3", "1"), ("q:3", "1"), ("fl:3", "1"),
+    ("g2p2", "G[4,1]"), ("g2b", "1"),
+], ids=["lg:4", "ogE:3", "q:3", "fl:3", "g2p2", "g2b"])
+def test_cli_variant_the_space_lacks_is_rejected_first(capsys, no_work, space, f):
+    line = _one_error_line(*run_cli(capsys, "pushforward", "--space", space, "--f", f,
+                                    "--variant", "compact"))
+    assert line == f"error: invalid variant 'compact' for {space}"
+
+
 @pytest.mark.parametrize("argv", [("pushforward", "--space", "gr:1,2", "--f", "z1"),
                                   ("g2", "table")], ids=["pushforward", "g2-table"])
 def test_cli_bad_format_environment_is_checked_first(capsys, monkeypatch, no_work, argv):
@@ -600,7 +618,10 @@ def test_g2_matrix_full_dump(capsys):
 @pytest.mark.parametrize("argv", [["pushforward", "--space", "gr:2,4", "--f", "-z1"],
                                   ["pushforward", "--variant", "mixed"], [],
                                   ["pushforward", "--space", "gr:2,4", "--f", "G[1,2,3]"],
-                                  ["pushforward", "--space", "gr:2,4", "--f", "Q[1,2]"]])
+                                  ["pushforward", "--space", "gr:2,4", "--f", "Q[1,2]"],
+                                  ["pushforward", "--space", "gr:2,4", "--f", "z1^\u00b2"],
+                                  ["pushforward", "--space", "gr:2,4",
+                                   "--f", "z1^\u0663*z2^\u0663"]])
 def test_cli_bad_argument_is_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

@@ -5,7 +5,7 @@ import pytest
 from eqpush.algebra import LaurentPolynomial, Monomial, exact_divide
 from eqpush import g2, g2core
 from eqpush.elimination import determinant, solve
-from eqpush.polyfam import Partition, complement_partition, grothendieck_pair
+from eqpush.polyfam import Partition, grothendieck_pair
 from eqpush.spaces import (SymmetryViolation, _calc, localization_pushforward,
                            residue_pushforward)
 
@@ -17,18 +17,17 @@ ONE = LaurentPolynomial.one(GT)
 
 
 def test_weight_sum_relation():
-    a, b = g2.ab_polynomials()
-    assert a + b == -g2core.weight_sum_t()
+    assert g2core.half_sum_a() + g2core.half_sum_b() == -g2core.weight_sum_t()
 
 
 def test_lift_vanishes_on_unit_root():
-    lift = g2.fundamental_class_lift()
+    lift = g2core.fundamental_class_lift()
     killed = lift.substitute({"z1": Monomial.one(GT)})
     assert killed.is_zero
 
 
 def test_lift_symmetric():
-    lift = g2.fundamental_class_lift()
+    lift = g2core.fundamental_class_lift()
     swap = {"z1": Monomial.of(GT, z2=1), "z2": Monomial.of(GT, z1=1)}
     assert lift.substitute(swap) == lift
 
@@ -44,24 +43,32 @@ def test_ambient_pushforward_rejects_asymmetric_class():
     assert g2.ambient_pushforward(z1 ** -1 + z2 ** -1) == weights
 
 
+def quotient_pushforward(f):
+    return localization_pushforward(g2.QUOTIENT_SPACE, f)
+
+
 def test_cyclic_pushforward_examples():
-    assert g2.cyclic_pushforward(grothendieck_pair(0, 0, GT)) == ONE
-    a, b = g2.ab_polynomials()
-    assert g2.cyclic_pushforward(grothendieck_pair(5, 0, GT)) == a + b
-    g54 = g2.cyclic_pushforward(grothendieck_pair(5, 4, GT))
+    assert quotient_pushforward(grothendieck_pair(0, 0, GT)) == ONE
+    a, b = g2core.half_sum_a(), g2core.half_sum_b()
+    assert quotient_pushforward(grothendieck_pair(5, 0, GT)) == a + b
+    g54 = quotient_pushforward(grothendieck_pair(5, 4, GT))
     expected = (a * b) ** 2 + a ** 3 + b ** 3 - 3 * a ** 2 * b - 3 * a * b ** 2 \
         - 3 * a ** 2 - 3 * b ** 2 + 8 * a * b
     assert g54 == expected
 
 
 def test_verify_ab_expression():
-    a_plus_b = g2.ab_combination({(1, 0): 1, (0, 1): 1})
-    assert g2.verify_ab_expression(g2.cyclic_pushforward(grothendieck_pair(5, 0, GT)),
-                                   a_plus_b)
-    minus_ab = g2.ab_combination({(1, 1): -1})
-    assert g2.verify_ab_expression(g2.cyclic_pushforward(grothendieck_pair(4, 4, GT)),
-                                   minus_ab)
-    assert not g2.verify_ab_expression(ONE, g2.ab_combination({(1, 0): 1}))
+    # a table entry equals sum c * a^i * b^j for its {(i, j): c} in A, B
+    a, b = g2core.half_sum_a(), g2core.half_sum_b()
+
+    def ab(coeffs):
+        out = LaurentPolynomial.zero(GT)
+        for (i, j), c in coeffs.items():
+            out = out + (a ** i * b ** j).scale(c)
+        return out
+
+    assert quotient_pushforward(grothendieck_pair(5, 0, GT)) == ab({(1, 0): 1, (0, 1): 1})
+    assert quotient_pushforward(grothendieck_pair(4, 4, GT)) == ab({(1, 1): -1})
 
 
 def test_grothendieck_table_special_entries():
@@ -137,7 +144,7 @@ def test_unit_pivot_elimination_matches_bareiss_in_box_order():
     det, solution = solve(matrix, rhs)
     assert (det, solution) == bareiss_solve(matrix, rhs)
     assert determinant(matrix) == bareiss_determinant(matrix) == det
-    assert det == g2.intersection_determinant() == -1
+    assert det == -1
     assert g2.fundamental_class_solve() == dict(zip(parts, solution))
 
 
@@ -154,7 +161,8 @@ def test_row_order_does_not_change_determinant_or_solution():
     rhs = [table[lam] for lam in parts]
     _, expected = solve(matrix, rhs)
     index = {lam: i for i, lam in enumerate(parts)}
-    complement = [index[complement_partition(lam, g2.BOX_ROWS, g2.BOX_COLS)] for lam in parts]
+    complement = [index[Partition.of(g2.BOX_COLS - lam.part(1), g2.BOX_COLS - lam.part(0))]
+                  for lam in parts]
     rng = random.Random(1818)
     orders = [complement] + [rng.sample(range(len(parts)), len(parts)) for _ in range(5)]
     for order in orders:
@@ -167,21 +175,25 @@ def test_row_order_does_not_change_determinant_or_solution():
 
 def test_projection_formula():
     # the quotient's push-forward of G[a,b] is the ambient one of G[a,b] * lift
-    lift = g2.fundamental_class_lift()
+    lift = g2core.fundamental_class_lift()
     for a in range(g2.BOX_COLS + 1):
         for b in range(a + 1):
             cls = grothendieck_pair(a, b, GT)
-            assert g2.ambient_pushforward(cls * lift) == g2.cyclic_pushforward(cls), (a, b)
+            assert g2.ambient_pushforward(cls * lift) == quotient_pushforward(cls), (a, b)
 
 
 def test_lift_pairing_rejects_shifted_lift():
-    assert g2.lift_pairing_check(g2.fundamental_class_lift(), g2.fundamental_class_lift())
-    assert not g2.lift_pairing_check(g2.fundamental_class_lift(), g2.fundamental_class_lift() + ONE)
+    # criterion 3's lift pairing tells the lift from the lift plus one
+    lift = g2core.fundamental_class_lift()
+    pairings = [(g2.ambient_pushforward(cls * lift), g2.ambient_pushforward(cls * (lift + ONE)))
+                for cls in (grothendieck_pair(lam.part(0), lam.part(1), GT)
+                            for lam in g2.box_partitions())]
+    assert any(left != right for left, right in pairings)
 
 
 def test_appendix_combination_strip():
     # removing the three-term factor leaves the product of the other factors
-    lift = g2.fundamental_class_lift()
+    lift = g2core.fundamental_class_lift()
     z1 = LaurentPolynomial.variable(GT, "z1")
     z2 = LaurentPolynomial.variable(GT, "z2")
     quotient = exact_divide(lift, ONE - z1 * z2)

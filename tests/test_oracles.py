@@ -1,8 +1,9 @@
 import pytest
 
 from eqpush.algebra import LaurentPolynomial, Monomial, NotPolynomial, zt_table
+from eqpush.polyfam import Partition, grothendieck_pair, rectangle_partitions
 
-from oracles import factored_rational_sum
+from oracles import factored_rational_sum, grothendieck_general
 
 
 def test_not_polynomial_surfaces():
@@ -13,3 +14,36 @@ def test_not_polynomial_surfaces():
     t1_over_t2 = Monomial.of(table, t1=1, t2=-1).as_polynomial()
     with pytest.raises(NotPolynomial):
         factored_rational_sum([(one, [one - t1_over_t2])])
+
+
+def test_grothendieck_general_base_cases():
+    table = zt_table(1, 1)
+    one = LaurentPolynomial.one(table)
+    t1inv = LaurentPolynomial.variable(table, "t1", -1)
+    for a in range(4):
+        assert grothendieck_general(Partition.of(a), 1, table) == (one - t1inv) ** a
+    assert grothendieck_general(Partition.of(), 3) == LaurentPolynomial.one(zt_table(3, 3))
+
+
+def test_grothendieck_general_symmetry():
+    table = zt_table(2, 2)
+    swap = {"t1": Monomial.of(table, t2=1), "t2": Monomial.of(table, t1=1)}
+    g = grothendieck_general(Partition.of(1), 2, table)
+    assert g.substitute(swap) == g
+
+
+def test_grothendieck_general_matches_pair():
+    # the rank-two closed form under z_i -> 1/t_i is the symmetric polynomial,
+    # on every class of the G2 table and intersection matrix
+    table = zt_table(2, 2)
+    sub = {"z1": Monomial.of(table, t1=-1), "z2": Monomial.of(table, t2=-1)}
+    box = rectangle_partitions(2, 5)
+    assert len(box) == 21
+    for lam in box:
+        pair = grothendieck_pair(lam.part(0), lam.part(1), table)
+        assert pair.substitute(sub) == grothendieck_general(lam, 2, table), lam.render()
+
+
+def test_grothendieck_general_rejects_long_partition():
+    with pytest.raises(ValueError):
+        grothendieck_general(Partition.of(1, 1, 1), 2)

@@ -1,9 +1,7 @@
 import pytest
 
-from eqpush.algebra import LaurentPolynomial, Monomial, parameter_table, zt_table
-from eqpush.polyfam import (Partition, complement_partition,
-                            grothendieck_general, grothendieck_pair,
-                            rectangle_partitions, schur_pair)
+from eqpush.algebra import LaurentPolynomial, Monomial, parameter_table
+from eqpush.polyfam import Partition, grothendieck_pair, rectangle_partitions, schur_pair
 
 from conftest import assert_immutable_value
 
@@ -74,45 +72,3 @@ def test_rectangle_partition_order():
                              "[4]", "[31]", "[22]", "[5]", "[41]", "[32]"]
     assert rendered[12:] == ["[51]", "[42]", "[33]", "[52]", "[43]",
                              "[53]", "[44]", "[54]", "[55]"]
-
-
-def test_complement():
-    assert complement_partition(Partition.of(5, 5), 2, 5) == Partition.of()
-    assert complement_partition(Partition.of(4, 1), 2, 5) == Partition.of(4, 1)
-    assert complement_partition(Partition.of(3), 2, 5) == Partition.of(5, 2)
-    for lam in rectangle_partitions(2, 5):
-        assert complement_partition(complement_partition(lam, 2, 5), 2, 5) == lam
-    with pytest.raises(ValueError):
-        complement_partition(Partition.of(6), 2, 5)
-
-
-def test_grothendieck_general_base_cases():
-    table = zt_table(1, 1)
-    one = LaurentPolynomial.one(table)
-    t1inv = LaurentPolynomial.variable(table, "t1", -1)
-    for a in range(4):
-        assert grothendieck_general(Partition.of(a), 1, table) == (one - t1inv) ** a
-    assert grothendieck_general(Partition.of(), 3) == LaurentPolynomial.one(zt_table(3, 3))
-
-
-def test_grothendieck_general_symmetry():
-    table = zt_table(2, 2)
-    swap = {"t1": Monomial.of(table, t2=1), "t2": Monomial.of(table, t1=1)}
-    g = grothendieck_general(Partition.of(1), 2, table)
-    assert g.substitute(swap) == g
-
-
-def test_grothendieck_general_matches_pair():
-    # the rank-two closed form under z_i -> 1/t_i is the symmetric polynomial
-    table = zt_table(2, 2)
-    sub = {"z1": Monomial.of(table, t1=-1), "z2": Monomial.of(table, t2=-1)}
-    for lam in [Partition.of(1), Partition.of(2, 1), Partition.of(3, 2),
-                Partition.of(5, 5)]:
-        pair = grothendieck_pair(lam.part(0), lam.part(1), table)
-        assert pair.substitute(sub) == \
-            grothendieck_general(lam, 2, table)
-
-
-def test_grothendieck_general_rejects_long_partition():
-    with pytest.raises(ValueError):
-        grothendieck_general(Partition.of(1, 1, 1), 2)
