@@ -17,6 +17,12 @@ the G2 artifacts never builds a rational.  Rendering and JSON read
 
 `LaurentPolynomial.substitute` is the one change of variables, from a Weyl
 reflection to the move of a polynomial to another table.
+
+Exact division dispatches on the divisor.  A binomial, such as each step
+(1 - a^-1) or log a of the Demazure chains in `spaces`, divides in one pass
+of running sums along the chains of its exponent difference, on the Laurent
+keys.  Any other divisor clears negative exponents by monomial shifts and
+runs graded-lex multivariate division driven by a heap.
 """
 
 from __future__ import annotations
@@ -611,14 +617,17 @@ def _clearing_shift(terms, n: int) -> tuple:
 def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomial:
     """Quotient q with q*d == p exactly; raises NotDivisible when none exists.
 
-    Negative exponents are cleared by monomial shifts, then ordinary
-    multivariate division runs under the graded-lexicographic order.
+    A two-term divisor takes one pass of running sums on the Laurent keys
+    (`_divide_binomial`); any other divisor clears negative exponents by
+    monomial shifts and runs ordinary multivariate division under the
+    graded-lexicographic order (`_divide_nonneg`).
     """
     return exact_divide_many(p, [d])
 
 
 def exact_divide_many(p: LaurentPolynomial, divisors) -> LaurentPolynomial:
-    """Divide exactly by each divisor in turn, clearing negatives only once."""
+    """Divide exactly by each divisor in turn: a binomial by running sums,
+    any other divisor by the heap division."""
     divisors = list(divisors)
     for d in divisors:
         _same_table(p.table, d.table)
@@ -627,19 +636,81 @@ def exact_divide_many(p: LaurentPolynomial, divisors) -> LaurentPolynomial:
     if p.is_zero or not divisors:
         return p
     n = len(p.table)
-    sp = _clearing_shift(p.terms, n)
-    num = {tuple(map(_sub, k, sp)): c for k, c in p.terms.items()}
-    shift = list(sp)
-    integral = p.is_integral()
+    num, integral = p.terms, p.is_integral()
     for d in divisors:
+        exact = integral and d.is_integral()
+        if len(d.terms) == 2:
+            num, integral = _divide_binomial(num, d.terms, exact)
+            continue
+        sp = _clearing_shift(num, n)
         sd = _clearing_shift(d.terms, n)
-        den = {tuple(map(_sub, k, sd)): c for k, c in d.terms.items()}
-        num, integral = _divide_nonneg(num, den, integral and d.is_integral())
-        for i in range(n):
-            shift[i] -= sd[i]
-    if any(shift):
-        num = {tuple(map(_add, k, shift)): c for k, c in num.items()}
+        num, integral = _divide_nonneg({tuple(map(_sub, k, sp)): c for k, c in num.items()},
+                                       {tuple(map(_sub, k, sd)): c for k, c in d.terms.items()},
+                                       exact)
+        shift = tuple(map(_sub, sp, sd))
+        if any(shift):
+            num = {tuple(map(_add, k, shift)): c for k, c in num.items()}
     return _poly(p.table, num, integral)
+
+
+def _divide_binomial(num: dict, den: dict, integral: bool) -> tuple:
+    """Exact division of a term dict by c0*t^k0 + c1*t^k1 on the Laurent keys:
+    (quotient in normal form, whether its coefficients are all ints).
+
+    With mu = k1 - k0, the dividend's terms fall into chains b + j*mu.  If
+    g_j is the dividend's coefficient at t^(b + j*mu), the quotient's
+    coefficient q_j at t^(b + j*mu - k0) solves g_j = c0*q_j + c1*q_(j-1).
+    So each chain is swept once in increasing j with the running value
+    q_j = (g_j - c1*q_(j-1))/c0.  Between two terms of a chain a nonzero
+    carry continues geometrically and fills the gap with quotient terms; a
+    zero carry jumps to the next term.  The division is exact iff the carry
+    is 0 after each chain's last term.  A divisor with a coefficient +-1 is
+    oriented so that c0 is that one: dividing ints by it stays in the ints.
+    """
+    (k0, c0), (k1, c1) = den.items()
+    if c0 not in (1, -1) and c1 in (1, -1):
+        k0, c0, k1, c1 = k1, c1, k0, c0
+    fast = integral and c0 in (1, -1)
+    mu = tuple(map(_sub, k1, k0))
+    support = [(l, m) for l, m in enumerate(mu) if m]
+    i, mi = support[0]
+    chains: dict = {}  # b = e - j*mu with j = e_i // mi -> [(j, e, g_j)]
+    for e, g in num.items():
+        j = e[i] // mi
+        if j:
+            base = list(e)
+            for l, m in support:
+                base[l] -= j * m
+            base = tuple(base)
+        else:
+            base = e
+        chain = chains.get(base)
+        if chain is None:
+            chains[base] = [(j, e, g)]
+        else:
+            chain.append((j, e, g))
+    shift = tuple(map(_neg, k0)) if any(k0) else None
+    out: dict = {}
+    for chain in chains.values():
+        if len(chain) > 1:
+            chain.sort()  # by j, which no two members share
+        carry = 0
+        for j, e, g in chain:
+            if carry:  # q continues through the gap: q_j = -c1*q_(j-1)/c0
+                for _ in range(j - last - 1):
+                    carry = -c1 * carry * c0 if fast else quotient(-c1 * carry, c0)
+                    key = tuple(map(_add, key, mu))
+                    out[key] = carry
+                carry = (g - c1 * carry) * c0 if fast else quotient(g - c1 * carry, c0)
+            else:
+                carry = g * c0 if fast else quotient(g, c0)
+            if carry:
+                key = e if shift is None else tuple(map(_add, e, shift))
+                out[key] = carry
+            last = j
+        if carry:
+            raise NotDivisible("a chain of the dividend leaves a remainder")
+    return out, fast or all(type(c) is int for c in out.values())
 
 
 def _divide_nonneg(num: dict, den: dict, integral: bool) -> tuple:

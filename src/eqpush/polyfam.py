@@ -31,13 +31,6 @@ class Partition(Frozen):
     def _key(self) -> tuple:
         return (self.parts,)
 
-    @staticmethod
-    def of(*parts: int) -> "Partition":
-        return Partition(tuple(parts))
-
-    def __len__(self):
-        return len(self.parts)
-
     @property
     def size(self) -> int:
         return sum(self.parts)

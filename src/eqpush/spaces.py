@@ -264,8 +264,10 @@ class LocalizationEngine:
     along a reduced word for the orbit.  The word is read off the base
     tangent: while it holds a simple root a_i, record i and apply s_i.  Each
     step is one exact division by a binomial, so no common denominator of the
-    whole sum is ever built.  The cohomological chain runs the same step loop,
-    `_chain`, with a_i^-1 = 1 and s_i acting on the logarithms.
+    whole sum is ever built; `exact_divide_many` does it in one pass of
+    running sums along the chains t^e * a_i^-j, with no heap.  The
+    cohomological chain runs the same step loop, `_chain`, with a_i^-1 = 1
+    and s_i acting on the logarithms.
     """
 
     def __init__(self, space: SpaceDescriptor):

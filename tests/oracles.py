@@ -378,7 +378,7 @@ def grothendieck_general(lam, n: int, table=None) -> LaurentPolynomial:
     Built by isobaric divided differences from the dominant monomial in
     internal x variables, then evaluated at x_i = 1 - 1/t_i.
     """
-    if len(lam) > n:
+    if len(lam.parts) > n:
         raise ValueError("partition longer than the variable count")
     if table is None:
         table = zt_table(n, n)

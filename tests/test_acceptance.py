@@ -103,14 +103,14 @@ def test_criterion_03_fundamental_class():
     solution = g2.fundamental_class_solve()
     e = g2core.half_sum_a() + g2core.half_sum_b()
     expected = {
-        Partition.of(4, 1): LaurentPolynomial.constant(GT, 2),
-        Partition.of(3, 2): LaurentPolynomial.constant(GT, 2) + e,
-        Partition.of(3, 3): LaurentPolynomial.constant(GT, -1),
-        Partition.of(4, 2): LaurentPolynomial.constant(GT, -3),
-        Partition.of(4, 3): ONE,
-        Partition.of(2, 1): e,
-        Partition.of(2, 2): -e,
-        Partition.of(3, 1): -e,
+        Partition((4, 1)): LaurentPolynomial.constant(GT, 2),
+        Partition((3, 2)): LaurentPolynomial.constant(GT, 2) + e,
+        Partition((3, 3)): LaurentPolynomial.constant(GT, -1),
+        Partition((4, 2)): LaurentPolynomial.constant(GT, -3),
+        Partition((4, 3)): ONE,
+        Partition((2, 1)): e,
+        Partition((2, 2)): -e,
+        Partition((3, 1)): -e,
     }
     for lam in BOX:
         assert solution[lam] == expected.get(lam, LaurentPolynomial.zero(GT)), lam.render()
@@ -279,7 +279,7 @@ def test_criterion_10_borel_quotient():
         assert weyl == res, trial
     quotient = parse_space("g2p2")
     sym_rng = random.Random(2020)
-    symmetric_samples = [gclass(Partition.of(4, 1)), gclass(Partition.of(5, 3))]
+    symmetric_samples = [gclass(Partition((4, 1))), gclass(Partition((5, 3)))]
     for _ in range(3):
         symmetric_samples.append(random_admissible_class(quotient, sym_rng, max_exp=3))
     for f in symmetric_samples:

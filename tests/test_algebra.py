@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from eqpush.algebra import (LaurentPolynomial, Monomial, NotDivisible,
                             MixedVariableTables, VariableTable, exact_divide,
@@ -410,3 +410,48 @@ def test_monomial_equality_and_hash_follow_the_fields(t1, e1, t2, e2):
     if same:
         assert hash(a) == hash(b)
     assert ({a: 1}.get(b) == 1) is same
+
+
+# -- exact division by a binomial, against the product it undoes -----------------
+#
+# A two-term divisor c0*t^k0 + c1*t^k1 takes the running sums along the chains
+# e + j*(k1 - k0); wide exponents give steps with several nonzero entries and
+# entries of size > 1.
+
+binomial_coefficients = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)])
+wide_exponents = st.tuples(*[st.integers(-4, 4)] * 4)
+
+
+@st.composite
+def binomials(draw):
+    k0, k1 = draw(st.lists(wide_exponents, min_size=2, max_size=2, unique=True))
+    return {k0: draw(binomial_coefficients), k1: draw(binomial_coefficients)}
+
+
+T1_MINUS_2T2 = {(0, 0, 1, 0): 1, (0, 0, 0, 1): -2}
+TWO_MINUS_3T1SQ_OVER_T2 = {ZERO_EXPS: 2, (0, 0, 2, -1): -3}
+
+
+@example(p={(1, -1, 0, 2): Fraction(1, 2), (0, 0, -1, 0): 3}, d=T1_MINUS_2T2)
+@example(p={(2, 0, 1, -2): -1, (0, 1, 0, 0): Fraction(5, 3)}, d=TWO_MINUS_3T1SQ_OVER_T2)
+@given(references(max_size=5), binomials())
+def test_division_by_a_binomial_undoes_the_product(p, d):
+    assert_normal(exact_divide(poly(r_mul(p, d)), poly(d)), p)
+
+
+@example(p={}, d=T1_MINUS_2T2, m=(ZERO_EXPS, Fraction(1)))
+@example(p={(0, 0, 1, 0): 1}, d=TWO_MINUS_3T1SQ_OVER_T2, m=((0, 0, 2, -1), Fraction(3)))
+@given(references(max_size=5), binomials(), st.tuples(wide_exponents, coefficients))
+def test_a_binomial_never_divides_a_monomial(p, d, m):
+    # p*d + m is divisible by d iff m is, and a binomial divides no monomial
+    with pytest.raises(NotDivisible):
+        exact_divide(poly(r_add(r_mul(p, d), dict([m]))), poly(d))
+
+
+def test_division_by_a_binomial_jumps_a_gap_with_no_carry(table22):
+    # a kernel that walked the 10^9 positions between the two halves would
+    # not return
+    one, t1 = LaurentPolynomial.one(table22), V(table22, "t1")
+    far = one + t1 ** 10 ** 9
+    assert exact_divide((one - t1) * far, one - t1) == far
+    assert exact_divide((one - t1) * far * t1 ** -7, t1 ** -3 - t1 ** -2) == far * t1 ** -4

@@ -7,12 +7,12 @@ from conftest import assert_immutable_value
 
 
 def test_partition_normalization():
-    assert Partition.of(3, 2, 0, 0).parts == (3, 2)
-    assert Partition.of().parts == ()
+    assert Partition((3, 2, 0, 0)).parts == (3, 2)
+    assert Partition(()).parts == ()
     with pytest.raises(ValueError):
-        Partition.of(1, 2)
+        Partition((1, 2))
     with pytest.raises(ValueError):
-        Partition.of(-1)
+        Partition((-1,))
 
 
 def test_partition_is_an_immutable_value():
@@ -24,8 +24,8 @@ def test_partition_is_an_immutable_value():
 
 
 def test_partition_render():
-    assert Partition.of(4, 1).render() == "[41]"
-    assert Partition.of().render() == "[0]"
+    assert Partition((4, 1)).render() == "[41]"
+    assert Partition(()).render() == "[0]"
 
 
 def test_schur_pair_values():

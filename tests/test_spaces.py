@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from eqpush import spaces
+from eqpush import algebra, spaces
 from eqpush.algebra import LaurentPolynomial, Monomial, zt_table
 from eqpush.characters import bracket
 from eqpush.exprparse import parse_to_polynomial
@@ -526,3 +526,27 @@ def test_demazure_chain_matches_flat_fixed_point_sum(key):
     for _ in range(3):
         f = random_admissible_class(space, rng, max_exp=2)
         assert localization_pushforward(space, f) == flat_fixed_point_sum(space, f)
+
+
+@pytest.mark.parametrize("key", CHAIN_SPACES + ["gr:2,7"])
+def test_every_chain_step_divides_by_a_binomial(key, monkeypatch):
+    # The chains divide by running sums; the heap division of longer divisors
+    # must not be reached.  An additive divisor is log a_i, a linear form of
+    # two terms, except where a_i is a power of one t: the sign reflection
+    # t_n -> 1/t_n of lg and ogO.
+    space = parse_space(key)
+    engine = LocalizationEngine(space)
+    assert [len(d.terms) for _, _, d in engine.steps] == [2] * len(engine.steps)
+    powers = [sum(1 for e in a_inv.exps if e) == 1 for _, a_inv, _ in engine.steps]
+    assert [len(d.terms) for _, _, d in engine.additive_steps] == [1 if p else 2 for p in powers]
+    assert not any(powers) or space.kind in ("lg", "ogO")
+
+    def heap(*args):
+        raise AssertionError("a chain step reached the heap division")
+
+    monkeypatch.setattr(algebra, "_divide_nonneg", heap)
+    engine.sum_values(random_admissible_class(space, random.Random(f"binomial:{key}"), 2))
+    if not any(powers):  # a class in the Chern roots, invariant under every signed permutation
+        engine.additive_sum(sum((LaurentPolynomial.variable(engine.table, f"z{i + 1}", 4)
+                                 for i in range(space.residue_count())),
+                                LaurentPolynomial.zero(engine.table)))
