@@ -18,11 +18,11 @@ the G2 artifacts never builds a rational.  Rendering and JSON read
 `LaurentPolynomial.substitute` is the one change of variables, from a Weyl
 reflection to the move of a polynomial to another table.
 
-Exact division dispatches on the divisor.  A binomial, such as each step
-(1 - a^-1) or log a of the Demazure chains in `spaces`, divides in one pass
-of running sums along the chains of its exponent difference, on the Laurent
-keys.  Any other divisor clears negative exponents by monomial shifts and
-runs graded-lex multivariate division driven by a heap.
+`exact_divide` is the one exact division of polynomials, and it dispatches
+on the divisor.  A binomial, such as each step (1 - a^-1) or log a of the
+Demazure chains in `spaces`, divides in one pass of running sums along the
+chains of its exponent difference.  Any other divisor runs graded-lex
+multivariate division driven by a heap.  Both work on the Laurent keys.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import heapq
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from operator import add as _add, neg as _neg, sub as _sub
+from operator import add as _add, lt as _lt, neg as _neg, sub as _sub
 
 _EXACT = (int, Fraction)  # the exact rationals a polynomial compares with
 
@@ -597,60 +597,30 @@ def _result(table: VariableTable, terms: dict, exact: bool) -> LaurentPolynomial
 # -- exact division ----------------------------------------------------------
 
 
-def _clearing_shift(terms, n: int) -> tuple:
-    """True componentwise minimum exponent.
-
-    Shifting by it normalizes every variable to minimum degree zero, which is
-    what makes leading-term division complete for exact Laurent quotients.
-    """
-    mins = None
-    for k in terms:
-        if mins is None:
-            mins = list(k)
-        else:
-            for i, e in enumerate(k):
-                if e < mins[i]:
-                    mins[i] = e
-    return tuple(mins) if mins is not None else (0,) * n
-
-
 def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomial:
     """Quotient q with q*d == p exactly; raises NotDivisible when none exists.
 
-    A two-term divisor takes one pass of running sums on the Laurent keys
-    (`_divide_binomial`); any other divisor clears negative exponents by
-    monomial shifts and runs ordinary multivariate division under the
-    graded-lexicographic order (`_divide_nonneg`).
+    A two-term divisor takes one pass of running sums (`_divide_binomial`);
+    any other divisor takes graded-lexicographic division driven by a heap
+    (`_divide_heap`).  Both work on the Laurent keys.
     """
-    return exact_divide_many(p, [d])
+    _same_table(p.table, d.table)
+    if d.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero:
+        return p
+    if len(d.terms) == 2:
+        terms, integral = _divide_binomial(p.terms, d.terms, p.is_integral() and d.is_integral())
+    else:
+        terms, integral = _divide_heap(p.terms, d.terms)
+    return _poly(p.table, terms, integral)
 
 
 def exact_divide_many(p: LaurentPolynomial, divisors) -> LaurentPolynomial:
-    """Divide exactly by each divisor in turn: a binomial by running sums,
-    any other divisor by the heap division."""
-    divisors = list(divisors)
+    """Divide exactly by each divisor in turn."""
     for d in divisors:
-        _same_table(p.table, d.table)
-        if d.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero or not divisors:
-        return p
-    n = len(p.table)
-    num, integral = p.terms, p.is_integral()
-    for d in divisors:
-        exact = integral and d.is_integral()
-        if len(d.terms) == 2:
-            num, integral = _divide_binomial(num, d.terms, exact)
-            continue
-        sp = _clearing_shift(num, n)
-        sd = _clearing_shift(d.terms, n)
-        num, integral = _divide_nonneg({tuple(map(_sub, k, sp)): c for k, c in num.items()},
-                                       {tuple(map(_sub, k, sd)): c for k, c in d.terms.items()},
-                                       exact)
-        shift = tuple(map(_sub, sp, sd))
-        if any(shift):
-            num = {tuple(map(_add, k, shift)): c for k, c in num.items()}
-    return _poly(p.table, num, integral)
+        p = exact_divide(p, d)
+    return p
 
 
 def _divide_binomial(num: dict, den: dict, integral: bool) -> tuple:
@@ -713,14 +683,18 @@ def _divide_binomial(num: dict, den: dict, integral: bool) -> tuple:
     return out, fast or all(type(c) is int for c in out.values())
 
 
-def _divide_nonneg(num: dict, den: dict, integral: bool) -> tuple:
-    """Exact division of ordinary-polynomial term dicts (graded-lex, heap
-    driven): (quotient in normal form, whether its coefficients are all ints).
-    Dividing ints by a monic divisor stays in the ints; otherwise each
-    quotient coefficient goes through `quotient`."""
+def _divide_heap(num: dict, den: dict) -> tuple:
+    """Exact division of term dicts by graded-lex leading terms, heap driven:
+    (quotient in normal form, whether its coefficients are all ints).
+
+    An exact quotient's minimum exponent in each variable is the dividend's
+    minimum minus the divisor's, `low`; a quotient key below it in some
+    variable proves the division inexact.  Above `low` graded-lex is a
+    well-order, so the loop ends.
+    """
     lead = max(den, key=_grlex_key)
     lc = den[lead]
-    fast = integral and lc == 1
+    low = tuple(map(_sub, map(min, zip(*num)), map(min, zip(*den))))
     rest = [(k, c) for k, c in den.items() if k != lead]
     remainder = dict(num)
     heap = [(-sum(k), tuple(map(_neg, k)), k) for k in remainder]
@@ -739,9 +713,9 @@ def _divide_nonneg(num: dict, den: dict, integral: bool) -> tuple:
         pop(heap)
         c = remainder.pop(k)
         qk = tuple(map(_sub, k, lead))
-        if any(e < 0 for e in qk):
+        if any(map(_lt, qk, low)):
             raise NotDivisible("leading term not divisible")
-        qc = c if fast else quotient(c, lc)
+        qc = quotient(c, lc)
         out[qk] = qc
         for dk, dc in rest:
             nk = tuple(map(_add, qk, dk))
@@ -755,4 +729,4 @@ def _divide_nonneg(num: dict, den: dict, integral: bool) -> tuple:
                     del remainder[nk]
                 else:
                     remainder[nk] = s
-    return out, fast or all(type(c) is int for c in out.values())
+    return out, all(type(c) is int for c in out.values())

@@ -33,8 +33,8 @@ def coh_table() -> VariableTable:
     return parameter_table("x1", "x2", "t1", "t2")
 
 
-def _t(name, k=1):
-    return LaurentPolynomial.variable(coh_table(), name, k)
+def _t(name):
+    return LaurentPolynomial.variable(coh_table(), name)
 
 
 def _check_class(f: LaurentPolynomial) -> None:
@@ -109,9 +109,8 @@ def gr27_integral(f: LaurentPolynomial) -> LaurentPolynomial:
 def equivariant_class_expression() -> LaurentPolynomial:
     """The degree-five equivariant class in Chern roots:
     2*x1*x2*(x1+x2)*((x1^2+x1*x2+x2^2) - (t1^2-t1*t2+t2^2))."""
-    x1, x2, t1, t2 = _t("x1"), _t("x2"), _t("t1"), _t("t2")
-    return 2 * x1 * x2 * (x1 + x2) * ((x1 ** 2 + x1 * x2 + x2 ** 2)
-                                      - (t1 ** 2 - t1 * t2 + t2 ** 2))
+    x1, x2 = _t("x1"), _t("x2")
+    return 2 * x1 * x2 * (x1 + x2) * ((x1 ** 2 + x1 * x2 + x2 ** 2) - torus_invariant())
 
 
 def torus_invariant() -> LaurentPolynomial:

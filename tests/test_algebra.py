@@ -131,6 +131,10 @@ def test_exact_divide_basic(table22):
     assert exact_divide(one - t1 * t1, one - t1) == one + t1
     with pytest.raises(NotDivisible):
         exact_divide(one - t1 * t2, one - t1)
+    # the heap stops at the quotient's lower exponent bound; without it, it
+    # would divide on through t1^-j*t2^k forever
+    with pytest.raises(NotDivisible):
+        exact_divide(one + t1 ** 40, one + t1 + t2)
 
 
 def test_exact_divide_class_lift(table22):
@@ -412,20 +416,22 @@ def test_monomial_equality_and_hash_follow_the_fields(t1, e1, t2, e2):
     assert ({a: 1}.get(b) == 1) is same
 
 
-# -- exact division by a binomial, against the product it undoes -----------------
+# -- exact division, against the product it undoes ---------------------------------
 #
 # A two-term divisor c0*t^k0 + c1*t^k1 takes the running sums along the chains
 # e + j*(k1 - k0); wide exponents give steps with several nonzero entries and
-# entries of size > 1.
+# entries of size > 1.  Any other divisor takes the heap, with a monic or a
+# non-monic graded-lex lead.
 
-binomial_coefficients = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)])
+divisor_coefficients = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)])
 wide_exponents = st.tuples(*[st.integers(-4, 4)] * 4)
 
 
 @st.composite
-def binomials(draw):
-    k0, k1 = draw(st.lists(wide_exponents, min_size=2, max_size=2, unique=True))
-    return {k0: draw(binomial_coefficients), k1: draw(binomial_coefficients)}
+def divisors(draw, sizes):
+    size = draw(st.sampled_from(sizes))
+    keys = draw(st.lists(wide_exponents, min_size=size, max_size=size, unique=True))
+    return {k: draw(divisor_coefficients) for k in keys}
 
 
 T1_MINUS_2T2 = {(0, 0, 1, 0): 1, (0, 0, 0, 1): -2}
@@ -434,18 +440,38 @@ TWO_MINUS_3T1SQ_OVER_T2 = {ZERO_EXPS: 2, (0, 0, 2, -1): -3}
 
 @example(p={(1, -1, 0, 2): Fraction(1, 2), (0, 0, -1, 0): 3}, d=T1_MINUS_2T2)
 @example(p={(2, 0, 1, -2): -1, (0, 1, 0, 0): Fraction(5, 3)}, d=TWO_MINUS_3T1SQ_OVER_T2)
-@given(references(max_size=5), binomials())
+@given(references(max_size=5), divisors((2,)))
 def test_division_by_a_binomial_undoes_the_product(p, d):
     assert_normal(exact_divide(poly(r_mul(p, d)), poly(d)), p)
 
 
 @example(p={}, d=T1_MINUS_2T2, m=(ZERO_EXPS, Fraction(1)))
 @example(p={(0, 0, 1, 0): 1}, d=TWO_MINUS_3T1SQ_OVER_T2, m=((0, 0, 2, -1), Fraction(3)))
-@given(references(max_size=5), binomials(), st.tuples(wide_exponents, coefficients))
+@given(references(max_size=5), divisors((2,)), st.tuples(wide_exponents, coefficients))
 def test_a_binomial_never_divides_a_monomial(p, d, m):
     # p*d + m is divisible by d iff m is, and a binomial divides no monomial
     with pytest.raises(NotDivisible):
         exact_divide(poly(r_add(r_mul(p, d), dict([m]))), poly(d))
+
+
+MONIC_TRINOMIAL = {(0, 0, 1, 1): 1, (1, 0, -2, 0): Fraction(-3, 2), (0, -1, 0, -1): 2}
+NON_MONIC_QUADRINOMIAL = {(2, 0, 0, -1): -3, (0, 1, 0, 0): 1, (-1, 0, 0, 0): Fraction(1, 2),
+                          (0, 0, -2, -1): -1}
+
+
+@example(p={(1, -1, 0, 2): Fraction(1, 2), (0, 0, -1, 0): 3}, d=MONIC_TRINOMIAL,
+         m=(ZERO_EXPS, Fraction(1)))
+@example(p={(2, 0, 1, -2): -1, (0, 1, 0, 0): Fraction(5, 3)}, d=NON_MONIC_QUADRINOMIAL,
+         m=((0, 1, 0, 0), Fraction(-1)))
+@given(references(max_size=5), divisors((1, 3, 4)), st.tuples(wide_exponents, coefficients))
+def test_division_by_a_heap_divisor(p, d, m):
+    # p*d + m is divisible by d iff m is, and a product with a factor of two
+    # or more terms has two or more terms
+    product = r_mul(p, d)
+    assert_normal(exact_divide(poly(product), poly(d)), p)
+    if len(d) > 1:
+        with pytest.raises(NotDivisible):
+            exact_divide(poly(r_add(product, dict([m]))), poly(d))
 
 
 def test_division_by_a_binomial_jumps_a_gap_with_no_carry(table22):

@@ -56,6 +56,8 @@ def test_unknown_variable(table22):
 
 def test_exact_division_in_expressions(table22):
     assert parse_to_polynomial("(1-t1^2)/(1-t1)", table22).render() == "1 + t1"
+    # a trinomial with negative exponents takes the heap division
+    assert parse_to_polynomial("(t1^-2 - t1)/(t1^-2 + t1^-1 + 1)", table22).render() == "1 - t1"
 
 
 def test_parser_roundtrip_property(table22):
@@ -227,7 +229,7 @@ def test_cli_inexact_elimination_exits_four(capsys, monkeypatch, argv):
     assert err.splitlines() == ["internal error: no unit pivot in column 1 of 21"]
 
 
-@pytest.mark.parametrize("expr", ["z1/(1-z1)", "z1/0", "(1-z1)^-1"])
+@pytest.mark.parametrize("expr", ["z1/(1-z1)", "z1/0", "(1-z1)^-1", "(1+t1^3)/(1+t1+t2)"])
 def test_cli_inexact_division_is_bad_input(capsys, expr):
     code, out, err = run_cli(capsys, "pushforward", "--space", "gr:1,2", "--f", expr)
     assert code == 2 and out == ""
