@@ -119,18 +119,17 @@ def cmd_g2(args) -> int:
     if args.det and args.item != "matrix":
         raise ValueError(f"--det applies only to g2 matrix, not g2 {args.item}")
     fmt = args.format
-    parts = g2.box_partitions()
     if args.item == "matrix":
         matrix = g2.intersection_matrix()
         if args.det:
             from .elimination import determinant
             lines = [emit(determinant(matrix), fmt)]
         else:
-            lines = [f"{lam.render()}\t{mu.render()}\t{emit(matrix[i][j], fmt)}"
-                     for i, lam in enumerate(parts) for j, mu in enumerate(parts)]
+            lines = [f"{g2.box_label(lam)}\t{g2.box_label(mu)}\t{emit(matrix[i][j], fmt)}"
+                     for i, lam in enumerate(g2.BOX) for j, mu in enumerate(g2.BOX)]
     else:
         values = g2.grothendieck_table() if args.item == "table" else g2.fundamental_class_solve()
-        lines = [f"{lam.render()}\t{emit(values[lam], fmt)}" for lam in parts]
+        lines = [f"{g2.box_label(lam)}\t{emit(values[lam], fmt)}" for lam in g2.BOX]
     _write(args, lines)
     return 0
 

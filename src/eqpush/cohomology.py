@@ -22,8 +22,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import LaurentPolynomial, VariableTable, parameter_table
-from .g2 import AMBIENT_SPACE, QUOTIENT_SPACE
-from .polyfam import rectangle_partitions, schur_pair
+from .g2 import AMBIENT_SPACE, BOX, QUOTIENT_SPACE
+from .polyfam import schur_pair
 from .spaces import _calc, log
 from . import g2core
 
@@ -122,7 +122,7 @@ def cohomology_class_check() -> bool:
     """Verify the equivariant fundamental class against both integration sides.
 
     Checks the Schur-basis presentation (coefficients 2, 2 and the quadratic
-    correction) and, for every box partition J, that pairing the class with
+    correction) and, for every box pair J, that pairing the class with
     S_J over the ambient Grassmannian equals the direct quotient integral.
     """
     ct = coh_table()
@@ -131,8 +131,8 @@ def cohomology_class_check() -> bool:
                 - 2 * torus_invariant() * schur_pair(2, 1, ct))
     if cls != expanded:
         return False
-    for lam in rectangle_partitions(2, 5):
-        schur = schur_pair(lam.part(0), lam.part(1), ct)
+    for a, b in BOX:
+        schur = schur_pair(a, b, ct)
         if gr27_integral(schur * cls) != g2_integral(schur):
             return False
     return True

@@ -1,5 +1,6 @@
-"""The G2/P2 artifacts of the paper: the 21-partition class table (the
-Demazure chain of `spaces` on g2p2), the intersection matrix of the box
+"""The G2/P2 artifacts of the paper over the 2x5 box, the 21 pairs (a, b),
+5 >= a >= b >= 0, of `BOX`: the class table of the Grothendieck classes G_ab
+(the Demazure chain of `spaces` on g2p2), the intersection matrix of the box
 classes under the ambient Grassmannian pairing, and recovery of the
 fundamental class from the two by exact elimination with unit pivots.  The
 expected values they are checked against (the table in the reporting
@@ -32,7 +33,7 @@ from functools import lru_cache
 from .algebra import LaurentPolynomial, rational
 from .characters import roots, standard_sets
 from .elimination import solve
-from .polyfam import grothendieck_pair, rectangle_partitions
+from .polyfam import grothendieck_pair
 from .residue import PreparedForm, iterated_residue
 from .spaces import SpaceDescriptor, _calc, _integrand_form, localization_pushforward
 from . import g2core
@@ -40,23 +41,21 @@ from . import g2core
 GT = g2core.g2_table()
 
 QUOTIENT_SPACE = SpaceDescriptor("g2p2")
-BOREL_SPACE = SpaceDescriptor("g2b")
 
-BOX_ROWS, BOX_COLS = 2, 5
+# the partitions (a, b) of the 2x5 box, by size a + b, then by descending a
+BOX = sorted(((a, b) for a in range(6) for b in range(a + 1)), key=lambda ab: (sum(ab), -ab[0]))
 
 
-def box_partitions() -> list:
-    return rectangle_partitions(BOX_ROWS, BOX_COLS)
+def box_label(pair: tuple) -> str:
+    """A box pair as a bracketed digit string: [41], [4] for (4, 0), [0] for (0, 0)."""
+    return f"[{pair[0]}{pair[1] or ''}]"
 
 
 def grothendieck_table() -> dict:
     """Push-forward to a point of g2p2 (its Demazure chain) of every rank-two
-    Grothendieck class in the 2x5 box."""
-    out = {}
-    for lam in box_partitions():
-        cls = grothendieck_pair(lam.part(0), lam.part(1), GT)
-        out[lam] = localization_pushforward(QUOTIENT_SPACE, cls)
-    return out
+    Grothendieck class in the 2x5 box, keyed on its box pair."""
+    return {(a, b): localization_pushforward(QUOTIENT_SPACE, grothendieck_pair(a, b, GT))
+            for a, b in BOX}
 
 
 # -- ambient Grassmannian with the seven restricted weights ---------------------
@@ -93,14 +92,14 @@ def ambient_pushforward(f: LaurentPolynomial) -> LaurentPolynomial:
 
 def intersection_matrix() -> list:
     """The 21x21 Gram matrix of the box classes under the ambient pairing, in
-    box-partition order.  Each class is a symmetric integer polynomial in
+    `BOX` order.  Each class is a symmetric integer polynomial in
     z1, z2 (SymmetryViolation otherwise), and so is each product of two: its
     coefficient on the orbit class of (p, q), p >= q, is its coefficient n on
     z1^p z2^q, and the entry adds n times the orbit value _ambient_class."""
     calc = _calc(AMBIENT_SPACE)
     classes = []
-    for lam in box_partitions():
-        cls = grothendieck_pair(lam.part(0), lam.part(1), GT)
+    for a, b in BOX:
+        cls = grothendieck_pair(a, b, GT)
         calc.decompose(cls, ("z1", "z2"))  # SymmetryViolation unless symmetric
         classes.append(cls)
     matrix = [[None] * len(classes) for _ in classes]
@@ -119,14 +118,13 @@ def intersection_matrix() -> list:
 def fundamental_class_solve():
     """Coefficients of the fundamental class in the Grothendieck basis.
 
-    Solves sum_I c_I * m(I, J) = pushforward(G_J) over all box partitions by
+    Solves sum_I c_I * m(I, J) = pushforward(G_J) over the box pairs J by
     elimination with unit pivots; the determinant is a unit so the solution
     is a Laurent-polynomial vector.  The matrix is symmetric, so its rows in
     box order are the equations, and elimination picks a unit pivot in each
-    column.
+    column.  Keyed on the box pairs.
     """
-    parts = box_partitions()
     table = grothendieck_table()
-    _, solution = solve(intersection_matrix(), [table[lam] for lam in parts])
-    return dict(zip(parts, solution))
+    _, solution = solve(intersection_matrix(), [table[pair] for pair in BOX])
+    return dict(zip(BOX, solution))
 

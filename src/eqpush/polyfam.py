@@ -1,70 +1,16 @@
-"""Partitions and the rank-two Schur and Grothendieck classes.
+"""The rank-two Schur and Grothendieck classes S_ab and G_ab, a >= b >= 0,
+as two-term bialternant closed forms evaluated by exact division.
 
-Rank-two classes come from two-term bialternant closed forms evaluated by
-exact division.  The n-variable symmetric Grothendieck polynomial, built
-independently by isobaric divided differences, is the test oracle of the
-flag push-forward identity and of these closed forms (`tests/oracles.py`).
+The n-variable symmetric Grothendieck polynomial, built independently by
+isobaric divided differences, is the test oracle of the flag push-forward
+identity and of these closed forms (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import Frozen, LaurentPolynomial, VariableTable, exact_divide
-
-
-class Partition(Frozen):
-    """Weakly decreasing tuple of positive parts (trailing zeros stripped)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 0 for p in parts):
-            raise ValueError("partition parts must be nonnegative")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts must be weakly decreasing: {parts}")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        object.__setattr__(self, "parts", parts)
-
-    def _key(self) -> tuple:
-        return (self.parts,)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def part(self, i: int) -> int:
-        return self.parts[i] if i < len(self.parts) else 0
-
-    def render(self) -> str:
-        """Bracketed digit string, e.g. [41]; the empty partition is [0]."""
-        if not self.parts:
-            return "[0]"
-        return "[" + "".join(str(p) for p in self.parts) + "]"
-
-    def __repr__(self):
-        return f"Partition{self.render()}"
-
-
-def rectangle_partitions(rows: int, cols: int) -> list:
-    """All partitions in a rows x cols box, by size then descending lex order."""
-    out = []
-
-    def grow(prefix, maximum, length):
-        out.append(Partition(tuple(prefix)))
-        if length == rows:
-            return
-        for p in range(1, maximum + 1):
-            grow(prefix + [p], p, length + 1)
-
-    grow([], cols, 0)
-    out.sort(key=lambda lam: (lam.size, tuple(-p for p in lam.parts)))
-    return out
-
-
-# -- rank-two closed forms ----------------------------------------------------
+from .algebra import LaurentPolynomial, VariableTable, exact_divide
 
 
 def schur_pair(a: int, b: int, table: VariableTable, names=("x1", "x2")) -> LaurentPolynomial:

@@ -154,6 +154,9 @@ def parse_space(text: str) -> SpaceDescriptor:
     fields = params.split(",")
     if "" in fields:
         raise ValueError(f"empty parameter in {text!r}")
+    for p in fields:
+        if not (p.isascii() and p.isdigit()):  # int() also takes signs, "_" and non-ASCII digits
+            raise ValueError(f"parameter {p!r} of {text!r} is not a run of ASCII digits")
     nums = [int(p) for p in fields]
     if kind in ("gr", "gr2"):
         if len(nums) != 2:
@@ -199,12 +202,6 @@ def log(char: Monomial, table: VariableTable) -> LaurentPolynomial:
         if e:
             out = out + LaurentPolynomial.variable(table, name).scale(e)
     return out
-
-
-def _additive_action(s: dict, table: VariableTable) -> dict:
-    """s acting on polynomials in the additive weights, t -> log(s(t)), as
-    the images of a change of variables."""
-    return {name: log(img, table) for name, img in s.items()}
 
 
 def _simple_reflections(space: SpaceDescriptor) -> list:
@@ -323,10 +320,11 @@ class LocalizationEngine:
 
     @cached_property
     def additive_steps(self) -> list:
-        """The cohomological chain on the same word: (s_i acting additively,
-        1, log a_i)."""
+        """The cohomological chain on the same word: (s_i acting additively as
+        t -> log(s_i(t)), 1, log a_i)."""
         one = Monomial.one(self.table)
-        return [(_additive_action(s, self.table), one, -log(a_inv, self.table))
+        return [({name: log(img, self.table) for name, img in s.items()}, one,
+                 -log(a_inv, self.table))
                 for s, a_inv, _ in self.steps]
 
     def additive_sum(self, f: LaurentPolynomial) -> LaurentPolynomial:

@@ -290,10 +290,10 @@ def additive_ambient_chain_class(canon: tuple) -> LaurentPolynomial:
 
 
 def ambient_matrix_by_pushforward() -> list:
-    """The 21x21 intersection matrix of the G2 box classes, in box-partition
+    """The 21x21 intersection matrix of the G2 box classes, in `g2.BOX`
     order, each entry the ambient push-forward of the product of its two
     classes (decomposed into orbit classes, each coefficient times its value)."""
-    classes = [grothendieck_pair(lam.part(0), lam.part(1), g2.GT) for lam in g2.box_partitions()]
+    classes = [grothendieck_pair(a, b, g2.GT) for a, b in g2.BOX]
     matrix = [[None] * len(classes) for _ in classes]
     for i, left in enumerate(classes):
         for j in range(i, len(classes)):
@@ -373,18 +373,20 @@ def _isobaric_step(f: LaurentPolynomial, i: int, table) -> LaurentPolynomial:
 
 
 def grothendieck_general(lam, n: int, table=None) -> LaurentPolynomial:
-    """Symmetric Grothendieck polynomial in t1..tn for a partition of length <= n.
+    """Symmetric Grothendieck polynomial in t1..tn for a partition of length <= n,
+    given as its tuple of parts (weakly decreasing; zero parts allowed).
 
     Built by isobaric divided differences from the dominant monomial in
     internal x variables, then evaluated at x_i = 1 - 1/t_i.
     """
-    if len(lam.parts) > n:
+    parts = tuple(p for p in lam if p)
+    if len(parts) > n:
         raise ValueError("partition longer than the variable count")
     if table is None:
         table = zt_table(n, n)
     xt = _x_table(n)
     f = LaurentPolynomial(
-        xt, {tuple(lam.part(i) for i in range(n)): 1})
+        xt, {parts + (0,) * (n - len(parts)): 1})
     # Bubble-sort reduced word of the longest permutation; each step either
     # symmetrizes an adjacent pair or fixes an already symmetric one.
     for sweep in range(1, n):

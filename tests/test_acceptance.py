@@ -12,7 +12,7 @@ import pytest
 
 from eqpush.algebra import (LaurentPolynomial, Monomial, rational, zt_table)
 from eqpush.elimination import determinant
-from eqpush.polyfam import Partition, grothendieck_pair, rectangle_partitions, schur_pair
+from eqpush.polyfam import grothendieck_pair, schur_pair
 from eqpush.residue import ResidueForm, iterated_residue, residue_at_zero
 from eqpush.spaces import (localization_pushforward, parse_space,
                            residue_pushforward)
@@ -25,7 +25,7 @@ from oracles import grothendieck_general
 
 GT = g2core.g2_table()
 ONE = LaurentPolynomial.one(GT)
-BOX = rectangle_partitions(2, 5)
+BOX = g2.BOX
 
 
 def report(n, text):
@@ -33,7 +33,7 @@ def report(n, text):
 
 
 def gclass(lam):
-    return grothendieck_pair(lam.part(0), lam.part(1), GT)
+    return grothendieck_pair(*lam, GT)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def test_criterion_01_pushforward_table():
     }
     for lam in BOX:
         value = table[lam]
-        name = lam.render()
+        name = g2.box_label(lam)
         if name in ones:
             assert value == ONE, name
         elif name in twos:
@@ -90,7 +90,7 @@ def test_criterion_02_intersection_matrix(intersection_matrix):
         for j, mu in enumerate(BOX):
             value = intersection_matrix[i][j].substitute(ones_map)
             # lam lies in the 2x5 box complement (5 - mu_2, 5 - mu_1) of mu
-            inside = lam.part(0) + mu.part(1) <= 5 and lam.part(1) + mu.part(0) <= 5
+            inside = lam[0] + mu[1] <= 5 and lam[1] + mu[0] <= 5
             expected = 1 if inside else 0
             assert value == LaurentPolynomial.constant(GT, expected), (lam, mu)
     report(2, "determinant is -1 and the 441 nonequivariant pairings are 0/1 triangular")
@@ -103,17 +103,17 @@ def test_criterion_03_fundamental_class():
     solution = g2.fundamental_class_solve()
     e = g2core.half_sum_a() + g2core.half_sum_b()
     expected = {
-        Partition((4, 1)): LaurentPolynomial.constant(GT, 2),
-        Partition((3, 2)): LaurentPolynomial.constant(GT, 2) + e,
-        Partition((3, 3)): LaurentPolynomial.constant(GT, -1),
-        Partition((4, 2)): LaurentPolynomial.constant(GT, -3),
-        Partition((4, 3)): ONE,
-        Partition((2, 1)): e,
-        Partition((2, 2)): -e,
-        Partition((3, 1)): -e,
+        (4, 1): LaurentPolynomial.constant(GT, 2),
+        (3, 2): LaurentPolynomial.constant(GT, 2) + e,
+        (3, 3): LaurentPolynomial.constant(GT, -1),
+        (4, 2): LaurentPolynomial.constant(GT, -3),
+        (4, 3): ONE,
+        (2, 1): e,
+        (2, 2): -e,
+        (3, 1): -e,
     }
     for lam in BOX:
-        assert solution[lam] == expected.get(lam, LaurentPolynomial.zero(GT)), lam.render()
+        assert solution[lam] == expected.get(lam, LaurentPolynomial.zero(GT)), lam
     # the lift and the closed form pair equally with every box class
     lift = g2core.fundamental_class_lift()
     in_basis = LaurentPolynomial.zero(GT)
@@ -121,8 +121,7 @@ def test_criterion_03_fundamental_class():
         in_basis = in_basis + c * gclass(lam)
     for lam in BOX:
         cls = gclass(lam)
-        assert g2.ambient_pushforward(cls * lift) == g2.ambient_pushforward(cls * in_basis), \
-            lam.render()
+        assert g2.ambient_pushforward(cls * lift) == g2.ambient_pushforward(cls * in_basis), lam
     report(3, "fundamental-class solve matches the closed form; lift pairing agrees")
 
 
@@ -137,7 +136,7 @@ def test_criterion_04_quotient_differential():
         assert residue_pushforward(space, f) == localization_pushforward(space, f), trial
     for lam in BOX:
         f = gclass(lam)
-        assert residue_pushforward(space, f) == localization_pushforward(space, f), lam.render()
+        assert residue_pushforward(space, f) == localization_pushforward(space, f), lam
     report(4, "residue equals the six-term cyclic sum on 20 random classes and all 21 basis classes")
 
 
@@ -209,21 +208,17 @@ def test_criterion_07_projective_space_values():
 
 
 def partitions_with_parts_at_most(limit, length):
+    """The partitions with at most `length` parts, each at most `limit`, as
+    tuples of their positive parts (the empty partition is ())."""
     out = []
     def grow(prefix, maximum):
-        out.append(Partition(tuple(prefix)))
+        out.append(prefix)
         if len(prefix) == length:
             return
         for p in range(1, maximum + 1):
-            grow(prefix + [p], p)
-    grow([], limit)
-    seen = set()
-    unique = []
-    for lam in out:
-        if lam.parts not in seen:
-            seen.add(lam.parts)
-            unique.append(lam)
-    return unique
+            grow(prefix + (p,), p)
+    grow((), limit)
+    return out
 
 
 def test_criterion_08_flag_grothendieck_identity():
@@ -236,13 +231,14 @@ def test_criterion_08_flag_grothendieck_identity():
         table = space.table()
         one = LaurentPolynomial.one(table)
         for lam in partitions_with_parts_at_most(2, n):
+            parts = lam + (0,) * (n - len(lam))
             f = one
             for i in range(n):
                 zi = LaurentPolynomial.variable(table, f"z{i+1}", -1)
-                f = f * (one - zi) ** (lam.part(n - 1 - i) + i)
+                f = f * (one - zi) ** (parts[n - 1 - i] + i)
             expected = grothendieck_general(lam, n, table)
-            assert localization_pushforward(space, f) == expected, (n, lam.render())
-            assert residue_pushforward(space, f) == expected, (n, lam.render())
+            assert localization_pushforward(space, f) == expected, (n, lam)
+            assert residue_pushforward(space, f) == expected, (n, lam)
     report(8, "flag push-forwards reproduce the divided-difference Grothendieck polynomials")
 
 
@@ -274,18 +270,18 @@ def test_criterion_10_borel_quotient():
     rng = random.Random(1010)
     for trial in range(10):
         f = random_admissible_class(space, rng, max_exp=3)
-        weyl = localization_pushforward(g2.BOREL_SPACE, f)
-        res = residue_pushforward(g2.BOREL_SPACE, f)
+        weyl = localization_pushforward(space, f)
+        res = residue_pushforward(space, f)
         assert weyl == res, trial
     quotient = parse_space("g2p2")
     sym_rng = random.Random(2020)
-    symmetric_samples = [gclass(Partition((4, 1))), gclass(Partition((5, 3)))]
+    symmetric_samples = [gclass((4, 1)), gclass((5, 3))]
     for _ in range(3):
         symmetric_samples.append(random_admissible_class(quotient, sym_rng, max_exp=3))
     for f in symmetric_samples:
         value = localization_pushforward(g2.QUOTIENT_SPACE, f)
-        assert localization_pushforward(g2.BOREL_SPACE, f) == value
-        assert residue_pushforward(g2.BOREL_SPACE, f) == value
+        assert localization_pushforward(space, f) == value
+        assert residue_pushforward(space, f) == value
     report(10, "residue and Weyl-sum push-forwards agree; symmetric classes match the quotient")
 
 

@@ -514,6 +514,12 @@ def test_only_ascii_digits_are_integers(capsys, text):
     assert line == f"error: syntax error at offset 3: expected a token; found {text[3]!r}"
 
 
+def test_cli_space_parameter_outside_ascii_digits_is_rejected_first(capsys, no_work):
+    # int() would read lg:1_0 as lg:10, a long push-forward
+    line = _one_error_line(*run_cli(capsys, "pushforward", "--space", "lg:1_0", "--f", "1"))
+    assert line == "error: parameter '1_0' of 'lg:1_0' is not a run of ASCII digits"
+
+
 @pytest.mark.parametrize("space, f", [
     ("lg:4", "z1^3*z2^3*z3^3*z4^3"), ("ogE:3", "1"), ("q:3", "1"), ("fl:3", "1"),
     ("g2p2", "G[4,1]"), ("g2b", "1"),

@@ -7,8 +7,8 @@ from eqpush.algebra import LaurentPolynomial, zt_table
 from eqpush.cohomology import (coh_table, cohomology_class_check,
                                equivariant_class_expression, g2_integral,
                                gr27_integral, torus_invariant)
-from eqpush.g2 import AMBIENT_SPACE
-from eqpush.polyfam import rectangle_partitions, schur_pair
+from eqpush.g2 import AMBIENT_SPACE, BOX
+from eqpush.polyfam import schur_pair
 from eqpush.spaces import SymmetryViolation, _calc, log, parse_space
 from eqpush import g2core
 
@@ -34,9 +34,9 @@ def test_printed_integrals():
 
 
 def test_low_degree_vanishing():
-    for lam in rectangle_partitions(2, 5):
-        if lam.size < 5:
-            assert g2_integral(schur_pair(lam.part(0), lam.part(1), coh_table())).is_zero
+    for a, b in BOX:
+        if a + b < 5:
+            assert g2_integral(schur_pair(a, b, coh_table())).is_zero
 
 
 def test_gr27_top_pairings():
@@ -112,8 +112,7 @@ def random_symmetric_class(rng, max_exp):
 
 def test_chain_matches_flat_fixed_point_sum():
     cls = equivariant_class_expression()
-    schurs = [schur_pair(lam.part(0), lam.part(1), coh_table())
-              for lam in rectangle_partitions(2, 5)]
+    schurs = [schur_pair(a, b, coh_table()) for a, b in BOX]
     rng = random.Random("cohomology-flat")
     for s in schurs:
         assert g2_integral(s) == flat_integral("g2p2", s)
@@ -143,9 +142,8 @@ def test_ambient_additive_chain_multiplies_no_polynomials(monkeypatch):
 
 
 def class_check_schurs():
-    """S_J for the 21 box partitions J of the class check."""
-    return [schur_pair(lam.part(0), lam.part(1), coh_table())
-            for lam in rectangle_partitions(2, 5)]
+    """S_J for the 21 box pairs J of the class check."""
+    return [schur_pair(a, b, coh_table()) for a, b in BOX]
 
 
 def test_residue_matches_additive_chain_on_the_class_check_orbits():

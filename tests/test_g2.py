@@ -5,15 +5,16 @@ import pytest
 from eqpush.algebra import LaurentPolynomial, Monomial, exact_divide
 from eqpush import g2, g2core
 from eqpush.elimination import determinant, solve
-from eqpush.polyfam import Partition, grothendieck_pair
-from eqpush.spaces import (SymmetryViolation, _calc, localization_pushforward,
-                           residue_pushforward)
+from eqpush.polyfam import grothendieck_pair
+from eqpush.spaces import (SpaceDescriptor, SymmetryViolation, _calc,
+                           localization_pushforward, residue_pushforward)
 
 from oracles import (ambient_chain_class, ambient_matrix_by_pushforward, bareiss_determinant,
                      bareiss_solve)
 
 GT = g2core.g2_table()
 ONE = LaurentPolynomial.one(GT)
+BOREL_SPACE = SpaceDescriptor("g2b")
 
 
 def test_weight_sum_relation():
@@ -71,27 +72,43 @@ def test_verify_ab_expression():
     assert quotient_pushforward(grothendieck_pair(4, 4, GT)) == ab({(1, 1): -1})
 
 
+def test_box_order():
+    assert len(g2.BOX) == len(set(g2.BOX)) == 21
+    assert all(5 >= a >= b >= 0 for a, b in g2.BOX)
+    rendered = [g2.box_label(pair) for pair in g2.BOX]
+    assert rendered[:12] == ["[0]", "[1]", "[2]", "[11]", "[3]", "[21]",
+                             "[4]", "[31]", "[22]", "[5]", "[41]", "[32]"]
+    assert rendered[12:] == ["[51]", "[42]", "[33]", "[52]", "[43]",
+                             "[53]", "[44]", "[54]", "[55]"]
+
+
+def test_box_label():
+    assert g2.box_label((4, 1)) == "[41]"
+    assert g2.box_label((4, 0)) == "[4]"
+    assert g2.box_label((0, 0)) == "[0]"
+
+
 def test_grothendieck_table_special_entries():
     table = g2.grothendieck_table()
-    assert table[Partition((3, 3))].is_zero
-    assert table[Partition((4,))] == LaurentPolynomial.constant(GT, 2)
-    assert table[Partition((2, 2))] == ONE
+    assert table[(3, 3)].is_zero
+    assert table[(4, 0)] == LaurentPolynomial.constant(GT, 2)
+    assert table[(2, 2)] == ONE
 
 
 def test_borel_pushforward_methods_agree():
     z1 = LaurentPolynomial.variable(GT, "z1")
     f = z1 + z1 ** -2 * LaurentPolynomial.variable(GT, "z2")
-    weyl = localization_pushforward(g2.BOREL_SPACE, f)
-    res = residue_pushforward(g2.BOREL_SPACE, f)
+    weyl = localization_pushforward(BOREL_SPACE, f)
+    res = residue_pushforward(BOREL_SPACE, f)
     assert weyl == res
 
 
 def test_borel_pushforward_symmetric_matches_quotient():
     f = grothendieck_pair(4, 1, GT)
     expected = LaurentPolynomial.constant(GT, 2)
-    assert localization_pushforward(g2.BOREL_SPACE, f) == expected
-    assert residue_pushforward(g2.BOREL_SPACE, f) == expected
-    assert localization_pushforward(g2.BOREL_SPACE, ONE) == ONE
+    assert localization_pushforward(BOREL_SPACE, f) == expected
+    assert residue_pushforward(BOREL_SPACE, f) == expected
+    assert localization_pushforward(BOREL_SPACE, ONE) == ONE
 
 
 def test_ambient_pushforward_unit():
@@ -101,7 +118,7 @@ def test_ambient_pushforward_unit():
 def test_ambient_residue_matches_the_chain_oracle():
     # every orbit class the 231 products of the intersection matrix decompose into
     calc = _calc(g2.AMBIENT_SPACE)
-    classes = [grothendieck_pair(lam.part(0), lam.part(1), GT) for lam in g2.box_partitions()]
+    classes = [grothendieck_pair(a, b, GT) for a, b in g2.BOX]
     canons = set()
     for i, a in enumerate(classes):
         for b in classes[i:]:
@@ -137,15 +154,14 @@ def test_gram_matrix_rejects_an_asymmetric_class(monkeypatch):
 
 
 def test_unit_pivot_elimination_matches_bareiss_in_box_order():
-    parts = g2.box_partitions()
     table = g2.grothendieck_table()
     matrix = g2.intersection_matrix()
-    rhs = [table[lam] for lam in parts]
+    rhs = [table[pair] for pair in g2.BOX]
     det, solution = solve(matrix, rhs)
     assert (det, solution) == bareiss_solve(matrix, rhs)
     assert determinant(matrix) == bareiss_determinant(matrix) == det
     assert det == -1
-    assert g2.fundamental_class_solve() == dict(zip(parts, solution))
+    assert g2.fundamental_class_solve() == dict(zip(g2.BOX, solution))
 
 
 def _permutation_sign(order):
@@ -155,16 +171,14 @@ def _permutation_sign(order):
 def test_row_order_does_not_change_determinant_or_solution():
     # equation order is free: elimination finds its own unit pivots, whether
     # the rows come in box order, shuffled, or paired by box complement
-    parts = g2.box_partitions()
     table = g2.grothendieck_table()
     matrix = g2.intersection_matrix()
-    rhs = [table[lam] for lam in parts]
+    rhs = [table[pair] for pair in g2.BOX]
     _, expected = solve(matrix, rhs)
-    index = {lam: i for i, lam in enumerate(parts)}
-    complement = [index[Partition((g2.BOX_COLS - lam.part(1), g2.BOX_COLS - lam.part(0)))]
-                  for lam in parts]
+    index = {pair: i for i, pair in enumerate(g2.BOX)}
+    complement = [index[(5 - b, 5 - a)] for a, b in g2.BOX]
     rng = random.Random(1818)
-    orders = [complement] + [rng.sample(range(len(parts)), len(parts)) for _ in range(5)]
+    orders = [complement] + [rng.sample(range(len(g2.BOX)), len(g2.BOX)) for _ in range(5)]
     for order in orders:
         rows = [matrix[i] for i in order]
         det, solution = solve(rows, [rhs[i] for i in order])
@@ -176,18 +190,16 @@ def test_row_order_does_not_change_determinant_or_solution():
 def test_projection_formula():
     # the quotient's push-forward of G[a,b] is the ambient one of G[a,b] * lift
     lift = g2core.fundamental_class_lift()
-    for a in range(g2.BOX_COLS + 1):
-        for b in range(a + 1):
-            cls = grothendieck_pair(a, b, GT)
-            assert g2.ambient_pushforward(cls * lift) == quotient_pushforward(cls), (a, b)
+    for a, b in g2.BOX:
+        cls = grothendieck_pair(a, b, GT)
+        assert g2.ambient_pushforward(cls * lift) == quotient_pushforward(cls), (a, b)
 
 
 def test_lift_pairing_rejects_shifted_lift():
     # criterion 3's lift pairing tells the lift from the lift plus one
     lift = g2core.fundamental_class_lift()
     pairings = [(g2.ambient_pushforward(cls * lift), g2.ambient_pushforward(cls * (lift + ONE)))
-                for cls in (grothendieck_pair(lam.part(0), lam.part(1), GT)
-                            for lam in g2.box_partitions())]
+                for cls in (grothendieck_pair(a, b, GT) for a, b in g2.BOX)]
     assert any(left != right for left, right in pairings)
 
 

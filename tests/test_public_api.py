@@ -1,9 +1,10 @@
-"""Every public module-level function or class of `src/eqpush` has a user
-other than its own tests: `src/` computes and `tests/` checks, so a name that
-only the tests call belongs in the tests.  A use is a Name node, an Attribute
-node or a string constant (`exprparse` looks up `g2core` functions by name,
-and the benchmark's tracer wraps functions by name) anywhere in `src/` or
-`perfbench/` outside the definition itself."""
+"""Every public module-level function, class or constant (a name bound by an
+assignment) of `src/eqpush` has a user other than its own tests: `src/`
+computes and `tests/` checks, so a name that only the tests use belongs in
+the tests.  A use is a Name node, an Attribute node or a string constant
+(`exprparse` looks up `g2core` functions by name, and the benchmark's tracer
+wraps functions by name) anywhere in `src/` or `perfbench/` outside the
+definition itself."""
 
 import ast
 import glob
@@ -24,9 +25,24 @@ def _uses(node) -> set:
     return out
 
 
+def _defined_names(stmt) -> list:
+    """The names a module-level statement defines: a def or class, or the
+    names an assignment binds (tuple targets included)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+
+
 def unused_public_definitions(root: str = ROOT) -> list:
-    """`module.name` of each public module-level def or class of
-    `src/eqpush` that nothing in `src/` or `perfbench/` outside its own
+    """`module.name` of each public module-level def, class or assigned name
+    of `src/eqpush` that nothing in `src/` or `perfbench/` outside its own
     definition uses."""
     statements = []  # (module, statement, names it uses)
     for pattern in ("src/eqpush/*.py", "perfbench/*.py"):
@@ -39,13 +55,13 @@ def unused_public_definitions(root: str = ROOT) -> list:
                 statements.append((module if from_src else None, stmt, _uses(stmt)))
     unused = []
     for module, stmt, _ in statements:
-        if module is None or not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if module is None:
             continue
-        if stmt.name.startswith("_"):
-            continue
-        if not any(stmt.name in uses for _, other, uses in statements if other is not stmt):
-            unused.append(f"{module}.{stmt.name}")
+        for name in _defined_names(stmt):
+            if name.startswith("_"):
+                continue
+            if not any(name in uses for _, other, uses in statements if other is not stmt):
+                unused.append(f"{module}.{name}")
     return unused
 
 

@@ -44,6 +44,17 @@ def test_parse_space_roundtrip():
             parse_space(key)
 
 
+@pytest.mark.parametrize("key, param", [("lg:1_0", "1_0"), ("gr:\u0662,4", "\u0662"),
+                                        ("gr:+1,3", "+1"), ("lg:x", "x"), ("q:-2", "-2")],
+                         ids=["underscore", "arabic-indic-two", "plus-sign", "letter",
+                              "minus-sign"])
+def test_parse_space_takes_only_ascii_digits(key, param):
+    # int() reads the first three as lg:10, gr:2,4 and gr:1,3
+    with pytest.raises(ValueError) as err:
+        parse_space(key)
+    assert str(err.value) == f"parameter {param!r} of {key!r} is not a run of ASCII digits"
+
+
 @pytest.mark.parametrize("key, message", [("lg:2,3", "lg takes one parameter"),
                                           ("fl:3,4", "fl takes one parameter")])
 def test_parse_space_rejects_a_wrong_parameter_count(key, message):
