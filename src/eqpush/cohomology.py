@@ -8,10 +8,9 @@ x1^q x2^p, whose t-polynomial coefficients are pulled out; that split
 (`spaces._SpaceCalc.decompose`) enforces the symmetry.  The two integrals
 run independent paths, so the class check compares two computations:
 
-- `g2_integral` runs the additive image of the K-theoretic Demazure chain of
-  `spaces` on g2p2: a character t^e becomes the linear form log t^e =
-  sum e_i*t_i, the Chern roots are x = -log z, and each step is the ordinary
-  divided difference (g - s g)/log a.
+- `g2_integral` runs the additive Demazure chain of `spaces` on g2p2, the
+  `log` image of the K-theoretic one (t^e -> sum e_i*t_i, Chern roots
+  x = -log z, steps (g - s g)/log a), which holds on every kind but q.
 - `gr27_integral` is the cohomological Grassmannian residue at infinity in
   closed form: each orbit class is a sum of products of two complete
   homogeneous polynomials in the logs of the seven weights (`_gr27_class`).

@@ -197,11 +197,9 @@ def check_symmetry(space: SpaceDescriptor, f: LaurentPolynomial) -> None:
 def log(char: Monomial, table: VariableTable) -> LaurentPolynomial:
     """The additive weight of a character: t^e -> the linear form sum e_i*t_i,
     over `table` (variables matched by name)."""
-    out = LaurentPolynomial.zero(table)
-    for name, e in zip(char.table.names, char.exps):
-        if e:
-            out = out + LaurentPolynomial.variable(table, name).scale(e)
-    return out
+    return LaurentPolynomial(table, {Monomial.of(table, **{name: 1}).exps: e
+                                     for name, e in zip(char.table.names, char.exps) if e},
+                             _canonical=True)
 
 
 def _simple_reflections(space: SpaceDescriptor) -> list:
@@ -262,9 +260,9 @@ class LocalizationEngine:
     tangent: while it holds a simple root a_i, record i and apply s_i.  Each
     step is one exact division by a binomial, so no common denominator of the
     whole sum is ever built; `exact_divide_many` does it in one pass of
-    running sums along the chains t^e * a_i^-j, with no heap.  The
-    cohomological chain runs the same step loop, `_chain`, with a_i^-1 = 1
-    and s_i acting on the logarithms.
+    running sums along the chains t^e * a_i^-j, with no heap.  `_sum` runs
+    the chain of both theories: the cohomological one is the `log` image of
+    the K-theoretic one (`additive`).
     """
 
     def __init__(self, space: SpaceDescriptor):
@@ -297,47 +295,48 @@ class LocalizationEngine:
         self.other_component = ({tn: Monomial.of(table, **{tn: -1})}
                                 if space.kind == "ogE" else None)
 
+    @cached_property
+    def additive(self) -> tuple:
+        """The cohomological chain (base, steps, other component), the `log`
+        image of the K-theoretic one: z -> -log t (the z's stand for the Chern
+        roots x = -log z), steps (s_i on the logs, 1, log a_i) and ogE's
+        t_n -> -t_n."""
+        one, other = Monomial.one(self.table), self.other_component
+
+        def image(s):
+            return {name: log(img, self.table) for name, img in s.items()}
+
+        return ({z: -x for z, x in image(self.base).items()},
+                [(image(s), one, -log(a_inv, self.table)) for s, a_inv, _ in self.steps],
+                None if other is None else image(other))
+
     @staticmethod
-    def _chain(value: LaurentPolynomial, steps: list) -> LaurentPolynomial:
-        """value <- (value - a_inv * s(value)) / divisor over the steps
-        (s, a_inv, divisor): an isobaric divided difference in K-theory, the
-        ordinary one in cohomology, where a_inv is 1."""
+    def _sum(f: LaurentPolynomial, base: dict, steps: list, other) -> LaurentPolynomial:
+        """value <- (value - a_inv * s(value)) / divisor from f at the base point
+        over the steps (s, a_inv, divisor), plus its `other` image if any."""
+        value = f.substitute(base)
         for s, a_inv, divisor in steps:
             numerator = value + value.substitute(s).mul_monomial(a_inv, -1)
             try:
                 value = exact_divide_many(numerator, [divisor])
             except NotDivisible:
                 raise InvariantError("a divided difference is not a Laurent polynomial") from None
+        if other is not None:
+            value = value + value.substitute(other)
         return value
 
     def sum_values(self, f: LaurentPolynomial) -> LaurentPolynomial:
         """Sum of f(point)/bracket(tangent) over the fixed points, for an
         admissible class f (its base-point value is then W_P-invariant)."""
-        value = self._chain(f.substitute(self.base), self.steps)
-        if self.other_component is not None:
-            value = value + value.substitute(self.other_component)
-        return value
-
-    @cached_property
-    def additive_steps(self) -> list:
-        """The cohomological chain on the same word: (s_i acting additively as
-        t -> log(s_i(t)), 1, log a_i)."""
-        one = Monomial.one(self.table)
-        return [({name: log(img, self.table) for name, img in s.items()}, one,
-                 -log(a_inv, self.table))
-                for s, a_inv, _ in self.steps]
+        return self._sum(f, self.base, self.steps, self.other_component)
 
     def additive_sum(self, f: LaurentPolynomial) -> LaurentPolynomial:
         """Cohomological sum of f(point)/prod(log tangent) over the fixed points,
         for an admissible class f whose z's stand for the Chern roots
         x_k = -log z_k (at a two-plane with additive weights (a, b) the roots
-        are (-a, -b)).  The base value runs through the additive chain
-        (g - s_i g)/log a_i on the same reduced word.  In `src/` only
-        `cohomology.g2_integral` calls it, on g2p2; `tests/oracles.py` calls it
-        on gr:2,7 as the oracle of the residue at infinity.  On ogE it would
-        miss the second component."""
-        base = {z: -log(img, self.table) for z, img in self.base.items()}
-        return self._chain(f.substitute(base), self.additive_steps)
+        are (-a, -b)), on every kind but q, whose signed run acts on the roots
+        as x -> -x.  In `src/` only `cohomology.g2_integral` calls it."""
+        return self._sum(f, *self.additive)
 
 
 @lru_cache(maxsize=None)

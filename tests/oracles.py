@@ -18,6 +18,9 @@ chain, then t_i -> the seven weights: the independent path for the residue
 of `eqpush.g2`.  `additive_ambient_chain_class` is its cohomological twin,
 the additive gr:2,7 chain, then t_i -> the logs of the seven weights: the
 independent path for the residue at infinity of `eqpush.cohomology`.
+`log_moment` reads a K-theoretic value at t = e^(hy) order by order in h,
+the paper's substitution that makes the cohomological integral the leading
+term of the K-theoretic push-forward.
 `ambient_matrix_by_pushforward` builds the G2 intersection matrix one entry at
 a time, as the ambient push-forward of each product of two box classes: the
 independent path for the Gram matrix over orbit values of `eqpush.g2`.
@@ -31,6 +34,7 @@ criterion 8, and the independent path for the rank-two closed form
 """
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -287,6 +291,16 @@ def additive_ambient_chain_class(canon: tuple) -> LaurentPolynomial:
     weights = {f"t{i + 1}": spaces.log(w, coh_table())
                for i, w in enumerate(g2core.seven_weights())}
     return value.substitute(weights, coh_table())
+
+
+def log_moment(value: LaurentPolynomial, j: int) -> LaurentPolynomial:
+    """sum c_e <e, y>^j / j! over the terms c_e t^e of a K-theoretic value, y_i
+    written t_i: the coefficient of h^j in the value at t = e^(hy)."""
+    table = value.table
+    total = LaurentPolynomial.zero(table)
+    for e, c in value.terms.items():
+        total = total + (spaces.log(Monomial(table, e), table) ** j).scale(c)
+    return total.scale(quotient(1, math.factorial(j)))
 
 
 def ambient_matrix_by_pushforward() -> list:

@@ -3,16 +3,19 @@ from functools import lru_cache
 
 import pytest
 
-from eqpush.algebra import LaurentPolynomial, zt_table
+from eqpush.algebra import LaurentPolynomial, Monomial
 from eqpush.cohomology import (coh_table, cohomology_class_check,
                                equivariant_class_expression, g2_integral,
                                gr27_integral, torus_invariant)
 from eqpush.g2 import AMBIENT_SPACE, BOX
 from eqpush.polyfam import schur_pair
-from eqpush.spaces import SymmetryViolation, _calc, log, parse_space
+from eqpush.spaces import (SymmetryViolation, _calc, localization_pushforward, log,
+                           parse_space)
 from eqpush import g2core
 
-from oracles import additive_ambient_chain_class, factored_rational_sum, fixed_points
+from oracles import (additive_ambient_chain_class, factored_rational_sum, fixed_points,
+                     log_moment)
+from test_spaces import CHAIN_SPACES
 
 
 def T(name, k=1):
@@ -75,28 +78,28 @@ def test_gr27_rejects_negative_exponents():
 
 
 @lru_cache(maxsize=None)
-def additive_points(key):
-    """(Chern roots x = -log z, linear tangent weights) at every fixed point of
-    a catalogue space, in t1, t2: on gr:2,7 through t1..t7 -> the seven weights."""
+def additive_points(key, table):
+    """({root: -log z}, linear tangent weights) at every fixed point of a
+    catalogue space, over `table`: its leading variables name the Chern
+    roots, its t's are matched by name, and on gr:2,7 t1..t7 go to the logs
+    of the seven weights."""
+    space = parse_space(key)
+    zs = space.table().names[:space.residue_count()]
+    weights = {}
     if key == "gr:2,7":
-        weights = {f"t{i + 1}": log(w, coh_table())
-                   for i, w in enumerate(g2core.seven_weights())}
+        weights = {f"t{i + 1}": log(w, table) for i, w in enumerate(g2core.seven_weights())}
 
-        def additive(char):
-            return log(char, zt_table(2, 7)).substitute(weights, coh_table())
-    else:
-        def additive(char):
-            return log(char, coh_table())
-    return tuple(((-additive(p.subst_map()["z1"]), -additive(p.subst_map()["z2"])),
+    def additive(char):
+        return log(char, space.table()).substitute(weights, table)
+    return tuple(({x: -additive(p.subst_map()[z]) for x, z in zip(table.names, zs)},
                   [additive(c) for c in p.tangent])
-                 for p in fixed_points(parse_space(key)))
+                 for p in fixed_points(space))
 
 
 def flat_integral(key, f):
     """The literal sum of f(point)/prod(tangent weights) over the fixed points."""
-    return factored_rational_sum(
-        (f.substitute({"x1": x1, "x2": x2}), weights)
-        for (x1, x2), weights in additive_points(key))
+    return factored_rational_sum((f.substitute(roots), weights)
+                                 for roots, weights in additive_points(key, f.table))
 
 
 def random_symmetric_class(rng, max_exp):
@@ -122,6 +125,88 @@ def test_chain_matches_flat_fixed_point_sum():
         assert g2_integral(f) == flat_integral("g2p2", f)
         f = random_symmetric_class(rng, 12)
         assert gr27_integral(f) == flat_integral("gr:2,7", f)
+
+
+# every chain space of test_spaces but q, whose signed run acts on the Chern
+# roots as x -> -x, which no orbit class of `decompose` expresses
+ADDITIVE_SPACES = [key for key in CHAIN_SPACES if not key.startswith("q:")] + ["ogE:4"]
+
+
+def additive_pushforward(space, f):
+    """`additive_sum` through `decompose`: t-coefficients pulled out."""
+    calc = _calc(space)
+    return calc.pushforward(f, lambda canon: calc.engine.additive_sum(calc.orbit_sum(canon)))
+
+
+def random_root_class(space, rng):
+    """A class of nonnegative exponents whose orbit classes have degree dim to
+    dim + 2 in the z's, so that its integral can be nonzero: up to three,
+    each times a t-monomial of degree at most one in each t."""
+    calc = _calc(space)
+    m, total = calc.m, LaurentPolynomial.zero(calc.table)
+    for _ in range(rng.randint(1, 3)):
+        degree = space.dimension() + rng.randint(0, 2)
+        cuts = sorted(rng.randint(0, degree) for _ in range(m - 1))
+        zexps = tuple(b - a for a, b in zip((0, *cuts), (*cuts, degree)))
+        t = Monomial(calc.table, (0,) * m + tuple(rng.randint(0, 1) for _ in calc.table.names[m:]))
+        total = total + calc.orbit_sum(calc.canonical(zexps)).mul_monomial(
+            t, rng.choice([-2, -1, 1, 3]))
+    return total
+
+
+@pytest.mark.parametrize("key", ADDITIVE_SPACES)
+def test_additive_chain_matches_flat_fixed_point_sum(key):
+    # on ogE the sum runs over both components of the fixed points
+    space = parse_space(key)
+    rng = random.Random(f"additive-flat:{key}")
+    nonzero = 0
+    for _ in range(3):
+        f = random_root_class(space, rng)
+        value = additive_pushforward(space, f)
+        assert value == flat_integral(key, f)
+        nonzero += not value.is_zero
+    assert nonzero
+
+
+def test_cohomology_is_the_leading_term_of_k_theory():
+    """The paper's substitution, on one space per catalogue kind but q.  At
+    z = e^(-hx), t = e^(hy) a product f of d binomials 1 - z_i^a t^b and
+    1 - t^c is h^d * phi + O(h^(d+1)), phi the product of the linear forms
+    a*x_i - <b, y> and -<c, y>.  Since ch(pi_* f) = pi_*(ch f * td) and td
+    starts with 1, the K-theoretic push-forward P of f has log_moment(P, j)
+    = 0 for j < d - dim and log_moment(P, d - dim) = the integral of phi,
+    which `additive_sum` computes with z standing for x and t for y.  Here
+    d is dim or dim + 1.  q is out of scope: its signed run acts on the
+    Chern roots as x -> -x, which no orbit class of `decompose` expresses."""
+    for key in ("gr:2,4", "gr2:2,4", "lg:2", "ogE:2", "ogO:2", "fl:3", "g2p2", "g2b"):
+        space = parse_space(key)
+        table, m, dim = space.table(), space.residue_count(), space.dimension()
+        one, zs, ts = LaurentPolynomial.one(table), table.names[:m], table.names[m:]
+        runs = [zs[start:stop] for start, stop, _ in space.symmetry_runs()]
+        blocks = runs + [(z,) for z in zs if not any(z in run for run in runs)]
+        rng = random.Random(f"leading-term:{key}")
+        nonzero = 0
+        for d in (dim, dim + 1, dim, dim + 1):
+            f, phi, degree = one, one, 0
+            while degree < d:
+                # 1 - z^a t^b for every z of a symmetry block keeps f admissible;
+                # where no block fits, one factor 1 - t^b
+                fits = [block for block in blocks if degree + len(block) <= d]
+                block, a = (rng.choice(fits), rng.choice([-1, 1, 2])) if fits else (zs[:1], 0)
+                b = {t: rng.randint(-1, 1) for t in ts}
+                if not (a or any(b.values())):
+                    continue
+                for z in block:
+                    f = f * (one - Monomial.of(table, **{z: a}, **b).as_polynomial())
+                    phi = phi * (LaurentPolynomial.variable(table, z).scale(a)
+                                 - log(Monomial.of(table, **b), table))
+                degree += len(block)
+            value = localization_pushforward(space, f)
+            integral = additive_pushforward(space, phi)
+            assert all(log_moment(value, j).is_zero for j in range(d - dim)), (key, d)
+            assert log_moment(value, d - dim) == integral, (key, d)
+            nonzero += not integral.is_zero
+        assert nonzero, key
 
 
 def test_ambient_additive_chain_multiplies_no_polynomials(monkeypatch):

@@ -1,10 +1,10 @@
 """Every public module-level function, class or constant (a name bound by an
-assignment) of `src/eqpush` has a user other than its own tests: `src/`
-computes and `tests/` checks, so a name that only the tests use belongs in
-the tests.  A use is a Name node, an Attribute node or a string constant
-(`exprparse` looks up `g2core` functions by name, and the benchmark's tracer
-wraps functions by name) anywhere in `src/` or `perfbench/` outside the
-definition itself."""
+assignment) of `src/eqpush`, and every public method of its classes, has a
+user other than its own tests: `src/` computes and `tests/` checks, so a
+name that only the tests use belongs in the tests.  A use is a Name node, an
+Attribute node or a string constant (`exprparse` looks up `g2core` functions
+by name, and the benchmark's tracer wraps functions by name) anywhere in
+`src/` or `perfbench/` outside the definition itself."""
 
 import ast
 import glob
@@ -42,9 +42,11 @@ def _defined_names(stmt) -> list:
 
 def unused_public_definitions(root: str = ROOT) -> list:
     """`module.name` of each public module-level def, class or assigned name
-    of `src/eqpush` that nothing in `src/` or `perfbench/` outside its own
+    of `src/eqpush`, and `module.Class.name` of each public method of its
+    classes, that nothing in `src/` or `perfbench/` outside its own
     definition uses."""
     statements = []  # (module, statement, names it uses)
+    methods = []  # (module.Class, method); a class's other statements use it too
     for pattern in ("src/eqpush/*.py", "perfbench/*.py"):
         for path in sorted(glob.glob(os.path.join(root, pattern))):
             with open(path) as fh:
@@ -53,6 +55,9 @@ def unused_public_definitions(root: str = ROOT) -> list:
             from_src = os.path.basename(os.path.dirname(path)) == "eqpush"
             for stmt in tree.body:
                 statements.append((module if from_src else None, stmt, _uses(stmt)))
+                if from_src and isinstance(stmt, ast.ClassDef):
+                    methods += [(f"{module}.{stmt.name}", item) for item in stmt.body
+                                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
     unused = []
     for module, stmt, _ in statements:
         if module is None:
@@ -62,6 +67,12 @@ def unused_public_definitions(root: str = ROOT) -> list:
                 continue
             if not any(name in uses for _, other, uses in statements if other is not stmt):
                 unused.append(f"{module}.{name}")
+    units = [(item, _uses(item)) for _, stmt, _ in statements
+             for item in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])]
+    for owner, method in methods:
+        if not method.name.startswith("_") and not any(
+                method.name in uses for other, uses in units if other is not method):
+            unused.append(f"{owner}.{method.name}")
     return unused
 
 

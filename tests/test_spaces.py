@@ -549,7 +549,8 @@ def test_every_chain_step_divides_by_a_binomial(key, monkeypatch):
     engine = LocalizationEngine(space)
     assert [len(d.terms) for _, _, d in engine.steps] == [2] * len(engine.steps)
     powers = [sum(1 for e in a_inv.exps if e) == 1 for _, a_inv, _ in engine.steps]
-    assert [len(d.terms) for _, _, d in engine.additive_steps] == [1 if p else 2 for p in powers]
+    _, additive_steps, _ = engine.additive
+    assert [len(d.terms) for _, _, d in additive_steps] == [1 if p else 2 for p in powers]
     assert not any(powers) or space.kind in ("lg", "ogO")
 
     def heap(*args):
