@@ -23,7 +23,7 @@ from functools import lru_cache
 from .algebra import LaurentPolynomial, VariableTable, parameter_table
 from .g2 import AMBIENT_SPACE, BOX, QUOTIENT_SPACE
 from .polyfam import schur_pair
-from .spaces import _calc, log
+from .spaces import _calc, _check_class, log
 from . import g2core
 
 
@@ -34,11 +34,6 @@ def coh_table() -> VariableTable:
 
 def _t(name):
     return LaurentPolynomial.variable(coh_table(), name)
-
-
-def _check_class(f: LaurentPolynomial) -> None:
-    if any(e < 0 for key in f.terms for e in key):
-        raise ValueError("cohomology classes must have nonnegative exponents")
 
 
 @lru_cache(maxsize=None)
@@ -95,14 +90,14 @@ def g2_integral(f: LaurentPolynomial) -> LaurentPolynomial:
     """Integral of a polynomial in the Chern roots over the five-dimensional
     quotient space."""
     _check_class(f)
-    return _calc(QUOTIENT_SPACE).pushforward(f, _g2_class, ("x1", "x2"))
+    return _calc(QUOTIENT_SPACE).pushforward(f, _g2_class)
 
 
 def gr27_integral(f: LaurentPolynomial) -> LaurentPolynomial:
     """Integral over the ambient Grassmannian of two-planes, the torus acting
     through the seven restricted weights."""
     _check_class(f)
-    return _calc(AMBIENT_SPACE).pushforward(f, _gr27_class, ("x1", "x2"))
+    return _calc(AMBIENT_SPACE).pushforward(f, _gr27_class)
 
 
 def equivariant_class_expression() -> LaurentPolynomial:

@@ -87,7 +87,7 @@ def _ambient_class(canon: tuple) -> LaurentPolynomial:
 def ambient_pushforward(f: LaurentPolynomial) -> LaurentPolynomial:
     """Push-forward along the ambient Grassmannian of two-planes (21 fixed
     points) of a class symmetric in z1, z2 (SymmetryViolation otherwise)."""
-    return _calc(AMBIENT_SPACE).pushforward(f, _ambient_class, ("z1", "z2"))
+    return _calc(AMBIENT_SPACE).pushforward(f, _ambient_class)
 
 
 def intersection_matrix() -> list:
@@ -100,7 +100,7 @@ def intersection_matrix() -> list:
     classes = []
     for a, b in BOX:
         cls = grothendieck_pair(a, b, GT)
-        calc.decompose(cls, ("z1", "z2"))  # SymmetryViolation unless symmetric
+        calc.decompose(cls)  # SymmetryViolation unless symmetric
         classes.append(cls)
     matrix = [[None] * len(classes) for _ in classes]
     for i, left in enumerate(classes):

@@ -14,8 +14,12 @@ agree on every admissible class.
 The symmetry of admissible classes is declared once per kind, in
 SpaceDescriptor.symmetry_runs; the generators, the sorted orbit classes and
 the check in _SpaceCalc.decompose, which every push-forward runs, derive from
-it.  Both paths are linear, so values are cached per orbit class; the caches
-are observationally pure.
+it.  Each orbit is listed once per calculator (`_SpaceCalc.orbit`): the
+check's orbit size, the orbit sum and the members a residue takes are read
+off that list.  The class variables are the leading variables of the class's
+table, the space's z's or, in `cohomology`, the Chern roots.  Both paths are
+linear, so values are cached per orbit class; the caches are observationally
+pure.
 
 Every residue integrand is held as the paper writes it (`_integrand_parts`):
 a scalar, one weight list, the extra factors that are no bracket and the
@@ -202,6 +206,13 @@ def log(char: Monomial, table: VariableTable) -> LaurentPolynomial:
                              _canonical=True)
 
 
+def _check_class(f: LaurentPolynomial) -> None:
+    """Raise ValueError unless f is a class in the Chern roots: a negative
+    exponent makes it no polynomial in them."""
+    if any(e < 0 for key in f.terms for e in key):
+        raise ValueError("cohomology classes must have nonnegative exponents")
+
+
 def _simple_reflections(space: SpaceDescriptor) -> list:
     """(substitution on the parameters, simple-root character a with s(a) = 1/a)
     for each simple reflection s of the space's Weyl group."""
@@ -335,7 +346,11 @@ class LocalizationEngine:
         for an admissible class f whose z's stand for the Chern roots
         x_k = -log z_k (at a two-plane with additive weights (a, b) the roots
         are (-a, -b)), on every kind but q, whose signed run acts on the roots
-        as x -> -x.  In `src/` only `cohomology.g2_integral` calls it."""
+        as x -> -x.  Raises ValueError on a class with a negative exponent,
+        which is no polynomial in the roots (on q, every orbit class that moves
+        under the signed run has one).  In `src/` only `cohomology.g2_integral`
+        calls it."""
+        _check_class(f)
         return self._sum(f, *self.additive)
 
 
@@ -428,9 +443,9 @@ class _SpaceCalc:
         self.space = space
         self.table = space.table()
         self.m = space.residue_count()
-        self.names = tuple(f"z{i + 1}" for i in range(self.m))
         self.engine = LocalizationEngine(space)
         self.runs = space.symmetry_runs()
+        self.orbits: dict = {}
         self.loc_values: dict = {}
         self.res_values: dict = {}
         self.forms: dict = {}
@@ -444,53 +459,42 @@ class _SpaceCalc:
             out[start:stop] = sorted(map(abs, run) if signed else run, reverse=True)
         return tuple(out)
 
-    def orbit_size(self, canon: tuple) -> int:
-        """The number of members of the orbit of canon, from the multiplicities
-        of each run's exponents."""
-        size = 1
-        for start, stop, signed in self.runs:
-            run = canon[start:stop]
-            size *= math.factorial(len(run))
-            for count in Counter(run).values():
-                size //= math.factorial(count)
-            if signed:
-                size <<= len(run) - run.count(0)
-        return size
-
-    def orbit(self, canon: tuple) -> list:
-        """The members of the orbit of canon, as exponent vectors over the table."""
-        orbit = [canon]
-        for start, stop, signed in self.runs:
-            images = set(itertools.permutations(canon[start:stop]))
-            if signed:
-                images = {tuple(s * e for s, e in zip(signs, image)) for image in images
-                          for signs in itertools.product((1, -1), repeat=stop - start)}
-            orbit = [e[:start] + image + e[stop:] for e in orbit for image in images]
-        pad = (0,) * (len(self.table) - self.m)
-        return [e + pad for e in orbit]
+    def orbit(self, canon: tuple) -> tuple:
+        """The members of the orbit of canon, as exponent vectors over the
+        table, listed once per class: the orbit's size, its sum and the
+        members a residue takes are all read off this tuple."""
+        got = self.orbits.get(canon)
+        if got is None:
+            orbit = [canon]
+            for start, stop, signed in self.runs:
+                images = set(itertools.permutations(canon[start:stop]))
+                if signed:
+                    images = {tuple(s * e for s, e in zip(signs, image)) for image in images
+                              for signs in itertools.product((1, -1), repeat=stop - start)}
+                orbit = [e[:start] + image + e[stop:] for e in orbit for image in images]
+            pad = (0,) * (len(self.table) - self.m)
+            got = self.orbits[canon] = tuple(e + pad for e in orbit)
+        return got
 
     def orbit_sum(self, canon: tuple) -> LaurentPolynomial:
         return LaurentPolynomial(self.table, dict.fromkeys(self.orbit(canon), 1))
 
-    def decompose(self, f: LaurentPolynomial, names: tuple = None) -> dict:
+    def decompose(self, f: LaurentPolynomial) -> dict:
         """f as {canonical class: coefficient}, the classes being the orbit sums
-        of monomials in the auxiliary variables `names` (by default the space's
-        z's), which lead f's table, and each coefficient a polynomial in f's
-        other variables, over f's own table.  Raises SymmetryViolation unless
-        each orbit appears whole with one coefficient."""
-        names = names or self.names
-        zn = len(names)
-        if f.table.names[:zn] != names:
-            raise ValueError(f"the class variables {names} do not lead {f.table.names}")
+        of monomials in the leading variables of f's table (the space's z's,
+        or the Chern roots of a cohomology class), and each coefficient a
+        polynomial in f's other variables, over f's own table.  Raises
+        SymmetryViolation unless each orbit appears whole with one coefficient."""
+        m = self.m
         groups: dict = {}
         for key, c in f.terms.items():
-            groups.setdefault((self.canonical(key[:zn]), key[zn:]), []).append(c)
-        pad = (0,) * zn
+            groups.setdefault((self.canonical(key[:m]), key[m:]), []).append(c)
+        pad = (0,) * m
         out: dict = {}
         for (canon, rest), coeffs in groups.items():
             # The group's members are distinct members of one orbit, so it is
             # the whole orbit with one coefficient iff `size` of them share one.
-            size = self.orbit_size(canon)
+            size = len(self.orbit(canon))
             if coeffs.count(coeffs[0]) != size:
                 problem = (f"{len(coeffs)} of its {size} terms" if len(coeffs) != size
                            else "unequal coefficients")
@@ -501,13 +505,13 @@ class _SpaceCalc:
         return {canon: LaurentPolynomial(f.table, terms, _canonical=True)
                 for canon, terms in out.items()}
 
-    def pushforward(self, f: LaurentPolynomial, class_value, names: tuple = None):
+    def pushforward(self, f: LaurentPolynomial, class_value):
         """The sum of coefficient * class_value(canonical class) over the
         decomposition of f: a push-forward is linear over the coefficients.
         The terms of all the products are added into one dict."""
         acc: dict = {}
         get = acc.get
-        for canon, coeff in self.decompose(f, names).items():
+        for canon, coeff in self.decompose(f).items():
             for k, c in (coeff * class_value(canon)).terms.items():
                 acc[k] = get(k, 0) + c
         return LaurentPolynomial(f.table, acc)
@@ -540,15 +544,9 @@ class _SpaceCalc:
         return got
 
 
-_CALCS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _calc(space: SpaceDescriptor) -> _SpaceCalc:
-    got = _CALCS.get(space.key())
-    if got is None:
-        got = _SpaceCalc(space)
-        _CALCS[space.key()] = got
-    return got
+    return _SpaceCalc(space)
 
 
 def localization_pushforward(space: SpaceDescriptor, f: LaurentPolynomial) -> LaurentPolynomial:

@@ -514,6 +514,19 @@ def test_only_ascii_digits_are_integers(capsys, text):
     assert line == f"error: syntax error at offset 3: expected a token; found {text[3]!r}"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(z1+z2", "offset 6: expected ); found EOF"),
+    ("G[1,2", "offset 5: expected ]; found EOF"),
+    ("G[1 2]", "offset 4: expected ]; found INT"),
+    ("z1^z2", "offset 3: expected INT; found IDENT"),
+    ("z1^-z2", "offset 4: expected INT; found IDENT"),
+])
+def test_missing_token_is_one_error_line(capsys, text, message):
+    # a closing bracket the parser expects, or an exponent that is no integer
+    line = _one_error_line(*run_cli(capsys, "pushforward", "--space", "gr:2,4", "--f", text))
+    assert line == f"error: syntax error at {message}"
+
+
 def test_cli_space_parameter_outside_ascii_digits_is_rejected_first(capsys, no_work):
     # int() would read lg:1_0 as lg:10, a long push-forward
     line = _one_error_line(*run_cli(capsys, "pushforward", "--space", "lg:1_0", "--f", "1"))

@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from eqpush import cohomology
 from eqpush.algebra import LaurentPolynomial, Monomial
 from eqpush.cohomology import (coh_table, cohomology_class_check,
                                equivariant_class_expression, g2_integral,
@@ -57,6 +58,22 @@ def test_class_expression_schur_coefficients():
 
 
 def test_class_check():
+    assert cohomology_class_check()
+
+
+def test_class_check_fails_on_a_wrong_presentation_or_integral(monkeypatch):
+    # the Schur presentation is checked first, then each pairing
+    real_class, real_integral = equivariant_class_expression, g2_integral
+    monkeypatch.setattr(cohomology, "equivariant_class_expression",
+                        lambda: real_class() + T("x1", 2))
+    assert not cohomology_class_check()
+    monkeypatch.undo()
+    assert cohomology_class_check()
+    s31 = schur_pair(3, 1, coh_table())
+    monkeypatch.setattr(cohomology, "g2_integral",
+                        lambda f: real_integral(f) + (1 if f == s31 else 0))
+    assert not cohomology_class_check()
+    monkeypatch.undo()
     assert cohomology_class_check()
 
 
@@ -168,6 +185,16 @@ def test_additive_chain_matches_flat_fixed_point_sum(key):
     assert nonzero
 
 
+@pytest.mark.parametrize("canon", [(1, 1), (2, 2)])
+def test_additive_sum_refuses_a_class_with_a_negative_exponent(canon):
+    # on q:2 the orbit class of (p, q), q != 0, holds z1^p z2^-q, no
+    # polynomial in the Chern roots; its chain value has negative powers of t
+    # (2*t1^-1*t2^-1 and 2*t1^-2 + 2*t2^-2), which no integral has
+    calc = _calc(parse_space("q:2"))
+    with pytest.raises(ValueError, match="nonnegative exponents"):
+        calc.engine.additive_sum(calc.orbit_sum(canon))
+
+
 def test_cohomology_is_the_leading_term_of_k_theory():
     """The paper's substitution, on one space per catalogue kind but q.  At
     z = e^(-hx), t = e^(hy) a product f of d binomials 1 - z_i^a t^b and
@@ -236,7 +263,7 @@ def test_residue_matches_additive_chain_on_the_class_check_orbits():
     calc = _calc(AMBIENT_SPACE)
     canons = set()
     for s in class_check_schurs():
-        canons |= set(calc.decompose(s * cls, ("x1", "x2")))
+        canons |= set(calc.decompose(s * cls))
     assert len(canons) == 40
     for canon in sorted(canons):
         f = LaurentPolynomial(coh_table(), dict.fromkeys({canon + (0, 0), canon[::-1] + (0, 0)}, 1))
@@ -262,7 +289,7 @@ def test_residue_matches_additive_chain_on_seeded_classes():
                                                               (degree - p, p, 0, 0)}, 1))
         f = coeff * orbit
         value = gr27_integral(f)
-        assert value == calc.pushforward(f, additive_ambient_chain_class, ("x1", "x2")), (p, degree - p)
+        assert value == calc.pushforward(f, additive_ambient_chain_class), (p, degree - p)
         nonzero += not value.is_zero
     assert nonzero >= 5
 

@@ -4,7 +4,11 @@ user other than its own tests: `src/` computes and `tests/` checks, so a
 name that only the tests use belongs in the tests.  A use is a Name node, an
 Attribute node or a string constant (`exprparse` looks up `g2core` functions
 by name, and the benchmark's tracer wraps functions by name) anywhere in
-`src/` or `perfbench/` outside the definition itself."""
+`src/` or `perfbench/` outside the definition itself.
+
+Every defaulted parameter of a function or method of `src/eqpush` is set by
+some call in `src/` or `perfbench/`: a default that no call overrides is a
+knob that nothing turns, and belongs in the body."""
 
 import ast
 import glob
@@ -40,6 +44,17 @@ def _defined_names(stmt) -> list:
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
 
 
+def _modules(root: str):
+    """(module name, syntax tree) of each file of `src/eqpush`, then (None,
+    syntax tree) of each file of `perfbench/`."""
+    for pattern in ("src/eqpush/*.py", "perfbench/*.py"):
+        for path in sorted(glob.glob(os.path.join(root, pattern))):
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            from_src = os.path.basename(os.path.dirname(path)) == "eqpush"
+            yield (os.path.splitext(os.path.basename(path))[0] if from_src else None), tree
+
+
 def unused_public_definitions(root: str = ROOT) -> list:
     """`module.name` of each public module-level def, class or assigned name
     of `src/eqpush`, and `module.Class.name` of each public method of its
@@ -47,17 +62,12 @@ def unused_public_definitions(root: str = ROOT) -> list:
     definition uses."""
     statements = []  # (module, statement, names it uses)
     methods = []  # (module.Class, method); a class's other statements use it too
-    for pattern in ("src/eqpush/*.py", "perfbench/*.py"):
-        for path in sorted(glob.glob(os.path.join(root, pattern))):
-            with open(path) as fh:
-                tree = ast.parse(fh.read(), path)
-            module = os.path.splitext(os.path.basename(path))[0]
-            from_src = os.path.basename(os.path.dirname(path)) == "eqpush"
-            for stmt in tree.body:
-                statements.append((module if from_src else None, stmt, _uses(stmt)))
-                if from_src and isinstance(stmt, ast.ClassDef):
-                    methods += [(f"{module}.{stmt.name}", item) for item in stmt.body
-                                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for module, tree in _modules(root):
+        for stmt in tree.body:
+            statements.append((module, stmt, _uses(stmt)))
+            if module and isinstance(stmt, ast.ClassDef):
+                methods += [(f"{module}.{stmt.name}", item) for item in stmt.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
     unused = []
     for module, stmt, _ in statements:
         if module is None:
@@ -78,3 +88,70 @@ def unused_public_definitions(root: str = ROOT) -> list:
 
 def test_every_public_definition_has_a_user_outside_the_tests():
     assert unused_public_definitions() == []
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def unset_knobs(root: str = ROOT) -> list:
+    """`module.function(parameter)` of each defaulted parameter of a function
+    or method of `src/eqpush`, private ones included, that no call in `src/`
+    or `perfbench/` sets.  A call is matched on the name it calls, a call to a
+    class standing for its `__init__`; it sets a parameter by keyword or by
+    position (a method's `self` is not counted), and a starred argument sets
+    every parameter."""
+    functions = []  # (module, names a call may use, the def, whether self comes first)
+    calls = {}  # callee name -> [(positional count, keywords, starred)]
+    for module, tree in _modules(root):
+        methods = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        methods[id(item)] = node.name
+            elif isinstance(node, ast.Call):
+                keywords = {k.arg for k in node.keywords}
+                starred = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(_callee(node), []).append((len(node.args), keywords, starred))
+        for node in ast.walk(tree) if module else ():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = methods.get(id(node))
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                names = {node.name} | ({owner} if owner and node.name == "__init__" else set())
+                functions.append((module, names, node, owner is not None and not static))
+    unset = []
+    for module, names, func, bound in functions:
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        knobs = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
+        knobs += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        sites = [site for name in names for site in calls.get(name, ())]
+        for position, name in knobs:
+            if not any(starred or name in keywords or position is not None and position < count
+                       for count, keywords, starred in sites):
+                unset.append(f"{module}.{func.name}({name})")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    assert unset_knobs() == []
+
+
+def test_knob_scan_reports_a_default_no_call_sets(tmp_path):
+    os.makedirs(tmp_path / "src" / "eqpush")
+    os.makedirs(tmp_path / "perfbench")
+    (tmp_path / "src" / "eqpush" / "mod.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, a, b=1):\n"
+        "        pass\n"
+        "    def scaled(self, c=2, *, d=3):\n"
+        "        pass\n"
+        "def free(x, verbose=False, limit=None):\n"
+        "    return Box(x, 2).scaled(d=4)\n")
+    (tmp_path / "perfbench" / "bench.py").write_text("free(*args)\n")
+    assert unset_knobs(str(tmp_path)) == ["mod.scaled(c)"]
+    (tmp_path / "perfbench" / "bench.py").write_text("free(1, limit=2)\n")
+    assert sorted(unset_knobs(str(tmp_path))) == ["mod.free(verbose)", "mod.scaled(c)"]

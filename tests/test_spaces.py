@@ -6,8 +6,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from eqpush import algebra, spaces
-from eqpush.algebra import LaurentPolynomial, Monomial, zt_table
+from eqpush import algebra, cohomology, g2, spaces
+from eqpush.algebra import LaurentPolynomial, MixedVariableTables, Monomial, zt_table
 from eqpush.characters import bracket
 from eqpush.exprparse import parse_to_polynomial
 from eqpush.residue import PreparedForm, iterated_residue
@@ -197,8 +197,9 @@ def test_quadric_symmetry_rules():
 @pytest.mark.parametrize("key", BASE_POINT_SPACES)
 def test_orbit_classes_match_generator_walk(key):
     # every z-exponent vector in the box: its sorted class is the largest
-    # member of the orbit the generators walk, and the orbit sum of that
-    # class has exactly the orbit as support
+    # member of the orbit the generators walk, the orbit list of that class
+    # holds each member once (its length is decompose's orbit size), and the
+    # orbit sum has exactly the orbit as support
     space = parse_space(key)
     calc = _calc(space)
     m = space.residue_count()
@@ -210,8 +211,8 @@ def test_orbit_classes_match_generator_walk(key):
         orbit = symmetry_orbit(space, zexps)
         top = max(orbit)
         assert {calc.canonical(e) for e in orbit} == {top}
+        assert sorted(calc.orbit(top)) == sorted(e + pad for e in orbit)
         assert set(calc.orbit_sum(top).terms) == {e + pad for e in orbit}
-        assert calc.orbit_size(top) == len(orbit)
         covered |= orbit
 
 
@@ -268,7 +269,7 @@ def test_check_symmetry_rejects_one_broken_orbit(case, data):
     m = space.residue_count()
 
     def in_larger_orbit(key):
-        return calc.orbit_size(calc.canonical(key[:m])) > 1
+        return len(calc.orbit(calc.canonical(key[:m]))) > 1
 
     members = sorted(key for key in f.terms if in_larger_orbit(key))
     assume(members)
@@ -283,13 +284,17 @@ def test_check_symmetry_rejects_one_broken_orbit(case, data):
             check_symmetry(space, broken)
 
 
-def test_decompose_needs_leading_class_variables():
-    # orbit classes are read off the leading variables of the class's table
+def test_a_class_over_the_wrong_table_is_refused():
+    # the class variables are the leading variables of the class's table, so
+    # a class over another table meets class values it cannot be added to
     space = parse_space("g2p2")
-    f = LaurentPolynomial.variable(space.table(), "t1")
-    assert set(_calc(space).decompose(f, ("z1", "z2"))) == {(0, 0)}
-    with pytest.raises(ValueError):
-        _calc(space).decompose(f, ("t1", "t2"))
+    assert set(_calc(space).decompose(LaurentPolynomial.variable(space.table(), "t1"))) == {(0, 0)}
+    x1, x2 = (LaurentPolynomial.variable(cohomology.coh_table(), x) for x in ("x1", "x2"))
+    z1, z2 = (LaurentPolynomial.variable(space.table(), z) for z in ("z1", "z2"))
+    for push, f in [(g2.ambient_pushforward, x1 * x2), (cohomology.g2_integral, z1 * z2),
+                    (cohomology.gr27_integral, z1 * z2)]:
+        with pytest.raises(MixedVariableTables):
+            push(f)
 
 
 def test_variant_validation():

@@ -7,7 +7,16 @@ from eqpush.verification import first_mismatch, run_campaign
 
 
 @pytest.fixture
-def planted_sign(monkeypatch):
+def fresh_calculators():
+    """Calculators built after set-up and dropped at teardown, so that a
+    poisoned one never reaches another test."""
+    spaces._calc.cache_clear()
+    yield
+    spaces._calc.cache_clear()
+
+
+@pytest.fixture
+def planted_sign(monkeypatch, fresh_calculators):
     """gr:2,4 with a wrong sign planted in the residue value of the orbit
     classes of z1*z2^-1 and z1^2*z2 (the members (-1, 1) and (1, 2) that the
     symmetric full integrand takes, also in the compact orbit sums), on
@@ -20,7 +29,6 @@ def planted_sign(monkeypatch):
         return -value if any(m[:2] in planted for m in members) else value
 
     monkeypatch.setattr(spaces, "iterated_residue", wrong_sign)
-    monkeypatch.setattr(spaces, "_CALCS", {})
     return parse_space("gr:2,4")
 
 
@@ -57,9 +65,8 @@ def test_agreeing_campaign_has_no_class_lines():
     assert not any(line.startswith(" ") for line in lines)
 
 
-def test_sign_planted_in_the_chain_names_an_orbit_class(monkeypatch, capsys):
+def test_sign_planted_in_the_chain_names_an_orbit_class(fresh_calculators, capsys):
     # the last Demazure step of a fresh gr:2,4 calculator divides by -(1 - 1/a)
-    monkeypatch.setattr(spaces, "_CALCS", {})
     space = parse_space("gr:2,4")
     calc = spaces._calc(space)
     s, a_inv, divisor = calc.engine.steps[-1]
