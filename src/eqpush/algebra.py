@@ -15,6 +15,9 @@ are normalized, so integral work such as elimination with unit pivots or
 the G2 artifacts never builds a rational.  Rendering and JSON read
 `numerator` and `denominator`, which ints have as well.
 
+One walk of the terms in canonical order serves every rendering: the text
+form of the fixtures, LaTeX, JSON and `Monomial.render`.
+
 `LaurentPolynomial.substitute` is the one change of variables, from a Weyl
 reflection to the move of a polynomial to another table.
 
@@ -224,22 +227,24 @@ class Monomial(Frozen):
         return Monomial(self.table, tuple(acc))
 
     def render(self) -> str:
-        parts = []
-        for name, e in zip(self.table.names, self.exps):
-            if e == 0:
-                continue
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return self.as_polynomial().render()
 
     def __repr__(self):
         return f"Monomial({self.render()})"
 
 
-def term_sort_key(exps: tuple):
+def _term_sort_key(exps: tuple):
     """Canonical term order: by support size, then support positions, then
     exponents in descending lexicographic order."""
     support = tuple(i for i, e in enumerate(exps) if e != 0)
     return (len(support), support, tuple(-exps[i] for i in support))
+
+
+def _latex_name(name: str) -> str:
+    """t10 as t_{10}; a name without a numeric index as it is."""
+    if len(name) > 1 and name[1:].isdigit():
+        return f"{name[0]}_{{{name[1:]}}}"
+    return name
 
 
 def _grlex_key(exps: tuple):
@@ -505,64 +510,49 @@ class LaurentPolynomial:
 
     # -- rendering ----------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
+    def _walk(self):
+        """Each term in canonical order as (negative, |numerator|, denominator,
+        ((name, exponent) of each nonzero exponent, ...))."""
+        names = self.table.names
+        for k in sorted(self.terms, key=_term_sort_key):
+            c = self.terms[k]
+            yield (c < 0, abs(c.numerator), c.denominator,
+                   tuple((name, e) for name, e in zip(names, k) if e != 0))
+
+    def _format(self, fraction: str, power: str, times: str, base) -> str:
+        """The terms joined by signs.  A coefficient is written as an integer
+        or with the `fraction` pattern, a factor as its `base` name alone or
+        with the `power` pattern, and `times` joins coefficient and factors;
+        a unit coefficient on a nonconstant monomial is left out."""
+        out = []
+        for neg, mag, den, factors in self._walk():
+            mono = times.join(base(name) if e == 1 else power.format(base(name), e)
+                              for name, e in factors)
+            coeff = str(mag) if den == 1 else fraction.format(mag, den)
+            if not mono:
+                body = coeff
+            elif mag == 1 and den == 1:
+                body = mono
+            else:
+                body = coeff + times + mono
+            if out:
+                out.append(" - " if neg else " + ")
+            elif neg:
+                out.append("-")
+            out.append(body)
+        return "".join(out) or "0"
 
     def render(self) -> str:
         """Canonical text form; the bit-exact fixture format."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for k, c in self.sorted_terms():
-            mono = Monomial(self.table, k)
-            num, den = c.numerator, c.denominator
-            neg = num < 0
-            mag = -num if neg else num
-            coeff = f"{mag}" if den == 1 else f"{mag}/{den}"
-            if mono.is_one:
-                body = coeff
-            elif mag == 1 and den == 1:
-                body = mono.render()
-            else:
-                body = f"{coeff}*{mono.render()}"
-            if not pieces:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f" - {body}" if neg else f" + {body}")
-        return "".join(pieces)
+        return self._format("{}/{}", "{}^{}", "*", str)
 
     def render_latex(self) -> str:
-        if not self.terms:
-            return "0"
-        out = []
-        for k, c in self.sorted_terms():
-            num, den = c.numerator, c.denominator
-            neg = num < 0
-            mag = -num if neg else num
-            coeff = f"{mag}" if den == 1 else f"\\tfrac{{{mag}}}{{{den}}}"
-            factors = []
-            for name, e in zip(self.table.names, k):
-                if e == 0:
-                    continue
-                base = f"{name[0]}_{{{name[1:]}}}" if len(name) > 1 and name[1:].isdigit() else name
-                factors.append(base if e == 1 else f"{base}^{{{e}}}")
-            body = " ".join(factors) if factors else coeff
-            if factors and not (mag == 1 and den == 1):
-                body = f"{coeff} {body}"
-            sign = "-" if neg else ("+" if out else "")
-            out.append(f"{sign} {body}" if out else f"{sign}{body}")
-        return " ".join(out)
+        return self._format("\\tfrac{{{}}}{{{}}}", "{}^{{{}}}", " ", _latex_name)
 
     def json_terms(self) -> list:
-        out = []
-        for k, c in self.sorted_terms():
-            exps = {name: e for name, e in zip(self.table.names, k) if e != 0}
-            out.append({
-                "coeff_num": str(c.numerator),
-                "coeff_den": str(c.denominator),
-                "exponents": exps,
-            })
-        return out
+        return [{"coeff_num": str(-mag if neg else mag), "coeff_den": str(den),
+                 "exponents": dict(factors)}
+                for neg, mag, den, factors in self._walk()]
 
     def __repr__(self):
         return f"LaurentPolynomial({self.render()})"

@@ -215,7 +215,7 @@ def _minus_one_coefficient(slices: dict, rests: list) -> dict:
 
 
 def _residue_step(terms: dict, packing: _Packing, i: int, rests: list,
-                  zero: bool = True, infinity: bool = True) -> dict:
+                  zero: bool, infinity: bool) -> dict:
     """Residue at 0 and/or at infinity in variable i of sum(terms) / prod(1 - r v^k)
     over the packed (r, k) in rests, v being variable i, on packed keys; the
     result is free of variable i."""
@@ -246,10 +246,10 @@ def _residue_step(terms: dict, packing: _Packing, i: int, rests: list,
 # -- entry points ----------------------------------------------------------------
 
 
-def _residues(form: PreparedForm, scalar, members=None, zero: bool = True,
+def _residues(form: PreparedForm, scalar, members, zero: bool = True,
               infinity: bool = True) -> tuple:
-    """The residues of sum(z^member) * form (by default the zero member
-    alone) in the variables of its order, one after the other on packed
+    """The residues of sum(z^member) * form (the zero member alone when
+    members is None) in the variables of its order, one after the other on packed
     keys, unpacked once: (scalar times the numerator left, the denominator
     monomials left)."""
     table = form.form.table

@@ -219,16 +219,33 @@ def test_other_types_are_not_compared(table22):
     assert one != "1"
 
 
-def test_render_and_json(table22):
-    one = LaurentPolynomial.one(table22)
-    p = one - V(table22, "t1", -1)
-    assert p.render() == "1 - t1^-1"
-    assert p.json_terms() == [
-        {"coeff_num": "1", "coeff_den": "1", "exponents": {}},
-        {"coeff_num": "-1", "coeff_den": "1", "exponents": {"t1": -1}},
-    ]
-    assert LaurentPolynomial.zero(table22).json_terms() == []
-    assert LaurentPolynomial.zero(table22).render() == "0"
+def _json(*terms):
+    return [{"coeff_num": num, "coeff_den": den, "exponents": exps} for num, den, exps in terms]
+
+
+@pytest.mark.parametrize("table, terms, text, latex, json_terms", [
+    (zt_table(2, 2), [], "0", "0", []),
+    (zt_table(2, 2), [(1, {})], "1", "1", _json(("1", "1", {}))),
+    (zt_table(2, 2), [(-1, {})], "-1", "-1", _json(("-1", "1", {}))),
+    (zt_table(2, 2), [(Fraction(-3, 4), {})], "-3/4", "-\\tfrac{3}{4}",
+     _json(("-3", "4", {}))),
+    (zt_table(2, 2), [(-2, {"t1": 1}), (1, {"z1": 1, "t2": 1})], "-2*t1 + z1*t2",
+     "-2 t_{1} + z_{1} t_{2}",
+     _json(("-2", "1", {"t1": 1}), ("1", "1", {"z1": 1, "t2": 1}))),
+    (zt_table(2, 2), [(1, {}), (-1, {"t1": -1})], "1 - t1^-1", "1 - t_{1}^{-1}",
+     _json(("1", "1", {}), ("-1", "1", {"t1": -1}))),
+    (zt_table(2, 2), [(1, {}), (Fraction(-5, 3), {"z1": 2, "t2": -1})], "1 - 5/3*z1^2*t2^-1",
+     "1 - \\tfrac{5}{3} z_{1}^{2} t_{2}^{-1}",
+     _json(("1", "1", {}), ("-5", "3", {"z1": 2, "t2": -1}))),
+    (zt_table(1, 10), [(1, {"t10": 1}), (-1, {"t1": 1})], "-t1 + t10", "-t_{1} + t_{10}",
+     _json(("-1", "1", {"t1": 1}), ("1", "1", {"t10": 1}))),
+], ids=["zero", "one", "minus-one", "negative-fraction", "leading-negative",
+        "negative-exponent", "fraction-two-variables", "two-digit-index"])
+def test_render_and_json(table, terms, text, latex, json_terms):
+    p = LaurentPolynomial(table, {Monomial.from_map(table, powers).exps: c for c, powers in terms})
+    assert p.render() == text
+    assert p.render_latex() == latex
+    assert p.json_terms() == json_terms
 
 
 # -- the coefficient normal form, against a Fraction-only reference --------------

@@ -343,6 +343,42 @@ def test_cli_schur_macro_inadmissible_is_bad_input(capsys):
     assert "Traceback" not in err
 
 
+VERIFY_KEYS = ["gr:1,2", "gr:2,4", "gr2:1,3", "lg:2", "ogE:2", "ogO:2", "fl:3", "q:2", "q:3",
+               "g2p2", "g2b"]
+MALFORMED_KEYS = ["gr:0,2", "gr:2,2", "lg:0", "q:1", "gr:1", "lg:1_0", "ogO:2,3", "bogus", ""]
+
+
+@st.composite
+def verify_arguments(draw):
+    """`verify` arguments on small spaces and counts, some of them malformed:
+    larger spaces or counts can run for minutes."""
+    argv = ["verify", "--space", draw(st.sampled_from(VERIFY_KEYS + MALFORMED_KEYS))]
+    for flag in ("--trials", "--max-exp"):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.integers(-2, 3)))]
+    argv += ["--seed", str(draw(st.one_of(st.integers(), st.sampled_from([10**20, -10**20]))))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "latex", "bogus"]))]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--variant", "full"]
+    return argv
+
+
+@settings(max_examples=300)
+@given(verify_arguments())
+def test_cli_fuzzed_verify_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+    else:
+        assert out.getvalue().splitlines()[-1].endswith("all agree"), argv
+
+
 @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-1"),
                                          ("--max-exp", "-1")])
 def test_cli_verify_rejects_bad_counts(capsys, flag, value):

@@ -8,7 +8,9 @@ by name, and the benchmark's tracer wraps functions by name) anywhere in
 
 Every defaulted parameter of a function or method of `src/eqpush` is set by
 some call in `src/` or `perfbench/`: a default that no call overrides is a
-knob that nothing turns, and belongs in the body."""
+knob that nothing turns, and belongs in the body.  And some call relies on
+each default of a private function or method: a private default that every
+call overrides is dead, and the parameter should have none."""
 
 import ast
 import glob
@@ -95,11 +97,12 @@ def _callee(call: ast.Call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def unset_knobs(root: str = ROOT) -> list:
-    """`module.function(parameter)` of each defaulted parameter of a function
-    or method of `src/eqpush`, private ones included, that no call in `src/`
-    or `perfbench/` sets.  A call is matched on the name it calls, a call to a
-    class standing for its `__init__`; it sets a parameter by keyword or by
+def _knobs(root: str):
+    """(`module.function(parameter)`, the function's name, whether each call
+    sets it) for each defaulted parameter of a function or method of
+    `src/eqpush`, private ones included, over the calls in `src/` and
+    `perfbench/`.  A call is matched on the name it calls, a call to a class
+    standing for its `__init__`; it sets a parameter by keyword or by
     position (a method's `self` is not counted), and a starred argument sets
     every parameter."""
     functions = []  # (module, names a call may use, the def, whether self comes first)
@@ -121,7 +124,6 @@ def unset_knobs(root: str = ROOT) -> list:
                 static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
                 names = {node.name} | ({owner} if owner and node.name == "__init__" else set())
                 functions.append((module, names, node, owner is not None and not static))
-    unset = []
     for module, names, func, bound in functions:
         args = func.args
         positional = args.posonlyargs + args.args
@@ -130,14 +132,29 @@ def unset_knobs(root: str = ROOT) -> list:
         knobs += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
         sites = [site for name in names for site in calls.get(name, ())]
         for position, name in knobs:
-            if not any(starred or name in keywords or position is not None and position < count
-                       for count, keywords, starred in sites):
-                unset.append(f"{module}.{func.name}({name})")
-    return unset
+            yield f"{module}.{func.name}({name})", func.name, [
+                starred or name in keywords or position is not None and position < count
+                for count, keywords, starred in sites]
+
+
+def unset_knobs(root: str = ROOT) -> list:
+    """Each defaulted parameter that no call sets."""
+    return [knob for knob, _, sets in _knobs(root) if not any(sets)]
+
+
+def overridden_private_defaults(root: str = ROOT) -> list:
+    """Each defaulted parameter of a private function or method that every
+    call sets, so that no call relies on its default."""
+    return [knob for knob, function, sets in _knobs(root)
+            if function.startswith("_") and sets and all(sets)]
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
     assert unset_knobs() == []
+
+
+def test_every_private_default_is_relied_on_by_some_call():
+    assert overridden_private_defaults() == []
 
 
 def test_knob_scan_reports_a_default_no_call_sets(tmp_path):
@@ -155,3 +172,21 @@ def test_knob_scan_reports_a_default_no_call_sets(tmp_path):
     assert unset_knobs(str(tmp_path)) == ["mod.scaled(c)"]
     (tmp_path / "perfbench" / "bench.py").write_text("free(1, limit=2)\n")
     assert sorted(unset_knobs(str(tmp_path))) == ["mod.free(verbose)", "mod.scaled(c)"]
+
+
+def test_default_scan_reports_a_private_default_every_call_sets(tmp_path):
+    os.makedirs(tmp_path / "src" / "eqpush")
+    os.makedirs(tmp_path / "perfbench")
+    (tmp_path / "src" / "eqpush" / "mod.py").write_text(
+        "class _Box:\n"
+        "    def _scaled(self, c=2, *, d=3):\n"
+        "        pass\n"
+        "def _step(x, zero=True, limit=None):\n"
+        "    return _Box()._scaled(5, d=4)\n"
+        "def public(x, verbose=False):\n"
+        "    return _step(x, False, limit=1)\n")
+    (tmp_path / "perfbench" / "bench.py").write_text("public(1, True)\n_step(2, True)\n")
+    assert sorted(overridden_private_defaults(str(tmp_path))) == [
+        "mod._scaled(c)", "mod._scaled(d)", "mod._step(zero)"]
+    (tmp_path / "perfbench" / "bench.py").write_text("_step(*args)\n_Box()._scaled()\n")
+    assert sorted(overridden_private_defaults(str(tmp_path))) == ["mod._step(limit)", "mod._step(zero)"]
