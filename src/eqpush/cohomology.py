@@ -44,23 +44,21 @@ def _g2_class(canon: tuple) -> LaurentPolynomial:
     return calc.engine.additive_sum(calc.orbit_sum(canon)).substitute({}, coh_table())
 
 
-# _H_ROWS[m][k]: h_m of the first k weight logs, k = 0..7; row 0 is all ones
-_H_ROWS: list = [[LaurentPolynomial.one(coh_table())] * 8]
-
-
+@lru_cache(maxsize=None)
 def _h(m: int) -> LaurentPolynomial:
     """The complete homogeneous polynomial h_m of the seven weight logs (0 for
-    m < 0), the coefficient of v^m in prod 1/(1 - w_k v).  The table grows on
-    demand, one weight at a time: h_m(w_1..w_k) = h_m(w_1..w_k-1)
-    + w_k * h_m-1(w_1..w_k)."""
+    m < 0), the coefficient of v^m in prod 1/(1 - w_k v).  Row i holds h_i of
+    the first k weights, k = 0..7, built one weight at a time:
+    h_i(w_1..w_k) = h_i(w_1..w_k-1) + w_k * h_i-1(w_1..w_k)."""
     if m < 0:
         return LaurentPolynomial.zero(coh_table())
-    while len(_H_ROWS) <= m:
-        prev, row = _H_ROWS[-1], [LaurentPolynomial.zero(coh_table())]
-        for k, w in enumerate(g2core.seven_weights()):
-            row.append(row[k] + log(w, coh_table()) * prev[k + 1])
-        _H_ROWS.append(row)
-    return _H_ROWS[m][7]
+    logs = [log(w, coh_table()) for w in g2core.seven_weights()]
+    row = [LaurentPolynomial.one(coh_table())] * 8
+    for _ in range(m):
+        prev, row = row, [LaurentPolynomial.zero(coh_table())]
+        for k, w in enumerate(logs):
+            row.append(row[k] + w * prev[k + 1])
+    return row[7]
 
 
 @lru_cache(maxsize=None)

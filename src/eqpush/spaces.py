@@ -14,12 +14,12 @@ agree on every admissible class.
 The symmetry of admissible classes is declared once per kind, in
 SpaceDescriptor.symmetry_runs; the generators, the sorted orbit classes and
 the check in _SpaceCalc.decompose, which every push-forward runs, derive from
-it.  Each orbit is listed once per calculator (`_SpaceCalc.orbit`): the
-check's orbit size, the orbit sum and the members a residue takes are read
-off that list.  The class variables are the leading variables of the class's
-table, the space's z's or, in `cohomology`, the Chern roots.  Both paths are
-linear, so values are cached per orbit class; the caches are observationally
-pure.
+it.  The class variables are the leading variables of the class's table,
+the space's z's or, in `cohomology`, the Chern roots.  A space's calculator
+(`_SpaceCalc`) lists each orbit once (the check's orbit size, the orbit sum
+and the members a residue takes are read off that list), prepares each
+variant's integrand once and, both paths being linear, caches the values
+per orbit class; the caches are `lru_cache`s and observationally pure.
 
 Every residue integrand is held as the paper writes it (`_integrand_parts`):
 a scalar, one weight list, the extra factors that are no bracket and the
@@ -439,16 +439,20 @@ def _integrand_symmetric(space: SpaceDescriptor, variant: str) -> bool:
 
 
 class _SpaceCalc:
+    """The push-forward machinery of one space: its Demazure chain, its
+    symmetry runs, and four memos, each an `lru_cache` keyed on the
+    calculator: the orbit of a canonical class, the prepared integrand of a
+    variant, and a class's localization and residue values.  The caches live
+    on the class, not on the instance, so that a wrapper the benchmark's
+    tracer binds to `loc_class_value` or `res_class_value` sees every call;
+    a new calculator starts cold."""
+
     def __init__(self, space: SpaceDescriptor):
         self.space = space
         self.table = space.table()
         self.m = space.residue_count()
         self.engine = LocalizationEngine(space)
         self.runs = space.symmetry_runs()
-        self.orbits: dict = {}
-        self.loc_values: dict = {}
-        self.res_values: dict = {}
-        self.forms: dict = {}
 
     def canonical(self, zexps: tuple) -> tuple:
         """The largest exponent vector in the orbit of zexps: each run sorted
@@ -459,22 +463,20 @@ class _SpaceCalc:
             out[start:stop] = sorted(map(abs, run) if signed else run, reverse=True)
         return tuple(out)
 
+    @lru_cache(maxsize=None)
     def orbit(self, canon: tuple) -> tuple:
         """The members of the orbit of canon, as exponent vectors over the
         table, listed once per class: the orbit's size, its sum and the
         members a residue takes are all read off this tuple."""
-        got = self.orbits.get(canon)
-        if got is None:
-            orbit = [canon]
-            for start, stop, signed in self.runs:
-                images = set(itertools.permutations(canon[start:stop]))
-                if signed:
-                    images = {tuple(s * e for s, e in zip(signs, image)) for image in images
-                              for signs in itertools.product((1, -1), repeat=stop - start)}
-                orbit = [e[:start] + image + e[stop:] for e in orbit for image in images]
-            pad = (0,) * (len(self.table) - self.m)
-            got = self.orbits[canon] = tuple(e + pad for e in orbit)
-        return got
+        orbit = [canon]
+        for start, stop, signed in self.runs:
+            images = set(itertools.permutations(canon[start:stop]))
+            if signed:
+                images = {tuple(s * e for s, e in zip(signs, image)) for image in images
+                          for signs in itertools.product((1, -1), repeat=stop - start)}
+            orbit = [e[:start] + image + e[stop:] for e in orbit for image in images]
+        pad = (0,) * (len(self.table) - self.m)
+        return tuple(e + pad for e in orbit)
 
     def orbit_sum(self, canon: tuple) -> LaurentPolynomial:
         return LaurentPolynomial(self.table, dict.fromkeys(self.orbit(canon), 1))
@@ -516,32 +518,26 @@ class _SpaceCalc:
                 acc[k] = get(k, 0) + c
         return LaurentPolynomial(f.table, acc)
 
+    @lru_cache(maxsize=None)
     def loc_class_value(self, canon: tuple) -> LaurentPolynomial:
-        got = self.loc_values.get(canon)
-        if got is None:
-            got = self.engine.sum_values(self.orbit_sum(canon))
-            self.loc_values[canon] = got
-        return got
+        return self.engine.sum_values(self.orbit_sum(canon))
 
+    @lru_cache(maxsize=None)
+    def integrand(self, variant: str) -> PreparedForm:
+        """The integrand of variant with its measure, prepared once."""
+        return PreparedForm(_integrand_form(_integrand_parts(self.space, variant), self.m))
+
+    @lru_cache(maxsize=None)
     def res_class_value(self, canon: tuple, variant: str) -> LaurentPolynomial:
-        key = (canon, variant)
-        got = self.res_values.get(key)
-        if got is None:
-            # The residue of orbit_sum(canon) * base, as integer shifts of
-            # the packed base: every member, or for a symmetric integrand
-            # |orbit| times the smallest, whose runs ascend (no run is
-            # signed): iterated_residue takes the last variable first, and
-            # the larger its exponent, the fewer layers its residue at 0 builds.
-            members, scalar = self.orbit(canon), 1
-            if _integrand_symmetric(self.space, variant):
-                members, scalar = [min(members)], len(members)
-            form = self.forms.get(variant)
-            if form is None:  # the integrand with its measure, prepared once
-                form = self.forms[variant] = PreparedForm(
-                    _integrand_form(_integrand_parts(self.space, variant), self.m))
-            got = iterated_residue(form, members, scalar)
-            self.res_values[key] = got
-        return got
+        # The residue of orbit_sum(canon) * base, as integer shifts of the
+        # packed base: every member, or for a symmetric integrand |orbit|
+        # times the smallest, whose runs ascend (no run is signed):
+        # iterated_residue takes the last variable first, and the larger its
+        # exponent, the fewer layers its residue at 0 builds.
+        members, scalar = self.orbit(canon), 1
+        if _integrand_symmetric(self.space, variant):
+            members, scalar = [min(members)], len(members)
+        return iterated_residue(self.integrand(variant), members, scalar)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+import sys
 from functools import lru_cache
 
 import pytest
@@ -303,9 +306,29 @@ def test_a_wrong_class_fails_some_pairing():
 
 
 def test_gr27_integral_of_degree_forty_matches_flat_sum():
-    # the h table has no fixed cap: degree 40 reads h_m up to m = 32
+    # _h has no fixed cap: degree 40 reads h_m up to m = 32
     x1, x2 = T("x1"), T("x2")
     f = (x1 * x2) ** 20 + (T("t1") - 2 * T("t2")) * (x1 ** 36 * x2 ** 4 + x1 ** 4 * x2 ** 36)
     value = gr27_integral(f)
     assert not value.is_zero
     assert value == flat_integral("gr:2,7", f)
+
+
+def test_h_is_the_sum_of_weight_log_monomials_at_any_depth():
+    # h_m runs a loop over m, so m = 200 needs no more frames than m = 1: a
+    # recursion in m would exceed the 40 frames left above this one
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        h = cohomology._h.__wrapped__(200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert h.terms and all(sum(key) == 200 for key in h.terms)
+    logs = [log(w, coh_table()) for w in g2core.seven_weights()]
+    one, zero = LaurentPolynomial.one(coh_table()), LaurentPolynomial.zero(coh_table())
+    for m in range(-1, 7):
+        products = () if m < 0 else itertools.combinations_with_replacement(logs, m)
+        assert cohomology._h(m) == sum((math.prod(p, start=one) for p in products), zero), m

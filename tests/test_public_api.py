@@ -10,7 +10,12 @@ Every defaulted parameter of a function or method of `src/eqpush` is set by
 some call in `src/` or `perfbench/`: a default that no call overrides is a
 knob that nothing turns, and belongs in the body.  And some call relies on
 each default of a private function or method: a private default that every
-call overrides is dead, and the parameter should have none."""
+call overrides is dead, and the parameter should have none.
+
+No function of `src/eqpush` changes a container bound to a module-level
+name, and no method but `__init__` changes a container on `self`, by a
+mutating method call or by assigning or deleting a subscript: a memo is a
+`functools.lru_cache`, not a hand-rolled table."""
 
 import ast
 import glob
@@ -190,3 +195,117 @@ def test_default_scan_reports_a_private_default_every_call_sets(tmp_path):
         "mod._scaled(c)", "mod._scaled(d)", "mod._step(zero)"]
     (tmp_path / "perfbench" / "bench.py").write_text("_step(*args)\n_Box()._scaled()\n")
     assert sorted(overridden_private_defaults(str(tmp_path))) == ["mod._step(limit)", "mod._step(zero)"]
+
+
+_MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "update",
+             "setdefault", "clear", "add", "discard", "sort", "reverse"}
+
+
+def _changed_containers(unit, shared: set, me) -> list:
+    """The containers that the function `unit` changes, by a mutating method
+    call or an assigned or deleted subscript: each name in `shared`, and each
+    `self` attribute when `me`, the name of `self`, is given."""
+    out = set()
+    for node in ast.walk(unit):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _MUTATORS:
+            target = node.func.value
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id in shared:
+            out.add(target.id)
+        elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) \
+                and target.value.id == me:
+            out.add(f"{me}.{target.attr}")
+    return sorted(out)
+
+
+def _locals(func) -> set:
+    """The parameters of func and the names it binds, less its `global` names."""
+    args = func.args
+    bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    declared = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+    return bound - declared
+
+
+def mutated_state(root: str = ROOT) -> list:
+    """`module.function(name)` for each module-level container that a function
+    or method of `src/eqpush` changes, and `module.Class.method(self.attr)`
+    for each `self` container that a method other than `__init__` changes."""
+    hits = []
+    for module, tree in _modules(root):
+        if module is None:
+            continue
+        names = {name for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                 for name in _defined_names(stmt)}
+        units = []  # (qualified name, the def, the name of self or None)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                units.append((stmt.name, stmt, None))
+            elif isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        args = item.args.posonlyargs + item.args.args
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in item.decorator_list)
+                        me = args[0].arg if args and not static and item.name != "__init__" \
+                            else None
+                        units.append((f"{stmt.name}.{item.name}", item, me))
+        hits += [f"{module}.{qualname}({name})" for qualname, unit, me in units
+                 for name in _changed_containers(unit, names - _locals(unit), me)]
+    return hits
+
+
+def test_no_function_changes_shared_state():
+    assert mutated_state() == []
+
+
+def test_state_scan_reports_a_hand_rolled_memo(tmp_path):
+    os.makedirs(tmp_path / "src" / "eqpush")
+    os.makedirs(tmp_path / "perfbench")
+    (tmp_path / "src" / "eqpush" / "mod.py").write_text(
+        "_ROWS = [1]\n"
+        "_SEEN: dict = {}\n"
+        "_ROWS.append(2)\n"
+        "def grow(m):\n"
+        "    while len(_ROWS) <= m:\n"
+        "        _ROWS.append(m)\n"
+        "    return _ROWS[m]\n"
+        "def remember(k, v):\n"
+        "    _SEEN[k] = v\n"
+        "def shadowed(k):\n"
+        "    _SEEN = {}\n"
+        "    _SEEN[k] = 1\n"
+        "    out = []\n"
+        "    out.append(k)\n"
+        "    return _SEEN, out\n"
+        "def rebound(k):\n"
+        "    global _SEEN\n"
+        "    _SEEN = _SEEN or {}\n"
+        "    _SEEN.setdefault(k, 1)\n"
+        "class Calc:\n"
+        "    def __init__(self):\n"
+        "        self.values = {}\n"
+        "        self.values.update(a=1)\n"
+        "        self.pos = 0\n"
+        "    def value(self, k):\n"
+        "        self.pos += 1\n"
+        "        self.width = k\n"
+        "        got = self.values.get(k)\n"
+        "        if got is None:\n"
+        "            got = self.values[k] = k\n"
+        "        return got\n"
+        "    def forget(self, k):\n"
+        "        del self.values[k]\n"
+        "        self.log.setdefault(k, []).append(k)\n")
+    assert mutated_state(str(tmp_path)) == [
+        "mod.grow(_ROWS)", "mod.remember(_SEEN)", "mod.rebound(_SEEN)",
+        "mod.Calc.value(self.values)",
+        "mod.Calc.forget(self.log)", "mod.Calc.forget(self.values)"]

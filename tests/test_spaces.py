@@ -357,20 +357,28 @@ def test_residue_pushforward_matches_integrand(key, variant):
     ("q:3", "full", [(1, 1, 0), (0, 6, 5), (2, 1, 0)]),
     ("gr:2,4", "compact", [(1, 0), (7, -7), (1, -1)]),
 ])
-def test_prepared_integrand_keeps_the_widest_packing(key, variant, canons):
+def test_prepared_integrand_keeps_the_widest_packing(monkeypatch, key, variant, canons):
     # The second class needs a wider digit than the first and repacks the
     # base; the narrower ones after it reuse that packing.  q:3 and the
-    # compact gr:2,4 sum every orbit member on packed keys.
+    # compact gr:2,4 sum every orbit member on packed keys.  The integrand
+    # is prepared once for all the classes.
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return PreparedForm(*args)
+
+    monkeypatch.setattr(spaces, "PreparedForm", counting)
     space = parse_space(key)
     calc = spaces._SpaceCalc(space)
     packings = []
     for canon in canons:
         assert calc.res_class_value(canon, variant) == \
             iterated_residue(build_integrand(space, calc.orbit_sum(canon), variant)), canon
-        packings.append(calc.forms[variant].packing)
+        packings.append(calc.integrand(variant).packing)
     assert packings[1].half > packings[0].half
     assert all(p is packings[1] for p in packings[2:])
-    assert list(calc.forms) == [variant]
+    assert len(built) == 1
 
 
 def test_which_integrands_take_one_orbit_member():
