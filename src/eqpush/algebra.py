@@ -34,7 +34,7 @@ import heapq
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from operator import add as _add, lt as _lt, neg as _neg, sub as _sub
+from operator import add as _add, attrgetter, lt as _lt, neg as _neg, sub as _sub
 
 _EXACT = (int, Fraction)  # the exact rationals a polynomial compares with
 
@@ -80,21 +80,36 @@ class InvariantError(RuntimeError):
 class Frozen:
     """Base of the immutable value classes.
 
-    A subclass declares its fields in `__slots__`, sets them in `__init__`
-    with `object.__setattr__`, and compares and hashes the tuple `_key()` of
-    its fields; an object never equals one of another class.  Afterwards no
-    attribute can be assigned or deleted.
+    A subclass lists its fields once, in `_fields` (`__slots__ = _fields =
+    (...)` when it has no other slots), and passes their values in that order
+    to `Frozen.__init__`.  From that list it gets equality (never with an
+    object of another class), hashing and the repr `Name(field=value, ...)`.
+    Afterwards no attribute can be assigned or deleted.
     """
 
     __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return attrgetter(*self._fields)(self)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._values() == other._values()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -110,24 +125,14 @@ class VariableTable(Frozen):
     term layout, canonical rendering and the default residue order.
     """
 
-    __slots__ = ("names", "_index", "_hash")
+    __slots__ = ("names", "_index")
+    _fields = ("names",)
 
     def __init__(self, names: tuple):
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        object.__setattr__(self, "names", names)
+        super().__init__(names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
-        # every Monomial hash hashes its table
-        object.__setattr__(self, "_hash", hash((names,)))
-
-    def _key(self) -> tuple:
-        return (self.names,)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"VariableTable(names={self.names!r})"
 
     def __len__(self):
         return len(self.names)
@@ -164,21 +169,10 @@ def _same_table(a: VariableTable, b: VariableTable) -> None:
 class Monomial(Frozen):
     """Product of variable powers; exponents may be negative."""
 
-    __slots__ = ("table", "exps")
+    __slots__ = _fields = ("table", "exps")
 
     def __init__(self, table: VariableTable, exps: tuple):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "exps", exps)
-
-    # a hot dict key: compared and hashed directly, not through _key()
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.exps == other.exps and (self.table is other.table
-                                                or self.table == other.table)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.table, self.exps))
+        super().__init__(table, exps)
 
     @staticmethod
     def one(table: VariableTable) -> "Monomial":

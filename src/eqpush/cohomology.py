@@ -45,20 +45,25 @@ def _g2_class(canon: tuple) -> LaurentPolynomial:
 
 
 @lru_cache(maxsize=None)
+def _h_row(m: int) -> tuple:
+    """h_m of the first k weight logs, k = 0..7, built from row m - 1 one
+    weight at a time: h_m(w_1..w_k) = h_m(w_1..w_k-1) + w_k * h_m-1(w_1..w_k).
+    Row 0 is all ones.  The rows below m are read first, in order, so no call
+    recurses more than one level."""
+    if m == 0:
+        return (LaurentPolynomial.one(coh_table()),) * 8
+    for i in range(1, m):
+        _h_row(i)
+    prev, row = _h_row(m - 1), [LaurentPolynomial.zero(coh_table())]
+    for k, w in enumerate(g2core.seven_weights()):
+        row.append(row[k] + log(w, coh_table()) * prev[k + 1])
+    return tuple(row)
+
+
 def _h(m: int) -> LaurentPolynomial:
     """The complete homogeneous polynomial h_m of the seven weight logs (0 for
-    m < 0), the coefficient of v^m in prod 1/(1 - w_k v).  Row i holds h_i of
-    the first k weights, k = 0..7, built one weight at a time:
-    h_i(w_1..w_k) = h_i(w_1..w_k-1) + w_k * h_i-1(w_1..w_k)."""
-    if m < 0:
-        return LaurentPolynomial.zero(coh_table())
-    logs = [log(w, coh_table()) for w in g2core.seven_weights()]
-    row = [LaurentPolynomial.one(coh_table())] * 8
-    for _ in range(m):
-        prev, row = row, [LaurentPolynomial.zero(coh_table())]
-        for k, w in enumerate(logs):
-            row.append(row[k] + w * prev[k + 1])
-    return row[7]
+    m < 0), the coefficient of v^m in prod 1/(1 - w_k v)."""
+    return _h_row(m)[7] if m >= 0 else LaurentPolynomial.zero(coh_table())
 
 
 @lru_cache(maxsize=None)

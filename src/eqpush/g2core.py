@@ -35,10 +35,9 @@ def quotient_identity_tangent() -> tuple:
 @lru_cache(maxsize=None)
 def borel_identity_tangent() -> tuple:
     """Tangent characters of the 6-dimensional full quotient at the identity:
-    the inverses of the six positive roots."""
-    return (
-        _mono(t1=-1), _mono(t2=-1), _mono(t1=-1, t2=-1), _mono(t2=1, t1=-2),
-        _mono(t1=1, t2=-2), _mono(t2=1, t1=-1))
+    the inverses of the six positive roots, the quotient's five and the
+    fibre P2/B's, the inverse t1^-1*t2 of the swap's simple root."""
+    return quotient_identity_tangent() + (_mono(t1=-1, t2=1),)
 
 
 @lru_cache(maxsize=None)
@@ -50,21 +49,16 @@ def seven_weights() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def weight_sum_z() -> LaurentPolynomial:
-    """Sum of the six nonunit 7-dimensional weights written in the auxiliary
-    variables, minus 6: z1 + 1/z1 + z2 + 1/z2 + z1*z2 + 1/(z1*z2) - 6."""
-    t = g2_table()
-    out = LaurentPolynomial.constant(t, -6)
-    for powers in ({"z1": 1}, {"z1": -1}, {"z2": 1}, {"z2": -1},
-                   {"z1": 1, "z2": 1}, {"z1": -1, "z2": -1}):
-        out = out + Monomial.from_map(t, powers).as_polynomial()
-    return out
+def weight_sum_t() -> LaurentPolynomial:
+    """Sum of the seven weights minus 7: t1 + 1/t1 + t2 + 1/t2 + t1/t2 + t2/t1 - 6."""
+    return sum((w.as_polynomial() for w in seven_weights()),
+               LaurentPolynomial.constant(g2_table(), -7))
 
 
 @lru_cache(maxsize=None)
-def weight_sum_t() -> LaurentPolynomial:
-    """The same sum on the torus side: the substitution z1 -> t1, z2 -> 1/t2."""
-    return weight_sum_z().substitute({"z1": _mono(t1=1), "z2": _mono(t2=-1)})
+def weight_sum_z() -> LaurentPolynomial:
+    """The same sum in the auxiliary variables: the substitution t1 -> z1, t2 -> 1/z2."""
+    return weight_sum_t().substitute({"t1": _mono(z1=1), "t2": _mono(z2=-1)})
 
 
 @lru_cache(maxsize=None)

@@ -46,7 +46,7 @@ from .algebra import (Frozen, InvariantError, LaurentPolynomial, Monomial, quoti
 
 class ResidueForm(Frozen):
     # denominator: monomials m, each standing for a factor (1 - m)
-    __slots__ = ("scalar", "numerator", "denominator", "residue_vars")
+    __slots__ = _fields = ("scalar", "numerator", "denominator", "residue_vars")
 
     def __init__(self, scalar, numerator: LaurentPolynomial, denominator: tuple,
                  residue_vars: tuple):
@@ -63,13 +63,7 @@ class ResidueForm(Frozen):
             if hits[0][1] <= 0:
                 raise InvariantError(
                     f"denominator factor 1 - {m.render()} needs a positive residue exponent")
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "residue_vars", residue_vars)
-
-    def _key(self) -> tuple:
-        return (self.scalar, self.numerator, self.denominator, self.residue_vars)
+        super().__init__(scalar, numerator, denominator, residue_vars)
 
     @property
     def table(self):

@@ -64,7 +64,7 @@ class SymmetryViolation(ValueError):
 class SpaceDescriptor(Frozen):
     """One of the catalogue spaces, with its integer parameters."""
 
-    __slots__ = ("kind", "m", "n")
+    __slots__ = _fields = ("kind", "m", "n")
 
     def __init__(self, kind: str, m: int = 0, n: int = 0):
         if kind not in _KINDS:
@@ -78,15 +78,7 @@ class SpaceDescriptor(Frozen):
         elif kind == "q":
             if n < 2:
                 raise ValueError("the quadric needs n >= 2")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-
-    def _key(self) -> tuple:
-        return (self.kind, self.m, self.n)
-
-    def __repr__(self):
-        return f"SpaceDescriptor(kind={self.kind!r}, m={self.m!r}, n={self.n!r})"
+        super().__init__(kind, m, n)
 
     def key(self) -> str:
         if self.kind in ("gr", "gr2"):

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from eqpush.algebra import (LaurentPolynomial, Monomial, NotDivisible,
+from eqpush.algebra import (Frozen, LaurentPolynomial, Monomial, NotDivisible,
                             MixedVariableTables, VariableTable, exact_divide,
                             exact_divide_many, parameter_table, rational,
                             zt_table)
-from eqpush.residue import iterated_residue, make_form
+from eqpush.residue import ResidueForm, iterated_residue, make_form
+from eqpush.spaces import SpaceDescriptor
 from eqpush import g2core
 
 from conftest import assert_immutable_value, random_laurent
@@ -49,6 +50,30 @@ def test_variable_table_is_an_immutable_value():
 
 def test_monomial_is_an_immutable_value(table22):
     assert_immutable_value(Monomial, table22, (1, -2, 0, 3))
+    assert Monomial(table=table22, exps=(1, -2, 0, 3)) == Monomial(table22, (1, -2, 0, 3))
+
+
+class Pair(Frozen):
+    # no __init__ of its own: Frozen.__init__ takes the values
+    __slots__ = _fields = ("a", "b")
+
+
+VALUE_CLASS_CASES = [  # (class, a valid list of values, the number required)
+    (Pair, (1, (2,)), 2),
+    (VariableTable, (("z1",),), 1),
+    (Monomial, (zt_table(2, 2), (1, -2, 0, 3)), 2),
+    (SpaceDescriptor, ("gr", 2, 4), 1),  # m and n default to 0
+    (ResidueForm, (1, LaurentPolynomial.one(zt_table(2, 2)), (), ()), 4),
+]
+
+
+@pytest.mark.parametrize("cls, values, required", VALUE_CLASS_CASES,
+                         ids=[case[0].__name__ for case in VALUE_CLASS_CASES])
+def test_value_classes_take_exactly_their_fields(cls, values, required):
+    assert cls(*values) == cls(*values)
+    for wrong in (values[:required - 1], values + (None,)):
+        with pytest.raises(TypeError):
+            cls(*wrong)
 
 
 def test_mixed_tables_rejected():

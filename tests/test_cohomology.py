@@ -305,25 +305,50 @@ def test_a_wrong_class_fails_some_pairing():
     assert any(gr27_integral(s * wrong) != g2_integral(s) for s in class_check_schurs())
 
 
+def degree_forty_class():
+    x1, x2 = T("x1"), T("x2")
+    return (x1 * x2) ** 20 + (T("t1") - 2 * T("t2")) * (x1 ** 36 * x2 ** 4
+                                                        + x1 ** 4 * x2 ** 36)
+
+
 def test_gr27_integral_of_degree_forty_matches_flat_sum():
     # _h has no fixed cap: degree 40 reads h_m up to m = 32
-    x1, x2 = T("x1"), T("x2")
-    f = (x1 * x2) ** 20 + (T("t1") - 2 * T("t2")) * (x1 ** 36 * x2 ** 4 + x1 ** 4 * x2 ** 36)
+    f = degree_forty_class()
     value = gr27_integral(f)
     assert not value.is_zero
     assert value == flat_integral("gr:2,7", f)
 
 
+def test_gr27_integral_of_degree_forty_builds_each_h_row_once(monkeypatch):
+    # from cold caches: 7 products for each row h_1..h_32, 2 for each of the
+    # 3 orbit members and 2 in the push-forward; rebuilding rows 0..m for
+    # each m read makes 974
+    f = degree_forty_class()
+    cohomology._gr27_class.cache_clear()
+    cohomology._h_row.cache_clear()
+    products, mul = 0, LaurentPolynomial.__mul__
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counting_mul)
+    gr27_integral(f)
+    assert products <= 232
+
+
 def test_h_is_the_sum_of_weight_log_monomials_at_any_depth():
-    # h_m runs a loop over m, so m = 200 needs no more frames than m = 1: a
-    # recursion in m would exceed the 40 frames left above this one
+    # the row of h_m reads the rows below it in a loop, so m = 200 needs no
+    # more frames than m = 1: a recursion in m would exceed the 40 frames
+    # left above this one
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 40)
     try:
-        h = cohomology._h.__wrapped__(200)
+        h = cohomology._h(200)
     finally:
         sys.setrecursionlimit(limit)
     assert h.terms and all(sum(key) == 200 for key in h.terms)

@@ -15,11 +15,20 @@ call overrides is dead, and the parameter should have none.
 No function of `src/eqpush` changes a container bound to a module-level
 name, and no method but `__init__` changes a container on `self`, by a
 mutating method call or by assigning or deleting a subscript: a memo is a
-`functools.lru_cache`, not a hand-rolled table."""
+`functools.lru_cache`, not a hand-rolled table.
+
+Every value class of `src/eqpush` (a subclass of `algebra.Frozen`) lists its
+fields in `_fields`, each of them a slot, and takes equality and hashing
+from `Frozen`: it defines no `_key`, `__eq__` or `__hash__` of its own."""
 
 import ast
 import glob
+import importlib
 import os
+import pkgutil
+
+import eqpush
+from eqpush.algebra import Frozen
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -309,3 +318,25 @@ def test_state_scan_reports_a_hand_rolled_memo(tmp_path):
         "mod.grow(_ROWS)", "mod.remember(_SEEN)", "mod.rebound(_SEEN)",
         "mod.Calc.value(self.values)",
         "mod.Calc.forget(self.log)", "mod.Calc.forget(self.values)"]
+
+
+def value_class_faults() -> list:
+    """`Class._fields` for each value class of `src/eqpush` whose `_fields`
+    is empty or names a field that is not one of its slots, and `Class.name`
+    for each `_key`, `__eq__` or `__hash__` that a value class defines."""
+    for module in pkgutil.iter_modules(eqpush.__path__):
+        importlib.import_module(f"eqpush.{module.name}")
+    faults = []
+    for cls in Frozen.__subclasses__():
+        if not cls.__module__.startswith("eqpush."):
+            continue
+        fields = cls.__dict__.get("_fields", ())
+        if not fields or not set(fields) <= set(cls.__dict__.get("__slots__", ())):
+            faults.append(f"{cls.__name__}._fields")
+        faults += [f"{cls.__name__}.{name}" for name in ("_key", "__eq__", "__hash__")
+                   if name in cls.__dict__]
+    return sorted(faults)
+
+
+def test_every_value_class_is_built_from_its_field_list():
+    assert value_class_faults() == []
