@@ -81,31 +81,36 @@ class Frozen:
     """Base of the immutable value classes.
 
     A subclass lists its fields once, in `_fields` (`__slots__ = _fields =
-    (...)` when it has no other slots), and passes their values in that order
-    to `Frozen.__init__`.  From that list it gets equality (never with an
-    object of another class), hashing and the repr `Name(field=value, ...)`.
-    Afterwards no attribute can be assigned or deleted.
+    (...)` when it has no other slots).  From that list, once per class, it
+    gets `_set_fields(self, <fields>)`, its `__init__` unless it checks the
+    values first, and the getter `_values` for equality (never with another
+    class), a hash computed once per value and the repr `Name(field=value,
+    ...)`.  Afterwards no attribute can be assigned or deleted.
     """
 
-    __slots__ = ()
-    _fields = ()
+    __slots__ = ("_hash",)
 
-    def __init__(self, *values):
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values")
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self):
-        return attrgetter(*self._fields)(self)
+    def __init_subclass__(cls):
+        if "_fields" in cls.__dict__:
+            # generated like a dataclass __init__: a loop doubles a Monomial's cost
+            fields, scope = cls._fields, {"setattr": object.__setattr__}
+            exec(f"def init(self, {', '.join(fields)}):\n"
+                 + "".join(f"    setattr(self, {name!r}, {name})\n" for name in fields), scope)
+            cls._set_fields, cls._values = scope["init"], attrgetter(*fields)
+            if "__init__" not in cls.__dict__:
+                cls.__init__ = cls._set_fields
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == self._values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._values(self)))
+            return self._hash
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -131,7 +136,7 @@ class VariableTable(Frozen):
     def __init__(self, names: tuple):
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        super().__init__(names)
+        self._set_fields(names)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
     def __len__(self):
@@ -170,9 +175,6 @@ class Monomial(Frozen):
     """Product of variable powers; exponents may be negative."""
 
     __slots__ = _fields = ("table", "exps")
-
-    def __init__(self, table: VariableTable, exps: tuple):
-        super().__init__(table, exps)
 
     @staticmethod
     def one(table: VariableTable) -> "Monomial":
@@ -372,6 +374,8 @@ class LaurentPolynomial:
                         else:
                             acc[k] = s
             return _result(self.table, acc, exact)
+        if isinstance(other, Monomial):
+            return self.mul_monomial(other)
         return self.scale(other)
 
     __rmul__ = __mul__

@@ -11,9 +11,10 @@ run independent paths, so the class check compares two computations:
 - `g2_integral` runs the additive Demazure chain of `spaces` on g2p2, the
   `log` image of the K-theoretic one (t^e -> sum e_i*t_i, Chern roots
   x = -log z, steps (g - s g)/log a), which holds on every kind but q.
-- `gr27_integral` is the cohomological Grassmannian residue at infinity in
-  closed form: each orbit class is a sum of products of two complete
-  homogeneous polynomials in the logs of the seven weights (`_gr27_class`).
+- `gr27_integral` is the cohomological Grassmannian residue at infinity:
+  `g2core.gr27_orbit_class`, the closed form of `g2`'s K-theoretic pairing,
+  with the one-variable residue F(c) = (-1)^c h_(c-5) of the seven weight
+  logs (`_gr27_class`).
 """
 
 from __future__ import annotations
@@ -45,25 +46,15 @@ def _g2_class(canon: tuple) -> LaurentPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _h_row(m: int) -> tuple:
-    """h_m of the first k weight logs, k = 0..7, built from row m - 1 one
-    weight at a time: h_m(w_1..w_k) = h_m(w_1..w_k-1) + w_k * h_m-1(w_1..w_k).
-    Row 0 is all ones.  The rows below m are read first, in order, so no call
-    recurses more than one level."""
-    if m == 0:
-        return (LaurentPolynomial.one(coh_table()),) * 8
-    for i in range(1, m):
-        _h_row(i)
-    prev, row = _h_row(m - 1), [LaurentPolynomial.zero(coh_table())]
-    for k, w in enumerate(g2core.seven_weights()):
-        row.append(row[k] + log(w, coh_table()) * prev[k + 1])
-    return tuple(row)
+def _weight_logs() -> tuple:
+    """The logs of the seven weights, over the Chern-root table."""
+    return tuple(log(w, coh_table()) for w in g2core.seven_weights())
 
 
-def _h(m: int) -> LaurentPolynomial:
-    """The complete homogeneous polynomial h_m of the seven weight logs (0 for
-    m < 0), the coefficient of v^m in prod 1/(1 - w_k v)."""
-    return _h_row(m)[7] if m >= 0 else LaurentPolynomial.zero(coh_table())
+@lru_cache(maxsize=None)
+def _residue(c: int) -> LaurentPolynomial:
+    """F(c) = (-1)^c h_(c-5)(log w), (-1)^c times the finite residues of u^(c+1)/Q(u)."""
+    return g2core.h_row(_weight_logs, c - 5)[7].scale(-1 if c % 2 else 1)
 
 
 @lru_cache(maxsize=None)
@@ -76,17 +67,10 @@ def _gr27_class(canon: tuple) -> LaurentPolynomial:
     -f(-u) (u1 - u2)^2 / (Q'(u1) Q'(u2)) with Q(u) = prod (u - w_k).  Half
     the sum over the ordered pairs i != j is the sum over all pairs (i, j),
     since (u1 - u2)^2 vanishes at i = j, and the finite residues of
-    u^c/Q(u) add up to h_(c-6).  So x1^a x2^b integrates to
-    -(-1)^(a+b)/2 * I(a, b), I(a, b) = h_(a-4) h_(b-6) - 2 h_(a-5) h_(b-5)
-    + h_(a-6) h_(b-4).  Over the members (a, b) of the orbit, the two outer
-    terms of I give the same total, which cancels the 1/2: the class
-    integrates to -(-1)^(p+q) times the sum of h_(a-4) h_(b-6)
-    - h_(a-5) h_(b-5) over its members."""
-    p, q = canon
-    value = LaurentPolynomial.zero(coh_table())
-    for a, b in {(p, q), (q, p)}:
-        value = value + _h(a - 4) * _h(b - 6) - _h(a - 5) * _h(b - 5)
-    return value if (p + q) % 2 else -value
+    u^c/Q(u) add up to h_(c-6).  So x1^a x2^b integrates to -(-1)^(a+b)/2
+    times h_(a-4) h_(b-6) - 2 h_(a-5) h_(b-5) + h_(a-6) h_(b-4), which is
+    (1/2)(2 F(a) F(b) - F(a+1) F(b-1) - F(a-1) F(b+1)) in F = `_residue`."""
+    return g2core.gr27_orbit_class(_residue, canon)
 
 
 def g2_integral(f: LaurentPolynomial) -> LaurentPolynomial:

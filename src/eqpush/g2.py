@@ -8,34 +8,22 @@ variables A, B, the closed-form class in the Grothendieck basis and its lift
 pairing) are built in the tests.
 
 The ambient pairing is the residue formula of the Grassmannian of two-planes
-in 7-space with its torus restricted to the seven weights of the
-7-dimensional representation, taken over the two-parameter G2 torus.  It is
-described like every integrand of `spaces`, as (scalar, weights, extras,
-ambient) = (1/2, roots(z1, z2), (), the seven weights), and expanded by
-`spaces._integrand_form`; the quotient's own integrand is the same with the
-positive root and the fundamental-class lift as its one extra factor.  The
-Demazure chain of gr:2,7 followed by the substitution t_i -> weight_i is its
-test oracle (`tests/oracles.py`).
-
-The intersection matrix is a Gram matrix over the 66 orbit values of that
-pairing.  The box classes are symmetric integer polynomials in z1, z2, so a
-product of two of them holds each orbit class of (p, q), p >= q, with its
-coefficient on z1^p z2^q, and an entry is that integer combination of orbit
-values.  Push-forwards of other classes (`ambient_pushforward`) decompose the
-class into orbit classes first; building the matrix entry by entry that way is
-its test oracle.
+in 7-space at the seven weights of the 7-dimensional representation, over
+the two-parameter G2 torus, in the closed form `g2core.gr27_orbit_class` with
+F(c) = h_(-c)(w) + h_(c-7)(w).  The gr:2,7 Demazure chain then t_i ->
+weight_i, and the integrand's iterated residue, check it in
+`tests/oracles.py`.  The intersection matrix is a Gram matrix over its 66
+orbit values, checked entry by entry against `ambient_pushforward`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import LaurentPolynomial, rational
-from .characters import roots, standard_sets
+from .algebra import LaurentPolynomial
 from .elimination import solve
 from .polyfam import grothendieck_pair
-from .residue import PreparedForm, iterated_residue
-from .spaces import SpaceDescriptor, _calc, _integrand_form, localization_pushforward
+from .spaces import SpaceDescriptor, _calc, localization_pushforward
 from . import g2core
 
 GT = g2core.g2_table()
@@ -65,23 +53,20 @@ AMBIENT_SPACE = SpaceDescriptor("gr", 2, 7)
 
 
 @lru_cache(maxsize=None)
-def _ambient_form() -> PreparedForm:
-    """The gr:2,7 residue integrand at the seven weights w_k, over the G2
-    table: (1/2) * bracket(roots(z1, z2)) / prod(1 - z_i/w_k) dz1/z1 dz2/z2,
-    prepared once."""
-    parts = (rational(1, 2), roots(standard_sets("Z", 2, GT)), (), g2core.seven_weights())
-    return PreparedForm(_integrand_form(parts, 2))
+def _residue(c: int) -> LaurentPolynomial:
+    """F(c), the residues of z^c / prod_k (1 - z/w_k) dz/z at 0 and at
+    infinity added: h_(-c) of the 1/w_k plus h_(c-7) of the w_k, whose product
+    is 1.  They are closed under inversion, so F(c) = h_(-c)(w) + h_(c-7)(w)."""
+    w = g2core.seven_weights
+    return g2core.h_row(w, -c)[7] + g2core.h_row(w, c - 7)[7]
 
 
 @lru_cache(maxsize=None)
 def _ambient_class(canon: tuple) -> LaurentPolynomial:
     """Push-forward of the orbit class z1^p z2^q + z1^q z2^p of canon = (p, q)
-    (once on the diagonal) along the ambient Grassmannian: the iterated
-    residue of the class times the integrand at the seven weights.  The
-    integrand is symmetric in z1, z2, so that is |orbit| times the residue of
-    the ascending member z1^q z2^p alone."""
-    p, q = canon
-    return iterated_residue(_ambient_form(), [(q, p, 0, 0)], 1 if p == q else 2)
+    (once on the diagonal) along the ambient Grassmannian: the residue of the
+    class times (1/2)(1 - z1/z2)(1 - z2/z1) / prod_k (1 - z1/w_k)(1 - z2/w_k)."""
+    return g2core.gr27_orbit_class(_residue, canon)
 
 
 def ambient_pushforward(f: LaurentPolynomial) -> LaurentPolynomial:
@@ -97,11 +82,9 @@ def intersection_matrix() -> list:
     coefficient on the orbit class of (p, q), p >= q, is its coefficient n on
     z1^p z2^q, and the entry adds n times the orbit value _ambient_class."""
     calc = _calc(AMBIENT_SPACE)
-    classes = []
-    for a, b in BOX:
-        cls = grothendieck_pair(a, b, GT)
+    classes = [grothendieck_pair(a, b, GT) for a, b in BOX]
+    for cls in classes:
         calc.decompose(cls)  # SymmetryViolation unless symmetric
-        classes.append(cls)
     matrix = [[None] * len(classes) for _ in classes]
     for i, left in enumerate(classes):
         for j in range(i, len(classes)):

@@ -1,7 +1,7 @@
 """Shared exceptional-group data: the rank-two torus, the swap of its two
 parameters, tangent weight lists and the fundamental-class lift used by the
-residue formulas for both quotient spaces.
-"""
+residue formulas for both quotient spaces, and the gr:2,7 pairing at the
+seven weights in closed form, for both theories."""
 
 from __future__ import annotations
 
@@ -50,9 +50,8 @@ def seven_weights() -> tuple:
 
 @lru_cache(maxsize=None)
 def weight_sum_t() -> LaurentPolynomial:
-    """Sum of the seven weights minus 7: t1 + 1/t1 + t2 + 1/t2 + t1/t2 + t2/t1 - 6."""
-    return sum((w.as_polynomial() for w in seven_weights()),
-               LaurentPolynomial.constant(g2_table(), -7))
+    """Sum h_1 of the seven weights minus 7: t1 + 1/t1 + t2 + 1/t2 + t1/t2 + t2/t1 - 6."""
+    return h_row(seven_weights, 1)[7] - 7
 
 
 @lru_cache(maxsize=None)
@@ -85,3 +84,30 @@ def half_sum_a() -> LaurentPolynomial:
 def half_sum_b() -> LaurentPolynomial:
     """Swap image of the first reporting variable: 3 - t2 - 1/t1 - t1/t2."""
     return half_sum_a().substitute(swap_map())
+
+
+@lru_cache(maxsize=None)
+def h_row(weights, m: int) -> tuple:
+    """h_m of the first k of weights(), k = 0..7 (0 for m < 0); the key is
+    weights, a theory's cached function of its seven weights, as polynomials
+    do not hash.  Row m is built from row m - 1 one weight at a time,
+    h_m(w_1..w_k) = h_m(w_1..w_k-1) + w_k h_m-1(w_1..w_k), after the rows
+    below it are read in order, so no call recurses more than one level."""
+    ws = weights()
+    if m <= 0:
+        return (LaurentPolynomial.constant(ws[0].table, int(m == 0)),) * (len(ws) + 1)
+    for i in range(1, m):
+        h_row(weights, i)
+    prev, row = h_row(weights, m - 1), [LaurentPolynomial.zero(ws[0].table)]
+    for k, w in enumerate(ws):
+        row.append(row[k] + prev[k + 1] * w)
+    return tuple(row)
+
+
+def gr27_orbit_class(residue, canon: tuple) -> LaurentPolynomial:
+    """The gr:2,7 pairing of the orbit class of canon = (p, q) in the theory
+    whose one-variable residue is F = residue: z1^a z2^b pairs to (1/2)(2 F(a)
+    F(b) - F(a+1) F(b-1) - F(a-1) F(b+1)), and over the orbit the two outer
+    terms give the same total, so the 1/2 cancels."""
+    return sum(residue(a) * residue(b) - residue(a - 1) * residue(b + 1)
+               for a, b in {canon, canon[::-1]})

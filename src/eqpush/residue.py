@@ -63,7 +63,7 @@ class ResidueForm(Frozen):
             if hits[0][1] <= 0:
                 raise InvariantError(
                     f"denominator factor 1 - {m.render()} needs a positive residue exponent")
-        super().__init__(scalar, numerator, denominator, residue_vars)
+        self._set_fields(scalar, numerator, denominator, residue_vars)
 
     @property
     def table(self):

@@ -78,7 +78,7 @@ class SpaceDescriptor(Frozen):
         elif kind == "q":
             if n < 2:
                 raise ValueError("the quadric needs n >= 2")
-        super().__init__(kind, m, n)
+        self._set_fields(kind, m, n)
 
     def key(self) -> str:
         if self.kind in ("gr", "gr2"):

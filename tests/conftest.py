@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -44,6 +47,28 @@ def assert_immutable_value(cls, *fields, hashable=True):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert a == b
+
+
+def with_frames_left(frames, fn, *args):
+    """fn(*args) under a recursion limit `frames` above the caller's depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def sum_of_products(weights, m):
+    """The complete homogeneous polynomial h_m of the weights (monomials or
+    polynomials), as the sum of the products of their m-element multisets."""
+    table = weights[0].table
+    one, zero = LaurentPolynomial.one(table), LaurentPolynomial.zero(table)
+    products = () if m < 0 else itertools.combinations_with_replacement(weights, m)
+    return sum((math.prod(p, start=one) for p in products), zero)
 
 
 @pytest.fixture

@@ -14,10 +14,13 @@ class needs one orbit member, as `eqpush.spaces` decides on the weight lists.
 `weyl_group` lists the twelve substitutions of the G2 Weyl group, built from
 the rotation and the swap, for the G2 fixed points.  `ambient_chain_class`
 pairs an orbit class on the G2 ambient Grassmannian by the gr:2,7 Demazure
-chain, then t_i -> the seven weights: the independent path for the residue
-of `eqpush.g2`.  `additive_ambient_chain_class` is its cohomological twin,
-the additive gr:2,7 chain, then t_i -> the logs of the seven weights: the
-independent path for the residue at infinity of `eqpush.cohomology`.
+chain, then t_i -> the seven weights: the independent path for the closed
+form of `eqpush.g2`.  `ambient_residue_class` is a third path: the residue
+of the gr:2,7 integrand at the seven weights, run by the kernel of
+`eqpush.residue`.  `additive_ambient_chain_class` is the chain's
+cohomological twin, the additive gr:2,7 chain, then t_i -> the logs of the
+seven weights: the independent path for the closed form of
+`eqpush.cohomology`.
 `log_moment` reads a K-theoretic value at t = e^(hy) order by order in h,
 the paper's substitution that makes the cohomological integral the leading
 term of the K-theoretic push-forward.
@@ -41,11 +44,12 @@ from functools import lru_cache
 
 from eqpush import g2, g2core, spaces
 from eqpush.algebra import (InvariantError, LaurentPolynomial, Monomial, NotDivisible,
-                            NotPolynomial, exact_divide, parameter_table, quotient, zt_table)
-from eqpush.characters import inverses, lambda_set, pos_roots, sym_set
+                            NotPolynomial, exact_divide, parameter_table, quotient, rational,
+                            zt_table)
+from eqpush.characters import inverses, lambda_set, pos_roots, roots, standard_sets, sym_set
 from eqpush.cohomology import coh_table
 from eqpush.polyfam import grothendieck_pair
-from eqpush.residue import ResidueForm
+from eqpush.residue import PreparedForm, ResidueForm, iterated_residue
 from eqpush.spaces import (SpaceDescriptor, SymmetryViolation, _calc, check_symmetry,
                            symmetry_generators)
 
@@ -279,6 +283,24 @@ def ambient_chain_class(canon: tuple) -> LaurentPolynomial:
     value = calc.engine.sum_values(calc.orbit_sum(canon))
     weights = {f"t{i + 1}": w.as_polynomial() for i, w in enumerate(g2core.seven_weights())}
     return value.substitute(weights, g2core.g2_table())
+
+
+@lru_cache(maxsize=None)
+def _ambient_form() -> PreparedForm:
+    """The gr:2,7 residue integrand at the seven weights w_k, over the G2
+    table: (1/2) * bracket(roots(z1, z2)) / prod(1 - z_i/w_k) dz1/z1 dz2/z2,
+    prepared once."""
+    parts = (rational(1, 2), roots(standard_sets("Z", 2, g2.GT)), (), g2core.seven_weights())
+    return PreparedForm(spaces._integrand_form(parts, 2))
+
+
+def ambient_residue_class(canon: tuple) -> LaurentPolynomial:
+    """The push-forward of the orbit class of canon = (p, q) along the
+    Grassmannian of two-planes in 7-space, restricted to the G2 torus, by the
+    iterated-residue kernel: the integrand is symmetric in z1, z2, so it is
+    |orbit| times the residue of the ascending member z1^q z2^p."""
+    p, q = canon
+    return iterated_residue(_ambient_form(), [(q, p, 0, 0)], 1 if p == q else 2)
 
 
 def additive_ambient_chain_class(canon: tuple) -> LaurentPolynomial:

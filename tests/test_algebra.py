@@ -352,6 +352,7 @@ def test_ring_operations_keep_the_normal_form(a, b, q, shift):
     assert_normal(pa.scale(q), r_mul(a, {ZERO_EXPS: q}))
     assert_normal(pa.mul_monomial(Monomial(T22, shift), q), r_mul(a, {shift: q}))
     assert_normal(pa.mul_monomial(Monomial(T22, shift)), r_mul(a, {shift: 1}))
+    assert_normal(pa * Monomial(T22, shift), r_mul(a, {shift: 1}))
     # integral results of rational operands, then int-only work on them
     twice = pa.scale(Fraction(1, 2)) + pa.scale(Fraction(3, 2))
     assert_normal(twice * pb + pb, r_add(r_mul(r_mul(a, {ZERO_EXPS: 2}), b), b))

@@ -1,7 +1,4 @@
-import itertools
-import math
 import random
-import sys
 from functools import lru_cache
 
 import pytest
@@ -20,6 +17,7 @@ from eqpush import g2core
 from oracles import (additive_ambient_chain_class, factored_rational_sum, fixed_points,
                      log_moment)
 from test_spaces import CHAIN_SPACES
+from conftest import sum_of_products, with_frames_left
 
 
 def T(name, k=1):
@@ -312,7 +310,7 @@ def degree_forty_class():
 
 
 def test_gr27_integral_of_degree_forty_matches_flat_sum():
-    # _h has no fixed cap: degree 40 reads h_m up to m = 32
+    # h_m has no fixed cap: degree 40 reads h_m up to m = 32
     f = degree_forty_class()
     value = gr27_integral(f)
     assert not value.is_zero
@@ -325,7 +323,8 @@ def test_gr27_integral_of_degree_forty_builds_each_h_row_once(monkeypatch):
     # each m read makes 974
     f = degree_forty_class()
     cohomology._gr27_class.cache_clear()
-    cohomology._h_row.cache_clear()
+    cohomology._residue.cache_clear()
+    g2core.h_row.cache_clear()
     products, mul = 0, LaurentPolynomial.__mul__
 
     def counting_mul(a, b):
@@ -342,18 +341,8 @@ def test_h_is_the_sum_of_weight_log_monomials_at_any_depth():
     # the row of h_m reads the rows below it in a loop, so m = 200 needs no
     # more frames than m = 1: a recursion in m would exceed the 40 frames
     # left above this one
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 40)
-    try:
-        h = cohomology._h(200)
-    finally:
-        sys.setrecursionlimit(limit)
+    h = with_frames_left(40, g2core.h_row, cohomology._weight_logs, 200)[7]
     assert h.terms and all(sum(key) == 200 for key in h.terms)
-    logs = [log(w, coh_table()) for w in g2core.seven_weights()]
-    one, zero = LaurentPolynomial.one(coh_table()), LaurentPolynomial.zero(coh_table())
     for m in range(-1, 7):
-        products = () if m < 0 else itertools.combinations_with_replacement(logs, m)
-        assert cohomology._h(m) == sum((math.prod(p, start=one) for p in products), zero), m
+        assert g2core.h_row(cohomology._weight_logs, m)[7] == \
+            sum_of_products(cohomology._weight_logs(), m), m

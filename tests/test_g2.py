@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,8 +10,9 @@ from eqpush.polyfam import grothendieck_pair
 from eqpush.spaces import (SpaceDescriptor, SymmetryViolation, _calc,
                            localization_pushforward, residue_pushforward)
 
-from oracles import (ambient_chain_class, ambient_matrix_by_pushforward, bareiss_determinant,
-                     bareiss_solve)
+from conftest import sum_of_products, with_frames_left
+from oracles import (ambient_chain_class, ambient_matrix_by_pushforward, ambient_residue_class,
+                     bareiss_determinant, bareiss_solve)
 
 GT = g2core.g2_table()
 ONE = LaurentPolynomial.one(GT)
@@ -115,17 +117,61 @@ def test_ambient_pushforward_unit():
     assert g2.ambient_pushforward(ONE) == ONE
 
 
-def test_ambient_residue_matches_the_chain_oracle():
-    # every orbit class the 231 products of the intersection matrix decompose into
+def matrix_orbit_classes() -> list:
+    """Every orbit class the 231 products of the intersection matrix decompose into."""
     calc = _calc(g2.AMBIENT_SPACE)
     classes = [grothendieck_pair(a, b, GT) for a, b in g2.BOX]
     canons = set()
     for i, a in enumerate(classes):
         for b in classes[i:]:
             canons.update(calc.decompose(a * b))
+    return sorted(canons)
+
+
+def test_ambient_residue_matches_the_chain_oracle():
+    canons = matrix_orbit_classes()
     assert len(canons) == 66
-    for canon in sorted(canons):
+    for canon in canons:
         assert g2._ambient_class.__wrapped__(canon) == ambient_chain_class(canon), canon
+
+
+def test_ambient_closed_form_matches_the_residue_oracle():
+    # negative exponents reach the h_(-c) half of the one-variable residue
+    canons = [(p, q) for p in range(-4, 11) for q in range(-4, p + 1)]
+    assert len(canons) == 120
+    for canon in canons:
+        assert g2._ambient_class.__wrapped__(canon) == ambient_residue_class(canon), canon
+
+
+def test_matrix_orbit_classes_build_each_h_row_once(monkeypatch):
+    # from cold caches: 7 products for each row h_1..h_4 (F(11) = h_4 is the
+    # highest residue the 66 classes read), each built once, and 2 for each
+    # of the 121 members of their orbits
+    canons = matrix_orbit_classes()
+    g2._ambient_class.cache_clear()
+    g2._residue.cache_clear()
+    g2core.h_row.cache_clear()
+    products, mul = 0, LaurentPolynomial.__mul__
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counting_mul)
+    for canon in canons:
+        g2._ambient_class(canon)
+    assert products == 7 * 4 + 2 * 121
+
+
+def test_h_is_the_sum_of_weight_monomials_at_any_depth():
+    # as for the weight logs: m = 50 needs no more frames than m = 1, and at
+    # t = 1 h_m counts the C(m + 6, 6) multisets of m weights
+    h = with_frames_left(40, g2core.h_row, g2core.seven_weights, 50)[7]
+    assert sum(h.terms.values()) == math.comb(56, 6)
+    for m in range(-1, 7):
+        assert g2core.h_row(g2core.seven_weights, m)[7] == \
+            sum_of_products(g2core.seven_weights(), m), m
 
 
 def test_gram_matrix_matches_per_entry_pushforward():

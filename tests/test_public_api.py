@@ -17,6 +17,10 @@ name, and no method but `__init__` changes a container on `self`, by a
 mutating method call or by assigning or deleting a subscript: a memo is a
 `functools.lru_cache`, not a hand-rolled table.
 
+The G2 modules `g2` and `cohomology` compute the Grassmannian pairing in
+closed form and import nothing from `residue`: the residue kernel runs only
+in `spaces`.
+
 Every value class of `src/eqpush` (a subclass of `algebra.Frozen`) lists its
 fields in `_fields`, each of them a slot, and takes equality and hashing
 from `Frozen`: it defines no `_key`, `__eq__` or `__hash__` of its own."""
@@ -340,3 +344,41 @@ def value_class_faults() -> list:
 
 def test_every_value_class_is_built_from_its_field_list():
     assert value_class_faults() == []
+
+
+def imported_modules(tree) -> set:
+    """The dotted names of the modules an `eqpush` module's syntax tree imports
+    from, relative imports resolved against the package."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "eqpush" + (f".{node.module}" if node.module else "") if node.level \
+                else node.module
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+def residue_importers(root: str = ROOT) -> list:
+    """Each of `g2` and `cohomology` that imports from `eqpush.residue`."""
+    return [module for module, tree in _modules(root) if module in ("g2", "cohomology")
+            and "eqpush.residue" in imported_modules(tree)]
+
+
+def test_g2_modules_import_nothing_from_the_residue_kernel():
+    assert residue_importers() == []
+
+
+def test_residue_import_scan_reports_each_form_of_import(tmp_path):
+    os.makedirs(tmp_path / "src" / "eqpush")
+    os.makedirs(tmp_path / "perfbench")
+    for module, line in [("g2", "from .residue import iterated_residue"),
+                         ("cohomology", "from . import residue"),
+                         ("spaces", "from .residue import PreparedForm")]:
+        (tmp_path / "src" / "eqpush" / f"{module}.py").write_text(line + "\n")
+    assert residue_importers(str(tmp_path)) == ["cohomology", "g2"]
+    (tmp_path / "src" / "eqpush" / "g2.py").write_text("import eqpush.residue as kernel\n")
+    (tmp_path / "src" / "eqpush" / "cohomology.py").write_text("from .spaces import log\n")
+    assert residue_importers(str(tmp_path)) == ["g2"]

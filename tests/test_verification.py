@@ -1,9 +1,14 @@
+import itertools
+
 import pytest
 
 from eqpush import spaces
+from eqpush.algebra import LaurentPolynomial
 from eqpush.cli import main
 from eqpush.spaces import parse_space
 from eqpush.verification import first_mismatch, run_campaign
+
+from test_acceptance import CLASSICAL_CASES
 
 
 @pytest.fixture
@@ -78,3 +83,21 @@ def test_sign_planted_in_the_chain_names_an_orbit_class(fresh_calculators, capsy
     assert main(["verify", "--space", "gr:2,4", "--trials", "4", "--seed", "3",
                  "--max-exp", "1"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "verified 1/4 trials: 3 mismatches"
+
+
+def test_every_orbit_class_in_the_criterion_5_boxes_agrees(fresh_calculators):
+    # both paths are linear and compute one value per canonical orbit class,
+    # so agreeing on every class in a box is agreeing on every admissible
+    # class built from it; criterion 5's seeded trials draw 400 of these
+    # 1588 classes.  A disagreement names its class.
+    total = 0
+    for key, max_exp in CLASSICAL_CASES:
+        space = parse_space(key)
+        calc = spaces._calc(space)
+        box = itertools.product(range(-max_exp, max_exp + 1), repeat=calc.m)
+        canons = {calc.canonical(exps) for exps in box}
+        members = dict.fromkeys((e for canon in canons for e in calc.orbit(canon)), 1)
+        f = LaurentPolynomial(calc.table, members)
+        assert first_mismatch(space, f) == "  no orbit class differs on its own", key
+        total += len(canons)
+    assert total == 1588
