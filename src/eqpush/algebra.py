@@ -192,10 +192,14 @@ class Monomial(Frozen):
         return Monomial(table, tuple(e))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        if other.__class__ is not Monomial:  # mono * poly is LaurentPolynomial.__rmul__
+            return NotImplemented
         _same_table(self.table, other.table)
         return Monomial(self.table, tuple(a + b for a, b in zip(self.exps, other.exps)))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
+        if other.__class__ is not Monomial:
+            return NotImplemented
         _same_table(self.table, other.table)
         return Monomial(self.table, tuple(a - b for a, b in zip(self.exps, other.exps)))
 

@@ -30,11 +30,11 @@ multiset of weights and the multiset of extras to themselves
 (`_integrand_symmetric`, decided once without expanding anything; the
 denominator and the measure are symmetric by construction): then
 Res(orbit_sum(c) * base) = |orbit(c)| * Res(z^c' * base) for any member c'.
-That holds for the full gr and gr2 formulas, lg, ogE and both ogO
-variants, and trivially for fl, g2b and gr:1,n, whose orbits have one
-member.  The compact gr and gr2 weights (pos_roots) and g2p2's are not
-symmetric, and q's inversion z -> 1/z moves the factors and the measure, so
-these keep the orbit sum.
+That holds for the full gr and gr2 formulas, and trivially for fl, g2b,
+gr:1,n and lg, ogE and ogO of rank 1, whose orbits have one member.  The
+positive-root weights (pos_roots) of lg, ogE, ogO and the compact gr and
+gr2 formulas, and g2p2's, are not symmetric, and q's inversion z -> 1/z
+moves the factors and the measure, so these keep the orbit sum.
 """
 
 from __future__ import annotations
@@ -352,7 +352,18 @@ def _integrand_parts(space: SpaceDescriptor, variant: str) -> tuple:
     (scalar, weights, extras, ambient), for scalar * bracket(weights) *
     prod(extras) / prod(1 - z_i/tau over tau in ambient) dz/z.  The weights
     concatenate the named lists, since the bracket of a concatenation is the
-    product of the brackets; the extras are the factors that are no bracket."""
+    product of the brackets; the extras are the factors that are no bracket.
+
+    The paper writes lg, ogE and ogO with bracket(roots(z)) and scalar 1/n!;
+    here they take bracket(pos_roots(z)) with scalar 1, half the factors.
+    The residue is the same: the rest of the integrand, times a class's
+    orbit sum, is a function F symmetric in z1..zn, and the iterated residue
+    does not change when the z's are renamed, so n! * Res[F * P] is the
+    residue of F * sum_w w(P), P = prod_(i<j) (1 - z_j/z_i), w over the
+    permutations.  By Weyl's character formula for the trivial
+    representation, sum_w w(1/prod_(i<j) (1 - z_i/z_j)) = 1; times the
+    invariant prod_(i!=j) (1 - z_i/z_j) this is sum_w w(P) = prod_(i!=j)
+    (1 - z_i/z_j), the paper's bracket(roots(z))."""
     if variant not in space.variants():
         raise ValueError(f"invalid variant {variant!r} for {space.key()}")
     table = space.table()
@@ -380,10 +391,9 @@ def _integrand_parts(space: SpaceDescriptor, variant: str) -> tuple:
         scalar = rational(1, 2 ** (n - 1))
         weights = pairwise_product(inv, inv[1:]) + pos_roots(zlist)
         extras = (one - Monomial.of(table, z1=2).as_polynomial(),)
-    else:  # lg, ogE, ogO: pairs of the inverses and the roots
-        scalar = rational(1, math.factorial(n))
+    else:  # lg, ogE, ogO: pairs of the inverses and the positive roots
         pairs = lambda_set if k == "lg" or variant == "compact" else sym_set
-        weights = pairs(inv) + roots(zlist)
+        scalar, weights = 1, pairs(inv) + pos_roots(zlist)
         if variant == "compact":  # ogO
             extras = tuple(one + z.as_polynomial() for z in zlist)
     return scalar, weights, extras, ambient

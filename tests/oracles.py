@@ -11,6 +11,9 @@ class into the expanded base numerator of a residue integrand, the one form
 whose iterated residue the per-class shifts of `eqpush.spaces` must reproduce,
 and `expanded_integrand_symmetric` decides on that expanded form whether a
 class needs one orbit member, as `eqpush.spaces` decides on the weight lists.
+`printed_class_value` is the residue of an orbit class over the lg, ogE or
+ogO integrand as the paper prints it, with every root and scalar 1/n!, which
+the positive-root integrands of `eqpush.spaces` must reproduce.
 `weyl_group` lists the twelve substitutions of the G2 Weyl group, built from
 the rotation and the swap, for the G2 fixed points.  `ambient_chain_class`
 pairs an orbit class on the G2 ambient Grassmannian by the gr:2,7 Demazure
@@ -254,6 +257,32 @@ def build_integrand(space: SpaceDescriptor, f: LaurentPolynomial,
     check_symmetry(space, f)
     form = spaces._integrand_form(spaces._integrand_parts(space, variant), space.residue_count())
     return ResidueForm(form.scalar, f * form.numerator, form.denominator, form.residue_vars)
+
+
+@lru_cache(maxsize=None)
+def _printed_form(space: SpaceDescriptor, variant: str) -> PreparedForm:
+    """The residue integrand of lg, ogE or ogO as the paper prints it, with
+    every root: bracket(pairs(1/z) + roots(z)) * prod(extras) / n! over
+    prod(1 - z_i/tau), tau in T_pm (T_sharp for the full ogO), pairs being
+    the strict products for lg and the compact ogO and the weak ones
+    otherwise, and the extras 1 + z_i of the compact ogO; prepared once."""
+    k, n, table = space.kind, space.n, space.table()
+    zlist = standard_sets("Z", n, table)
+    pairs = lambda_set if k == "lg" or variant == "compact" else sym_set
+    extras = tuple(1 + z.as_polynomial() for z in zlist) if variant == "compact" else ()
+    ambient = standard_sets("T_sharp" if (k, variant) == ("ogO", "full") else "T_pm", n, table)
+    parts = (rational(1, math.factorial(n)), pairs(inverses(zlist)) + roots(zlist), extras,
+             ambient)
+    return PreparedForm(spaces._integrand_form(parts, n))
+
+
+def printed_class_value(space: SpaceDescriptor, canon: tuple,
+                        variant: str) -> LaurentPolynomial:
+    """The residue of the orbit class of canon over the printed integrand of
+    lg, ogE or ogO: it is symmetric in z1..zn, so |orbit| times the residue
+    of one member."""
+    members = _calc(space).orbit(canon)
+    return iterated_residue(_printed_form(space, variant), [min(members)], len(members))
 
 
 def expanded_integrand_symmetric(space: SpaceDescriptor, variant: str) -> bool:

@@ -91,6 +91,17 @@ def test_negative_power_needs_monomial(table22):
         (one + t1) ** -1
 
 
+def test_monomial_leaves_other_operands_to_them(table22):
+    # a Monomial multiplies only a Monomial; mono * poly is poly * mono
+    m = Monomial.of(table22, z1=1, t2=-1)
+    p = LaurentPolynomial.one(table22) + V(table22, "t1")
+    assert m * p == p.mul_monomial(m)
+    with pytest.raises(TypeError):
+        m * 3
+    with pytest.raises(TypeError):
+        m / p
+
+
 def test_monomial_power_matches_products(table22):
     m = LaurentPolynomial(table22, {(1, 0, 0, -2): rational(-2, 3)})
     inverse = LaurentPolynomial(table22, {(-1, 0, 0, 2): rational(-3, 2)})
@@ -353,6 +364,7 @@ def test_ring_operations_keep_the_normal_form(a, b, q, shift):
     assert_normal(pa.mul_monomial(Monomial(T22, shift), q), r_mul(a, {shift: q}))
     assert_normal(pa.mul_monomial(Monomial(T22, shift)), r_mul(a, {shift: 1}))
     assert_normal(pa * Monomial(T22, shift), r_mul(a, {shift: 1}))
+    assert Monomial(T22, shift) * pa == pa * Monomial(T22, shift)
     # integral results of rational operands, then int-only work on them
     twice = pa.scale(Fraction(1, 2)) + pa.scale(Fraction(3, 2))
     assert_normal(twice * pb + pb, r_add(r_mul(r_mul(a, {ZERO_EXPS: 2}), b), b))

@@ -19,7 +19,7 @@ from eqpush.verification import random_admissible_class
 
 from conftest import assert_immutable_value
 from oracles import (build_integrand, expanded_integrand_symmetric, factored_rational_sum,
-                     fixed_points, symmetry_orbit)
+                     fixed_points, printed_class_value, symmetry_orbit)
 from test_acceptance import CLASSICAL_CASES
 
 ALL_SPACES = ["gr:1,2", "gr:1,3", "gr:2,4", "gr2:2,4", "lg:1", "lg:2", "ogE:2",
@@ -344,11 +344,42 @@ def test_residue_pushforward_matches_integrand(key, variant):
     # residue_pushforward may take one orbit member per class instead
     space = parse_space(key)
     rng = random.Random(f"integrand:{key}:{variant}")
-    trials, max_exp = (2, 1) if key in ("lg:4", "ogE:4") else (3, 2)
-    for _ in range(trials):
-        f = random_admissible_class(space, rng, max_exp=max_exp)
+    for _ in range(3):
+        f = random_admissible_class(space, rng, max_exp=2)
         assert residue_pushforward(space, f, variant) == \
             iterated_residue(build_integrand(space, f, variant))
+
+
+# every criterion-5 (lg, ogE or ogO, variant) pair with its box, and rank 4
+PRINTED_PAIRS = [(key, variant, max_exp) for key, max_exp in CLASSICAL_CASES
+                 + [("lg:4", 1), ("ogE:4", 1), ("ogO:4", 1)]
+                 if key.split(":")[0] in ("lg", "ogE", "ogO")
+                 for variant in parse_space(key).variants()]
+
+
+@pytest.mark.parametrize("key, variant, max_exp", PRINTED_PAIRS)
+def test_positive_roots_give_the_residue_of_the_printed_integrand(key, variant, max_exp):
+    # the paper prints bracket(roots(z)) / n!; the integrand takes
+    # bracket(pos_roots(z)) with scalar 1, which only symmetrizing equates
+    space = parse_space(key)
+    rng = random.Random(f"printed:{key}:{variant}")
+    values = []
+    for _ in range(3):
+        f = random_admissible_class(space, rng, max_exp=max_exp)
+        values.append(residue_pushforward(space, f, variant))
+        assert values[-1] == _calc(space).pushforward(
+            f, lambda canon: printed_class_value(space, canon, variant))
+    assert not all(value.is_zero for value in values)
+
+
+@pytest.mark.parametrize("key, variant", [("lg:5", "full"), ("ogE:5", "full"),
+                                          ("ogO:5", "full"), ("ogO:5", "compact")])
+def test_rank_5_residue_matches_localization(key, variant):
+    space = parse_space(key)
+    f = random_admissible_class(space, random.Random(7), max_exp=1)
+    value = localization_pushforward(space, f)
+    assert not value.is_zero
+    assert residue_pushforward(space, f, variant) == value
 
 
 @pytest.mark.parametrize("key, variant, canons", [
@@ -359,9 +390,9 @@ def test_residue_pushforward_matches_integrand(key, variant):
 ])
 def test_prepared_integrand_keeps_the_widest_packing(monkeypatch, key, variant, canons):
     # The second class needs a wider digit than the first and repacks the
-    # base; the narrower ones after it reuse that packing.  q:3 and the
-    # compact gr:2,4 sum every orbit member on packed keys.  The integrand
-    # is prepared once for all the classes.
+    # base; the narrower ones after it reuse that packing.  lg:3, q:3 and
+    # the compact gr:2,4 sum every orbit member on packed keys.  The
+    # integrand is prepared once for all the classes.
     built = []
 
     def counting(*args):
@@ -382,13 +413,16 @@ def test_prepared_integrand_keeps_the_widest_packing(monkeypatch, key, variant, 
 
 
 def test_which_integrands_take_one_orbit_member():
-    # The base numerator of a compact Grassmannian (pos_roots), of q and of
-    # g2p2 is not symmetric, and q's inversion also moves the factors and
-    # the measure.  fl has no symmetry and gr:1,n permutes one z, so their
-    # orbits have one member and both ways build the same numerator.
+    # The base numerator of a compact Grassmannian, of lg, ogE and ogO
+    # (pos_roots), of q and of g2p2 is not symmetric, and q's inversion also
+    # moves the factors and the measure.  fl has no symmetry and gr:1,n and
+    # ogO:1 permute one z, so their orbits have one member and both ways
+    # build the same numerator.
     orbit_sum = {("gr:2,4", "compact"), ("gr:2,5", "compact"), ("gr:3,6", "compact"),
                  ("gr2:2,4", "compact"), ("q:2", "full"), ("q:3", "full"),
                  ("g2p2", "full")}
+    orbit_sum |= {(key, variant) for key, variant in RESIDUE_PAIRS
+                  if key.split(":")[0] in ("lg", "ogE", "ogO") and key != "ogO:1"}
     for key, variant in RESIDUE_PAIRS:
         assert spaces._integrand_symmetric(parse_space(key), variant) == \
             ((key, variant) not in orbit_sum), (key, variant)
@@ -414,20 +448,22 @@ def test_no_symmetry_decision_expands_a_base(monkeypatch):
     spaces._integrand_symmetric.cache_clear()
     try:
         for key, variant, symmetric in [
-                ("lg:5", "full", True), ("ogE:5", "full", True), ("ogO:5", "full", True),
-                ("ogO:5", "compact", True), ("q:4", "full", False), ("g2p2", "full", False)]:
+                ("lg:5", "full", False), ("ogE:5", "full", False), ("ogO:5", "full", False),
+                ("ogO:5", "compact", False), ("gr2:3,6", "full", True), ("q:4", "full", False),
+                ("g2p2", "full", False)]:
             assert spaces._integrand_symmetric(parse_space(key), variant) == symmetric, key
     finally:
         spaces._integrand_parts.cache_clear()
         spaces._integrand_symmetric.cache_clear()
 
 
-@pytest.mark.parametrize("key, change", [("lg:2", "weight"), ("lg:2", "extra"),
+@pytest.mark.parametrize("key, change", [("gr:2,4", "weight"), ("gr:2,4", "extra"),
                                          ("q:2", "inversion")])
 def test_asymmetric_integrand_falls_back_to_the_orbit_sum(monkeypatch, key, change):
-    # the weight z1/z2 dropped from the lg:2 integrand, or a lone extra factor
-    # 1 + z1; or q:2 with no weights and no extras, whose multisets z2 -> 1/z2
-    # keeps, but which the inversion moves all the same (denominator, measure)
+    # the weight z1/z2 dropped from the symmetric full gr:2,4 integrand, or a
+    # lone extra factor 1 + z1; or q:2 with no weights and no extras, whose
+    # multisets z2 -> 1/z2 keeps, but which the inversion moves all the same
+    # (denominator, measure)
     space = parse_space(key)
     table = space.table()
     scalar, weights, extras, ambient = spaces._integrand_parts(space, "full")

@@ -85,13 +85,11 @@ def test_sign_planted_in_the_chain_names_an_orbit_class(fresh_calculators, capsy
     assert capsys.readouterr().out.splitlines()[-1] == "verified 1/4 trials: 3 mismatches"
 
 
-def test_every_orbit_class_in_the_criterion_5_boxes_agrees(fresh_calculators):
-    # both paths are linear and compute one value per canonical orbit class,
-    # so agreeing on every class in a box is agreeing on every admissible
-    # class built from it; criterion 5's seeded trials draw 400 of these
-    # 1588 classes.  A disagreement names its class.
+def _box_classes_agree(cases) -> int:
+    """Compare every variant with localization on each canonical orbit class
+    of each (space, max-exp) box; returns the number of classes."""
     total = 0
-    for key, max_exp in CLASSICAL_CASES:
+    for key, max_exp in cases:
         space = parse_space(key)
         calc = spaces._calc(space)
         box = itertools.product(range(-max_exp, max_exp + 1), repeat=calc.m)
@@ -100,4 +98,18 @@ def test_every_orbit_class_in_the_criterion_5_boxes_agrees(fresh_calculators):
         f = LaurentPolynomial(calc.table, members)
         assert first_mismatch(space, f) == "  no orbit class differs on its own", key
         total += len(canons)
+    return total
+
+
+def test_every_orbit_class_in_the_criterion_5_boxes_agrees(fresh_calculators):
+    # both paths are linear and compute one value per canonical orbit class,
+    # so agreeing on every class in a box is agreeing on every admissible
+    # class built from it; criterion 5's seeded trials draw 400 of these
+    # 1588 classes.  A disagreement names its class.
+    total = _box_classes_agree(CLASSICAL_CASES)
     assert total == 1588
+
+
+def test_every_orbit_class_in_the_rank_4_boxes_agrees(fresh_calculators):
+    total = _box_classes_agree([("lg:4", 1), ("ogE:4", 1), ("ogO:4", 1), ("q:4", 1)])
+    assert total == 57
