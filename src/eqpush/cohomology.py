@@ -14,12 +14,12 @@ run independent paths, so the class check compares two computations:
 - `gr27_integral` is the cohomological Grassmannian residue at infinity:
   `g2core.gr27_orbit_class`, the closed form of `g2`'s K-theoretic pairing,
   with the one-variable residue F(c) = (-1)^c h_(c-5) of the seven weight
-  logs (`_gr27_class`).
+  logs (`_residue`).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import LaurentPolynomial, VariableTable, parameter_table
 from .g2 import AMBIENT_SPACE, BOX, QUOTIENT_SPACE
@@ -53,14 +53,9 @@ def _weight_logs() -> tuple:
 
 @lru_cache(maxsize=None)
 def _residue(c: int) -> LaurentPolynomial:
-    """F(c) = (-1)^c h_(c-5)(log w), (-1)^c times the finite residues of u^(c+1)/Q(u)."""
-    return g2core.h_row(_weight_logs, c - 5)[7].scale(-1 if c % 2 else 1)
-
-
-@lru_cache(maxsize=None)
-def _gr27_class(canon: tuple) -> LaurentPolynomial:
-    """The gr:2,7 integral of the orbit class of canon = (p, q), as the
-    Grassmannian residue at infinity in closed form.
+    """F(c) = (-1)^c h_(c-5)(log w), (-1)^c times the finite residues of
+    u^(c+1)/Q(u), so that `g2core.gr27_orbit_class` is the gr:2,7 integral
+    as the Grassmannian residue at infinity.
 
     The fixed point {i, j} has the Chern roots x = -u at u = (w_i, w_j) and
     contributes f(x)/prod (w_b - w_a) over a in {i, j}, b not, which is
@@ -69,8 +64,12 @@ def _gr27_class(canon: tuple) -> LaurentPolynomial:
     since (u1 - u2)^2 vanishes at i = j, and the finite residues of
     u^c/Q(u) add up to h_(c-6).  So x1^a x2^b integrates to -(-1)^(a+b)/2
     times h_(a-4) h_(b-6) - 2 h_(a-5) h_(b-5) + h_(a-6) h_(b-4), which is
-    (1/2)(2 F(a) F(b) - F(a+1) F(b-1) - F(a-1) F(b+1)) in F = `_residue`."""
-    return g2core.gr27_orbit_class(_residue, canon)
+    (1/2)(2 F(a) F(b) - F(a+1) F(b-1) - F(a-1) F(b+1))."""
+    return g2core.h_row(_weight_logs, c - 5)[7].scale(-1 if c % 2 else 1)
+
+
+# the gr:2,7 integral of the orbit class of canon = (p, q)
+_gr27_class = partial(g2core.gr27_orbit_class, _residue)
 
 
 def g2_integral(f: LaurentPolynomial) -> LaurentPolynomial:

@@ -18,7 +18,7 @@ orbit values, checked entry by entry against `ambient_pushforward`.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import LaurentPolynomial
 from .elimination import solve
@@ -61,12 +61,8 @@ def _residue(c: int) -> LaurentPolynomial:
     return g2core.h_row(w, -c)[7] + g2core.h_row(w, c - 7)[7]
 
 
-@lru_cache(maxsize=None)
-def _ambient_class(canon: tuple) -> LaurentPolynomial:
-    """Push-forward of the orbit class z1^p z2^q + z1^q z2^p of canon = (p, q)
-    (once on the diagonal) along the ambient Grassmannian: the residue of the
-    class times (1/2)(1 - z1/z2)(1 - z2/z1) / prod_k (1 - z1/w_k)(1 - z2/w_k)."""
-    return g2core.gr27_orbit_class(_residue, canon)
+# push-forward of the orbit class of canon = (p, q) along the ambient Grassmannian
+_ambient_class = partial(g2core.gr27_orbit_class, _residue)
 
 
 def ambient_pushforward(f: LaurentPolynomial) -> LaurentPolynomial:

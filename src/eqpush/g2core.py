@@ -104,10 +104,12 @@ def h_row(weights, m: int) -> tuple:
     return tuple(row)
 
 
+@lru_cache(maxsize=None)
 def gr27_orbit_class(residue, canon: tuple) -> LaurentPolynomial:
     """The gr:2,7 pairing of the orbit class of canon = (p, q) in the theory
     whose one-variable residue is F = residue: z1^a z2^b pairs to (1/2)(2 F(a)
     F(b) - F(a+1) F(b-1) - F(a-1) F(b+1)), and over the orbit the two outer
-    terms give the same total, so the 1/2 cancels."""
+    terms give the same total, so the 1/2 cancels.  Keyed on residue as
+    h_row is on weights: the one cache of both theories' orbit values."""
     return sum(residue(a) * residue(b) - residue(a - 1) * residue(b + 1)
                for a, b in {canon, canon[::-1]})

@@ -69,14 +69,6 @@ class ResidueForm(Frozen):
     def table(self):
         return self.numerator.table
 
-    def render(self) -> str:
-        den = "*".join(f"(1 - {m.render()})" for m in self.denominator) or "1"
-        dlog = ", ".join(self.residue_vars)
-        return f"{self.scalar} * ({self.numerator.render()}) / {den} dlog({dlog})"
-
-    def __repr__(self):
-        return f"ResidueForm[{self.render()}]"
-
 
 def make_form(numerator: LaurentPolynomial, denominator: Iterable[Monomial],
               residue_vars: Iterable[str], scalar=1) -> ResidueForm:

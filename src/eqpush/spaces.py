@@ -364,8 +364,6 @@ def _integrand_parts(space: SpaceDescriptor, variant: str) -> tuple:
     representation, sum_w w(1/prod_(i<j) (1 - z_i/z_j)) = 1; times the
     invariant prod_(i!=j) (1 - z_i/z_j) this is sum_w w(P) = prod_(i!=j)
     (1 - z_i/z_j), the paper's bracket(roots(z))."""
-    if variant not in space.variants():
-        raise ValueError(f"invalid variant {variant!r} for {space.key()}")
     table = space.table()
     k, m, n = space.kind, space.m, space.n
     one = LaurentPolynomial.one(table)

@@ -15,9 +15,12 @@ class needs one orbit member, as `eqpush.spaces` decides on the weight lists.
 ogO integrand as the paper prints it, with every root and scalar 1/n!, which
 the positive-root integrands of `eqpush.spaces` must reproduce.
 `weyl_group` lists the twelve substitutions of the G2 Weyl group, built from
-the rotation and the swap, for the G2 fixed points.  `ambient_chain_class`
-pairs an orbit class on the G2 ambient Grassmannian by the gr:2,7 Demazure
-chain, then t_i -> the seven weights: the independent path for the closed
+the rotation and the swap, for the G2 fixed points.  `cut_ambient_value`
+pushes a class times an Euler class (the cut) along an ambient
+Grassmannian's Demazure chain and restricts the torus: the paper's
+derivation of lg, ogE, ogO and q from type A, a path independent of their
+own chains.  `ambient_chain_class` is its G2 case: an orbit class on gr:2,7,
+no cut, then t_i -> the seven weights, the independent path for the closed
 form of `eqpush.g2`.  `ambient_residue_class` is a third path: the residue
 of the gr:2,7 integrand at the seven weights, run by the kernel of
 `eqpush.residue`.  `additive_ambient_chain_class` is the chain's
@@ -54,7 +57,7 @@ from eqpush.cohomology import coh_table
 from eqpush.polyfam import grothendieck_pair
 from eqpush.residue import PreparedForm, ResidueForm, iterated_residue
 from eqpush.spaces import (SpaceDescriptor, SymmetryViolation, _calc, check_symmetry,
-                           symmetry_generators)
+                           localization_pushforward, symmetry_generators)
 
 
 @dataclass(frozen=True)
@@ -304,14 +307,25 @@ def expanded_integrand_symmetric(space: SpaceDescriptor, variant: str) -> bool:
     return True
 
 
+def cut_ambient_value(ambient: SpaceDescriptor, f: LaurentPolynomial, cut,
+                      images: dict) -> LaurentPolynomial:
+    """The push-forward of f * cut along the Demazure chain of the
+    Grassmannian ambient, then the torus restricted by t_i -> images[t_i],
+    onto the table of the images (the other t's kept by name).  With cut the
+    K-theoretic Euler class of a bundle, this is the push-forward along its
+    zero locus, as the paper derives a space from its ambient Grassmannian."""
+    value = localization_pushforward(ambient, f.substitute({}, ambient.table()) * cut)
+    return value.substitute(images, next(iter(images.values())).table)
+
+
 def ambient_chain_class(canon: tuple) -> LaurentPolynomial:
     """The push-forward of the orbit class of canon = (p, q) along the
     Grassmannian of two-planes in 7-space, restricted to the G2 torus: the
-    gr:2,7 Demazure chain in t1..t7, then t_i -> the i-th of the seven weights."""
-    calc = _calc(SpaceDescriptor("gr", 2, 7))
-    value = calc.engine.sum_values(calc.orbit_sum(canon))
-    weights = {f"t{i + 1}": w.as_polynomial() for i, w in enumerate(g2core.seven_weights())}
-    return value.substitute(weights, g2core.g2_table())
+    gr:2,7 Demazure chain in t1..t7, no cut, then t_i -> the i-th of the
+    seven weights."""
+    ambient = SpaceDescriptor("gr", 2, 7)
+    weights = {f"t{i + 1}": w for i, w in enumerate(g2core.seven_weights())}
+    return cut_ambient_value(ambient, _calc(ambient).orbit_sum(canon), 1, weights)
 
 
 @lru_cache(maxsize=None)

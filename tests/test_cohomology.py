@@ -322,7 +322,7 @@ def test_gr27_integral_of_degree_forty_builds_each_h_row_once(monkeypatch):
     # 3 orbit members and 2 in the push-forward; rebuilding rows 0..m for
     # each m read makes 974
     f = degree_forty_class()
-    cohomology._gr27_class.cache_clear()
+    g2core.gr27_orbit_class.cache_clear()
     cohomology._residue.cache_clear()
     g2core.h_row.cache_clear()
     products, mul = 0, LaurentPolynomial.__mul__

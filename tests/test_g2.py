@@ -4,7 +4,7 @@ import random
 import pytest
 
 from eqpush.algebra import LaurentPolynomial, Monomial, exact_divide
-from eqpush import g2, g2core
+from eqpush import cohomology, g2, g2core
 from eqpush.elimination import determinant, solve
 from eqpush.polyfam import grothendieck_pair
 from eqpush.spaces import (SpaceDescriptor, SymmetryViolation, _calc,
@@ -132,7 +132,8 @@ def test_ambient_residue_matches_the_chain_oracle():
     canons = matrix_orbit_classes()
     assert len(canons) == 66
     for canon in canons:
-        assert g2._ambient_class.__wrapped__(canon) == ambient_chain_class(canon), canon
+        assert g2core.gr27_orbit_class.__wrapped__(g2._residue, canon) == \
+            ambient_chain_class(canon), canon
 
 
 def test_ambient_closed_form_matches_the_residue_oracle():
@@ -140,7 +141,8 @@ def test_ambient_closed_form_matches_the_residue_oracle():
     canons = [(p, q) for p in range(-4, 11) for q in range(-4, p + 1)]
     assert len(canons) == 120
     for canon in canons:
-        assert g2._ambient_class.__wrapped__(canon) == ambient_residue_class(canon), canon
+        assert g2core.gr27_orbit_class.__wrapped__(g2._residue, canon) == \
+            ambient_residue_class(canon), canon
 
 
 def test_matrix_orbit_classes_build_each_h_row_once(monkeypatch):
@@ -148,7 +150,7 @@ def test_matrix_orbit_classes_build_each_h_row_once(monkeypatch):
     # highest residue the 66 classes read), each built once, and 2 for each
     # of the 121 members of their orbits
     canons = matrix_orbit_classes()
-    g2._ambient_class.cache_clear()
+    g2core.gr27_orbit_class.cache_clear()
     g2._residue.cache_clear()
     g2core.h_row.cache_clear()
     products, mul = 0, LaurentPolynomial.__mul__
@@ -162,6 +164,10 @@ def test_matrix_orbit_classes_build_each_h_row_once(monkeypatch):
     for canon in canons:
         g2._ambient_class(canon)
     assert products == 7 * 4 + 2 * 121
+
+
+def test_both_theories_bind_the_one_cache_of_orbit_values():
+    assert g2._ambient_class.func is cohomology._gr27_class.func is g2core.gr27_orbit_class
 
 
 def test_h_is_the_sum_of_weight_monomials_at_any_depth():

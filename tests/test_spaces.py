@@ -18,8 +18,8 @@ from eqpush.spaces import (LocalizationEngine, SpaceDescriptor, SymmetryViolatio
 from eqpush.verification import random_admissible_class
 
 from conftest import assert_immutable_value
-from oracles import (build_integrand, expanded_integrand_symmetric, factored_rational_sum,
-                     fixed_points, printed_class_value, symmetry_orbit)
+from oracles import (build_integrand, cut_ambient_value, expanded_integrand_symmetric,
+                     factored_rational_sum, fixed_points, printed_class_value, symmetry_orbit)
 from test_acceptance import CLASSICAL_CASES
 
 ALL_SPACES = ["gr:1,2", "gr:1,3", "gr:2,4", "gr2:2,4", "lg:1", "lg:2", "ogE:2",
@@ -298,9 +298,10 @@ def test_a_class_over_the_wrong_table_is_refused():
 
 
 def test_variant_validation():
-    with pytest.raises(ValueError):
-        residue_pushforward(parse_space("lg:2"),
-                            LaurentPolynomial.one(zt_table(2, 2)), "compact")
+    # the zero class has no orbit class, so the check must come before the work
+    for f in (LaurentPolynomial.one(zt_table(2, 2)), LaurentPolynomial.zero(zt_table(2, 2))):
+        with pytest.raises(ValueError):
+            residue_pushforward(parse_space("lg:2"), f, "compact")
 
 
 def test_compact_integrand_shape():
@@ -586,6 +587,52 @@ def test_demazure_chain_matches_flat_fixed_point_sum(key):
     for _ in range(3):
         f = random_admissible_class(space, rng, max_exp=2)
         assert localization_pushforward(space, f) == flat_fixed_point_sum(space, f)
+
+
+def euler_cut(space):
+    """The ambient Grassmannian of an lg, ogE, ogO or q space, the Euler class
+    cutting the space out of it and the torus restriction t_(n+i) -> 1/t_i
+    (and t_(2n+1) -> 1): prod_(i<j) (1 - z_i z_j) in gr:n,2n for lg, the
+    same over i <= j for ogE (both components) and in gr:n,2n+1 for ogO,
+    and 1 - z1^2 in gr:1,2n for q."""
+    k, n, table = space.kind, space.n, space.table()
+    ambient = SpaceDescriptor("gr", 1 if k == "q" else n, 2 * n + (k == "ogO"))
+    one = LaurentPolynomial.one(ambient.table())
+    z = [LaurentPolynomial.variable(ambient.table(), f"z{i + 1}") for i in range(ambient.m)]
+    pairs = itertools.combinations if k == "lg" else itertools.combinations_with_replacement
+    cut = one
+    for a, b in pairs(z, 2):
+        cut = cut * (one - a * b)
+    images = {f"t{n + i + 1}": Monomial.of(table, **{f"t{i + 1}": -1}) for i in range(n)}
+    if k == "ogO":
+        images[f"t{2 * n + 1}"] = Monomial.one(table)
+    return ambient, cut, images
+
+
+def cut_classes(space):
+    """Classes in z1 on q, z1^a (1 + t2); three seeded orbit-sum classes
+    times 1 + t1 elsewhere."""
+    table = space.table()
+    if space.kind == "q":
+        return [LaurentPolynomial(table, {(a,) + (0,) * (len(table) - 1): 1})
+                * (1 + LaurentPolynomial.variable(table, "t2")) for a in (-3, -1, 0, 2, 4, 7)]
+    rng = random.Random(f"cut:{space.key()}")
+    return [random_admissible_class(space, rng, max_exp=2)
+            * (1 + LaurentPolynomial.variable(table, "t1")) for _ in range(3)]
+
+
+@pytest.mark.parametrize("key", ["lg:2", "lg:3", "lg:4", "ogE:2", "ogE:3", "ogO:2", "ogO:3",
+                                 "q:2", "q:3", "q:4"])
+def test_chain_matches_the_cut_ambient_grassmannian(key):
+    # the paper's derivation: each space is the zero locus of an Euler class
+    # on a type-A Grassmannian, whose own chain then gives a third path
+    space = parse_space(key)
+    ambient, cut, images = euler_cut(space)
+    values = []
+    for f in cut_classes(space):
+        values.append(localization_pushforward(space, f))
+        assert values[-1] == cut_ambient_value(ambient, f, cut, images), f
+    assert any(not value.is_zero for value in values)
 
 
 @pytest.mark.parametrize("key", CHAIN_SPACES + ["gr:2,7"])
