@@ -18,6 +18,13 @@ the G2 artifacts never builds a rational.  Rendering and JSON read
 One walk of the terms in canonical order serves every rendering: the text
 form of the fixtures, LaTeX, JSON and `Monomial.render`.
 
+A product of two polynomials runs on packed `int` keys, as the `residue`
+kernel does: each variable that varies in the product gets one digit, wide
+enough for its exponent span there, and each operand's keys are offset by
+its own minima, so digits never carry.  Each term product is then one int
+addition and one dict update, and the result is unpacked once.  A one-term
+operand shifts the other (`mul_monomial`).
+
 `LaurentPolynomial.substitute` is the one change of variables, from a Weyl
 reflection to the move of a polynomial to another table.
 
@@ -34,7 +41,8 @@ import heapq
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from operator import add as _add, attrgetter, lt as _lt, neg as _neg, sub as _sub
+from operator import (add as _add, attrgetter, lshift as _lshift, lt as _lt, neg as _neg,
+                      sub as _sub)
 
 _EXACT = (int, Fraction)  # the exact rationals a polynomial compares with
 
@@ -358,26 +366,14 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
             _same_table(self.table, other.table)
-            exact = self.is_integral() and other.is_integral()
-            a, b = self.terms, other.terms
-            if len(a) > len(b):
-                a, b = b, a
-            acc = {}
-            get = acc.get
-            items_b = list(b.items())
-            for k1, c1 in a.items():
-                for k2, c2 in items_b:
-                    k = tuple(map(_add, k1, k2))
-                    s = get(k)
-                    if s is None:
-                        acc[k] = c1 * c2
-                    else:
-                        s = s + c1 * c2
-                        if s == 0:
-                            del acc[k]
-                        else:
-                            acc[k] = s
-            return _result(self.table, acc, exact)
+            small, large = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
+            if len(small.terms) == 1:
+                (k, c), = small.terms.items()
+                return large.mul_monomial(Monomial(self.table, k), c)
+            if not small.terms:
+                return small
+            return _result(self.table, _packed_product(small.terms, large.terms),
+                           small.is_integral() and large.is_integral())
         if isinstance(other, Monomial):
             return self.mul_monomial(other)
         return self.scale(other)
@@ -568,6 +564,37 @@ def _moves(i: int, exps: tuple, same: bool) -> tuple:
     if same:
         delta[i] -= 1
     return tuple((j, f) for j, f in enumerate(delta) if f)
+
+
+def _packed_product(a: dict, b: dict) -> dict:
+    """The terms of the product of two term dicts, zero sums dropped, on
+    packed int keys.
+
+    Each variable gets one digit of W bits with 2^W above its exponent span
+    in the product (its span in a plus its span in b), so a variable that
+    does not vary gets none.  A key is packed offset by its operand's
+    minimum in each variable: every digit is non-negative, adding two packed
+    keys never carries, and the product keys are unpacked once, a column of
+    exponents per variable.
+    """
+    low_a, low_b = list(map(min, zip(*a))), list(map(min, zip(*b)))
+    shifts, unpack, width = [], [], 0
+    for la, ha, lb, hb in zip(low_a, map(max, zip(*a)), low_b, map(max, zip(*b))):
+        w = (ha - la + hb - lb).bit_length()
+        shifts.append(width)
+        unpack.append((width, (1 << w) - 1, la + lb))
+        width += w
+    off_a, off_b = sum(map(_lshift, low_a, shifts)), sum(map(_lshift, low_b, shifts))
+    packed_b = [(sum(map(_lshift, k, shifts)) - off_b, c) for k, c in b.items()]
+    acc: dict = {}
+    get = acc.get
+    for k1, c1 in a.items():
+        k1 = sum(map(_lshift, k1, shifts)) - off_a
+        for k2, c2 in packed_b:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    columns = [[(k >> s & mask) + low for k in acc] for s, mask, low in unpack]
+    return {k: c for k, c in zip(zip(*columns), acc.values()) if c}
 
 
 def _poly(table: VariableTable, terms: dict, integral=None) -> LaurentPolynomial:

@@ -62,10 +62,11 @@ def pairwise_product(a: tuple, b: tuple) -> tuple:
 def bracket(a: tuple, table: VariableTable) -> LaurentPolynomial:
     """Product of (1 - 1/entry) over `table`; the empty list gives 1.
 
-    An entry equal to 1 makes the whole product zero, which is legal.
+    Each factor is applied as a shift, out - out/entry, with no polynomial
+    product.  An entry equal to 1 makes the whole product zero, which is
+    legal.
     """
-    one = LaurentPolynomial.one(table)
-    out = one
+    out = LaurentPolynomial.one(table)
     for m in a:
-        out = out * (one - m.inverse().as_polynomial())
+        out = out - out.mul_monomial(m.inverse())
     return out

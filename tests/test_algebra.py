@@ -353,8 +353,20 @@ def assert_normal(p: LaurentPolynomial, ref: dict):
     assert p.is_integral() == all(c.denominator == 1 for c in ref.values())
 
 
-@given(references(), references(), coefficients, exponents)
-def test_ring_operations_keep_the_normal_form(a, b, q, shift):
+# Key families for products on packed keys: small exponents, which merge;
+# exponents up to +-2^70, so a packed digit passes 64 bits; and keys varying
+# in z1 only, the other variables fixed off zero, so they get no digit and
+# come back from the offsets alone.
+HUGE = st.integers(-2 ** 70, 2 ** 70)
+WIDE_KEYS = [exponents, st.tuples(*[HUGE] * 4),
+             st.tuples(HUGE, st.just(-1), st.just(2 ** 70), st.just(3))]
+operand_pairs = st.sampled_from(WIDE_KEYS).flatmap(
+    lambda keys: st.tuples(references(keys=keys), references(keys=keys)))
+
+
+@given(operand_pairs, coefficients, exponents)
+def test_ring_operations_keep_the_normal_form(ab, q, shift):
+    a, b = ab
     pa, pb = poly(a), poly(b)
     assert_normal(pa, a)
     assert_normal(pa + pb, r_add(a, b))
