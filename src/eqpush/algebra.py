@@ -18,12 +18,15 @@ the G2 artifacts never builds a rational.  Rendering and JSON read
 One walk of the terms in canonical order serves every rendering: the text
 form of the fixtures, LaTeX, JSON and `Monomial.render`.
 
-A product of two polynomials runs on packed `int` keys, as the `residue`
-kernel does: each variable that varies in the product gets one digit, wide
-enough for its exponent span there, and each operand's keys are offset by
-its own minima, so digits never carry.  Each term product is then one int
-addition and one dict update, and the result is unpacked once.  A one-term
-operand shifts the other (`mul_monomial`).
+`Packing(lows, highs)` is the one packed-key codec, shared by the product of
+two polynomials and the `residue` kernel.  Variable i gets a digit of
+(highs[i] - lows[i]).bit_length() bits at shift s_i, none when it cannot
+vary, and pack(e) = sum(e_i << s_i) is linear, so a monomial product is one
+int addition.  For lows[i] <= e_i <= highs[i], digit i of key - offset, with
+offset = pack(lows), is e_i - lows[i] >= 0, so e_i = ((key - offset) >> s_i
+& mask_i) + lows[i].  A product of two polynomials packs over the operands'
+summed ranges, so no digit carries, and is unpacked once, a column per
+variable; a one-term operand shifts the other (`mul_monomial`).
 
 `LaurentPolynomial.substitute` is the one change of variables, from a Weyl
 reflection to the move of a polynomial to another table.
@@ -566,35 +569,52 @@ def _moves(i: int, exps: tuple, same: bool) -> tuple:
     return tuple((j, f) for j, f in enumerate(delta) if f)
 
 
+class Packing:
+    """Exponent vectors with lows[i] <= e_i <= highs[i] as ints (see the
+    module docstring); plain slots, not `Frozen`, as each product builds one."""
+
+    __slots__ = ("lows", "shifts", "masks", "offset")
+
+    def __init__(self, lows: list, highs: list):
+        shifts, masks, width = [], [], 0
+        for low, high in zip(lows, highs):
+            shifts.append(width)
+            w = (high - low).bit_length()
+            masks.append((1 << w) - 1)
+            width += w
+        self.lows, self.shifts, self.masks = lows, shifts, masks
+        self.offset = sum(map(_lshift, lows, shifts))
+
+    def pack(self, vectors) -> list:
+        """The packed keys of the exponent vectors."""
+        shifts = self.shifts
+        return [sum(map(_lshift, e, shifts)) for e in vectors]
+
+    def unpack(self, diffs):
+        """An iterator over the exponent vectors of the keys key - offset in diffs."""
+        return zip(*[[(d >> s & mask) + low for d in diffs]
+                     for s, mask, low in zip(self.shifts, self.masks, self.lows)])
+
+
 def _packed_product(a: dict, b: dict) -> dict:
     """The terms of the product of two term dicts, zero sums dropped, on
-    packed int keys.
-
-    Each variable gets one digit of W bits with 2^W above its exponent span
-    in the product (its span in a plus its span in b), so a variable that
-    does not vary gets none.  A key is packed offset by its operand's
-    minimum in each variable: every digit is non-negative, adding two packed
-    keys never carries, and the product keys are unpacked once, a column of
-    exponents per variable.
-    """
-    low_a, low_b = list(map(min, zip(*a))), list(map(min, zip(*b)))
-    shifts, unpack, width = [], [], 0
-    for la, ha, lb, hb in zip(low_a, map(max, zip(*a)), low_b, map(max, zip(*b))):
-        w = (ha - la + hb - lb).bit_length()
-        shifts.append(width)
-        unpack.append((width, (1 << w) - 1, la + lb))
-        width += w
-    off_a, off_b = sum(map(_lshift, low_a, shifts)), sum(map(_lshift, low_b, shifts))
-    packed_b = [(sum(map(_lshift, k, shifts)) - off_b, c) for k, c in b.items()]
+    packed int keys over the sum of the operands' ranges.  The keys of a,
+    the smaller operand, are packed less the offset, so each product key
+    comes out as key - offset, ready to unpack."""
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    packing = Packing(list(map(_add, map(min, cols_a), map(min, cols_b))),
+                      list(map(_add, map(max, cols_a), map(max, cols_b))))
+    # pack(e) written out: two calls of `pack` per product cost ~1% of g2-artifacts
+    shifts, offset = packing.shifts, packing.offset
+    packed_b = [(sum(map(_lshift, k, shifts)), c) for k, c in b.items()]
     acc: dict = {}
     get = acc.get
     for k1, c1 in a.items():
-        k1 = sum(map(_lshift, k1, shifts)) - off_a
+        k1 = sum(map(_lshift, k1, shifts)) - offset
         for k2, c2 in packed_b:
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
-    columns = [[(k >> s & mask) + low for k in acc] for s, mask, low in unpack]
-    return {k: c for k, c in zip(zip(*columns), acc.values()) if c}
+    return {k: c for k, c in zip(packing.unpack(acc), acc.values()) if c}
 
 
 def _poly(table: VariableTable, terms: dict, integral=None) -> LaurentPolynomial:

@@ -6,17 +6,17 @@ construction.  Every denominator factor monomial must contain exactly one
 residue variable, with positive exponent; this makes coefficient extraction
 in distinct variables commute, so the iterated residue is order independent.
 
-All three entry points run one driver on packed monomials with integer
-coefficients.  An exponent vector (e_0, ..., e_{n-1}) is packed into the single
-integer sum(e_i * 2^(W*i)), so a monomial product is one integer addition and
-the degree of variable i is (((key + bias) >> W*i) & mask) - 2^(W-1).  A
-PreparedForm plans the steps once per form and packs its numerator, scaled by
-the lcm of its coefficient denominators (the content) so that the kernel only
-adds Python ints; sum(z^member) * form is that packing shifted by each packed
-member.  W comes from an a-priori bound on every exponent the members and the
-steps can produce, so no digit ever carries; the widest packing so far is
-kept, and only a class that needs a wider digit repacks.  The result is
-divided by the content once, when it is unpacked.
+All three entry points run one driver on monomials packed into ints by
+`algebra.Packing`, with integer coefficients: a monomial product is one
+integer addition.  Every variable gets a W-bit digit for the exponents
+-2^(W-1) to 2^(W-1) - 1.  A PreparedForm plans the steps once per form and
+packs its numerator, scaled by the lcm of its coefficient denominators (the
+content) so that the kernel only adds Python ints; sum(z^member) * form is
+that packed numerator shifted by each packed member.  W comes from an
+a-priori bound on every exponent the members and the steps can produce, so
+every exponent stays in range and no digit ever carries; the widest packing
+so far is kept, and only a class that needs a wider digit repacks.  The
+result is divided by the content once, when it is unpacked.
 
 In one variable v, write the numerator as sum_a N_a v^a with N_a free of v,
 and let the factors containing v be (1 - r v^k).  The residue at 0 is the
@@ -40,8 +40,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import lcm
 
-from .algebra import (Frozen, InvariantError, LaurentPolynomial, Monomial, quotient,
-                      rational)
+from .algebra import (Frozen, InvariantError, LaurentPolynomial, Monomial, Packing,
+                      quotient, rational)
 
 
 class ResidueForm(Frozen):
@@ -79,34 +79,6 @@ def make_form(numerator: LaurentPolynomial, denominator: Iterable[Monomial],
         measure = Monomial.from_map(table, {v: -1 for v in residue_vars})
         numerator = numerator.mul_monomial(measure)
     return ResidueForm(rational(scalar), numerator, tuple(denominator), residue_vars)
-
-
-# -- packed monomials ----------------------------------------------------------
-
-
-class _Packing:
-    """Signed base-2^W digits, one per table variable, wide enough for bound."""
-
-    __slots__ = ("shifts", "half", "mask", "bias")
-
-    def __init__(self, nvars: int, bound: int):
-        width = bound.bit_length() + 1  # 2^(W-1) > bound
-        self.shifts = tuple(range(0, width * nvars, width))
-        self.half = 1 << (width - 1)
-        self.mask = (1 << width) - 1
-        self.bias = sum(self.half << s for s in self.shifts)
-
-    def pack(self, exps: tuple) -> int:
-        return sum(e << s for e, s in zip(exps, self.shifts) if e)
-
-    def unpack(self, table, terms: dict, q) -> LaurentPolynomial:
-        """The Laurent polynomial q * sum(c * key)."""
-        bias, mask, half, shifts = self.bias, self.mask, self.half, self.shifts
-        out = {}
-        for key, c in terms.items():
-            u = key + bias
-            out[tuple(((u >> s) & mask) - half for s in shifts)] = c
-        return LaurentPolynomial(table, out, True).scale(q)
 
 
 class PreparedForm:
@@ -152,13 +124,15 @@ class PreparedForm:
             bound = [a + max(b0 * r, s + binf * r) for a, r, s in zip(bound, rho, total)]
             bound[i] = 0
             peak = max(peak, max(bound))
-        if self.packing is None or self.packing.half <= peak:
-            self.packing = packing = _Packing(len(self.form.table), peak)
+        if self.packing is None or -self.packing.lows[0] <= peak:
+            half, nvars = 1 << peak.bit_length(), len(self.form.table)  # half > peak
+            self.packing = packing = Packing([-half] * nvars, [half - 1] * nvars)
             numerator = self.form.numerator.terms
             content = lcm(*(c.denominator for c in numerator.values()))
-            terms = {packing.pack(k): c.numerator * (content // c.denominator)
-                     for k, c in numerator.items()}
-            rests = [[(packing.pack(f) - f[i] * (1 << packing.shifts[i]), f[i]) for f in mine]
+            terms = {key: c.numerator * (content // c.denominator)
+                     for key, c in zip(packing.pack(numerator), numerator.values())}
+            rests = [[(key - (f[i] << packing.shifts[i]), f[i])
+                      for key, f in zip(packing.pack(mine), mine)]
                      for i, mine, *_ in self.steps]
             self.packed = (terms, content, rests)
         return (self.packing, *self.packed)
@@ -200,17 +174,16 @@ def _minus_one_coefficient(slices: dict, rests: list) -> dict:
     return out
 
 
-def _residue_step(terms: dict, packing: _Packing, i: int, rests: list,
+def _residue_step(terms: dict, packing: Packing, i: int, rests: list,
                   zero: bool, infinity: bool) -> dict:
     """Residue at 0 and/or at infinity in variable i of sum(terms) / prod(1 - r v^k)
     over the packed (r, k) in rests, v being variable i, on packed keys; the
     result is free of variable i."""
-    sh = packing.shifts[i]
+    sh, mask, low, offset = packing.shifts[i], packing.masks[i], packing.lows[i], packing.offset
     unit = 1 << sh
-    bias, mask, half = packing.bias, packing.mask, packing.half
     slices: dict = {}
     for key, c in terms.items():
-        a = ((key + bias) >> sh & mask) - half
+        a = ((key - offset) >> sh & mask) + low
         layer = slices.get(a)
         if layer is None:
             slices[a] = {key - a * unit: c}
@@ -243,7 +216,7 @@ def _residues(form: PreparedForm, scalar, members, zero: bool = True,
     if any(len(m) != len(table) for m in members):
         raise InvariantError("a member is not an exponent vector over the form's table")
     packing, base, content, rests = form.pack(members)
-    shift, *others = map(packing.pack, members)
+    shift, *others = packing.pack(members)
     terms = {key + shift: c for key, c in base.items()}
     for shift in others:
         get = terms.get
@@ -253,7 +226,9 @@ def _residues(form: PreparedForm, scalar, members, zero: bool = True,
         terms = {k: c for k, c in terms.items() if c}
     for (i, *_), rest in zip(form.steps, rests):
         terms = _residue_step(terms, packing, i, rest, zero, infinity)
-    return packing.unpack(table, terms, quotient(scalar, content)), form.left
+    exps = packing.unpack([key - packing.offset for key in terms])
+    value = LaurentPolynomial(table, dict(zip(exps, terms.values())), True)
+    return value.scale(quotient(scalar, content)), form.left
 
 
 def _one_residue(form: ResidueForm, var: str, zero: bool, infinity: bool) -> ResidueForm:

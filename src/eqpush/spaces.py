@@ -262,10 +262,10 @@ class LocalizationEngine:
     along a reduced word for the orbit.  The word is read off the base
     tangent: while it holds a simple root a_i, record i and apply s_i.  Each
     step is one exact division by a binomial, so no common denominator of the
-    whole sum is ever built; `exact_divide_many` does it in one pass of
-    running sums along the chains t^e * a_i^-j, with no heap.  `_sum` runs
-    the chain of both theories: the cohomological one is the `log` image of
-    the K-theoretic one (`additive`).
+    whole sum is ever built; `algebra._divide_binomial`, the binomial path
+    of `exact_divide`, does it in one pass of running sums along the chains
+    t^e * a_i^-j, with no heap.  `_sum` runs the chain of both theories: the
+    cohomological one is the `log` image of the K-theoretic one (`additive`).
     """
 
     def __init__(self, space: SpaceDescriptor):

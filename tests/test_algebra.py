@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from eqpush.algebra import (Frozen, LaurentPolynomial, Monomial, NotDivisible,
-                            MixedVariableTables, VariableTable, exact_divide,
+                            MixedVariableTables, Packing, VariableTable, exact_divide,
                             exact_divide_many, parameter_table, rational,
                             zt_table)
 from eqpush.residue import ResidueForm, iterated_residue, make_form
@@ -380,6 +380,36 @@ def test_ring_operations_keep_the_normal_form(ab, q, shift):
     # integral results of rational operands, then int-only work on them
     twice = pa.scale(Fraction(1, 2)) + pa.scale(Fraction(3, 2))
     assert_normal(twice * pb + pb, r_add(r_mul(r_mul(a, {ZERO_EXPS: 2}), b), b))
+
+
+@st.composite
+def packing_cases(draw):
+    """(lows, highs, points, moves): per-variable ranges with lows down to
+    -2^70 and spans up to 2^70 or 0; points in range, the corners first;
+    for each point a move anywhere, so that point - move and move sum into
+    range wherever they lie."""
+    lows = draw(st.lists(HUGE, min_size=1, max_size=5))
+    highs = [low + draw(st.just(0) | st.integers(0, 2 ** 70)) for low in lows]
+    point = st.tuples(*map(st.integers, lows, highs))
+    points = [tuple(lows), tuple(highs)] + draw(st.lists(point, max_size=4))
+    moves = [draw(st.tuples(*[HUGE] * len(lows))) for _ in points]
+    return lows, highs, points, moves
+
+
+@given(packing_cases())
+@example(([-3, 7, -2 ** 70], [2 ** 70, 7, 1], [(-3, 7, -2 ** 70), (2 ** 70, 7, 1), (0, 7, 0)],
+          [(1, -7, 2 ** 70), (-2 ** 70, 0, 5), (0, 0, 0)]))
+def test_packing_round_trip_and_linearity(case):
+    lows, highs, points, moves = case
+    packing = Packing(lows, highs)
+    offset = packing.offset
+    # each digit is the narrowest that holds its span: none for a constant
+    for mask, low, high in zip(packing.masks, lows, highs):
+        assert high - low <= mask < 2 * (high - low) + 1
+    assert list(packing.unpack([key - offset for key in packing.pack(points)])) == points
+    parts = [tuple(x - m for x, m in zip(e, move)) for e, move in zip(points, moves)]
+    sums = [p + m for p, m in zip(packing.pack(parts), packing.pack(moves))]
+    assert list(packing.unpack([key - offset for key in sums])) == points
 
 
 @given(exponents, coefficients.filter(lambda c: abs(c) != 1), st.integers(-3, 3))

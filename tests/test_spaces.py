@@ -408,7 +408,7 @@ def test_prepared_integrand_keeps_the_widest_packing(monkeypatch, key, variant, 
         assert calc.res_class_value(canon, variant) == \
             iterated_residue(build_integrand(space, calc.orbit_sum(canon), variant)), canon
         packings.append(calc.integrand(variant).packing)
-    assert packings[1].half > packings[0].half
+    assert packings[1].masks[0] > packings[0].masks[0]
     assert all(p is packings[1] for p in packings[2:])
     assert len(built) == 1
 
