@@ -28,6 +28,12 @@ offset = pack(lows), is e_i - lows[i] >= 0, so e_i = ((key - offset) >> s_i
 summed ranges, so no digit carries, and is unpacked once, a column per
 variable; a one-term operand shifts the other (`mul_monomial`).
 
+`add_terms` is the one loop that adds terms into a dict and deletes the sums
+that cancel.  The hot kernels on packed int keys keep their own loops, which
+drop zeros once at the end: `_packed_product`, and `_residues`, `_residue_step`
+and `_minus_one_coefficient` in `residue`.  So does `_divide_heap`, which also
+pushes each new key onto its heap.
+
 `LaurentPolynomial.substitute` is the one change of variables, from a Weyl
 reflection to the move of a polynomial to another table.
 
@@ -341,30 +347,22 @@ class LaurentPolynomial:
     def __neg__(self):
         return _poly(self.table, {k: -c for k, c in self.terms.items()}, self._integral)
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         other = self._coerce(other)
         _same_table(self.table, other.table)
-        exact = self.is_integral() and other.is_integral()
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            s = acc.get(k)
-            if s is None:
-                acc[k] = c
-            else:
-                s = s + c
-                if s == 0:
-                    del acc[k]
-                else:
-                    acc[k] = s
-        return _result(self.table, acc, exact)
+        return _result(self.table, add_terms(dict(self.terms), other.terms.items(), sign),
+                       self.is_integral() and other.is_integral())
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
@@ -471,8 +469,7 @@ class LaurentPolynomial:
 
         zeros = [0] * len(target)
         products: dict = {}  # exponents of the longer images -> the terms of their product
-        acc: dict = {}
-        get = acc.get
+        pieces = []  # (target key, coefficient) of each term of the image
         for k, c in self.terms.items():
             e = list(k) if same else zeros[:]
             for i, pairs in moves:
@@ -494,20 +491,10 @@ class LaurentPolynomial:
                     for (_, img), ki in zip(longer, powers):
                         product = product * img ** ki
                     product = products[powers] = list(product.terms.items())
-                pieces = [(tuple(map(_add, e, pk)), c * pc) for pk, pc in product]
+                pieces += [(tuple(map(_add, e, pk)), c * pc) for pk, pc in product]
             else:
-                pieces = ((tuple(e), c),)
-            for kk, cc in pieces:
-                s = get(kk)
-                if s is None:
-                    acc[kk] = cc
-                else:
-                    s = s + cc
-                    if s == 0:
-                        del acc[kk]
-                    else:
-                        acc[kk] = s
-        return _result(target, acc, exact)
+                pieces.append((tuple(e), c))
+        return _result(target, add_terms({}, pieces), exact)
 
     # -- rendering ----------------------------------------------------------
 
@@ -594,6 +581,20 @@ class Packing:
         """An iterator over the exponent vectors of the keys key - offset in diffs."""
         return zip(*[[(d >> s & mask) + low for d in diffs]
                      for s, mask, low in zip(self.shifts, self.masks, self.lows)])
+
+
+def add_terms(acc: dict, terms, coeff=1) -> dict:
+    """Add coeff * c into acc[key] for each (key, c) pair of terms, deleting a
+    key whose sum cancels; returns acc.  coeff and every c must be nonzero,
+    so a sum can only cancel on a key already in acc."""
+    get = acc.get
+    for k, c in terms:
+        s = get(k, 0) + coeff * c
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+    return acc
 
 
 def _packed_product(a: dict, b: dict) -> dict:

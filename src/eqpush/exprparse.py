@@ -18,7 +18,7 @@ the first error in reading order wins, whether a syntax or an evaluation error.
 
 from __future__ import annotations
 
-from .algebra import LaurentPolynomial, NotDivisible, VariableTable, exact_divide
+from .algebra import LaurentPolynomial, NotDivisible, VariableTable, add_terms, exact_divide
 
 
 class ExpressionSyntaxError(ValueError):
@@ -148,17 +148,13 @@ class _Parser:
 
     def sum_run(self, left: LaurentPolynomial) -> LaurentPolynomial:
         """left followed by a run of + and - operands, added into one term
-        dict: a flat sum of n terms costs linear time, not n copies of a
-        growing sum.  The constructor brings the sums to normal form."""
+        dict by `add_terms`, which deletes the sums that cancel: a flat sum
+        of n terms costs linear time, not n copies of a growing sum.  The
+        constructor brings the sums of Fractions to normal form."""
         terms = dict(left.terms)
         while self.peek()[0] in ("+", "-"):
-            plus = self.advance()[0] == "+"
-            for k, c in self.expression(_PREC["+"]).terms.items():
-                total = terms.get(k, 0) + (c if plus else -c)
-                if total:
-                    terms[k] = total
-                else:
-                    del terms[k]
+            sign = 1 if self.advance()[0] == "+" else -1
+            add_terms(terms, self.expression(_PREC["+"]).terms.items(), sign)
         return LaurentPolynomial(self.table, terms)
 
     def power(self, base: LaurentPolynomial, exponent: int, start: int, caret: int):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 
-from .algebra import LaurentPolynomial
+from .algebra import LaurentPolynomial, add_terms
 from .elimination import solve
 from .polyfam import grothendieck_pair
 from .spaces import SpaceDescriptor, _calc, localization_pushforward
@@ -85,11 +85,9 @@ def intersection_matrix() -> list:
     for i, left in enumerate(classes):
         for j in range(i, len(classes)):
             acc: dict = {}
-            get = acc.get
             for (p, q, _, _), n in (left * classes[j]).terms.items():
                 if p >= q:
-                    for k, c in _ambient_class((p, q)).terms.items():
-                        acc[k] = get(k, 0) + n * c
+                    add_terms(acc, _ambient_class((p, q)).terms.items(), n)
             matrix[i][j] = matrix[j][i] = LaurentPolynomial(GT, acc)
     return matrix
 

@@ -45,7 +45,7 @@ from collections import Counter
 from functools import cached_property, lru_cache
 
 from .algebra import (Frozen, InvariantError, LaurentPolynomial, Monomial, NotDivisible,
-                      VariableTable, exact_divide_many, rational, zt_table)
+                      VariableTable, add_terms, exact_divide_many, rational, zt_table)
 # Nothing here raises it; kept only because perfbench/test_perfbench.py
 # raises `spaces.NotPolynomial`.
 from .algebra import NotPolynomial  # noqa: F401
@@ -512,10 +512,8 @@ class _SpaceCalc:
         decomposition of f: a push-forward is linear over the coefficients.
         The terms of all the products are added into one dict."""
         acc: dict = {}
-        get = acc.get
         for canon, coeff in self.decompose(f).items():
-            for k, c in (coeff * class_value(canon)).terms.items():
-                acc[k] = get(k, 0) + c
+            add_terms(acc, (coeff * class_value(canon)).terms.items())
         return LaurentPolynomial(f.table, acc)
 
     @lru_cache(maxsize=None)

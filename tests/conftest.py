@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import settings
 
+from eqpush import spaces
 from eqpush.algebra import LaurentPolynomial, zt_table
 
 
@@ -69,6 +70,15 @@ def sum_of_products(weights, m):
     one, zero = LaurentPolynomial.one(table), LaurentPolynomial.zero(table)
     products = () if m < 0 else itertools.combinations_with_replacement(weights, m)
     return sum((math.prod(p, start=one) for p in products), zero)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def fresh_space_calculators():
+    """Each test module leaves no cached calculator behind, so a later module
+    (such as the tracer test, which needs a chain to run) sees the same
+    cold caches in any order of the files."""
+    yield
+    spaces._calc.cache_clear()
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from eqpush.algebra import (Frozen, LaurentPolynomial, Monomial, NotDivisible,
-                            MixedVariableTables, Packing, VariableTable, exact_divide,
-                            exact_divide_many, parameter_table, rational,
+                            MixedVariableTables, Packing, VariableTable, add_terms,
+                            exact_divide, exact_divide_many, parameter_table, rational,
                             zt_table)
 from eqpush.residue import ResidueForm, iterated_residue, make_form
 from eqpush.spaces import SpaceDescriptor
@@ -380,6 +380,53 @@ def test_ring_operations_keep_the_normal_form(ab, q, shift):
     # integral results of rational operands, then int-only work on them
     twice = pa.scale(Fraction(1, 2)) + pa.scale(Fraction(3, 2))
     assert_normal(twice * pb + pb, r_add(r_mul(r_mul(a, {ZERO_EXPS: 2}), b), b))
+
+
+def test_difference_builds_no_negated_copy(monkeypatch):
+    negated = []
+    real = LaurentPolynomial.__neg__
+    monkeypatch.setattr(LaurentPolynomial, "__neg__", lambda p: negated.append(p) or real(p))
+    a, b = {(1, 0, 0, 0): 2, ZERO_EXPS: 1}, {(1, 0, 0, 0): 2, (0, 1, 0, 0): Fraction(1, 3)}
+    assert poly(a) - poly(b) == poly(r_add(a, {k: -c for k, c in b.items()}))
+    assert 1 - poly(b) == poly(r_add({ZERO_EXPS: 1}, {k: -c for k, c in b.items()}))
+    assert poly(a) - 1 == poly({(1, 0, 0, 0): 2})
+    assert negated == []
+
+
+mixed_coefficients = st.integers(-6, 6).filter(bool) | coefficients
+
+
+@st.composite
+def accumulations(draw):
+    """(acc, terms, coeff): acc a term dict, coeff 1, -1 or another nonzero
+    int, and terms fresh (key, c) pairs, pairs that cancel a value of acc
+    exactly, and each fresh pair again negated or not."""
+    coeff = draw(st.sampled_from([1, -1]) | st.integers(-5, 5).filter(bool))
+    acc = draw(st.dictionaries(exponents, mixed_coefficients, max_size=4))
+    fresh = draw(st.lists(st.tuples(exponents, mixed_coefficients), max_size=4))
+    cancel = [(k, Fraction(-c, coeff)) for k, c in acc.items() if draw(st.booleans())]
+    again = [(k, c if draw(st.booleans()) else -c) for k, c in fresh if draw(st.booleans())]
+    return acc, draw(st.permutations(fresh + cancel + again)), coeff
+
+
+def r_add_terms(acc, terms, coeff):
+    out = dict(acc)
+    for k, c in terms:
+        out[k] = out.get(k, 0) + coeff * c
+    return {k: c for k, c in out.items() if c}
+
+
+@given(accumulations())
+@example(({ZERO_EXPS: 2, (1, 0, 0, 0): Fraction(1, 2)},
+          [(ZERO_EXPS, 2), ((2, 0, 0, 0), 3), ((2, 0, 0, 0), -3), ((1, 0, 0, 0), Fraction(1, 2))],
+          -1))
+@example(({ZERO_EXPS: 6}, [(ZERO_EXPS, -2), ((0, 1, 0, 0), Fraction(1, 3))], 3))
+def test_add_terms_matches_a_reference_sum(case):
+    acc, terms, coeff = case
+    expected = r_add_terms(acc, terms, coeff)
+    out = add_terms(acc, terms, coeff)
+    assert out is acc
+    assert out == expected and all(out.values())
 
 
 @st.composite

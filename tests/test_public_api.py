@@ -23,7 +23,14 @@ in `spaces`.
 
 Every value class of `src/eqpush` (a subclass of `algebra.Frozen`) lists its
 fields in `_fields`, each of them a slot, and takes equality and hashing
-from `Frozen`: it defines no `_key`, `__eq__` or `__hash__` of its own."""
+from `Frozen`: it defines no `_key`, `__eq__` or `__hash__` of its own.
+
+Terms are added into a dict, cancelling sums deleted, by `algebra.add_terms`
+alone: no other function of `src/eqpush` assigns `d[k] = d.get(k, 0) + ...`
+or stores a sum in one branch of an `if` and deletes the key in the other.
+The allowed exceptions are the kernels on packed int keys (`_packed_product`
+and `residue`'s `_residues`, `_residue_step` and `_minus_one_coefficient`)
+and `_divide_heap`, which also pushes each new key onto its heap."""
 
 import ast
 import glob
@@ -382,3 +389,97 @@ def test_residue_import_scan_reports_each_form_of_import(tmp_path):
     (tmp_path / "src" / "eqpush" / "g2.py").write_text("import eqpush.residue as kernel\n")
     (tmp_path / "src" / "eqpush" / "cohomology.py").write_text("from .spaces import log\n")
     assert residue_importers(str(tmp_path)) == ["g2"]
+
+
+ACCUMULATORS = {"algebra.add_terms", "algebra._packed_product", "algebra._divide_heap",
+                "residue._residues", "residue._residue_step", "residue._minus_one_coefficient"}
+
+
+def _accumulates(unit) -> bool:
+    """Whether the function `unit` adds into a dict by hand: an assignment
+    `d[k] = <get call> + ...` (or `-`), or an `if` that assigns `d[...]` in
+    one branch and deletes from d (`del d[...]` or `d.pop(...)`) in the other."""
+    def stored(stmts):
+        return {ast.dump(t.value) for s in stmts if isinstance(s, ast.Assign)
+                for t in s.targets if isinstance(t, ast.Subscript)}
+
+    def deleted(stmts):
+        out = {ast.dump(t.value) for s in stmts if isinstance(s, ast.Delete)
+               for t in s.targets if isinstance(t, ast.Subscript)}
+        return out | {ast.dump(s.value.func.value) for s in stmts
+                      if isinstance(s, ast.Expr) and isinstance(s.value, ast.Call)
+                      and isinstance(s.value.func, ast.Attribute) and s.value.func.attr == "pop"}
+
+    for node in ast.walk(unit):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp) \
+                and isinstance(node.value.op, (ast.Add, ast.Sub)) \
+                and any(isinstance(t, ast.Subscript) for t in node.targets) \
+                and any(isinstance(side, ast.Call) and _callee(side) == "get"
+                        for side in (node.value.left, node.value.right)):
+            return True
+        if isinstance(node, ast.If) and (stored(node.body) & deleted(node.orelse)
+                                         or stored(node.orelse) & deleted(node.body)):
+            return True
+    return False
+
+
+def hand_rolled_accumulations(root: str = ROOT) -> list:
+    """`module.function` or `module.Class.method` of each function of
+    `src/eqpush` outside ACCUMULATORS that adds into a dict by hand."""
+    hits = []
+    for module, tree in _modules(root):
+        if module is None:
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                units = [(f"{stmt.name}.{item.name}", item) for item in stmt.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                units = [(stmt.name, stmt)]
+            else:
+                continue
+            hits += [f"{module}.{name}" for name, unit in units
+                     if f"{module}.{name}" not in ACCUMULATORS and _accumulates(unit)]
+    return hits
+
+
+def test_terms_are_added_by_add_terms_alone():
+    assert hand_rolled_accumulations() == []
+
+
+def test_accumulation_scan_reports_each_hand_rolled_form(tmp_path):
+    os.makedirs(tmp_path / "src" / "eqpush")
+    os.makedirs(tmp_path / "perfbench")
+    (tmp_path / "src" / "eqpush" / "algebra.py").write_text(
+        "def add_terms(acc, terms):\n"
+        "    for k, c in terms:\n"
+        "        acc[k] = acc.get(k, 0) + c\n")
+    (tmp_path / "src" / "eqpush" / "mod.py").write_text(
+        "def add_terms(acc, terms):\n"
+        "    for k, c in terms:\n"
+        "        acc[k] = acc.get(k, 0) + c\n"
+        "def bound_get(acc, terms):\n"
+        "    get = acc.get\n"
+        "    for k, c in terms:\n"
+        "        acc[k] = get(k, 0) - c\n"
+        "class Sum:\n"
+        "    def cancel(self, acc, k, c):\n"
+        "        s = acc.get(k, 0) + c\n"
+        "        if s == 0:\n"
+        "            del acc[k]\n"
+        "        else:\n"
+        "            acc[k] = s\n"
+        "    def popped(self, acc, k, s):\n"
+        "        if s:\n"
+        "            acc[k] = s\n"
+        "        else:\n"
+        "            acc.pop(k)\n"
+        "def lookups(acc, out, k, c):\n"
+        "    acc[k] = acc.get(k, 0)\n"
+        "    total = acc.get(k, 0) + c\n"
+        "    if total:\n"
+        "        acc[k] = total\n"
+        "    else:\n"
+        "        del out[k]\n")
+    assert hand_rolled_accumulations(str(tmp_path)) == [
+        "mod.add_terms", "mod.bound_get", "mod.Sum.cancel", "mod.Sum.popped"]
