@@ -29,10 +29,10 @@ summed ranges, so no digit carries, and is unpacked once, a column per
 variable; a one-term operand shifts the other (`mul_monomial`).
 
 `add_terms` is the one loop that adds terms into a dict and deletes the sums
-that cancel.  The hot kernels on packed int keys keep their own loops, which
-drop zeros once at the end: `_packed_product`, and `_residues`, `_residue_step`
-and `_minus_one_coefficient` in `residue`.  So does `_divide_heap`, which also
-pushes each new key onto its heap.
+that cancel.  Two hot loops on packed int keys keep their own and drop
+zeros once, after all the adds: `_packed_product`, and `_add_shifted` in
+`residue`, through which the residue kernel forms every sum.  So does
+`_divide_heap`, which also pushes each new key onto its heap.
 
 `LaurentPolynomial.substitute` is the one change of variables, from a Weyl
 reflection to the move of a polynomial to another table.

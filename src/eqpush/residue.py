@@ -16,7 +16,9 @@ that packed numerator shifted by each packed member.  W comes from an
 a-priori bound on every exponent the members and the steps can produce, so
 every exponent stays in range and no digit ever carries; the widest packing
 so far is kept, and only a class that needs a wider digit repacks.  The
-result is divided by the content once, when it is unpacked.
+result is divided by the content once, when it is unpacked.  Every sum the
+kernel forms, the orbit sum and every series pass at 0 and at infinity, adds
+one packed dict with its keys shifted into another by `_add_shifted`.
 
 In one variable v, write the numerator as sum_a N_a v^a with N_a free of v,
 and let the factors containing v be (1 - r v^k).  The residue at 0 is the
@@ -138,6 +140,15 @@ class PreparedForm:
         return (self.packing, *self.packed)
 
 
+def _add_shifted(dst: dict, src: dict, shift: int) -> None:
+    """Add each packed term of src, its key moved by shift, into dst.  Sums
+    that cancel stay: the caller drops zeros once."""
+    get = dst.get
+    for key, c in src.items():
+        key += shift
+        dst[key] = get(key, 0) + c
+
+
 def _minus_one_coefficient(slices: dict, rests: list) -> dict:
     """The v^-1 coefficient of sum(slices[d] * v^d) * prod 1/(1 - r v^k) over
     the (packed r, k) in rests, as a new dict.  Only degrees d <= -1 are kept;
@@ -152,25 +163,13 @@ def _minus_one_coefficient(slices: dict, rests: list) -> dict:
     for rs, ks in series:
         for d in range(low + ks, 0):
             src = q.get(d - ks)
-            if not src:
-                continue
-            dst = q.get(d)
-            if dst is None:
-                dst = q[d] = {}
-            get = dst.get
-            for key, c in src.items():
-                kk = key + rs
-                dst[kk] = get(kk, 0) + c
+            if src:
+                _add_shifted(q.setdefault(d, {}), src, rs)
     out = dict(q.get(-1, ()))
-    get = out.get
-    shift = 0
-    for d in range(-1 - k, low - 1, -k):
-        shift += r
-        src = q.get(d)
+    for j in range(1, (-1 - low) // k + 1):
+        src = q.get(-1 - j * k)
         if src:
-            for key, c in src.items():
-                kk = key + shift
-                out[kk] = get(kk, 0) + c
+            _add_shifted(out, src, j * r)
     return out
 
 
@@ -193,12 +192,10 @@ def _residue_step(terms: dict, packing: Packing, i: int, rests: list,
     if infinity:
         ksum = sum(k for _, k in rests)
         flipped = {ksum - 2 - a: layer for a, layer in slices.items()}
-        s = -sum(r for r, _ in rests)
-        sign = 1 if len(rests) % 2 else -1
-        get = acc.get
-        for key, c in _minus_one_coefficient(flipped, [(-r, k) for r, k in rests]).items():
-            kk = key + s
-            acc[kk] = get(kk, 0) + sign * c
+        part = _minus_one_coefficient(flipped, [(-r, k) for r, k in rests])
+        if len(rests) % 2 == 0:
+            part = {key: -c for key, c in part.items()}
+        _add_shifted(acc, part, -sum(r for r, _ in rests))
     return {k: c for k, c in acc.items() if c}
 
 
@@ -216,13 +213,10 @@ def _residues(form: PreparedForm, scalar, members, zero: bool = True,
     if any(len(m) != len(table) for m in members):
         raise InvariantError("a member is not an exponent vector over the form's table")
     packing, base, content, rests = form.pack(members)
-    shift, *others = packing.pack(members)
-    terms = {key + shift: c for key, c in base.items()}
-    for shift in others:
-        get = terms.get
-        for key, c in base.items():
-            terms[key + shift] = get(key + shift, 0) + c
-    if others:
+    terms: dict = {}
+    for shift in packing.pack(members):
+        _add_shifted(terms, base, shift)
+    if len(members) > 1:
         terms = {k: c for k, c in terms.items() if c}
     for (i, *_), rest in zip(form.steps, rests):
         terms = _residue_step(terms, packing, i, rest, zero, infinity)

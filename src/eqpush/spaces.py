@@ -445,7 +445,9 @@ class _SpaceCalc:
     variant, and a class's localization and residue values.  The caches live
     on the class, not on the instance, so that a wrapper the benchmark's
     tracer binds to `loc_class_value` or `res_class_value` sees every call;
-    a new calculator starts cold."""
+    a new calculator starts cold.  So `_calc.cache_clear()` alone does not
+    free the memos: each one keeps its calculators and their values until
+    it is cleared too."""
 
     def __init__(self, space: SpaceDescriptor):
         self.space = space

@@ -72,13 +72,23 @@ def sum_of_products(weights, m):
     return sum((math.prod(p, start=one) for p in products), zero)
 
 
+def release_space_calculators():
+    """Drop every cached calculator with its values: the four memos of
+    `_SpaceCalc` are `lru_cache`s on the class, keyed on the calculator, so
+    clearing `spaces._calc` alone leaves each earlier calculator pinned."""
+    spaces._calc.cache_clear()
+    calc = spaces._SpaceCalc
+    for memo in (calc.orbit, calc.integrand, calc.loc_class_value, calc.res_class_value):
+        memo.cache_clear()
+
+
 @pytest.fixture(autouse=True, scope="module")
 def fresh_space_calculators():
     """Each test module leaves no cached calculator behind, so a later module
     (such as the tracer test, which needs a chain to run) sees the same
     cold caches in any order of the files."""
     yield
-    spaces._calc.cache_clear()
+    release_space_calculators()
 
 
 @pytest.fixture

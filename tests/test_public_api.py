@@ -28,8 +28,9 @@ from `Frozen`: it defines no `_key`, `__eq__` or `__hash__` of its own.
 Terms are added into a dict, cancelling sums deleted, by `algebra.add_terms`
 alone: no other function of `src/eqpush` assigns `d[k] = d.get(k, 0) + ...`
 or stores a sum in one branch of an `if` and deletes the key in the other.
-The allowed exceptions are the kernels on packed int keys (`_packed_product`
-and `residue`'s `_residues`, `_residue_step` and `_minus_one_coefficient`)
+The allowed exceptions are the two loops on packed int keys, whose zeros
+are dropped once after all the adds (`_packed_product`, and
+`residue._add_shifted`, through which the residue kernel forms every sum),
 and `_divide_heap`, which also pushes each new key onto its heap."""
 
 import ast
@@ -392,7 +393,7 @@ def test_residue_import_scan_reports_each_form_of_import(tmp_path):
 
 
 ACCUMULATORS = {"algebra.add_terms", "algebra._packed_product", "algebra._divide_heap",
-                "residue._residues", "residue._residue_step", "residue._minus_one_coefficient"}
+                "residue._add_shifted"}
 
 
 def _accumulates(unit) -> bool:

@@ -241,6 +241,15 @@ def test_members_shift_one_prepared_form():
         iterated_residue(prepared, [(1, 0)])
 
 
+def test_members_whose_terms_cancel_leave_no_zero():
+    # with no residue variable the orbit sum is the value: (1 + z1^-1 t1) *
+    # (z1 - t1) = z1 - z1^-1 t1^2, its t1 terms cancelled and not kept as 0
+    table = zt_table(1, 1)
+    z1, t1 = (LaurentPolynomial.variable(table, name) for name in ("z1", "t1"))
+    value = iterated_residue(make_form(z1 - t1, (), ()), [(0, 0), (-1, 1)])
+    assert value.terms == {(1, 0): 1, (-1, 2): -1}
+
+
 def test_wide_exponents_need_no_carry():
     rng = random.Random(12)
     table = zt_table(2, 2)

@@ -383,6 +383,45 @@ def test_rank_5_residue_matches_localization(key, variant):
     assert residue_pushforward(space, f, variant) == value
 
 
+def known_pushforwards(space) -> list:
+    """(class, push-forward to a point) pairs that representation theory
+    gives: the unit goes to 1, or 2 on ogE (one per component); sum 1/z_i goes
+    to the standard representation; and sum z_i goes to its dual on fl, to -1
+    on ogO and to 0 on gr, lg and ogE.  Only the unit on q."""
+    table, kind = space.table(), space.kind
+    zero, one = LaurentPolynomial.zero(table), LaurentPolynomial.one(table)
+
+    def total(name, count, *powers):
+        return sum((LaurentPolynomial.variable(table, f"{name}{i}", k)
+                    for i in range(1, count + 1) for k in powers), zero)
+
+    pairs = [(one, one.scale(2 if kind == "ogE" else 1))]
+    if kind == "q":
+        return pairs
+    m, n = space.residue_count(), space.parameter_count()
+    standard = {"gr": total("t", n, -1), "fl": total("t", n, -1), "lg": total("t", n, 1, -1),
+                "ogE": total("t", n, 1, -1).scale(2), "ogO": one + total("t", n, 1, -1)}
+    dual = {"gr": zero, "fl": total("t", n, 1), "lg": zero, "ogE": zero, "ogO": -one}
+    return pairs + [(total("z", m, -1), standard[kind]), (total("z", m, 1), dual[kind])]
+
+
+def test_unit_and_standard_classes_push_to_known_characters():
+    # by localization on every space of rank 2 to 6 (rank 1 is left out:
+    # ogE:1 is two points, on which the standard values do not hold), and by
+    # every residue variant on one space of each kind up to rank 5
+    keys = ([f"gr:{m},{n}" for n in range(2, 7) for m in range(1, n)]
+            + [f"{kind}:{n}" for kind in ("fl", "lg", "ogE", "ogO", "q") for n in range(2, 7)])
+    for key in keys:
+        space = parse_space(key)
+        for f, value in known_pushforwards(space):
+            assert localization_pushforward(space, f) == value, key
+    for key in ("lg:5", "ogE:5", "ogO:5", "gr:3,6", "fl:3", "q:3"):
+        space = parse_space(key)
+        for variant in space.variants():
+            for f, value in known_pushforwards(space):
+                assert residue_pushforward(space, f, variant) == value, (key, variant)
+
+
 @pytest.mark.parametrize("key, variant, canons", [
     ("gr:1,2", "full", [(2,), (60,), (3,), (-5,)]),
     ("lg:3", "full", [(1, 0, 0), (9, 0, -9), (1, 1, -1)]),

@@ -8,6 +8,7 @@ from eqpush.cli import main
 from eqpush.spaces import parse_space
 from eqpush.verification import first_mismatch, run_campaign
 
+from conftest import release_space_calculators
 from test_acceptance import CLASSICAL_CASES
 
 
@@ -15,9 +16,9 @@ from test_acceptance import CLASSICAL_CASES
 def fresh_calculators():
     """Calculators built after set-up and dropped at teardown, so that a
     poisoned one never reaches another test."""
-    spaces._calc.cache_clear()
+    release_space_calculators()
     yield
-    spaces._calc.cache_clear()
+    release_space_calculators()
 
 
 @pytest.fixture
