@@ -35,7 +35,8 @@ zeros once, after all the adds: `_packed_product`, and `_add_shifted` in
 `_divide_heap`, which also pushes each new key onto its heap.
 
 `LaurentPolynomial.substitute` is the one change of variables, from a Weyl
-reflection to the move of a polynomial to another table.
+reflection to the move of a polynomial to another table; `Monomial.substitute`
+is its one-term case and shares its exponent moves, `_moves`.
 
 `exact_divide` is the one exact division of polynomials, and it dispatches
 on the divisor.  A binomial, such as each step (1 - a^-1) or log a of the

@@ -6,7 +6,8 @@ parentheses, and the macros G[a,b], S[a,b], U, Uz, Ut, A, B which expand to
 the corresponding classes.  Division is exact division and is rejected like a
 syntax error when the quotient is not exact, and so is a power above
 MAX_POWER of a base with more than one term, before it is expanded, and a
-G[a,b] whose (1 - z1)^(a+1) would be such a power.
+G[a,b] or S[a,b] whose first index a reaches MAX_POWER: G[a,b] would expand
+(1 - z1)^(a+1), and S[a,b] takes the same limit.
 
 Parsing is one pass: every subexpression is evaluated over the table as soon
 as it is read, so no syntax tree is built and a flat sum or a chain of powers
@@ -220,7 +221,7 @@ class _Parser:
             raise ValueError(f"unknown macro {name!r}")
         from .polyfam import grothendieck_pair, schur_pair
         a, b = args
-        if name == "G" and a + 1 > MAX_POWER:
+        if a + 1 > MAX_POWER:
             raise ExpressionSyntaxError(offset, {f"a first index of at most {MAX_POWER - 1}"},
                                         str(a))
         try:

@@ -205,11 +205,14 @@ def _residue_step(terms: dict, packing: Packing, i: int, rests: list,
 def _residues(form: PreparedForm, scalar, members, zero: bool = True,
               infinity: bool = True) -> tuple:
     """The residues of sum(z^member) * form (the zero member alone when
-    members is None) in the variables of its order, one after the other on packed
-    keys, unpacked once: (scalar times the numerator left, the denominator
-    monomials left)."""
+    members is None, 0 when it is empty) in the variables of its order, one after
+    the other on packed keys, unpacked once: (scalar times the numerator left,
+    the denominator monomials left)."""
     table = form.form.table
-    members = members or [(0,) * len(table)]
+    if members is None:
+        members = [(0,) * len(table)]
+    elif not members:  # the empty sum
+        return LaurentPolynomial.zero(table), form.left
     if any(len(m) != len(table) for m in members):
         raise InvariantError("a member is not an exponent vector over the form's table")
     packing, base, content, rests = form.pack(members)
@@ -246,7 +249,8 @@ def residue_at_infinity(form: ResidueForm, var: str) -> ResidueForm:
 def iterated_residue(form, members=None, scalar=1) -> LaurentPolynomial:
     """Apply the 0-plus-infinity residue over all residue variables to
     scalar * sum(z^member) * form; form may be prepared, and members are
-    exponent vectors over its table (by default the form itself).
+    exponent vectors over its table (by default the form itself; no member
+    is the empty sum, 0).
 
     The last listed variable is processed first, matching composition of the
     per-variable operators; the form-class invariant makes the order

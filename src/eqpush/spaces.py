@@ -1,15 +1,18 @@
 """Homogeneous-space catalogue with the two push-forward paths.
 
-Every space provides one base fixed point (the substitution z_i -> t_i with
-its tangent characters), the simple reflections of its Weyl group and a
-factored residue integrand.  The localization push-forward is the sum of
-f(point)/bracket(tangent) over the fixed points; it is computed exactly as a
-Demazure chain of isobaric divided differences from the base point (see
-LocalizationEngine), so the other fixed points are never listed.  The residue
-push-forward runs the iterated-residue engine on the integrand, prepared once
-per (space, variant) (`residue.PreparedForm`): an orbit member of a class is
-one integer shift of its packed base.  The central contract is that the two
-agree on every admissible class.
+Each kind has one catalogue entry (`_CATALOGUE`: the parameters it takes,
+its least n and its residue variants), read by SpaceDescriptor's checks,
+`key` and `variants` and by `parse_space`; a space's dimension is the length
+of its base tangent.  Every space provides one base fixed point (the
+substitution z_i -> t_i with its tangent characters), the simple reflections
+of its Weyl group and a factored residue integrand.  The localization
+push-forward is the sum of f(point)/bracket(tangent) over the fixed points;
+it is computed exactly as a Demazure chain of isobaric divided differences
+from the base point (see LocalizationEngine), so the other fixed points are
+never listed.  The residue push-forward runs the iterated-residue engine on
+the integrand, prepared once per (space, variant) (`residue.PreparedForm`):
+an orbit member of a class is one integer shift of its packed base.  The
+central contract is that the two agree on every admissible class.
 
 The symmetry of admissible classes is declared once per kind, in
 SpaceDescriptor.symmetry_runs; the generators, the sorted orbit classes and
@@ -54,7 +57,11 @@ from .characters import (bracket, inverses, lambda_set, pairwise_product, pos_ro
 from .residue import PreparedForm, ResidueForm, iterated_residue, make_form
 from . import g2core
 
-_KINDS = ("gr", "gr2", "lg", "ogE", "ogO", "fl", "q", "g2p2", "g2b")
+_FULL, _BOTH = ("full",), ("full", "compact")
+# kind -> (parameters taken: none, n, or m, n with 1 <= m < n; least n; variants)
+_CATALOGUE = {"gr": (2, 2, _BOTH), "gr2": (2, 2, _BOTH), "lg": (1, 1, _FULL),
+              "ogE": (1, 1, _FULL), "ogO": (1, 1, _BOTH), "fl": (1, 1, _FULL),
+              "q": (1, 2, _FULL), "g2p2": (0, 0, _FULL), "g2b": (0, 0, _FULL)}
 
 
 class SymmetryViolation(ValueError):
@@ -67,76 +74,45 @@ class SpaceDescriptor(Frozen):
     __slots__ = _fields = ("kind", "m", "n")
 
     def __init__(self, kind: str, m: int = 0, n: int = 0):
-        if kind not in _KINDS:
+        if kind not in _CATALOGUE:
             raise ValueError(f"unknown space kind {kind!r}")
-        if kind in ("gr", "gr2"):
-            if not (1 <= m < n):
-                raise ValueError("need 1 <= m < n")
-        elif kind in ("lg", "ogE", "ogO", "fl"):
-            if n < 1:
-                raise ValueError("need n >= 1")
-        elif kind == "q":
-            if n < 2:
-                raise ValueError("the quadric needs n >= 2")
+        arity, least, _ = _CATALOGUE[kind]
+        if arity == 2 and not 1 <= m < n:
+            raise ValueError("need 1 <= m < n")
+        if arity and n < least:
+            raise ValueError(f"{'the quadric needs' if kind == 'q' else 'need'} n >= {least}")
         self._set_fields(kind, m, n)
 
     def key(self) -> str:
-        if self.kind in ("gr", "gr2"):
-            return f"{self.kind}:{self.m},{self.n}"
-        if self.kind in ("lg", "ogE", "ogO", "fl", "q"):
-            return f"{self.kind}:{self.n}"
-        return self.kind
+        params = (self.m, self.n)[2 - _CATALOGUE[self.kind][0]:]
+        return f"{self.kind}:{','.join(map(str, params))}" if params else self.kind
 
     def residue_count(self) -> int:
-        if self.kind == "gr":
-            return self.m
-        if self.kind in ("gr2", "fl", "lg", "ogE", "ogO", "q"):
-            return self.n
-        return 2
+        return self.m if self.kind == "gr" else self.parameter_count()
 
     def parameter_count(self) -> int:
-        if self.kind in ("g2p2", "g2b"):
-            return 2
-        return self.n
+        return 2 if self.kind in ("g2p2", "g2b") else self.n
 
     def table(self) -> VariableTable:
         return zt_table(self.residue_count(), self.parameter_count())
 
     def dimension(self) -> int:
-        k, m, n = self.kind, self.m, self.n
-        if k in ("gr", "gr2"):
-            return m * (n - m)
-        if k == "lg":
-            return n * (n + 1) // 2
-        if k == "ogE":
-            return n * (n - 1) // 2
-        if k == "ogO":
-            return n * (n + 1) // 2
-        if k == "fl":
-            return n * (n - 1) // 2
-        if k == "q":
-            return 2 * n - 2
-        return 5 if k == "g2p2" else 6
+        return len(_base_tangent(self))
 
     def variants(self) -> tuple:
-        return ("full", "compact") if self.kind in ("gr", "gr2", "ogO") else ("full",)
+        return _CATALOGUE[self.kind][2]
 
     def symmetry_runs(self) -> tuple:
         """The symmetry an admissible class must have, as (start, stop, signed)
         runs of the positions z_(start+1)..z_stop: each run is permuted, and a
         signed run's variables are also inverted.  z's outside every run are free."""
-        k, m, n = self.kind, self.m, self.n
-        if k == "gr":
-            return ((0, m, False),)
-        if k == "gr2":
-            return ((0, m, False), (m, n, False))
-        if k in ("lg", "ogE", "ogO"):
-            return ((0, n, False),)
-        if k == "q":
-            return ((1, n, True),)
-        if k == "g2p2":
-            return ((0, 2, False),)
-        return ()  # fl, g2b
+        if self.kind in ("fl", "g2b"):
+            return ()
+        if self.kind == "gr2":
+            return ((0, self.m, False), (self.m, self.n, False))
+        if self.kind == "q":
+            return ((1, self.n, True),)
+        return ((0, self.residue_count(), False),)  # gr, lg, ogE, ogO, g2p2: every z
 
 
 def parse_space(text: str) -> SpaceDescriptor:
@@ -145,7 +121,9 @@ def parse_space(text: str) -> SpaceDescriptor:
     if ":" not in body:
         return SpaceDescriptor(body)
     kind, _, params = body.partition(":")
-    if kind in ("g2p2", "g2b"):
+    # an unknown kind is read like a one-parameter kind; SpaceDescriptor rejects it
+    arity = _CATALOGUE.get(kind, (1,))[0]
+    if not arity:
         raise ValueError(f"{kind} takes no parameters, got {params!r}")
     fields = params.split(",")
     if "" in fields:
@@ -153,14 +131,10 @@ def parse_space(text: str) -> SpaceDescriptor:
     for p in fields:
         if not (p.isascii() and p.isdigit()):  # int() also takes signs, "_" and non-ASCII digits
             raise ValueError(f"parameter {p!r} of {text!r} is not a run of ASCII digits")
-    nums = [int(p) for p in fields]
-    if kind in ("gr", "gr2"):
-        if len(nums) != 2:
-            raise ValueError(f"{kind} takes two parameters, got {params!r}")
-        return SpaceDescriptor(kind, nums[0], nums[1])
-    if len(nums) != 1:
-        raise ValueError(f"{kind} takes one parameter, got {params!r}")
-    return SpaceDescriptor(kind, n=nums[0])
+    if len(fields) != arity:
+        raise ValueError(f"{kind} takes {('one parameter', 'two parameters')[arity - 1]}, "
+                         f"got {params!r}")
+    return SpaceDescriptor(kind, *(0, *map(int, fields))[-2:])
 
 
 # -- symmetry -----------------------------------------------------------------
@@ -276,7 +250,7 @@ class LocalizationEngine:
         self.base = {f"z{i + 1}": ts[i] for i in range(space.residue_count())}
         tangent = _base_tangent(space)
         dim = space.dimension()
-        if len(tangent) != dim or any(c.is_one for c in tangent):
+        if any(c.is_one for c in tangent):
             raise InvariantError(f"{space.key()}: the base tangent is not {dim} nontrivial "
                                  f"characters")
         reflections = _simple_reflections(space)

@@ -39,7 +39,10 @@ the independent path for `eqpush.elimination`.  `grothendieck_general` builds
 the n-variable symmetric Grothendieck polynomial by isobaric divided
 differences from the dominant monomial: the expected flag push-forward of
 criterion 8, and the independent path for the rank-two closed form
-`eqpush.polyfam.grothendieck_pair`.
+`eqpush.polyfam.grothendieck_pair`.  `schur_character` is the Schur
+polynomial as the bialternant A_(lam+delta)/A_delta: by Borel-Weil, the
+push-forward of a Schur class of the dual tautological bundle on gr:m,n,
+known without either push-forward path.
 """
 
 import itertools
@@ -476,3 +479,27 @@ def grothendieck_general(lam, n: int, table=None) -> LaurentPolynomial:
     images = {f"x{i + 1}": one - LaurentPolynomial.variable(table, f"t{i + 1}", -1)
               for i in range(n)}
     return f.substitute(images, table)
+
+
+def schur_character(lam, xs) -> LaurentPolynomial:
+    """The Schur polynomial s_lam(x_1..x_k) of a partition of length <= k, at
+    monomials xs over one table with independent exponent vectors (distinct
+    variables or their inverses), as the bialternant A_(lam+delta)/A_delta:
+    det(x_i^(lam_j + k - j)), a sum over the permutations, divided by the
+    Vandermonde product prod_(i<j) (x_i - x_j) one factor at a time through
+    `exact_divide`."""
+    k = len(xs)
+    if len(lam) > k:
+        raise ValueError("partition longer than the variable count")
+    powers = [p + k - 1 - j for j, p in enumerate(tuple(lam) + (0,) * (k - len(lam)))]
+    # scaled[i][j]: the exponent vector of x_i^(powers[j])
+    scaled = [[tuple(e * a for a in x.exps) for e in powers] for x in xs]
+    terms = {}
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        key = tuple(map(sum, zip(*(scaled[i][j] for j, i in enumerate(perm)))))
+        terms[key] = (-1) ** inversions
+    value = LaurentPolynomial(xs[0].table, terms)
+    for xi, xj in itertools.combinations(xs, 2):
+        value = exact_divide(value, xi.as_polynomial() - xj.as_polynomial())
+    return value

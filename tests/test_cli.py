@@ -316,8 +316,25 @@ def test_cli_large_grothendieck_macro_is_bad_input(capsys, monkeypatch, a):
     assert "at most 63" in err
 
 
+def test_cli_large_schur_macro_is_bad_input(capsys, monkeypatch):
+    # S[a,b] takes G's first-index limit, checked before the macro is built
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("the macro was expanded")
+
+    monkeypatch.setattr(polyfam, "schur_pair", no_expansion)
+    code, out, err = run_cli(capsys, "pushforward", "--space", "gr:2,4", "--f", "S[64,0]")
+    assert code == 2 and out == ""
+    assert err == "error: syntax error at offset 2: expected a first index of at most 63; " \
+                  "found 64\n"
+
+
 def test_largest_grothendieck_macro_is_accepted(table22):
     assert parse_to_polynomial("G[63,0]", table22) == polyfam.grothendieck_pair(63, 0, table22)
+
+
+def test_largest_schur_macro_is_accepted(table22):
+    assert parse_to_polynomial("S[63,0]", table22) == \
+        polyfam.schur_pair(63, 0, table22, names=("z1", "z2"))
 
 
 @pytest.mark.parametrize("macro", ["U", "G[2,1]", "S[2,1]"])

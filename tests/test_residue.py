@@ -250,6 +250,15 @@ def test_members_whose_terms_cancel_leave_no_zero():
     assert value.terms == {(1, 0): 1, (-1, 2): -1}
 
 
+def test_no_members_is_the_empty_sum():
+    # [] is an empty orbit sum, which is 0; only members=None means the form itself
+    table = zt_table(1, 1)
+    form = make_form(LaurentPolynomial.one(table), (Monomial.of(table, z1=1, t1=-1),), ("z1",))
+    assert iterated_residue(form) == LaurentPolynomial.one(table)
+    assert iterated_residue(form, []) == LaurentPolynomial.zero(table)
+    assert iterated_residue(PreparedForm(form), [], 5) == LaurentPolynomial.zero(table)
+
+
 def test_wide_exponents_need_no_carry():
     rng = random.Random(12)
     table = zt_table(2, 2)

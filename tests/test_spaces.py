@@ -1,13 +1,14 @@
 import itertools
 import random
 import tracemalloc
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from eqpush import algebra, cohomology, g2, spaces
-from eqpush.algebra import LaurentPolynomial, MixedVariableTables, Monomial, zt_table
+from eqpush.algebra import (LaurentPolynomial, MixedVariableTables, Monomial,
+                            parameter_table, zt_table)
 from eqpush.characters import bracket
 from eqpush.exprparse import parse_to_polynomial
 from eqpush.residue import PreparedForm, iterated_residue
@@ -19,8 +20,9 @@ from eqpush.verification import random_admissible_class
 
 from conftest import assert_immutable_value
 from oracles import (build_integrand, cut_ambient_value, expanded_integrand_symmetric,
-                     factored_rational_sum, fixed_points, printed_class_value, symmetry_orbit)
-from test_acceptance import CLASSICAL_CASES
+                     factored_rational_sum, fixed_points, printed_class_value,
+                     schur_character, symmetry_orbit)
+from test_acceptance import CLASSICAL_CASES, partitions_with_parts_at_most
 
 ALL_SPACES = ["gr:1,2", "gr:1,3", "gr:2,4", "gr2:2,4", "lg:1", "lg:2", "ogE:2",
               "ogO:1", "ogO:2", "fl:1", "fl:2", "fl:3", "q:2", "g2p2", "g2b"]
@@ -420,6 +422,46 @@ def test_unit_and_standard_classes_push_to_known_characters():
         for variant in space.variants():
             for f, value in known_pushforwards(space):
                 assert residue_pushforward(space, f, variant) == value, (key, variant)
+
+
+@lru_cache(maxsize=None)
+def inverse_schur(lam: tuple, letter: str, k: int) -> LaurentPolynomial:
+    """s_lam(1/x_1..1/x_k) for x = letter, over a table of x1..xk alone."""
+    table = parameter_table(*(f"{letter}{i + 1}" for i in range(k)))
+    return schur_character(lam, [Monomial.of(table, **{name: -1}) for name in table.names])
+
+
+def test_schur_classes_push_to_schur_characters():
+    # Borel-Weil: pi_*(s_lam(1/z_1..1/z_m)) = s_lam(1/t_1..1/t_n) on gr:m,n
+    # for lam in the m x 3 box, by localization up to n = 6 and by every
+    # residue variant on gr:2,4 and gr:3,6.  On n = 6 the box keeps at most
+    # 3 rows: each six-variable bialternant takes about 25 ms, and the 3 x 3
+    # box has 20 of the 56 partitions of the 5 x 3 box.
+    for n in range(2, 7):
+        for m in range(1, n):
+            space = parse_space(f"gr:{m},{n}")
+            table = space.table()
+            paths = [localization_pushforward]
+            if (m, n) in ((2, 4), (3, 6)):
+                paths += [partial(residue_pushforward, variant=variant)
+                          for variant in space.variants()]
+            for lam in partitions_with_parts_at_most(3, m if n < 6 else min(m, 3)):
+                f = inverse_schur(lam, "z", m).substitute({}, table)
+                expected = inverse_schur(lam, "t", n).substitute({}, table)
+                for path in paths:
+                    assert path(space, f) == expected, (space.key(), lam, path)
+
+
+def test_bott_vanishing_on_projective_spaces():
+    # pi_*(z1^k) = 0 on gr:1,n for 1 <= k <= n - 1: O(-k) on P^(n-1) has
+    # no cohomology
+    for n in range(2, 7):
+        space = parse_space(f"gr:1,{n}")
+        for k in range(1, n):
+            f = LaurentPolynomial.variable(space.table(), "z1", k)
+            assert localization_pushforward(space, f).is_zero, (n, k)
+            for variant in space.variants():
+                assert residue_pushforward(space, f, variant).is_zero, (n, k, variant)
 
 
 @pytest.mark.parametrize("key, variant, canons", [
