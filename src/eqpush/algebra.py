@@ -29,10 +29,10 @@ summed ranges, so no digit carries, and is unpacked once, a column per
 variable; a one-term operand shifts the other (`mul_monomial`).
 
 `add_terms` is the one loop that adds terms into a dict and deletes the sums
-that cancel.  Two hot loops on packed int keys keep their own and drop
-zeros once, after all the adds: `_packed_product`, and `_add_shifted` in
-`residue`, through which the residue kernel forms every sum.  So does
-`_divide_heap`, which also pushes each new key onto its heap.
+that cancel; `_divide_heap` subtracts each step's moved divisor through it.
+Only two hot loops on packed int keys keep their own and drop zeros once,
+after all the adds: `_packed_product`, and `_add_shifted` in `residue`,
+through which the residue kernel forms every sum.
 
 `LaurentPolynomial.substitute` is the one change of variables, from a Weyl
 reflection to the move of a polynomial to another table; `Monomial.substitute`
@@ -728,10 +728,14 @@ def _divide_heap(num: dict, den: dict) -> tuple:
     """Exact division of term dicts by graded-lex leading terms, heap driven:
     (quotient in normal form, whether its coefficients are all ints).
 
-    An exact quotient's minimum exponent in each variable is the dividend's
-    minimum minus the divisor's, `low`; a quotient key below it in some
-    variable proves the division inexact.  Above `low` graded-lex is a
-    well-order, so the loop ends.
+    Each step takes the top key k of the remainder and subtracts the quotient
+    term at qk = k - lead times the divisor's other terms, moved by qk,
+    through `add_terms`.  A moved key is pushed only when it is not yet in
+    the remainder; a key that cancels stays on the heap and is skipped at
+    the top.  A taken key never comes back: every moved key qk + dk lies
+    below qk + lead = k in graded-lex order.  A quotient key below `low`,
+    the dividend's minimum exponents less the divisor's, proves the division
+    inexact; above `low` graded-lex is a well-order, so the loop ends.
     """
     lead = max(den, key=_grlex_key)
     lc = den[lead]
@@ -742,32 +746,21 @@ def _divide_heap(num: dict, den: dict) -> tuple:
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     out: dict = {}
-    get = remainder.get
     while remainder:
-        while heap:
-            k = heap[0][2]
-            if k in remainder:
-                break
-            pop(heap)
-        else:  # pragma: no cover - remainder nonempty implies heap nonempty
+        if not heap:  # pragma: no cover - remainder nonempty implies heap nonempty
             raise InvariantError("division heap exhausted with nonzero remainder")
-        pop(heap)
-        c = remainder.pop(k)
+        k = pop(heap)[2]
+        c = remainder.pop(k, 0)
+        if not c:  # k cancelled after it was pushed
+            continue
         qk = tuple(map(_sub, k, lead))
         if any(map(_lt, qk, low)):
             raise NotDivisible("leading term not divisible")
         qc = quotient(c, lc)
         out[qk] = qc
-        for dk, dc in rest:
-            nk = tuple(map(_add, qk, dk))
-            s = get(nk)
-            if s is None:
-                remainder[nk] = -qc * dc
+        moved = [(tuple(map(_add, qk, dk)), dc) for dk, dc in rest]
+        for nk, _ in moved:
+            if nk not in remainder:
                 push(heap, (-sum(nk), tuple(map(_neg, nk)), nk))
-            else:
-                s = s - qc * dc
-                if s == 0:
-                    del remainder[nk]
-                else:
-                    remainder[nk] = s
+        add_terms(remainder, moved, -qc)
     return out, all(type(c) is int for c in out.values())

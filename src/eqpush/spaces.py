@@ -62,6 +62,14 @@ _FULL, _BOTH = ("full",), ("full", "compact")
 _CATALOGUE = {"gr": (2, 2, _BOTH), "gr2": (2, 2, _BOTH), "lg": (1, 1, _FULL),
               "ogE": (1, 1, _FULL), "ogO": (1, 1, _BOTH), "fl": (1, 1, _FULL),
               "q": (1, 2, _FULL), "g2p2": (0, 0, _FULL), "g2b": (0, 0, _FULL)}
+_TAKES = ("no parameters", "one parameter", "two parameters")
+
+
+def _entry(kind: str) -> tuple:
+    """The catalogue entry of a kind; raises ValueError for an unknown one."""
+    if kind not in _CATALOGUE:
+        raise ValueError(f"unknown space kind {kind!r}")
+    return _CATALOGUE[kind]
 
 
 class SymmetryViolation(ValueError):
@@ -74,9 +82,9 @@ class SpaceDescriptor(Frozen):
     __slots__ = _fields = ("kind", "m", "n")
 
     def __init__(self, kind: str, m: int = 0, n: int = 0):
-        if kind not in _CATALOGUE:
-            raise ValueError(f"unknown space kind {kind!r}")
-        arity, least, _ = _CATALOGUE[kind]
+        arity, least, _ = _entry(kind)
+        if any((m, n)[:2 - arity]):
+            raise ValueError(f"{kind} takes {_TAKES[arity]}, got m={m}, n={n}")
         if arity == 2 and not 1 <= m < n:
             raise ValueError("need 1 <= m < n")
         if arity and n < least:
@@ -121,10 +129,9 @@ def parse_space(text: str) -> SpaceDescriptor:
     if ":" not in body:
         return SpaceDescriptor(body)
     kind, _, params = body.partition(":")
-    # an unknown kind is read like a one-parameter kind; SpaceDescriptor rejects it
-    arity = _CATALOGUE.get(kind, (1,))[0]
+    arity = _entry(kind)[0]
     if not arity:
-        raise ValueError(f"{kind} takes no parameters, got {params!r}")
+        raise ValueError(f"{kind} takes {_TAKES[0]}, got {params!r}")
     fields = params.split(",")
     if "" in fields:
         raise ValueError(f"empty parameter in {text!r}")
@@ -132,8 +139,7 @@ def parse_space(text: str) -> SpaceDescriptor:
         if not (p.isascii() and p.isdigit()):  # int() also takes signs, "_" and non-ASCII digits
             raise ValueError(f"parameter {p!r} of {text!r} is not a run of ASCII digits")
     if len(fields) != arity:
-        raise ValueError(f"{kind} takes {('one parameter', 'two parameters')[arity - 1]}, "
-                         f"got {params!r}")
+        raise ValueError(f"{kind} takes {_TAKES[arity]}, got {params!r}")
     return SpaceDescriptor(kind, *(0, *map(int, fields))[-2:])
 
 

@@ -42,7 +42,9 @@ criterion 8, and the independent path for the rank-two closed form
 `eqpush.polyfam.grothendieck_pair`.  `schur_character` is the Schur
 polynomial as the bialternant A_(lam+delta)/A_delta: by Borel-Weil, the
 push-forward of a Schur class of the dual tautological bundle on gr:m,n,
-known without either push-forward path.
+known without either push-forward path.  `symplectic_character` is its type
+C twin, the Weyl character of Sp(2n) as a ratio of two determinants: the
+push-forward of that Schur class on lg:n.
 """
 
 import itertools
@@ -502,4 +504,45 @@ def schur_character(lam, xs) -> LaurentPolynomial:
     value = LaurentPolynomial(xs[0].table, terms)
     for xi, xj in itertools.combinations(xs, 2):
         value = exact_divide(value, xi.as_polynomial() - xj.as_polynomial())
+    return value
+
+
+def symplectic_denominator_factors(n) -> list:
+    """Binomials whose product is the type C Weyl denominator
+    det(t_j^(n+1-i) - t_j^-(n+1-i)) over t1..tn: t_j - 1/t_j for each j and,
+    for each i < j, t_i - t_j and 1 - 1/(t_i*t_j), whose product is
+    (t_i + 1/t_i) - (t_j + 1/t_j)."""
+    table = parameter_table(*(f"t{j + 1}" for j in range(n)))
+    ts = [LaurentPolynomial.variable(table, name) for name in table.names]
+    inv = [LaurentPolynomial.variable(table, name, -1) for name in table.names]
+    one = LaurentPolynomial.one(table)
+    return [t - s for t, s in zip(ts, inv)] + [
+        f for i, j in itertools.combinations(range(n), 2)
+        for f in (ts[i] - ts[j], one - inv[i] * inv[j])]
+
+
+def symplectic_alternant(n, powers) -> LaurentPolynomial:
+    """det(t_j^(powers[i]) - t_j^-(powers[i])) over t1..tn, a sum over the
+    permutations and the signs of the exponents, for distinct powers > 0."""
+    terms = {}
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        for signs in itertools.product((1, -1), repeat=n):
+            key = tuple(s * powers[i] for s, i in zip(signs, perm))
+            terms[key] = (-1) ** (inversions + signs.count(-1))
+    return LaurentPolynomial(parameter_table(*(f"t{j + 1}" for j in range(n))), terms)
+
+
+def symplectic_character(n, lam) -> LaurentPolynomial:
+    """The character of the irreducible Sp(2n) representation of highest
+    weight lam (at most n parts) over t1..tn, by the Weyl character formula
+    of type C: det(t_j^(l_i) - t_j^-(l_i)), l_i = lam_i + n + 1 - i, divided
+    by the same determinant at lam = 0, one binomial factor of
+    `symplectic_denominator_factors` at a time through `exact_divide`."""
+    if len(lam) > n:
+        raise ValueError("partition longer than the rank")
+    parts = tuple(lam) + (0,) * (n - len(lam))
+    value = symplectic_alternant(n, [p + n - i for i, p in enumerate(parts)])
+    for factor in symplectic_denominator_factors(n):
+        value = exact_divide(value, factor)
     return value

@@ -601,12 +601,20 @@ def test_a_binomial_never_divides_a_monomial(p, d, m):
 MONIC_TRINOMIAL = {(0, 0, 1, 1): 1, (1, 0, -2, 0): Fraction(-3, 2), (0, -1, 0, -1): 2}
 NON_MONIC_QUADRINOMIAL = {(2, 0, 0, -1): -3, (0, 1, 0, 0): 1, (-1, 0, 0, 0): Fraction(1, 2),
                           (0, 0, -2, -1): -1}
+# Lead t1.  In (1 + t1)(t1 + t2 + 1), the quotient term t1 moves t2 onto the
+# dividend's t1*t2 and cancels it while it is on the heap.  In
+# (t1 - t1*t2)(t1 + t2 + 1), the quotient terms -t1*t2 and t1 move 1 and t2
+# onto one key, t1*t2, which is not in the dividend.
+T1_PLUS_T2_PLUS_1 = {(0, 0, 1, 0): 1, (0, 0, 0, 1): 1, ZERO_EXPS: 1}
 
 
 @example(p={(1, -1, 0, 2): Fraction(1, 2), (0, 0, -1, 0): 3}, d=MONIC_TRINOMIAL,
          m=(ZERO_EXPS, Fraction(1)))
 @example(p={(2, 0, 1, -2): -1, (0, 1, 0, 0): Fraction(5, 3)}, d=NON_MONIC_QUADRINOMIAL,
          m=((0, 1, 0, 0), Fraction(-1)))
+@example(p={ZERO_EXPS: 1, (0, 0, 1, 0): 1}, d=T1_PLUS_T2_PLUS_1, m=(ZERO_EXPS, Fraction(1)))
+@example(p={(0, 0, 1, 0): 1, (0, 0, 1, 1): -1}, d=T1_PLUS_T2_PLUS_1,
+         m=((0, 0, 1, 1), Fraction(2)))
 @given(references(max_size=5), divisors((1, 3, 4)), st.tuples(wide_exponents, coefficients))
 def test_division_by_a_heap_divisor(p, d, m):
     # p*d + m is divisible by d iff m is, and a product with a factor of two

@@ -132,6 +132,12 @@ def test_cli_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("space", ["nope:3,4", "nope:x", "nope"])
+def test_unknown_space_kind_is_reported_before_its_parameters(capsys, space):
+    code, out, err = run_cli(capsys, "pushforward", "--space", space, "--f", "1")
+    assert (code, out, err) == (2, "", "error: unknown space kind 'nope'\n")
+
+
 @pytest.mark.parametrize("space", ["gr:2,4", "q:3", "g2p2"])
 def test_asymmetric_class_is_one_error_line(capsys, space):
     # z1 on gr:2,4 and g2p2, z2 on q:3: each the largest member of its orbit

@@ -1,10 +1,11 @@
 import pytest
 
-from eqpush.algebra import LaurentPolynomial, Monomial, NotPolynomial, zt_table
+from eqpush.algebra import LaurentPolynomial, Monomial, NotPolynomial, parameter_table, zt_table
 from eqpush import g2
 from eqpush.polyfam import grothendieck_pair
 
-from oracles import factored_rational_sum, grothendieck_general
+from oracles import (factored_rational_sum, grothendieck_general, symplectic_alternant,
+                     symplectic_character, symplectic_denominator_factors)
 
 
 def test_not_polynomial_surfaces():
@@ -47,3 +48,32 @@ def test_grothendieck_general_matches_pair():
 def test_grothendieck_general_rejects_long_partition():
     with pytest.raises(ValueError):
         grothendieck_general((1, 1, 1), 2)
+
+
+def test_symplectic_denominator_factors_multiply_to_the_determinant():
+    for n in range(1, 5):
+        determinant = symplectic_alternant(n, range(n, 0, -1))
+        product = LaurentPolynomial.one(determinant.table)
+        for factor in symplectic_denominator_factors(n):
+            product = product * factor
+        assert product == determinant, n
+
+
+def test_symplectic_character_small_cases():
+    # Sp(2): the character of Sym^k of the standard representation; Sp(4):
+    # the unit, the standard representation and its second exterior power
+    # less the unit (dimensions 1, 4 and 5)
+    t = parameter_table("t1")
+    for k in range(4):
+        assert symplectic_character(1, (k,)) == \
+            sum((LaurentPolynomial.variable(t, "t1", e) for e in range(-k, k + 1, 2)),
+                LaurentPolynomial.zero(t))
+    table = parameter_table("t1", "t2")
+    one = LaurentPolynomial.one(table)
+    t1, t2 = (LaurentPolynomial.variable(table, name) for name in table.names)
+    u1, u2 = (LaurentPolynomial.variable(table, name, -1) for name in table.names)
+    assert symplectic_character(2, ()) == one
+    assert symplectic_character(2, (1,)) == t1 + u1 + t2 + u2
+    assert symplectic_character(2, (1, 1)) == t1 * t2 + t1 * u2 + u1 * t2 + u1 * u2 + one
+    with pytest.raises(ValueError):
+        symplectic_character(1, (1, 1))

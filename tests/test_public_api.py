@@ -28,10 +28,10 @@ from `Frozen`: it defines no `_key`, `__eq__` or `__hash__` of its own.
 Terms are added into a dict, cancelling sums deleted, by `algebra.add_terms`
 alone: no other function of `src/eqpush` assigns `d[k] = d.get(k, 0) + ...`
 or stores a sum in one branch of an `if` and deletes the key in the other.
-The allowed exceptions are the two loops on packed int keys, whose zeros
-are dropped once after all the adds (`_packed_product`, and
-`residue._add_shifted`, through which the residue kernel forms every sum),
-and `_divide_heap`, which also pushes each new key onto its heap."""
+The only exceptions are the two loops on packed int keys, whose zeros are
+dropped once after all the adds (`_packed_product`, and
+`residue._add_shifted`, through which the residue kernel forms every sum);
+the heap division subtracts through `add_terms` as well."""
 
 import ast
 import glob
@@ -392,8 +392,7 @@ def test_residue_import_scan_reports_each_form_of_import(tmp_path):
     assert residue_importers(str(tmp_path)) == ["g2"]
 
 
-ACCUMULATORS = {"algebra.add_terms", "algebra._packed_product", "algebra._divide_heap",
-                "residue._add_shifted"}
+ACCUMULATORS = {"algebra.add_terms", "algebra._packed_product", "residue._add_shifted"}
 
 
 def _accumulates(unit) -> bool:

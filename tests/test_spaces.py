@@ -21,7 +21,7 @@ from eqpush.verification import random_admissible_class
 from conftest import assert_immutable_value
 from oracles import (build_integrand, cut_ambient_value, expanded_integrand_symmetric,
                      factored_rational_sum, fixed_points, printed_class_value,
-                     schur_character, symmetry_orbit)
+                     schur_character, symmetry_orbit, symplectic_character)
 from test_acceptance import CLASSICAL_CASES, partitions_with_parts_at_most
 
 ALL_SPACES = ["gr:1,2", "gr:1,3", "gr:2,4", "gr2:2,4", "lg:1", "lg:2", "ogE:2",
@@ -77,6 +77,9 @@ def test_space_descriptor_is_an_immutable_value():
     (("gr2", 0, 3), "1 <= m < n"),
     (("fl", 0, 0), "n >= 1"),
     (("q", 0, 1), "n >= 2"),
+    # a parameter the kind does not read would make a second calculator for lg:3, g2p2
+    (("lg", 2, 3), r"^lg takes one parameter, got m=2, n=3$"),
+    (("g2p2", 1, 5), r"^g2p2 takes no parameters, got m=1, n=5$"),
 ])
 def test_space_descriptor_rejects_bad_parameters(args, message):
     with pytest.raises(ValueError, match=message):
@@ -462,6 +465,24 @@ def test_bott_vanishing_on_projective_spaces():
             assert localization_pushforward(space, f).is_zero, (n, k)
             for variant in space.variants():
                 assert residue_pushforward(space, f, variant).is_zero, (n, k, variant)
+
+
+def test_schur_classes_push_to_symplectic_characters():
+    # Borel-Weil in type C: pi_*(s_lam(1/z_1..1/z_n)) on lg:n is the
+    # character of Sp(2n) of highest weight lam, for lam in the n x 2 box, by
+    # localization on lg:2 to lg:4 and by the residue on lg:2 and lg:3
+    for n in range(2, 5):
+        space = parse_space(f"lg:{n}")
+        table = space.table()
+        paths = [localization_pushforward]
+        if n < 4:
+            paths += [partial(residue_pushforward, variant=variant)
+                      for variant in space.variants()]
+        for lam in partitions_with_parts_at_most(2, n):
+            f = inverse_schur(lam, "z", n).substitute({}, table)
+            expected = symplectic_character(n, lam).substitute({}, table)
+            for path in paths:
+                assert path(space, f) == expected, (space.key(), lam, path)
 
 
 @pytest.mark.parametrize("key, variant, canons", [
