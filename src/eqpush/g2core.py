@@ -1,7 +1,8 @@
-"""Shared exceptional-group data: the rank-two torus, the swap of its two
-parameters, tangent weight lists and the fundamental-class lift used by the
-residue formulas for both quotient spaces, and the gr:2,7 pairing at the
-seven weights in closed form, for both theories."""
+"""Shared exceptional-group data: the rank-two torus, the two simple
+reflections of the G2 Weyl group (the swap of its two parameters and the
+reflection in the long root), tangent weight lists and the fundamental-class
+lift used by the residue formulas for both quotient spaces, and the gr:2,7
+pairing at the seven weights in closed form, for both theories."""
 
 from __future__ import annotations
 
@@ -22,6 +23,15 @@ def _mono(**powers) -> Monomial:
 @lru_cache(maxsize=None)
 def swap_map():
     return {"t1": _mono(t2=1), "t2": _mono(t1=1)}
+
+
+@lru_cache(maxsize=None)
+def simple_reflections() -> tuple:
+    """(substitution, simple root a with s(a) = 1/a) for the two simple
+    reflections: the swap, in the short root t1^-1*t2, and t2 -> t1*t2^-1,
+    in the long root t1*t2^-2."""
+    return ((swap_map(), _mono(t1=-1, t2=1)),
+            ({"t1": _mono(t1=1), "t2": _mono(t1=1, t2=-1)}, _mono(t1=1, t2=-2)))
 
 
 @lru_cache(maxsize=None)

@@ -2,14 +2,14 @@
 
 Each kind has one catalogue entry (`_CATALOGUE`: the parameters it takes,
 its least n and its residue variants), read by SpaceDescriptor's checks,
-`key` and `variants` and by `parse_space`; a space's dimension is the length
-of its base tangent.  Every space provides one base fixed point (the
-substitution z_i -> t_i with its tangent characters), the simple reflections
-of its Weyl group and a factored residue integrand.  The localization
-push-forward is the sum of f(point)/bracket(tangent) over the fixed points;
-it is computed exactly as a Demazure chain of isobaric divided differences
-from the base point (see LocalizationEngine), so the other fixed points are
-never listed.  The residue push-forward runs the iterated-residue engine on
+`key` and `variants` and by `parse_space`, and one branch of `_weyl_data`:
+the tangent characters at the base fixed point z_i -> t_i (a space's
+dimension is their number), the simple reflections of its Weyl group and
+ogE's second component.  Every space also has a factored residue integrand.
+The localization push-forward is the sum of f(point)/bracket(tangent) over
+the fixed points; it is computed exactly as a Demazure chain of isobaric
+divided differences from the base point (see LocalizationEngine), so the
+other fixed points are never listed.  The residue push-forward runs the iterated-residue engine on
 the integrand, prepared once per (space, variant) (`residue.PreparedForm`):
 an orbit member of a class is one integer shift of its packed base.  The
 central contract is that the two agree on every admissible class.
@@ -105,7 +105,7 @@ class SpaceDescriptor(Frozen):
         return zt_table(self.residue_count(), self.parameter_count())
 
     def dimension(self) -> int:
-        return len(_base_tangent(self))
+        return len(_weyl_data(self)[0])
 
     def variants(self) -> tuple:
         return _CATALOGUE[self.kind][2]
@@ -185,50 +185,40 @@ def _check_class(f: LaurentPolynomial) -> None:
         raise ValueError("cohomology classes must have nonnegative exponents")
 
 
-def _simple_reflections(space: SpaceDescriptor) -> list:
-    """(substitution on the parameters, simple-root character a with s(a) = 1/a)
-    for each simple reflection s of the space's Weyl group."""
-    table = space.table()
-    if space.kind in ("g2p2", "g2b"):
-        # the reflection in the long root t1*t2^-2: t2 -> t1*t2^-1
-        reflection = {"t1": Monomial.of(table, t1=1), "t2": Monomial.of(table, t1=1, t2=-1)}
-        return [(g2core.swap_map(), Monomial.of(table, t1=-1, t2=1)),
-                (reflection, Monomial.of(table, t1=1, t2=-2))]
-    n = space.parameter_count()
-    ts = standard_sets("T", n, table)
-    out = [({f"t{i + 1}": ts[i + 1], f"t{i + 2}": ts[i]}, ts[i + 1] / ts[i])
-           for i in range(n - 1)]
-    if space.kind == "lg":
-        out.append(({f"t{n}": ts[-1].inverse()}, ts[-1] ** -2))
-    elif space.kind == "ogO":
-        out.append(({f"t{n}": ts[-1].inverse()}, ts[-1].inverse()))
-    elif space.kind in ("ogE", "q") and n >= 2:
-        out.append(({f"t{n - 1}": ts[-1].inverse(), f"t{n}": ts[-2].inverse()},
-                    (ts[-2] * ts[-1]).inverse()))
-    return out
-
-
-def _base_tangent(space: SpaceDescriptor) -> tuple:
-    """Tangent characters at the base fixed point z_i -> t_i."""
+def _weyl_data(space: SpaceDescriptor) -> tuple:
+    """The fixed-point geometry of a space, one branch per kind: (the tangent
+    characters at the base point z_i -> t_i; a (substitution s, simple root
+    a) pair per simple reflection of its Weyl group, each s an involution on
+    the t's with s(a) = 1/a; on ogE, whose fixed points form two components,
+    the t_n -> 1/t_n carrying the base one to the other, else None).  The
+    adjacent swaps, the flip t_n -> 1/t_n and the type-D reflection
+    (t_n-1, t_n) -> (1/t_n, 1/t_n-1) are written once each; G2's two
+    reflections come from `g2core`."""
     k, m = space.kind, space.m
     if k == "g2p2":
-        return g2core.quotient_identity_tangent()
+        return g2core.quotient_identity_tangent(), g2core.simple_reflections(), None
     if k == "g2b":
-        return g2core.borel_identity_tangent()
-    ts = standard_sets("T", space.parameter_count(), space.table())
+        return g2core.borel_identity_tangent(), g2core.simple_reflections(), None
+    n = space.parameter_count()
+    ts = standard_sets("T", n, space.table())
     inv = inverses(ts)
+    swaps = [({f"t{i + 1}": ts[i + 1], f"t{i + 2}": ts[i]}, ts[i + 1] / ts[i])
+             for i in range(n - 1)]
+    flip = {f"t{n}": inv[-1]}
+    type_d = swaps + ([({f"t{n - 1}": inv[-1], f"t{n}": inv[-2]}, inv[-2] * inv[-1])]
+                      if n >= 2 else [])
     if k in ("gr", "gr2"):  # t_j/t_i with i <= m < j
-        return quotient_set(ts[m:], ts[:m])
+        return quotient_set(ts[m:], ts[:m]), swaps, None
     if k == "lg":
-        return sym_set(inv)
+        return sym_set(inv), swaps + [(flip, inv[-1] ** 2)], None
     if k == "ogE":
-        return lambda_set(inv)
+        return lambda_set(inv), type_d, flip
     if k == "ogO":
-        return lambda_set(inv) + inv
+        return lambda_set(inv) + inv, swaps + [(flip, inv[-1])], None
     if k == "fl":
-        return pos_roots(inv)
+        return pos_roots(inv), swaps, None
     # q: x/t1 over t2..tn and their inverses
-    return quotient_set(ts[1:] + inv[1:], ts[:1])
+    return quotient_set(ts[1:] + inv[1:], ts[:1]), type_d, None
 
 
 class LocalizationEngine:
@@ -254,12 +244,11 @@ class LocalizationEngine:
         # with every t_i inside, whose stabilizer permutes the z's).
         ts = standard_sets("T", space.parameter_count(), table)
         self.base = {f"z{i + 1}": ts[i] for i in range(space.residue_count())}
-        tangent = _base_tangent(space)
+        tangent, reflections, self.other_component = _weyl_data(space)
         dim = space.dimension()
         if any(c.is_one for c in tangent):
             raise InvariantError(f"{space.key()}: the base tangent is not {dim} nontrivial "
                                  f"characters")
-        reflections = _simple_reflections(space)
         one = LaurentPolynomial.one(table)
         self.steps = []
         while len(self.steps) <= dim:
@@ -272,11 +261,6 @@ class LocalizationEngine:
         if len(self.steps) != dim:
             raise InvariantError(f"{space.key()}: reduced word of length {len(self.steps)} "
                                  f"!= dim {dim}")
-        # The fixed points of the even orthogonal Grassmannian form two
-        # components; t_n -> 1/t_n carries the base component to the other.
-        tn = f"t{space.parameter_count()}"
-        self.other_component = ({tn: Monomial.of(table, **{tn: -1})}
-                                if space.kind == "ogE" else None)
 
     @cached_property
     def additive(self) -> tuple:

@@ -44,7 +44,8 @@ polynomial as the bialternant A_(lam+delta)/A_delta: by Borel-Weil, the
 push-forward of a Schur class of the dual tautological bundle on gr:m,n,
 known without either push-forward path.  `symplectic_character` is its type
 C twin, the Weyl character of Sp(2n) as a ratio of two determinants: the
-push-forward of that Schur class on lg:n.
+push-forward of that Schur class on lg:n.  `orthogonal_character` is the
+type B and D one, on ogO:n and ogE:n, both components of ogE counted.
 """
 
 import itertools
@@ -507,42 +508,71 @@ def schur_character(lam, xs) -> LaurentPolynomial:
     return value
 
 
-def symplectic_denominator_factors(n) -> list:
-    """Binomials whose product is the type C Weyl denominator
-    det(t_j^(n+1-i) - t_j^-(n+1-i)) over t1..tn: t_j - 1/t_j for each j and,
-    for each i < j, t_i - t_j and 1 - 1/(t_i*t_j), whose product is
-    (t_i + 1/t_i) - (t_j + 1/t_j)."""
+# kind -> (a, b, sign): row i of its Weyl alternant is t_j^(p_i+a) + sign*t_j^-(p_i+b)
+_ALTERNANT_ROWS = {"lg": (1, 1, -1), "ogO": (1, 0, -1), "ogE": (0, 0, 1)}
+
+
+def weyl_alternant(kind, n, lam=()) -> LaurentPolynomial:
+    """det(t_j^(p_i+a) + sign*t_j^-(p_i+b)) over t1..tn, i, j = 1..n, with
+    p_i = lam_i + n - i (lam padded to n parts) and the kind's (a, b, sign):
+    type C (lg) t^(p+1) - t^-(p+1), type B (ogO) t^(p+1) - t^-p, type D (ogE)
+    t^p + t^-p.  A sum over the permutations and over the two terms of each
+    entry; only type D's p = 0 entry, 2, adds two terms on one key."""
+    if len(lam) > n:
+        raise ValueError("partition longer than the rank")
+    a, b, sign = _ALTERNANT_ROWS[kind]
+    powers = [p + n - 1 - i for i, p in enumerate(tuple(lam) + (0,) * (n - len(lam)))]
+    terms = Counter()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        for low in itertools.product((False, True), repeat=n):
+            key = tuple(-powers[i] - b if lo else powers[i] + a for lo, i in zip(low, perm))
+            terms[key] += (-1) ** inversions * sign ** sum(low)
+    return LaurentPolynomial(parameter_table(*(f"t{j + 1}" for j in range(n))), terms)
+
+
+def weyl_denominator_factors(kind, n) -> list:
+    """Binomials whose product is the kind's Weyl denominator, its
+    `weyl_alternant` at lam = 0, over t1..tn (half of it on ogE): for each j,
+    t_j - 1/t_j on lg and t_j - 1 on ogO, none on ogE; for each i < j, t_i -
+    t_j and 1 - 1/(t_i*t_j), whose product is (t_i + 1/t_i) - (t_j + 1/t_j)."""
     table = parameter_table(*(f"t{j + 1}" for j in range(n)))
     ts = [LaurentPolynomial.variable(table, name) for name in table.names]
     inv = [LaurentPolynomial.variable(table, name, -1) for name in table.names]
     one = LaurentPolynomial.one(table)
-    return [t - s for t, s in zip(ts, inv)] + [
+    lows = {"lg": inv, "ogO": [one] * n, "ogE": []}[kind]
+    return [t - s for t, s in zip(ts, lows)] + [
         f for i, j in itertools.combinations(range(n), 2)
         for f in (ts[i] - ts[j], one - inv[i] * inv[j])]
 
 
-def symplectic_alternant(n, powers) -> LaurentPolynomial:
-    """det(t_j^(powers[i]) - t_j^-(powers[i])) over t1..tn, a sum over the
-    permutations and the signs of the exponents, for distinct powers > 0."""
-    terms = {}
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        for signs in itertools.product((1, -1), repeat=n):
-            key = tuple(s * powers[i] for s, i in zip(signs, perm))
-            terms[key] = (-1) ** (inversions + signs.count(-1))
-    return LaurentPolynomial(parameter_table(*(f"t{j + 1}" for j in range(n))), terms)
+def _weyl_quotient(kind, n, lam) -> LaurentPolynomial:
+    """`weyl_alternant` divided by `weyl_denominator_factors`, one binomial
+    at a time through `exact_divide`."""
+    value = weyl_alternant(kind, n, lam)
+    for factor in weyl_denominator_factors(kind, n):
+        value = exact_divide(value, factor)
+    return value
 
 
 def symplectic_character(n, lam) -> LaurentPolynomial:
     """The character of the irreducible Sp(2n) representation of highest
     weight lam (at most n parts) over t1..tn, by the Weyl character formula
     of type C: det(t_j^(l_i) - t_j^-(l_i)), l_i = lam_i + n + 1 - i, divided
-    by the same determinant at lam = 0, one binomial factor of
-    `symplectic_denominator_factors` at a time through `exact_divide`."""
-    if len(lam) > n:
-        raise ValueError("partition longer than the rank")
-    parts = tuple(lam) + (0,) * (n - len(lam))
-    value = symplectic_alternant(n, [p + n - i for i, p in enumerate(parts)])
-    for factor in symplectic_denominator_factors(n):
-        value = exact_divide(value, factor)
-    return value
+    by the same determinant at lam = 0."""
+    return _weyl_quotient("lg", n, lam)
+
+
+def orthogonal_character(kind, n, lam) -> LaurentPolynomial:
+    """pi_*(s_lam(1/z_1..1/z_n)) on ogO:n or ogE:n by the Weyl character
+    formula, lam padded to n parts and i, j = 1..n.  On ogO:n (type B) it is
+    the SO(2n+1) character det(t_j^(lam_i+n-i+1) - t_j^-(lam_i+n-i)) /
+    det(t_j^(n-i+1) - t_j^-(n-i)): each entry t^(l+1/2) - t^-(l+1/2) times
+    t^(1/2).  On ogE:n (type D) the fixed points form two components, and
+    the sum over both is the SO(2n) character of lam plus its image under
+    t_n -> 1/t_n: 2 * det(t_j^(lam_i+n-i) + t_j^-(lam_i+n-i)) /
+    det(t_j^(n-i) + t_j^-(n-i)), so pi_*(1) = 2.  The type D denominator is
+    twice the product of its `weyl_denominator_factors`, which cancels the 2."""
+    if kind not in ("ogO", "ogE"):
+        raise ValueError(f"no orthogonal character for {kind!r}")
+    return _weyl_quotient(kind, n, lam)

@@ -138,6 +138,13 @@ def test_unknown_space_kind_is_reported_before_its_parameters(capsys, space):
     assert (code, out, err) == (2, "", "error: unknown space kind 'nope'\n")
 
 
+@pytest.mark.parametrize("f", ["G[1,2]", "S[1,2]"])
+def test_increasing_class_indices_are_one_error_line(capsys, f):
+    # the a >= b >= 0 check of polyfam.grothendieck_pair
+    code, out, err = run_cli(capsys, "pushforward", "--space", "gr:2,4", "--f", f)
+    assert (code, out, err) == (2, "", "error: need a >= b >= 0\n")
+
+
 @pytest.mark.parametrize("space", ["gr:2,4", "q:3", "g2p2"])
 def test_asymmetric_class_is_one_error_line(capsys, space):
     # z1 on gr:2,4 and g2p2, z2 on q:3: each the largest member of its orbit

@@ -4,8 +4,8 @@ from eqpush.algebra import LaurentPolynomial, Monomial, NotPolynomial, parameter
 from eqpush import g2
 from eqpush.polyfam import grothendieck_pair
 
-from oracles import (factored_rational_sum, grothendieck_general, symplectic_alternant,
-                     symplectic_character, symplectic_denominator_factors)
+from oracles import (factored_rational_sum, grothendieck_general, orthogonal_character,
+                     symplectic_character, weyl_alternant, weyl_denominator_factors)
 
 
 def test_not_polynomial_surfaces():
@@ -52,11 +52,23 @@ def test_grothendieck_general_rejects_long_partition():
 
 def test_symplectic_denominator_factors_multiply_to_the_determinant():
     for n in range(1, 5):
-        determinant = symplectic_alternant(n, range(n, 0, -1))
+        determinant = weyl_alternant("lg", n)
         product = LaurentPolynomial.one(determinant.table)
-        for factor in symplectic_denominator_factors(n):
+        for factor in weyl_denominator_factors("lg", n):
             product = product * factor
         assert product == determinant, n
+
+
+def test_orthogonal_denominator_factors_multiply_to_the_determinant():
+    # type B: the product is det(t_j^(n-i+1) - t_j^-(n-i)); type D: half of
+    # det(t_j^(n-i) + t_j^-(n-i))
+    for kind, scale in (("ogO", 1), ("ogE", 2)):
+        for n in range(1, 5):
+            determinant = weyl_alternant(kind, n)
+            product = LaurentPolynomial.constant(determinant.table, scale)
+            for factor in weyl_denominator_factors(kind, n):
+                product = product * factor
+            assert product == determinant, (kind, n)
 
 
 def test_symplectic_character_small_cases():
@@ -77,3 +89,24 @@ def test_symplectic_character_small_cases():
     assert symplectic_character(2, (1, 1)) == t1 * t2 + t1 * u2 + u1 * t2 + u1 * u2 + one
     with pytest.raises(ValueError):
         symplectic_character(1, (1, 1))
+
+
+def test_orthogonal_character_small_cases():
+    # SO(3): the unit and the standard representation t + 1 + 1/t; on ogE:1
+    # and ogE:2 both components count, so the unit is 2 and the standard
+    # representation of SO(4) comes twice
+    t = parameter_table("t1")
+    one = LaurentPolynomial.one(t)
+    t1, u1 = LaurentPolynomial.variable(t, "t1"), LaurentPolynomial.variable(t, "t1", -1)
+    assert orthogonal_character("ogO", 1, ()) == one
+    assert orthogonal_character("ogO", 1, (1,)) == t1 + one + u1
+    assert orthogonal_character("ogE", 1, ()) == 2 * one
+    assert orthogonal_character("ogE", 1, (2,)) == t1 * t1 + u1 * u1
+    table = parameter_table("t1", "t2")
+    t1, t2 = (LaurentPolynomial.variable(table, name) for name in table.names)
+    u1, u2 = (LaurentPolynomial.variable(table, name, -1) for name in table.names)
+    assert orthogonal_character("ogE", 2, (1,)) == 2 * (t1 + u1 + t2 + u2)
+    with pytest.raises(ValueError):
+        orthogonal_character("ogO", 1, (1, 1))
+    with pytest.raises(ValueError):
+        orthogonal_character("lg", 2, (1,))

@@ -13,7 +13,7 @@ from eqpush.characters import bracket
 from eqpush.exprparse import parse_to_polynomial
 from eqpush.residue import PreparedForm, iterated_residue
 from eqpush.spaces import (LocalizationEngine, SpaceDescriptor, SymmetryViolation,
-                           _base_tangent, _calc, check_symmetry,
+                           _calc, _weyl_data, check_symmetry,
                            localization_pushforward, parse_space,
                            residue_pushforward, symmetry_generators)
 from eqpush.verification import random_admissible_class
@@ -21,7 +21,8 @@ from eqpush.verification import random_admissible_class
 from conftest import assert_immutable_value
 from oracles import (build_integrand, cut_ambient_value, expanded_integrand_symmetric,
                      factored_rational_sum, fixed_points, printed_class_value,
-                     schur_character, symmetry_orbit, symplectic_character)
+                     orthogonal_character, schur_character, symmetry_orbit,
+                     symplectic_character)
 from test_acceptance import CLASSICAL_CASES, partitions_with_parts_at_most
 
 ALL_SPACES = ["gr:1,2", "gr:1,3", "gr:2,4", "gr2:2,4", "lg:1", "lg:2", "ogE:2",
@@ -92,7 +93,7 @@ def test_dimensions():
     for key, dim in expected.items():
         space = parse_space(key)
         assert space.dimension() == dim
-        assert len(_base_tangent(space)) == dim
+        assert len(_weyl_data(space)[0]) == dim
         assert len(LocalizationEngine(space).steps) == dim
 
 
@@ -108,7 +109,7 @@ def test_base_tangent_matches_enumerated_point(key):
     assert engine.base == base
     point = next(p for p in fixed_points(space) if p.subst_map() == base)
     assert sorted(c.exps for c in point.tangent) == \
-        sorted(c.exps for c in _base_tangent(space))
+        sorted(c.exps for c in _weyl_data(space)[0])
     assert len(engine.steps) == space.dimension()
 
 
@@ -467,12 +468,12 @@ def test_bott_vanishing_on_projective_spaces():
                 assert residue_pushforward(space, f, variant).is_zero, (n, k, variant)
 
 
-def test_schur_classes_push_to_symplectic_characters():
-    # Borel-Weil in type C: pi_*(s_lam(1/z_1..1/z_n)) on lg:n is the
-    # character of Sp(2n) of highest weight lam, for lam in the n x 2 box, by
-    # localization on lg:2 to lg:4 and by the residue on lg:2 and lg:3
+def check_schur_classes_against(kind, character):
+    """pi_*(s_lam(1/z_1..1/z_n)) == character(n, lam) on kind:n for lam in
+    the n x 2 box, by localization on ranks 2 to 4 and by every residue
+    variant on ranks 2 and 3."""
     for n in range(2, 5):
-        space = parse_space(f"lg:{n}")
+        space = parse_space(f"{kind}:{n}")
         table = space.table()
         paths = [localization_pushforward]
         if n < 4:
@@ -480,9 +481,42 @@ def test_schur_classes_push_to_symplectic_characters():
                       for variant in space.variants()]
         for lam in partitions_with_parts_at_most(2, n):
             f = inverse_schur(lam, "z", n).substitute({}, table)
-            expected = symplectic_character(n, lam).substitute({}, table)
+            expected = character(n, lam).substitute({}, table)
             for path in paths:
                 assert path(space, f) == expected, (space.key(), lam, path)
+
+
+def test_schur_classes_push_to_symplectic_characters():
+    # Borel-Weil in type C: on lg:n the push-forward is the character of
+    # Sp(2n) of highest weight lam
+    check_schur_classes_against("lg", symplectic_character)
+
+
+def test_schur_classes_push_to_orthogonal_characters():
+    # Borel-Weil in types B and D: on ogO:n the SO(2n+1) character, on ogE:n
+    # the SO(2n) one plus its image under t_n -> 1/t_n.  A wrong ogO flip
+    # root or ogE type-D reflection fails it.
+    for kind in ("ogO", "ogE"):
+        check_schur_classes_against(kind, partial(orthogonal_character, kind))
+
+
+WEYL_SPACES = ([f"{k}:{m},{n}" for k in ("gr", "gr2") for n in range(2, 7) for m in range(1, n)]
+               + [f"{k}:{n}" for k in ("lg", "ogE", "ogO", "fl") for n in range(1, 7)]
+               + [f"q:{n}" for n in range(2, 7)] + ["g2p2", "g2b"])
+
+
+def test_weyl_data_reflections_invert_their_roots():
+    # the contract of _weyl_data: each substitution s maps its simple root a
+    # to 1/a and is an involution on the t's, on every kind up to rank 6
+    for key in WEYL_SPACES:
+        space = parse_space(key)
+        table = space.table()
+        ts = [Monomial.of(table, **{name: 1}) for name in table.names if name[0] == "t"]
+        reflections = _weyl_data(space)[1]
+        assert reflections or space.dimension() == 0, key
+        for s, a in reflections:
+            assert a.substitute(s) == a.inverse(), (key, a.render())
+            assert all(t.substitute(s).substitute(s) == t for t in ts), (key, a.render())
 
 
 @pytest.mark.parametrize("key, variant, canons", [
