@@ -8,12 +8,16 @@ results can be shared freely.
 
 Every coefficient is in one normal form: a Python `int` when its value is
 integral, and a `fractions.Fraction` only when it is not.  `rational()` builds
-that form and `quotient()` is the one exact division of coefficients.  Each
-polynomial remembers whether all its coefficients are ints; an operation on
-such operands multiplies and adds ints only, and the results of the others
-are normalized, so integral work such as elimination with unit pivots or
-the G2 artifacts never builds a rational.  Rendering and JSON read
-`numerator` and `denominator`, which ints have as well.
+that form and `quotient()` is the one exact division of coefficients.  A
+polynomial holds only its table and terms.  Each operation hands its fresh
+term dict to `_result`, which takes it over as it is when every coefficient
+is an int and brings it to normal form only when it holds a `Fraction`; a
+result that is normal by construction (a negation, a constant, a variable,
+a one-term power, an exact division, whose every coefficient `quotient()`
+gives) skips that pass.  Ints stay ints, so integral work such as
+elimination with unit pivots or the G2 artifacts never builds a rational.
+Rendering and JSON read `numerator` and `denominator`, which ints have as
+well.
 
 One walk of the terms in canonical order serves every rendering: the text
 form of the fixtures, LaTeX, JSON and `Monomial.render`.
@@ -232,7 +236,7 @@ class Monomial(Frozen):
         return all(e == 0 for e in self.exps)
 
     def as_polynomial(self) -> "LaurentPolynomial":
-        return _poly(self.table, {self.exps: 1}, True)
+        return LaurentPolynomial(self.table, {self.exps: 1}, True)
 
     def substitute(self, mapping: Mapping[str, "Monomial"]) -> "Monomial":
         """Image under a variable -> monomial map (unmapped variables stay fixed)."""
@@ -276,7 +280,7 @@ class LaurentPolynomial:
     normal form; the polynomial takes it over without a copy.
     """
 
-    __slots__ = ("table", "terms", "_integral")
+    __slots__ = ("table", "terms")
 
     def __init__(self, table: VariableTable, terms: Mapping[tuple, object], _canonical=False):
         self.table = table
@@ -284,7 +288,6 @@ class LaurentPolynomial:
             self.terms = terms
         else:
             self.terms = {k: rational(v) for k, v in terms.items() if v != 0}
-        self._integral = None  # whether every coefficient is an int; None until known
 
     # -- constructors ------------------------------------------------------
 
@@ -297,7 +300,7 @@ class LaurentPolynomial:
         q = rational(value)
         if q == 0:
             return LaurentPolynomial.zero(table)
-        return _poly(table, {table.zero_exps: q}, type(q) is int)
+        return LaurentPolynomial(table, {table.zero_exps: q}, True)
 
     @staticmethod
     def one(table: VariableTable) -> "LaurentPolynomial":
@@ -307,7 +310,7 @@ class LaurentPolynomial:
     def variable(table: VariableTable, name: str, k: int = 1) -> "LaurentPolynomial":
         e = [0] * len(table)
         e[table.index(name)] = k
-        return _poly(table, {tuple(e): 1}, True)
+        return LaurentPolynomial(table, {tuple(e): 1}, True)
 
     # -- basic queries ------------------------------------------------------
 
@@ -317,13 +320,6 @@ class LaurentPolynomial:
 
     def __len__(self):
         return len(self.terms)
-
-    def is_integral(self) -> bool:
-        """True iff every coefficient is an int; looked at once, then remembered."""
-        integral = self._integral
-        if integral is None:
-            integral = self._integral = all(type(c) is int for c in self.terms.values())
-        return integral
 
     def min_degree(self, name: str):
         """Minimum exponent of a variable, or None for the zero polynomial."""
@@ -346,13 +342,12 @@ class LaurentPolynomial:
     __hash__ = None
 
     def __neg__(self):
-        return _poly(self.table, {k: -c for k, c in self.terms.items()}, self._integral)
+        return LaurentPolynomial(self.table, {k: -c for k, c in self.terms.items()}, True)
 
     def _plus(self, other, sign):
         other = self._coerce(other)
         _same_table(self.table, other.table)
-        return _result(self.table, add_terms(dict(self.terms), other.terms.items(), sign),
-                       self.is_integral() and other.is_integral())
+        return _result(self.table, add_terms(dict(self.terms), other.terms.items(), sign))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -374,8 +369,7 @@ class LaurentPolynomial:
                 return large.mul_monomial(Monomial(self.table, k), c)
             if not small.terms:
                 return small
-            return _result(self.table, _packed_product(small.terms, large.terms),
-                           small.is_integral() and large.is_integral())
+            return _result(self.table, _packed_product(small.terms, large.terms))
         if isinstance(other, Monomial):
             return self.mul_monomial(other)
         return self.scale(other)
@@ -389,7 +383,7 @@ class LaurentPolynomial:
             (e, c), = self.terms.items()
             # an int to a negative power is a float: invert exactly instead
             q = rational(c ** k) if k >= 0 else quotient(1, c ** -k)
-            return _poly(self.table, {tuple(x * k for x in e): q}, type(q) is int)
+            return LaurentPolynomial(self.table, {tuple(x * k for x in e): q}, True)
         if k < 0:
             raise NotDivisible("negative power of a non-monomial")
         result = LaurentPolynomial.one(self.table)
@@ -412,8 +406,7 @@ class LaurentPolynomial:
             return LaurentPolynomial.zero(self.table)
         if q == 1:
             return self
-        return _result(self.table, {k: c * q for k, c in self.terms.items()},
-                       type(q) is int and self.is_integral())
+        return _result(self.table, {k: c * q for k, c in self.terms.items()})
 
     def mul_monomial(self, mono: Monomial, coeff=1) -> "LaurentPolynomial":
         _same_table(self.table, mono.table)
@@ -421,11 +414,7 @@ class LaurentPolynomial:
         if q == 0 or not self.terms:
             return LaurentPolynomial.zero(self.table)
         sh = mono.exps
-        if q == 1:
-            terms = {tuple(map(_add, k, sh)): c for k, c in self.terms.items()}
-            return _poly(self.table, terms, self._integral)
-        terms = {tuple(map(_add, k, sh)): c * q for k, c in self.terms.items()}
-        return _result(self.table, terms, type(q) is int and self.is_integral())
+        return _result(self.table, {tuple(map(_add, k, sh)): c * q for k, c in self.terms.items()})
 
     # -- substitution -------------------------------------------------------
 
@@ -451,7 +440,6 @@ class LaurentPolynomial:
         moves = []  # (source index, ((target index, exponent), ...)) of each moved variable
         scales = []  # (source index, c) of each one-term image c*t^e with c != 1
         longer = []  # (source index, image) of each image of more than one term
-        exact = self.is_integral()
         for i, img in images:
             _same_table(target, img.table)
             if isinstance(img, Monomial):
@@ -462,7 +450,6 @@ class LaurentPolynomial:
                     scales.append((i, c))
             else:  # multiplied in below; here the variable only leaves
                 longer.append((i, img))
-                exact = exact and img.is_integral()
                 exps = target.zero_exps
             pairs = _moves(i, exps, same)
             if pairs:
@@ -481,9 +468,7 @@ class LaurentPolynomial:
             for i, ci in scales:
                 ki = k[i]
                 if ki:
-                    q = ci ** ki if ki > 0 else quotient(1, ci ** -ki)
-                    exact = exact and type(q) is int
-                    c = c * q
+                    c = c * (ci ** ki if ki > 0 else quotient(1, ci ** -ki))
             if longer:
                 powers = tuple(k[i] for i, _ in longer)
                 product = products.get(powers)
@@ -495,7 +480,7 @@ class LaurentPolynomial:
                 pieces += [(tuple(map(_add, e, pk)), c * pc) for pk, pc in product]
             else:
                 pieces.append((tuple(e), c))
-        return _result(target, add_terms({}, pieces), exact)
+        return _result(target, add_terms({}, pieces))
 
     # -- rendering ----------------------------------------------------------
 
@@ -606,33 +591,24 @@ def _packed_product(a: dict, b: dict) -> dict:
     cols_a, cols_b = list(zip(*a)), list(zip(*b))
     packing = Packing(list(map(_add, map(min, cols_a), map(min, cols_b))),
                       list(map(_add, map(max, cols_a), map(max, cols_b))))
-    # pack(e) written out: two calls of `pack` per product cost ~1% of g2-artifacts
-    shifts, offset = packing.shifts, packing.offset
-    packed_b = [(sum(map(_lshift, k, shifts)), c) for k, c in b.items()]
+    offset = packing.offset
+    packed_b = list(zip(packing.pack(b), b.values()))
     acc: dict = {}
     get = acc.get
-    for k1, c1 in a.items():
-        k1 = sum(map(_lshift, k1, shifts)) - offset
+    for k1, c1 in zip(packing.pack(a), a.values()):
+        k1 -= offset
         for k2, c2 in packed_b:
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
     return {k: c for k, c in zip(packing.unpack(acc), acc.values()) if c}
 
 
-def _poly(table: VariableTable, terms: dict, integral=None) -> LaurentPolynomial:
-    """A polynomial taking over terms, which are already in normal form;
-    integral says whether they are all ints (None: not known)."""
-    p = LaurentPolynomial(table, terms, True)
-    p._integral = integral
-    return p
-
-
-def _result(table: VariableTable, terms: dict, exact: bool) -> LaurentPolynomial:
-    """The result of an operation: terms computed from int operands only
-    (exact), or else brought to normal form here."""
-    if exact:
-        return _poly(table, terms, True)
-    return _poly(table, {k: _normal(c) for k, c in terms.items()})
+def _result(table: VariableTable, terms: dict) -> LaurentPolynomial:
+    """The polynomial of an operation's fresh nonzero terms: taken over as
+    they are when every coefficient is an int, else brought to normal form."""
+    if Fraction in map(type, terms.values()):
+        terms = {k: _normal(c) for k, c in terms.items()}
+    return LaurentPolynomial(table, terms, True)
 
 
 # -- exact division ----------------------------------------------------------
@@ -650,11 +626,8 @@ def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomia
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero:
         return p
-    if len(d.terms) == 2:
-        terms, integral = _divide_binomial(p.terms, d.terms, p.is_integral() and d.is_integral())
-    else:
-        terms, integral = _divide_heap(p.terms, d.terms)
-    return _poly(p.table, terms, integral)
+    divide = _divide_binomial if len(d.terms) == 2 else _divide_heap
+    return LaurentPolynomial(p.table, divide(p.terms, d.terms), True)
 
 
 def exact_divide_many(p: LaurentPolynomial, divisors) -> LaurentPolynomial:
@@ -664,9 +637,9 @@ def exact_divide_many(p: LaurentPolynomial, divisors) -> LaurentPolynomial:
     return p
 
 
-def _divide_binomial(num: dict, den: dict, integral: bool) -> tuple:
+def _divide_binomial(num: dict, den: dict) -> dict:
     """Exact division of a term dict by c0*t^k0 + c1*t^k1 on the Laurent keys:
-    (quotient in normal form, whether its coefficients are all ints).
+    the quotient's terms, each coefficient a `quotient()` and so in normal form.
 
     With mu = k1 - k0, the dividend's terms fall into chains b + j*mu.  If
     g_j is the dividend's coefficient at t^(b + j*mu), the quotient's
@@ -681,7 +654,6 @@ def _divide_binomial(num: dict, den: dict, integral: bool) -> tuple:
     (k0, c0), (k1, c1) = den.items()
     if c0 not in (1, -1) and c1 in (1, -1):
         k0, c0, k1, c1 = k1, c1, k0, c0
-    fast = integral and c0 in (1, -1)
     mu = tuple(map(_sub, k1, k0))
     support = [(l, m) for l, m in enumerate(mu) if m]
     i, mi = support[0]
@@ -709,24 +681,24 @@ def _divide_binomial(num: dict, den: dict, integral: bool) -> tuple:
         for j, e, g in chain:
             if carry:  # q continues through the gap: q_j = -c1*q_(j-1)/c0
                 for _ in range(j - last - 1):
-                    carry = -c1 * carry * c0 if fast else quotient(-c1 * carry, c0)
+                    carry = quotient(-c1 * carry, c0)
                     key = tuple(map(_add, key, mu))
                     out[key] = carry
-                carry = (g - c1 * carry) * c0 if fast else quotient(g - c1 * carry, c0)
+                carry = quotient(g - c1 * carry, c0)
             else:
-                carry = g * c0 if fast else quotient(g, c0)
+                carry = quotient(g, c0)
             if carry:
                 key = e if shift is None else tuple(map(_add, e, shift))
                 out[key] = carry
             last = j
         if carry:
             raise NotDivisible("a chain of the dividend leaves a remainder")
-    return out, fast or all(type(c) is int for c in out.values())
+    return out
 
 
-def _divide_heap(num: dict, den: dict) -> tuple:
+def _divide_heap(num: dict, den: dict) -> dict:
     """Exact division of term dicts by graded-lex leading terms, heap driven:
-    (quotient in normal form, whether its coefficients are all ints).
+    the quotient's terms, each coefficient a `quotient()` and so in normal form.
 
     Each step takes the top key k of the remainder and subtracts the quotient
     term at qk = k - lead times the divisor's other terms, moved by qk,
@@ -763,4 +735,4 @@ def _divide_heap(num: dict, den: dict) -> tuple:
             if nk not in remainder:
                 push(heap, (-sum(nk), tuple(map(_neg, nk)), nk))
         add_terms(remainder, moved, -qc)
-    return out, all(type(c) is int for c in out.values())
+    return out

@@ -71,6 +71,7 @@ def solve(matrix, rhs):
     return det, solution
 
 
-# The names the benchmark's tracer wraps; they go with ROADMAP item 1's refresh.
+# The names the benchmark's tracer wraps; they go once ROADMAP item 24 retargets
+# its hooks, with the rest of item 13's benchmark-only surface.
 bareiss_determinant = determinant
 bareiss_solve = solve

@@ -15,7 +15,14 @@ call overrides is dead, and the parameter should have none.
 No function of `src/eqpush` changes a container bound to a module-level
 name, and no method but `__init__` changes a container on `self`, by a
 mutating method call or by assigning or deleting a subscript: a memo is a
-`functools.lru_cache`, not a hand-rolled table.
+`functools.lru_cache`, not a hand-rolled table.  Nor is state kept in
+attributes: no method but `__init__` (and `__init_subclass__`, which sets up
+a class) assigns or deletes an attribute of `self`, and no module-level
+function or static method assigns or deletes a private attribute of an
+object it holds.  The exceptions are STATE_KEEPERS: the widest packing kept
+by `residue.PreparedForm.pack`, and the expression parser's cursor and depth.
+Writes through `object.__setattr__`, by which `Frozen` sets its fields and
+its hash, are calls and are not read.
 
 The G2 modules `g2` and `cohomology` compute the Grassmannian pairing in
 closed form and import nothing from `residue`: the residue kernel runs only
@@ -256,6 +263,23 @@ def _locals(func) -> set:
     return bound - declared
 
 
+def _units(tree):
+    """(qualified name, the def, the name of its first parameter or None) of
+    each module-level function and each method of a module-level class; the
+    name is None for a function or a static method."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt.name, stmt, None
+        elif isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = item.args.posonlyargs + item.args.args
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield f"{stmt.name}.{item.name}", item, \
+                        args[0].arg if args and not static else None
+
+
 def mutated_state(root: str = ROOT) -> list:
     """`module.function(name)` for each module-level container that a function
     or method of `src/eqpush` changes, and `module.Class.method(self.attr)`
@@ -266,21 +290,10 @@ def mutated_state(root: str = ROOT) -> list:
             continue
         names = {name for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
                  for name in _defined_names(stmt)}
-        units = []  # (qualified name, the def, the name of self or None)
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                units.append((stmt.name, stmt, None))
-            elif isinstance(stmt, ast.ClassDef):
-                for item in stmt.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        args = item.args.posonlyargs + item.args.args
-                        static = any(getattr(d, "id", None) == "staticmethod"
-                                     for d in item.decorator_list)
-                        me = args[0].arg if args and not static and item.name != "__init__" \
-                            else None
-                        units.append((f"{stmt.name}.{item.name}", item, me))
-        hits += [f"{module}.{qualname}({name})" for qualname, unit, me in units
-                 for name in _changed_containers(unit, names - _locals(unit), me)]
+        for qualname, unit, me in _units(tree):
+            me = None if unit.name == "__init__" else me
+            hits += [f"{module}.{qualname}({name})"
+                     for name in _changed_containers(unit, names - _locals(unit), me)]
     return hits
 
 
@@ -330,6 +343,84 @@ def test_state_scan_reports_a_hand_rolled_memo(tmp_path):
         "mod.grow(_ROWS)", "mod.remember(_SEEN)", "mod.rebound(_SEEN)",
         "mod.Calc.value(self.values)",
         "mod.Calc.forget(self.log)", "mod.Calc.forget(self.values)"]
+
+
+STATE_KEEPERS = {"residue.PreparedForm.pack", "exprparse._Parser.advance",
+                 "exprparse._Parser.expression"}
+
+
+def _written_attributes(unit, me) -> list:
+    """`owner.attr` for each attribute that the function `unit` assigns,
+    augments or deletes: each attribute of `me`, the name of `self`, when it
+    is given, else each private attribute of any name."""
+    out = set()
+    for node in ast.walk(unit):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                and isinstance(node.value, ast.Name) \
+                and (node.value.id == me if me else node.attr.startswith("_")):
+            out.add(f"{node.value.id}.{node.attr}")
+    return sorted(out)
+
+
+def attribute_writes(root: str = ROOT) -> list:
+    """`module.Class.method(self.attr)` for each attribute of `self` that a
+    method other than `__init__` and `__init_subclass__` writes, and
+    `module.function(name._attr)` for each private attribute of an object
+    that a module-level function or a static method writes; the functions
+    in STATE_KEEPERS are left out."""
+    hits = []
+    for module, tree in _modules(root):
+        if module is None:
+            continue
+        for qualname, unit, me in _units(tree):
+            if unit.name in ("__init__", "__init_subclass__") \
+                    or f"{module}.{qualname}" in STATE_KEEPERS:
+                continue
+            hits += [f"{module}.{qualname}({name})" for name in _written_attributes(unit, me)]
+    return hits
+
+
+def test_no_method_or_function_keeps_state_in_attributes():
+    assert attribute_writes() == []
+
+
+def test_attribute_scan_reports_state_kept_on_objects(tmp_path):
+    os.makedirs(tmp_path / "src" / "eqpush")
+    os.makedirs(tmp_path / "perfbench")
+    (tmp_path / "src" / "eqpush" / "exprparse.py").write_text(
+        "class _Parser:\n"
+        "    def advance(self):\n"
+        "        self.pos += 1\n"
+        "    def rewind(self):\n"
+        "        self.pos = 0\n")
+    (tmp_path / "src" / "eqpush" / "mod.py").write_text(
+        "class Poly:\n"
+        "    def __init__(self, terms):\n"
+        "        self.terms, self._flag = terms, None\n"
+        "    def __init_subclass__(cls):\n"
+        "        cls._made = True\n"
+        "    def flag(self):\n"
+        "        if self._flag is None:\n"
+        "            self._flag = all(self.terms)\n"
+        "        return self._flag\n"
+        "    def step(me, other):\n"
+        "        me.pos += 1\n"
+        "        del me.cache\n"
+        "        other.terms = other._flag = None\n"
+        "    @staticmethod\n"
+        "    def build(terms):\n"
+        "        p = Poly(terms)\n"
+        "        p._flag, p.terms = True, terms\n"
+        "        return p\n"
+        "def mark(p, flag):\n"
+        "    p._flag = flag\n"
+        "    p.public = flag\n"
+        "    object.__setattr__(p, '_hash', 0)\n"
+        "    return p\n")
+    assert attribute_writes(str(tmp_path)) == [
+        "exprparse._Parser.rewind(self.pos)", "mod.Poly.flag(self._flag)",
+        "mod.Poly.step(me.cache)", "mod.Poly.step(me.pos)", "mod.Poly.build(p._flag)",
+        "mod.mark(p._flag)"]
 
 
 def value_class_faults() -> list:

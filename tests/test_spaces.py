@@ -500,6 +500,64 @@ def test_schur_classes_push_to_orthogonal_characters():
         check_schur_classes_against(kind, partial(orthogonal_character, kind))
 
 
+def inverted(p: LaurentPolynomial) -> LaurentPolynomial:
+    """p with every variable of its table inverted."""
+    table = p.table
+    return p.substitute({name: Monomial.of(table, **{name: -1}) for name in table.names})
+
+
+def serre_class(space) -> LaurentPolynomial:
+    """K, the class that restricts at each fixed point to the product of the
+    inverse tangent characters (the canonical class), as each kind's Fano
+    index gives it.  Stated here, not read off `_weyl_data`, so that a wrong
+    base tangent cannot move both sides of the duality."""
+    table, kind = space.table(), space.kind
+    m, n = space.m, space.parameter_count()
+
+    def power(letter, first, last, k):
+        return Monomial.of(table, **{f"{letter}{i}": k for i in range(first, last + 1)})
+
+    if kind == "gr":
+        k = power("z", 1, m, n) * power("t", 1, n, -m)
+    elif kind == "gr2":
+        k = power("z", 1, m, n - m) * power("z", m + 1, n, -m)
+    elif kind == "fl":
+        k = Monomial.of(table, **{f"z{i}": n + 1 - 2 * i for i in range(1, n + 1)})
+    elif kind == "q":
+        k = Monomial.of(table, z1=2 * n - 2)
+    elif kind == "g2b":
+        k = Monomial.of(table, z1=4, z2=2)
+    else:
+        k = power("z", 1, n, {"lg": n + 1, "ogE": n - 1, "ogO": n, "g2p2": 3}[kind])
+    return k.as_polynomial()
+
+
+SERRE_SPACES = ["gr:1,3", "gr:2,4", "gr2:2,4", "lg:2", "lg:3", "ogE:2", "ogE:3", "ogO:2",
+                "ogO:3", "fl:3", "q:2", "q:3", "g2p2", "g2b"]
+
+
+def test_serre_duality_on_every_kind_and_path():
+    # pi_*(f)^i = (-1)^d pi_*(f^i * K), i the inversion of every variable:
+    # term by term at each fixed point, 1/(1 - a) = -a^-1/(1 - a^-1).  Both
+    # sides by localization and by every residue variant are one value, so
+    # a low-degree class is checked against a high-degree one across paths.
+    for key in SERRE_SPACES:
+        space = parse_space(key)
+        k, sign = serre_class(space), (-1) ** space.dimension()
+        paths = [localization_pushforward] + [partial(residue_pushforward, variant=variant)
+                                              for variant in space.variants()]
+        rng = random.Random(f"serre:{key}")
+        values = []
+        for _ in range(3):
+            f = random_admissible_class(space, rng, max_exp=2)
+            dual = inverted(f) * k
+            sides = ([inverted(path(space, f)) for path in paths]
+                     + [path(space, dual).scale(sign) for path in paths])
+            assert sides == sides[:1] * len(sides), (key, f.render())
+            values.append(sides[0])
+        assert not all(value.is_zero for value in values), key
+
+
 WEYL_SPACES = ([f"{k}:{m},{n}" for k in ("gr", "gr2") for n in range(2, 7) for m in range(1, n)]
                + [f"{k}:{n}" for k in ("lg", "ogE", "ogO", "fl") for n in range(1, 7)]
                + [f"q:{n}" for n in range(2, 7)] + ["g2p2", "g2b"])
