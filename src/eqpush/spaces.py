@@ -9,10 +9,12 @@ ogE's second component.  Every space also has a factored residue integrand.
 The localization push-forward is the sum of f(point)/bracket(tangent) over
 the fixed points; it is computed exactly as a Demazure chain of isobaric
 divided differences from the base point (see LocalizationEngine), so the
-other fixed points are never listed.  The residue push-forward runs the iterated-residue engine on
-the integrand, prepared once per (space, variant) (`residue.PreparedForm`):
-an orbit member of a class is one integer shift of its packed base.  The
-central contract is that the two agree on every admissible class.
+other fixed points are never listed.  The residue push-forward takes
+lg, ogE and ogO in closed form (below) and runs the iterated-residue engine
+on every other integrand, prepared once per (space, variant)
+(`residue.PreparedForm`): an orbit member of a class is one integer shift
+of its packed base.  The central contract is that the two agree on every
+admissible class.
 
 The symmetry of admissible classes is declared once per kind, in
 SpaceDescriptor.symmetry_runs; the generators, the sorted orbit classes and
@@ -35,9 +37,27 @@ denominator and the measure are symmetric by construction): then
 Res(orbit_sum(c) * base) = |orbit(c)| * Res(z^c' * base) for any member c'.
 That holds for the full gr and gr2 formulas, and trivially for fl, g2b,
 gr:1,n and lg, ogE and ogO of rank 1, whose orbits have one member.  The
-positive-root weights (pos_roots) of lg, ogE, ogO and the compact gr and
-gr2 formulas, and g2p2's, are not symmetric, and q's inversion z -> 1/z
-moves the factors and the measure, so these keep the orbit sum.
+positive-root weights (pos_roots) of the compact gr and gr2 formulas and
+g2p2's are not symmetric, and q's inversion z -> 1/z moves the factors and
+the measure, so these sum every orbit member on the kernel.
+
+The integrands of lg, ogE and ogO take no kernel (`_alternant_shape` reads
+them off their description, no kind named).  Their weights are a positive
+system of type C (the sym_set pairs: ogE, full ogO) or D (the lambda_set
+pairs: lg, compact ogO), so by the Weyl denominator formula
+bracket(weights) = sum_w det(w) z^(w rho - rho), rho half the sum of the
+weights, and every other factor holds one z.  The residue of z^m times the
+integrand is then an n x n determinant of one-variable residues F(c), those
+of z^c/D(z) dz/z at 0 and infinity, D(z) = prod(1 - z/tau) over the ambient
+(compact ogO's extras 1 + z_i make each entry F(c) + F(c + 1)).  The
+ambient T_pm (T_sharp on full ogO, one factor 1 - z more) is closed under
+inversion, so D and every F are polynomials in the e_k of u_j = t_j +
+1/t_j: at rank 5, F(-6) has 18 terms in the e_k against 2471 in the t's.
+A class's determinants are summed over its orbit in the e_k, minors shared
+between members and classes, and mapped back to the t's once, by Horner's
+rule in the e_k.  At rank 1, where the orbit has one member, the integrand
+is symmetric and one residue on the kernel is cheaper: the e_k pay off only
+against the orbit sum.
 """
 
 from __future__ import annotations
@@ -48,7 +68,8 @@ from collections import Counter
 from functools import cached_property, lru_cache
 
 from .algebra import (Frozen, InvariantError, LaurentPolynomial, Monomial, NotDivisible,
-                      VariableTable, add_terms, exact_divide_many, rational, zt_table)
+                      VariableTable, add_terms, exact_divide_many, parameter_table, rational,
+                      zt_table)
 # Nothing here raises it; kept only because perfbench/test_perfbench.py
 # raises `spaces.NotPolynomial`.
 from .algebra import NotPolynomial  # noqa: F401
@@ -327,7 +348,9 @@ def _integrand_parts(space: SpaceDescriptor, variant: str) -> tuple:
     permutations.  By Weyl's character formula for the trivial
     representation, sum_w w(1/prod_(i<j) (1 - z_i/z_j)) = 1; times the
     invariant prod_(i!=j) (1 - z_i/z_j) this is sum_w w(P) = prod_(i!=j)
-    (1 - z_i/z_j), the paper's bracket(roots(z))."""
+    (1 - z_i/z_j), the paper's bracket(roots(z)).  With half the factors
+    the weights are a positive system of type C or D, whose bracket is a
+    Weyl alternant: `_alternant_shape` reads it off for the closed form."""
     table = space.table()
     k, m, n = space.kind, space.m, space.n
     one = LaurentPolynomial.one(table)
@@ -397,6 +420,198 @@ def _integrand_symmetric(space: SpaceDescriptor, variant: str) -> bool:
 
     identity = multisets({})
     return all(multisets(s) == identity for s in symmetry_generators(space))
+
+
+# -- alternant integrands ---------------------------------------------------------
+
+
+def _root_system(m: int, long: bool) -> Counter:
+    """The roots of D_m, +-e_i +- e_j for i < j, and with `long` the 2e_i
+    of C_m too, as exponent vectors of length m."""
+    def vector(*pairs):
+        e = [0] * m
+        for i, x in pairs:
+            e[i] += x
+        return tuple(e)
+
+    roots = Counter(vector((i, s), (j, r)) for i, j in itertools.combinations(range(m), 2)
+                    for s in (1, -1) for r in (1, -1))
+    if long:
+        roots.update(vector((i, s * 2)) for i in range(m) for s in (1, -1))
+    return roots
+
+
+@lru_cache(maxsize=None)
+def _alternant_shape(space: SpaceDescriptor, variant: str):
+    """What the closed form reads off the integrand description of (space,
+    variant), or None when it is no alternant one: (names, ones, shifts,
+    sign, rho).  The scalar must be 1 and a class's orbit every permutation
+    of the z's.  The weights, in the z's alone, must be a positive system of
+    C_m (with a long root 2e_i; sign -1) or D_m (sign 1): with their
+    negatives every root once, and rho, half their sum, positive on each.
+    Then bracket(weights) = sum_w det(w) z^(w rho - rho) over the signed
+    permutations w (even sign changes on D_m).  The ambient must be the
+    pairs t, 1/t of the variables named and `ones` characters 1, and every
+    z_i must take the same product p(z_i) of extras with integer
+    coefficients, shifts being p's (degree, coefficient) pairs."""
+    scalar, weights, extras, ambient = _integrand_parts(space, variant)
+    m = space.residue_count()
+    if space.symmetry_runs() != ((0, m, False),) or scalar != 1 \
+            or any(any(a.exps[m:]) for a in weights) or any(any(a.exps[:m]) for a in ambient):
+        return None
+    positive = [a.exps[:m] for a in weights]
+    long = any(2 in map(abs, e) for e in positive)
+    rho = tuple(sum(col) // 2 for col in zip(*positive)) if positive else (0,) * m
+    if Counter(positive) + Counter(tuple(-x for x in e) for e in positive) \
+            != _root_system(m, long) \
+            or any(sum(map(int.__mul__, rho, e)) <= 0 for e in positive):
+        return None
+    moved = Counter(a.exps for a in ambient if not a.is_one)
+    variables = [k for k in range(m, len(space.table())) if any(e[k] for e in moved)]
+    pairs = Counter(tuple(s * (k == j) for k in range(len(space.table())))
+                    for j in variables for s in (1, -1))
+    if moved != pairs:
+        return None
+    products = [LaurentPolynomial.one(space.table())] * m
+    for extra in extras:
+        zs = {i for key in extra.terms for i, x in enumerate(key) if x}
+        if len(zs) != 1 or not zs <= set(range(m)):
+            return None
+        i, = zs
+        products[i] = products[i] * extra
+    shifts = {tuple(sorted((key[i], c) for key, c in p.terms.items()))
+              for i, p in enumerate(products)}
+    if len(shifts) != 1 or any(type(c) is not int for _, c in min(shifts)):
+        return None
+    names = tuple(space.table().names[k] for k in variables)
+    return names, sum(a.is_one for a in ambient), min(shifts), -1 if long else 1, rho
+
+
+@lru_cache(maxsize=None)
+def _invariant_table(count: int) -> VariableTable:
+    """e1..e_count, the elementary symmetric functions of u_j = t_j + 1/t_j."""
+    return parameter_table(*(f"e{k + 1}" for k in range(count)))
+
+
+@lru_cache(maxsize=None)
+def _ambient_denominator(count: int, ones: int) -> tuple:
+    """The coefficients, lowest degree first, of D(z) = (1 - z)^ones *
+    prod_j (1 - z t_j)(1 - z/t_j) over j = 1..count, as polynomials in the
+    e_k: prod_j (1 - u_j z + z^2) = sum_k (-1)^k e_k z^k (1 + z^2)^(count - k)."""
+    table = _invariant_table(count)
+    zero = LaurentPolynomial.zero(table)
+    coeffs = [zero] * (2 * count + 1)
+    for k in range(count + 1):
+        e = LaurentPolynomial.variable(table, f"e{k}") if k else LaurentPolynomial.one(table)
+        for i in range(count - k + 1):
+            coeffs[k + 2 * i] = coeffs[k + 2 * i] + e.scale((-1) ** k * math.comb(count - k, i))
+    for _ in range(ones):  # times 1 - z
+        coeffs = [a - b for a, b in zip(coeffs + [zero], [zero] + coeffs)]
+    return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _inverse_series(count: int, ones: int, reverse: bool, size: int) -> tuple:
+    """The first `size` coefficients (size a power of two) of the power
+    series 1/D(z), or with `reverse` of 1/D*(z), D* = z^deg D(1/z) the
+    reversal, whose constant term is (-1)^ones: the first half is the cached
+    series of size/2, so no call recurses more than log2(size) levels."""
+    d = _ambient_denominator(count, ones)[::-1 if reverse else 1]
+    unit = (-1) ** ones if reverse else 1  # d[0], its own inverse
+    if size == 1:
+        return (LaurentPolynomial.constant(d[0].table, unit),)
+    out = list(_inverse_series(count, ones, reverse, size // 2))
+    for n in range(len(out), size):
+        acc: dict = {}
+        for k in range(1, min(n, len(d) - 1) + 1):
+            add_terms(acc, (d[k] * out[n - k]).terms.items(), -unit)
+        out.append(LaurentPolynomial(d[0].table, acc, _canonical=True))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _one_variable_residue(count: int, ones: int, c: int) -> LaurentPolynomial:
+    """F(c), the residue at 0 plus at infinity of z^c/D(z) dz/z in the e_k:
+    [z^-c] 1/D(z) - [z^(c - deg D)] 1/D*(z).  The one-variable residue of
+    the ambient (count, ones), as `g2core.gr27_orbit_class` takes F."""
+    deg = 2 * count + ones
+    value = LaurentPolynomial.zero(_invariant_table(count))
+    for reverse, n in ((False, -c), (True, c - deg)):
+        if n >= 0:
+            term = _inverse_series(count, ones, reverse, 1 << n.bit_length())[n]
+            value = value - term if reverse else value + term
+    return value
+
+
+@lru_cache(maxsize=None)
+def _alternant_row(shape: tuple, a: int, i: int) -> tuple:
+    """Row i of the matrix G(m) at m_i = a: G_ij = E(a + rho_j - rho_i) +
+    sign * E(a - rho_j - rho_i), the second term left out where rho_j = 0,
+    with E(c) the sum of coefficient * F(c + degree) over the shifts."""
+    names, ones, shifts, sign, rho = shape
+    row = []
+    for r in rho:
+        acc: dict = {}
+        for s, pm in ((r, 1), (-r, sign))[:2 if r else 1]:
+            for d, coeff in shifts:
+                add_terms(acc, _one_variable_residue(len(names), ones, a + s - rho[i] + d)
+                          .terms.items(), pm * coeff)
+        row.append(LaurentPolynomial(_invariant_table(len(names)), acc, _canonical=True))
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _alternant_minor(shape: tuple, exps: tuple, mask: int) -> LaurentPolynomial:
+    """In the e_k, the sum over the orderings m of the multiset exps (sorted)
+    of the minor of G(m) on its first len(exps) rows and the columns in
+    mask, expanded along its last row: the class value is the minor of the
+    whole multiset and every column.  Minors are shared by every member and
+    every class whose first exponents form the same multiset, so no member
+    costs more than the n*2^(n-1) products of its own subset recursion."""
+    table = _invariant_table(len(shape[0]))
+    if not exps:
+        return LaurentPolynomial.one(table)
+    acc: dict = {}
+    for v, a in enumerate(exps):
+        if v and a == exps[v - 1]:
+            continue
+        rest = exps[:v] + exps[v + 1:]
+        row = _alternant_row(shape, a, len(rest))
+        for j, entry in enumerate(row):
+            if mask >> j & 1 and entry.terms:
+                minor = _alternant_minor(shape, rest, mask & ~(1 << j))
+                add_terms(acc, (entry * minor).terms.items(), (-1) ** (mask >> j + 1).bit_count())
+    return LaurentPolynomial(table, acc, _canonical=True)
+
+
+@lru_cache(maxsize=None)
+def _invariant_generators(table: VariableTable, names: tuple) -> tuple:
+    """e_0(u)..e_n(u) over table, u_j = t_j + 1/t_j for the n t_j named."""
+    e = [LaurentPolynomial.one(table)]
+    for name in names:
+        u = LaurentPolynomial.variable(table, name) + LaurentPolynomial.variable(table, name, -1)
+        e = [e[0]] + [e[i] + u * e[i - 1] for i in range(1, len(e))] + [u * e[-1]]
+    return tuple(e)
+
+
+def _invariant_value(table: VariableTable, names: tuple, terms: list,
+                     k: int = 0) -> LaurentPolynomial:
+    """The polynomial sum(c * e^exps) over the (exps, c) in terms, in e_(k+1)..
+    e_n only, at e_i = e_i(u) over table: Horner's rule in e_(k+1), each
+    coefficient in turn in e_(k+2) and so on, so that every product is by
+    one e_i(u) and no call recurses more than n levels."""
+    if k == len(names) or not terms:
+        return LaurentPolynomial.constant(table, sum(c for _, c in terms))
+    generator = _invariant_generators(table, names)[k + 1]
+    by_power: dict = {}
+    for exps, c in terms:
+        by_power.setdefault(exps[k], []).append((exps, c))
+    value = LaurentPolynomial.zero(table)
+    for a in range(max(by_power), -1, -1):
+        value = value * generator
+        if a in by_power:
+            value = value + _invariant_value(table, names, by_power[a], k + 1)
+    return value
 
 
 # -- cached per-space calculators ------------------------------------------------
@@ -493,15 +708,22 @@ class _SpaceCalc:
 
     @lru_cache(maxsize=None)
     def res_class_value(self, canon: tuple, variant: str) -> LaurentPolynomial:
-        # The residue of orbit_sum(canon) * base, as integer shifts of the
-        # packed base: every member, or for a symmetric integrand |orbit|
-        # times the smallest, whose runs ascend (no run is signed):
-        # iterated_residue takes the last variable first, and the larger its
-        # exponent, the fewer layers its residue at 0 builds.
-        members, scalar = self.orbit(canon), 1
+        """The residue of orbit_sum(canon) * base.  A symmetric integrand
+        takes |orbit| times the residue of the smallest member on the
+        kernel: its runs ascend (no run is signed), iterated_residue takes
+        the last variable first, and the larger its exponent, the fewer
+        layers its residue at 0 builds.  An alternant one sums its
+        determinants over the orbit in the e_k (the full minor of the
+        multiset canon) and maps the sum to the t's once.  Any other takes
+        every member, each an integer shift of the packed base."""
+        members = self.orbit(canon)
         if _integrand_symmetric(self.space, variant):
-            members, scalar = [min(members)], len(members)
-        return iterated_residue(self.integrand(variant), members, scalar)
+            return iterated_residue(self.integrand(variant), [min(members)], len(members))
+        shape = _alternant_shape(self.space, variant)
+        if shape is not None:
+            value = _alternant_minor(shape, tuple(sorted(canon)), (1 << self.m) - 1)
+            return _invariant_value(self.table, shape[0], list(value.terms.items()))
+        return iterated_residue(self.integrand(variant), members, 1)
 
 
 @lru_cache(maxsize=None)

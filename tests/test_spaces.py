@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from functools import lru_cache, partial
 
 import pytest
@@ -339,8 +340,8 @@ def test_quotient_integrand_denominators():
     assert form.scalar == 1
 
 
-# the criterion-5 spaces and the two largest isotropic Grassmannians
-RESIDUE_SPACES = [key for key, _ in CLASSICAL_CASES] + ["lg:4", "ogE:4"]
+# the criterion-5 spaces and the isotropic Grassmannians of rank 4
+RESIDUE_SPACES = [key for key, _ in CLASSICAL_CASES] + ["lg:4", "ogE:4", "ogO:4"]
 RESIDUE_PAIRS = [(key, variant) for key in RESIDUE_SPACES + ["g2p2"]
                  for variant in parse_space(key).variants()]
 
@@ -348,7 +349,8 @@ RESIDUE_PAIRS = [(key, variant) for key in RESIDUE_SPACES + ["g2p2"]
 @pytest.mark.parametrize("key, variant", RESIDUE_PAIRS)
 def test_residue_pushforward_matches_integrand(key, variant):
     # build_integrand multiplies the whole orbit sum into the base numerator;
-    # residue_pushforward may take one orbit member per class instead
+    # residue_pushforward may take one orbit member per class instead, or on
+    # lg, ogE and ogO the alternant determinants of one-variable residues
     space = parse_space(key)
     rng = random.Random(f"integrand:{key}:{variant}")
     for _ in range(3):
@@ -382,11 +384,87 @@ def test_positive_roots_give_the_residue_of_the_printed_integrand(key, variant, 
 @pytest.mark.parametrize("key, variant", [("lg:5", "full"), ("ogE:5", "full"),
                                           ("ogO:5", "full"), ("ogO:5", "compact")])
 def test_rank_5_residue_matches_localization(key, variant):
+    # the alternant closed form against the localization chain and the
+    # residue kernel on the expanded integrand
     space = parse_space(key)
     f = random_admissible_class(space, random.Random(7), max_exp=1)
     value = localization_pushforward(space, f)
     assert not value.is_zero
     assert residue_pushforward(space, f, variant) == value
+    assert iterated_residue(build_integrand(space, f, variant)) == value
+
+
+ALTERNANT_PAIRS = [(f"{kind}:{n}", variant) for kind in ("lg", "ogE", "ogO") for n in range(1, 6)
+                   for variant in parse_space(f"{kind}:{n}").variants()]
+
+
+def signed_permutation_alternant(table, rho: tuple, even: bool) -> LaurentPolynomial:
+    """sum_w det(w) z^(w rho - rho) over the signed permutations w of
+    z1..zn, (w rho)_i = s_i rho_perm(i), n = len(rho); with `even` only
+    those with an even number of sign changes (the Weyl group of D_n)."""
+    pad = (0,) * (len(table) - len(rho))
+    terms = Counter()
+    for perm in itertools.permutations(range(len(rho))):
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        for signs in itertools.product((1, -1), repeat=len(rho)):
+            flips = signs.count(-1)
+            if not (even and flips % 2):
+                key = tuple(s * rho[p] - r for s, p, r in zip(signs, perm, rho)) + pad
+                terms[key] += (-1) ** (inversions + flips)
+    return LaurentPolynomial(table, terms)
+
+
+@pytest.mark.parametrize("key, variant", ALTERNANT_PAIRS)
+def test_alternant_integrands_are_weyl_alternants(key, variant):
+    # What spaces reads off the integrand description before any residue is
+    # taken: bracket(weights) times the extras is the type C (sign -1) or D
+    # (sign 1) alternant at its rho times each z's shifts, and the ambient
+    # denominator is D(z) in the e_k of u_j = t_j + 1/t_j.
+    space = parse_space(key)
+    table = space.table()
+    _, weights, extras, ambient = spaces._integrand_parts(space, variant)
+    names, ones, shifts, sign, rho = spaces._alternant_shape(space, variant)
+    n, full_ogO = space.n, (space.kind, variant) == ("ogO", "full")
+    assert names == tuple(f"t{j + 1}" for j in range(n))
+    assert ones == int(full_ogO)  # T_sharp
+    assert sign == (-1 if space.kind == "ogE" or full_ogO else 1)  # sym_set pairs: type C
+    numerator = bracket(weights, table)
+    alternant = signed_permutation_alternant(table, rho, sign == 1)
+    for extra in extras:
+        numerator = numerator * extra
+    for i in range(n):
+        alternant = alternant * LaurentPolynomial(
+            table, {tuple(d * (k == i) for k in range(len(table))): c for d, c in shifts})
+    assert numerator == alternant
+
+    one = LaurentPolynomial.one(table)
+    z1 = Monomial.of(table, z1=1)
+    denominator = one
+    for tau in ambient:
+        denominator = denominator * (one - (z1 / tau).as_polynomial())
+    expanded = LaurentPolynomial.zero(table)
+    for d, coeff in enumerate(spaces._ambient_denominator(n, ones)):
+        image = spaces._invariant_value(table, names, list(coeff.terms.items()))
+        expanded = expanded + image.mul_monomial(z1 ** d)
+    assert denominator == expanded
+
+
+def test_alternant_integrands_take_no_residue_kernel(monkeypatch):
+    # Only lg, ogE and ogO read as alternants, and above rank 1 (where the
+    # one-member path holds) their classes never reach the kernel.
+    for key, variant in RESIDUE_PAIRS:
+        shape = spaces._alternant_shape(parse_space(key), variant)
+        assert (shape is not None) == (key.split(":")[0] in ("lg", "ogE", "ogO")), (key, variant)
+
+    def refuse(*args):
+        raise AssertionError("an alternant integrand reached the residue kernel")
+
+    monkeypatch.setattr(spaces, "iterated_residue", refuse)
+    for key in ("lg:3", "ogE:3", "ogO:3"):
+        space = parse_space(key)
+        calc = spaces._SpaceCalc(space)  # no cached class values
+        for variant in space.variants():
+            assert not calc.res_class_value((2, 0, -1), variant).is_zero, (key, variant)
 
 
 def known_pushforwards(space) -> list:
@@ -532,8 +610,12 @@ def serre_class(space) -> LaurentPolynomial:
     return k.as_polynomial()
 
 
-SERRE_SPACES = ["gr:1,3", "gr:2,4", "gr2:2,4", "lg:2", "lg:3", "ogE:2", "ogE:3", "ogO:2",
-                "ogO:3", "fl:3", "q:2", "q:3", "g2p2", "g2b"]
+# (space, classes, max-exp): three seeded classes on each space of rank <= 3
+# and on the G2 spaces, one on each rank-5 space that takes the alternant
+# closed form (max-exp 1: the localization of its dual is most of the time)
+SERRE_CASES = [(key, 3, 2) for key in ["gr:1,3", "gr:2,4", "gr2:2,4", "lg:2", "lg:3", "ogE:2",
+                                       "ogE:3", "ogO:2", "ogO:3", "fl:3", "q:2", "q:3", "g2p2",
+                                       "g2b"]] + [(key, 1, 1) for key in ["lg:5", "ogE:5", "ogO:5"]]
 
 
 def test_serre_duality_on_every_kind_and_path():
@@ -541,15 +623,15 @@ def test_serre_duality_on_every_kind_and_path():
     # term by term at each fixed point, 1/(1 - a) = -a^-1/(1 - a^-1).  Both
     # sides by localization and by every residue variant are one value, so
     # a low-degree class is checked against a high-degree one across paths.
-    for key in SERRE_SPACES:
+    for key, count, max_exp in SERRE_CASES:
         space = parse_space(key)
         k, sign = serre_class(space), (-1) ** space.dimension()
         paths = [localization_pushforward] + [partial(residue_pushforward, variant=variant)
                                               for variant in space.variants()]
         rng = random.Random(f"serre:{key}")
         values = []
-        for _ in range(3):
-            f = random_admissible_class(space, rng, max_exp=2)
+        for _ in range(count):
+            f = random_admissible_class(space, rng, max_exp=max_exp)
             dual = inverted(f) * k
             sides = ([inverted(path(space, f)) for path in paths]
                      + [path(space, dual).scale(sign) for path in paths])
@@ -579,14 +661,14 @@ def test_weyl_data_reflections_invert_their_roots():
 
 @pytest.mark.parametrize("key, variant, canons", [
     ("gr:1,2", "full", [(2,), (60,), (3,), (-5,)]),
-    ("lg:3", "full", [(1, 0, 0), (9, 0, -9), (1, 1, -1)]),
+    ("gr2:2,4", "compact", [(1, 0, 0, 0), (9, -9, 0, 0), (1, -1, 1, 0)]),
     ("q:3", "full", [(1, 1, 0), (0, 6, 5), (2, 1, 0)]),
     ("gr:2,4", "compact", [(1, 0), (7, -7), (1, -1)]),
 ])
 def test_prepared_integrand_keeps_the_widest_packing(monkeypatch, key, variant, canons):
     # The second class needs a wider digit than the first and repacks the
-    # base; the narrower ones after it reuse that packing.  lg:3, q:3 and
-    # the compact gr:2,4 sum every orbit member on packed keys.  The
+    # base; the narrower ones after it reuse that packing.  q:3 and the
+    # compact gr:2,4 and gr2:2,4 sum every orbit member on packed keys.  The
     # integrand is prepared once for all the classes.
     built = []
 
@@ -624,7 +706,7 @@ def test_which_integrands_take_one_orbit_member():
 
 
 @pytest.mark.parametrize("key, variant", RESIDUE_PAIRS + [
-    ("ogO:4", "full"), ("ogO:4", "compact"), ("q:4", "full"), ("gr2:2,5", "full"),
+    ("q:4", "full"), ("gr2:2,5", "full"),
     ("gr2:2,5", "compact"), ("gr:2,7", "full"), ("gr:2,7", "compact"), ("g2b", "full")])
 def test_symmetry_decision_matches_the_expanded_integrand(key, variant):
     space = parse_space(key)
